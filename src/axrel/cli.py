@@ -122,10 +122,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormulaSyntaxError, SortError, ExactRealSyntaxError, UnknownTheory) as exc:
-        sys.stderr.write("axrel: %s\n" % exc)
-        return EX_DATA
-    except (OSError, ValueError) as exc:
+    except (FormulaSyntaxError, SortError, ExactRealSyntaxError, UnknownTheory,
+            OSError, ValueError, ZeroDivisionError) as exc:
+        # ZeroDivisionError covers field.DivisionByZero, e.g. `velocity 1/0 0 0`.
         sys.stderr.write("axrel: %s\n" % exc)
         return EX_DATA
 
@@ -172,7 +171,9 @@ def cmd_check(args) -> int:
         import re
 
         m = re.fullmatch(r"GenRel\((\d+)\)", args.theory)
-        n = int(m.group(1)) if m else None
+        n = int(m.group(1)) if m else 0
+        if n < 1:
+            raise UnknownTheory(args.theory)
         config = load_chart_file(args.model_file)
         results = check_chart_theory(config, n=n)
     else:

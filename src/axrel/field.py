@@ -19,6 +19,10 @@ Comparison refines rational interval enclosures (32, 64, 128, ... bits,
 with the exact zero test resolving the straddling case) until the sign
 of the difference is determined; for nonzero values this terminates.
 
+Rational values (empty tower) take a fast path: when both operands of
++, -, *, / or a comparison are rational, the operation works on the
+``Fraction`` reps directly and builds the same value the tree path would.
+
 Values are immutable and safe to share between threads.
 """
 
@@ -301,6 +305,8 @@ class ExactReal:
         return _tree_structural_eq(a._rep, b._rep, len(a._tower))
 
     def _same_tower(self, other: "ExactReal") -> bool:
+        if self._tower is other._tower:
+            return True
         if len(self._tower) != len(other._tower):
             return False
         return all(
@@ -387,6 +393,8 @@ class ExactReal:
         other = ExactReal._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not (self._tower or other._tower):
+            return ExactReal((), self._rep + other._rep, _normalize=False)
         tower, a, b = self._unified(other)
         return ExactReal(tower, _tree_add(a, b, len(tower)))
 
@@ -399,6 +407,8 @@ class ExactReal:
         other = ExactReal._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not (self._tower or other._tower):
+            return ExactReal((), self._rep - other._rep, _normalize=False)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -411,6 +421,8 @@ class ExactReal:
         other = ExactReal._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not (self._tower or other._tower):
+            return ExactReal((), self._rep * other._rep, _normalize=False)
         tower, a, b = self._unified(other)
         return ExactReal(tower, _tree_mul(a, b, tower, len(tower)))
 
@@ -422,6 +434,8 @@ class ExactReal:
             return NotImplemented
         if other.is_zero():
             raise DivisionByZero("division by exact zero")
+        if not (self._tower or other._tower):
+            return ExactReal((), self._rep / other._rep, _normalize=False)
         tower, a, b = self._unified(other)
         return ExactReal(tower, _tree_mul(a, _tree_inv(b, tower, len(tower)), tower, len(tower)))
 
@@ -455,11 +469,15 @@ class ExactReal:
         return _tree_is_zero(self._rep, self.level)
 
     def sign(self) -> int:
+        if not self._tower:
+            return (self._rep > 0) - (self._rep < 0)
         return _tree_sign(self._rep, self._tower, self.level)
 
     def compare(self, other) -> int:
         """-1, 0 or 1 as self <, ==, > other; exact."""
         other = ExactReal._coerce(other)
+        if other is not NotImplemented and not (self._tower or other._tower):
+            return (self._rep > other._rep) - (self._rep < other._rep)
         return (self - other).sign()
 
     def __eq__(self, other):

@@ -346,8 +346,9 @@ def check_axdiff(transform: Callable, n: int, probe_points: Sequence,
 
     The declared order is trusted metadata; the probe checks that k-th
     one-sided difference quotients agree (k = 1) and that iterated central
-    difference quotients stabilize under halving (k <= n).  Returns
-    Unknown when the declared order is below n.
+    difference quotients stabilize under halving (k <= n), up to the
+    float rounding of the finest stencil, which grows as 2^k eps / h^k.
+    Returns Unknown when the declared order is below n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -367,13 +368,17 @@ def check_axdiff(transform: Callable, n: int, probe_points: Sequence,
                     evidence={"point": tuple(p), "direction": tuple(d),
                               "jump": float(np.max(np.abs(right - left)))},
                     method="sampled", tolerance=tol)
+            f_max = np.max(np.abs(f(p)))
             for k in range(1, n + 1):
                 est_h = _central_diff(f, p, d, k, h0)
                 est_h2 = _central_diff(f, p, d, k, h0 / 2)
                 est_h4 = _central_diff(f, p, d, k, h0 / 4)
                 e1 = np.max(np.abs(est_h - est_h2))
                 e2 = np.max(np.abs(est_h2 - est_h4))
-                if e2 > 0.75 * e1 + tol * max(1.0, np.max(np.abs(est_h4))):
+                # Float rounding floor of the finest stencil: its k-th
+                # difference coefficients sum to 2^k in absolute value.
+                rounding = 2 ** k * np.finfo(float).eps * f_max / (h0 / 4) ** k
+                if e2 > 0.75 * e1 + tol * max(1.0, np.max(np.abs(est_h4))) + rounding:
                     return Verdict.fails(
                         evidence={"point": tuple(p), "order": k,
                                   "divergence": float(e2)},
@@ -444,6 +449,8 @@ def geodesic(chart: MetricChart, x0, u0, span: float, step: float = 0.01,
     span.  u0 must be timelike; the curve truncates (flagged) if it
     leaves the chart domain.  Fixed-step RK4 with halving-based error
     control; deterministic."""
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError("geodesic step must be a positive finite number, got %g" % step)
     x0 = np.asarray([float(c) for c in x0], dtype=float)
     u0 = np.asarray([float(c) for c in u0], dtype=float)
     if not chart.domain.contains(x0, strict=False):

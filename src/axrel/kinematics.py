@@ -70,11 +70,17 @@ def speed_squared(v: Sequence) -> ExactReal:
 
 
 class AffineMap:
-    """x -> L x + c over the exact field; general coordinate chart map."""
+    """x -> L x + c over the exact field; general coordinate chart map.
+
+    Maps are immutable after construction, so each computes its inverse
+    once, on the first :meth:`inverse` call, and keeps it.  The kept
+    inverse does not point back: ``m.inverse().inverse()`` is a fresh map.
+    """
 
     def __init__(self, linear: Mat, translation: Coord4 = None):
         self.linear = linalg.matrix(linear)
         self.translation = tuple(ER(t) for t in (translation or (0, 0, 0, 0)))
+        self._inverse = None
 
     def apply(self, x: Coord4) -> Coord4:
         return vec_add(mat_vec(self.linear, x), self.translation)
@@ -89,9 +95,12 @@ class AffineMap:
         return cls(lin, tr)
 
     def inverse(self) -> "AffineMap":
-        inv = mat_inverse(self.linear)
-        tr = tuple(-t for t in mat_vec(inv, self.translation))
-        return type(self)(inv, tr)
+        # Two threads may both compute it; they store equal maps.
+        if self._inverse is None:
+            inv = mat_inverse(self.linear)
+            tr = tuple(-t for t in mat_vec(inv, self.translation))
+            self._inverse = type(self)(inv, tr)
+        return self._inverse
 
     def is_lorentz(self) -> bool:
         return linalg.mat_eq(mat_mul(transpose(self.linear), mat_mul(ETA, self.linear)), ETA)

@@ -473,7 +473,7 @@ def parse_model(text: str) -> Structure:
     observers: list = []
     bodies: list = []
 
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -495,7 +495,7 @@ def parse_model(text: str) -> Structure:
                     else:
                         raise ValueError("unknown family %r" % w)
         elif head == "observer":
-            observers.append(_parse_observer(words[1:], line))
+            observers.append(_parse_observer(words[1:], line, lineno))
         elif head == "body":
             bodies.append(_parse_body(words[1:], line))
         else:
@@ -523,7 +523,13 @@ def _one(rest, line):
     return rest[0]
 
 
-def _parse_observer(words, line) -> ObserverSpec:
+# Number of values that follow each observer field keyword.
+_OBSERVER_ARITY = {"velocity": 3, "galilean": 3, "rotate": 4, "translate": 4, "domain": 3}
+
+
+def _parse_observer(words, line, lineno) -> ObserverSpec:
+    if not words:
+        raise ValueError("line %d: observer needs a name in %r" % (lineno, line))
     name = words[0]
     i = 1
     velocity = (ER(0), ER(0), ER(0))
@@ -535,29 +541,32 @@ def _parse_observer(words, line) -> ObserverSpec:
     has_domain = False
     while i < len(words):
         key = words[i]
+        arity = _OBSERVER_ARITY.get(key)
+        if arity is None:
+            raise ValueError("line %d: unknown observer field %r in %r" % (lineno, key, line))
+        args = words[i + 1:i + 1 + arity]
+        if len(args) < arity:
+            raise ValueError("line %d: observer field %r needs %d values in %r"
+                             % (lineno, key, arity, line))
+        i += 1 + arity
         if key in ("velocity", "galilean"):
             galilean = key == "galilean"
-            velocity = tuple(ER(w) for w in words[i + 1:i + 4])
-            i += 4
+            velocity = tuple(ER(w) for w in args)
         elif key == "rotate":
-            rotations.append((int(words[i + 1]), int(words[i + 2]),
-                              ER(words[i + 3]), ER(words[i + 4])))
-            i += 5
+            rotations.append((int(args[0]), int(args[1]), ER(args[2]), ER(args[3])))
         elif key == "translate":
-            trans = tuple(ER(w) for w in words[i + 1:i + 5])
-            i += 5
-        elif key == "domain":
+            trans = tuple(ER(w) for w in args)
+        else:  # domain
             has_domain = True
-            axis = int(words[i + 1]) - 1
-            lo = None if words[i + 2] == "-inf" else ER(words[i + 2])
-            hi = None if words[i + 3] == "inf" else ER(words[i + 3])
+            axis = int(args[0]) - 1
+            if not 0 <= axis < 4:
+                raise ValueError("line %d: domain axis must be 1 to 4 in %r" % (lineno, line))
+            lo = None if args[1] == "-inf" else ER(args[1])
+            hi = None if args[2] == "inf" else ER(args[2])
             domain_bounds[axis] = (lo, hi)
-            i += 4
             if i < len(words) and words[i] == "closed":
                 closed = True
                 i += 1
-        else:
-            raise ValueError("unknown observer field %r in %r" % (key, line))
     domain = ChartDomain(tuple(domain_bounds), closed) if has_domain else ChartDomain()
     return ObserverSpec(name, velocity, tuple(rotations), trans, domain, galilean)
 

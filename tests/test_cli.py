@@ -214,3 +214,45 @@ observer boosted velocity 3/5 0 0
                             "--samples", "2", "--seed", "1"], capsys)
     assert code in (1, 2)
     assert ("Unknown" in out) or ("Fails" in out)
+
+
+def _one_line_error(code, err, expected_codes=(65,)):
+    assert code in expected_codes
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("line, needle", [
+    ("observer a velocity 3/5", "line 3: observer field 'velocity' needs 3 values"),
+    ("observer a rotate 1 2 3/5", "line 3: observer field 'rotate' needs 4 values"),
+    ("observer a translate 1 0 0", "line 3: observer field 'translate' needs 4 values"),
+    ("observer a domain 4 10", "line 3: observer field 'domain' needs 3 values"),
+    ("observer a domain 5 0 1", "line 3: domain axis must be 1 to 4"),
+])
+def test_truncated_observer_field_is_data_error(tmp_path, capsys, line, needle):
+    model = tmp_path / "broken.model"
+    model.write_text("structure broken\n# an observer field is cut short\n%s\n" % line)
+    code, _, err = run_cli(["check", "SpecRel", str(model)], capsys)
+    _one_line_error(code, err)
+    assert needle in err
+
+
+def test_division_by_zero_in_model_is_data_error(tmp_path, capsys):
+    model = tmp_path / "divzero.model"
+    model.write_text("structure broken\nobserver a velocity 1/0 0 0\n")
+    code, _, err = run_cli(["check", "SpecRel", str(model)], capsys)
+    _one_line_error(code, err)
+
+
+@pytest.mark.parametrize("step", ["0", "-0.01", "nan", "inf"])
+def test_geodesic_rejects_bad_step(files, capsys, step):
+    code, _, err = run_cli(["geodesic", files["rindler.chart"], "--x0", "2,0,0,0",
+                            "--u0", "1/5,0,0,11/20", "--step", step], capsys)
+    _one_line_error(code, err, (64, 65))
+    assert "step" in err
+
+
+@pytest.mark.parametrize("theory", ["GenRelX", "GenRel", "GenRel(0)", "GenRel(3"])
+def test_check_rejects_malformed_genrel_name(files, capsys, theory):
+    code, out, err = run_cli(["check", theory, files["rindler.chart"]], capsys)
+    _one_line_error(code, err)
+    assert out == ""

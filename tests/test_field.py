@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Fr
 
 import pytest
@@ -167,3 +168,50 @@ def test_interval_refinement_sign():
     assert tiny.sign() == 0
     near = sqrt(ER(Fr(99999999, 100000000)))
     assert (near - 1).sign() == -1
+
+
+def test_rational_fast_path_matches_fraction_arithmetic():
+    rng = random.Random(17)
+    for _ in range(300):
+        a = Fr(rng.randint(-50, 50), rng.randint(1, 12))
+        b = Fr(rng.randint(-50, 50), rng.randint(1, 12))
+        x, y = ER(a), ER(b)
+        for got, want in ((x + y, a + b), (x - y, a - b), (x * y, a * b),
+                          (a + y, a + b), (a - y, a - b), (a * y, a * b)):
+            assert got.is_rational() and got.as_fraction() == want
+        assert x.compare(y) == (a > b) - (a < b)
+        assert x.sign() == (a > 0) - (a < 0)
+        assert (x < y, x <= y, x == y, x != y, x >= y, x > y) == \
+            (a < b, a <= b, a == b, a != b, a >= b, a > b)
+        if b:
+            assert (x / y).as_fraction() == a / b
+            assert (a / y).as_fraction() == a / b
+        else:
+            with pytest.raises(DivisionByZero):
+                x / y
+
+
+# Literals of mixed rational/tower operations, as the tree path printed
+# them before rational operands got their own path.
+MIXED_LITERALS = [
+    (lambda r2, r3: ER(Fr(3, 5)) + r2, "3/5 + sqrt(2)"),
+    (lambda r2, r3: r2 - Fr(1, 3), "-1/3 + sqrt(2)"),
+    (lambda r2, r3: Fr(1, 3) - r2, "1/3 - sqrt(2)"),
+    (lambda r2, r3: 2 * r3, "2*sqrt(3)"),
+    (lambda r2, r3: ER(1) / r2, "1/2*sqrt(2)"),
+    (lambda r2, r3: r2 / 4, "1/4*sqrt(2)"),
+    (lambda r2, r3: r2 * r2 - 1, "1"),
+    (lambda r2, r3: (1 + r2) / Fr(3, 4), "4/3 + 4/3*sqrt(2)"),
+    (lambda r2, r3: r2 * r3 + Fr(1, 2), "1/2 + sqrt(2)*sqrt(3)"),
+    (lambda r2, r3: sqrt(r2) * 2 - 1, "-1 + 2*sqrt(sqrt(2))"),
+    (lambda r2, r3: (r2 + r3) * (r2 - r3), "-1"),
+    (lambda r2, r3: 1 / sqrt(1 - ER(Fr(9, 25))), "5/4"),
+    (lambda r2, r3: Fr(7, 2) / (r3 - 1), "7/4 + 7/4*sqrt(3)"),
+]
+
+
+@pytest.mark.parametrize("make, literal", MIXED_LITERALS)
+def test_mixed_rational_tower_literals_unchanged(make, literal):
+    value = make(sqrt(ER(2)), sqrt(ER(3)))
+    assert value.literal() == literal
+    assert value.is_rational() == ("sqrt" not in literal)

@@ -259,6 +259,17 @@ def test_chart_file_flat_suite():
     assert all(v.is_holds for k, v in results.items() if k.startswith("IND."))
 
 
+def test_chart_file_suites_hold_at_declared_order():
+    # A translation between two static observers is smooth; at order 9 the
+    # finest central differences are dominated by float rounding, which the
+    # AxDiff stabilization test must not read as divergence.
+    for text in (FLAT_CHART_TEXT, RINDLER_CHART_TEXT):
+        results = check_chart_theory(parse_chart_file(text))
+        assert "AxDiff_9" in results
+        assert all(v.is_holds for v in results.values()), \
+            {k: v.outcome for k, v in results.items() if not v.is_holds}
+
+
 def test_chart_file_rindler_suite():
     config = parse_chart_file(RINDLER_CHART_TEXT)
     results = check_chart_theory(config, n=3)

@@ -3,6 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from axrel import kinematics, linalg
 from axrel.field import ER, sqrt
 from axrel.kinematics import (
     ETA, AffineMap, ConfigurationUnrealizable, EffectReport, PoincareMap,
@@ -15,6 +16,8 @@ from axrel.model import (
     Body, InertialLine, ObserverSpec, PhotonLine, standard_minkowski,
     unsafe_inertial_line,
 )
+from axrel.semantics import Budget, evaluate
+from axrel.syntax import expand_definitions, named_axiom
 
 
 def test_mu_lightlike():
@@ -192,3 +195,59 @@ def test_noftl_fails_on_quarantined_superluminal_line():
                     start=coord4(0, 0, 0, 0), target=(ER(4), ER(0), ER(0)))
     assert v.is_fails
     assert v.evidence["y4"] < v.evidence["t"]
+
+
+def test_inverse_is_computed_once():
+    m = boost((Fr(3, 5), 0, 0))
+    assert m.inverse() is m.inverse()
+    # The kept inverse does not point back: inverting it builds a fresh map.
+    assert m.inverse().inverse() is not m
+    assert m.inverse().inverse() == m
+
+
+def _galilean_map(rng):
+    rows = [[ER(1 if i == j else 0) for j in range(4)] for i in range(4)]
+    for i in range(3):
+        rows[i][3] = ER(Fr(rng.randint(-9, 9), rng.randint(1, 7)))
+    tr = tuple(Fr(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(4))
+    return AffineMap(tuple(tuple(r) for r in rows), tr)
+
+
+def test_inverse_composes_to_identity_exactly():
+    rng = random.Random(31)
+    ident = AffineMap(linalg.identity(4))
+    maps = [random_poincare_map(rng) for _ in range(8)] + [_galilean_map(rng) for _ in range(8)]
+    for m in maps:
+        assert m.inverse().compose(m) == ident
+        assert m.compose(m.inverse()) == ident
+        assert type(m.inverse()) is type(m)
+
+
+def test_sampled_evaluation_inverts_each_map_once(monkeypatch):
+    # Counts calls, not time: reference_point inverts observer charts once
+    # per sample, so without the kept inverse this is thousands of
+    # eliminations for three charts.
+    inversions, inverse_calls, inverted = [0], [0], {}
+    real_mat_inverse, real_inverse = kinematics.mat_inverse, AffineMap.inverse
+
+    def counting_mat_inverse(a):
+        inversions[0] += 1
+        return real_mat_inverse(a)
+
+    def recording_inverse(self):
+        inverse_calls[0] += 1
+        inverted[id(self)] = self
+        return real_inverse(self)
+
+    monkeypatch.setattr(kinematics, "mat_inverse", counting_mat_inverse)
+    monkeypatch.setattr(AffineMap, "inverse", recording_inverse)
+    s = standard_minkowski([
+        ObserverSpec("rest"),
+        ObserverSpec("boosted", velocity=(Fr(3, 5), 0, 0)),
+        ObserverSpec("skew", velocity=(0, Fr(4, 5), 0),
+                     rotations=((1, 2, Fr(3, 5), Fr(4, 5)),), translation=(1, 0, 0, 2)),
+    ])
+    v = evaluate(s, expand_definitions(named_axiom("AxSymd")), None, Budget(samples=12, seed=3))
+    assert v.is_holds
+    assert inverse_calls[0] > 10 * len(inverted)
+    assert inversions[0] <= len(inverted)
