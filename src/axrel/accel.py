@@ -449,6 +449,10 @@ def rindler_observer_chart(g) -> DifferentiableChart:
 # Scenario files and CSV export.
 
 
+# Number of words that follow each fixed-arity scenario keyword.
+_SCENARIO_ARITY = {"scenario": 1, "home": 1, "traveler": 1, "meet": 4}
+
+
 def parse_scenario(text: str) -> AcceleratedScenario:
     """Scenario file: `scenario NAME`, `body ...` lines (model syntax),
     `home NAME`, `traveler NAME`, and two `meet X1 X2 X3 X4` lines."""
@@ -457,26 +461,32 @@ def parse_scenario(text: str) -> AcceleratedScenario:
     home_id: Optional[str] = None
     trav_id: Optional[str] = None
     meets = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         words = line.split()
+        arity = _SCENARIO_ARITY.get(words[0])
+        if arity is not None and len(words) - 1 != arity:
+            raise ValueError("line %d: %s needs %d values in %r" % (lineno, words[0], arity, line))
         if words[0] == "scenario":
             name = words[1]
         elif words[0] == "body":
-            b = _parse_body(words[1:], line)
+            b = _parse_body(words[1:], line, lineno)
             bodies[b.id] = b
         elif words[0] == "home":
             home_id = words[1]
         elif words[0] == "traveler":
             trav_id = words[1]
         elif words[0] == "meet":
-            meets.append(coord4(*[ER(w) for w in words[1:5]]))
+            meets.append(coord4(*[ER(w) for w in words[1:]]))
         else:
-            raise ValueError("unknown scenario line %r" % line)
+            raise ValueError("line %d: unknown scenario line %r" % (lineno, line))
     if home_id is None or trav_id is None or len(meets) != 2:
         raise ValueError("scenario needs home, traveler and two meet lines")
+    for role, bid in (("home", home_id), ("traveler", trav_id)):
+        if bid not in bodies:
+            raise ValueError("scenario %s %r is not a declared body" % (role, bid))
     extra = tuple(b for bid, b in bodies.items() if bid not in (home_id, trav_id))
     return AcceleratedScenario(name, bodies[home_id], bodies[trav_id],
                                meets[0], meets[1], extra)

@@ -12,6 +12,12 @@ cases cross-validate against the exact special-relativistic results.
 Christoffel symbols come from central finite differences (step tied to
 the probe tolerance, default 1e-4); the integrator is fixed-step RK4
 with halving-based error control, fully deterministic.
+
+Metrics are evaluated in stacks: `MetricChart.metrics_at(points)` calls
+g once per point and checks shape and symmetry once for the whole
+(n, 4, 4) stack.  Each Christoffel evaluation is one stack of nine (the
+point and its eight stencil neighbours), and a geodesic's drift check
+is one stack over all of its points.
 """
 
 from __future__ import annotations
@@ -91,9 +97,23 @@ class FloatBox:
                         yield (i1, i2, i3, i4)
 
 
+def _symmetric(m: np.ndarray) -> bool:
+    """np.allclose(m, m^T, atol=1e-12) for a stack of square matrices.
+
+    A finite stack takes allclose's comparison without its per-call
+    set-up; NaN and +-inf entries fall back to allclose itself."""
+    mt = np.swapaxes(m, -1, -2)
+    if np.isfinite(m).all():
+        return bool((np.abs(m - mt) <= 1e-12 + 1e-5 * np.abs(mt)).all())
+    return bool(np.allclose(m, mt, atol=1e-12))
+
+
 @dataclass
 class MetricChart:
-    """g: Coord4 floats -> 4x4 numpy array, symmetric, signature (+,+,+,-)."""
+    """g: Coord4 floats -> 4x4 numpy array, symmetric, signature (+,+,+,-).
+
+    metrics_at evaluates g at a sequence of points and checks shape and
+    symmetry once for the whole stack; metric_at is its one-point case."""
 
     g: Callable
     domain: FloatBox = FloatBox()
@@ -101,11 +121,18 @@ class MetricChart:
     name: str = "chart"
     dg: Optional[Callable] = None  # optional analytic (axis -> d g / d x_axis)
 
-    def metric_at(self, p) -> np.ndarray:
-        m = np.asarray(self.g(tuple(p)), dtype=float)
-        if m.shape != (4, 4) or not np.allclose(m, m.T, atol=1e-12):
+    def metrics_at(self, points) -> np.ndarray:
+        values = [self.g(tuple(p)) for p in points]
+        try:
+            m = np.asarray(values, dtype=float)
+        except ValueError:  # ragged: g's shape varies by point
+            raise DegenerateMetric("metric must be a 4x4 matrix at every point") from None
+        if m.shape[1:] != (4, 4) or not _symmetric(m):
             raise DegenerateMetric("metric must be a symmetric 4x4 matrix")
-        return 0.5 * (m + m.T)
+        return 0.5 * (m + np.swapaxes(m, 1, 2))
+
+    def metric_at(self, p) -> np.ndarray:
+        return self.metrics_at([p])[0]
 
 
 def flat_chart() -> MetricChart:
@@ -420,26 +447,24 @@ class GeodesicResult:
 
 
 def _christoffels(chart: MetricChart, x, h: float) -> np.ndarray:
-    G = chart.metric_at(x)
-    G_inv = np.linalg.inv(G)
-    dg = np.empty((4, 4, 4))
     if chart.dg is not None:
-        for c in range(4):
-            dg[c] = np.asarray(chart.dg(tuple(x), c), dtype=float)
+        G = chart.metric_at(x)
+        dg = np.array([chart.dg(tuple(x), c) for c in range(4)], dtype=float)
     else:
-        for c in range(4):
-            e = np.zeros(4)
-            e[c] = h
-            dg[c] = (chart.metric_at(np.asarray(x) + e) -
-                     chart.metric_at(np.asarray(x) - e)) / (2 * h)
-    gamma = np.empty((4, 4, 4))
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                gamma[a, b, c] = 0.5 * sum(
-                    G_inv[a, d] * (dg[b][d, c] + dg[c][d, b] - dg[d][b, c])
-                    for d in range(4))
-    return gamma
+        # One stack: x, then x + h e_c and x - h e_c for c = 0..3.
+        x = np.asarray(x)
+        steps = h * np.eye(4)
+        ms = chart.metrics_at(np.concatenate([x[None], x + steps, x - steps]))
+        G = ms[0]
+        dg = (ms[1:5] - ms[5:9]) / (2 * h)
+    G_inv = np.linalg.inv(G)
+    # t[d, b, c] = dg[b][d, c] + dg[c][d, b] - dg[d][b, c]; the sum over d
+    # runs in index order from 0, so every entry rounds as a scalar sum would.
+    t = np.transpose(dg, (1, 0, 2)) + np.transpose(dg, (1, 2, 0)) - dg
+    acc = 0
+    for d in range(4):
+        acc = acc + G_inv[:, d, None, None] * t[d]
+    return 0.5 * acc
 
 
 def geodesic(chart: MetricChart, x0, u0, span: float, step: float = 0.01,
@@ -455,9 +480,9 @@ def geodesic(chart: MetricChart, x0, u0, span: float, step: float = 0.01,
     u0 = np.asarray([float(c) for c in u0], dtype=float)
     if not chart.domain.contains(x0, strict=False):
         raise LeftDomain("initial point outside the chart domain")
-    q0 = float(u0 @ chart.metric_at(x0) @ u0)
-    if q0 >= 0:
-        raise NotTimelike("initial tangent has g(u,u) = %g >= 0" % q0)
+    q_init = float(u0 @ chart.metric_at(x0) @ u0)
+    if q_init >= 0:
+        raise NotTimelike("initial tangent has g(u,u) = %g >= 0" % q_init)
 
     def integrate(h: float):
         n = max(2, int(round(span / h)))
@@ -499,9 +524,8 @@ def geodesic(chart: MetricChart, x0, u0, span: float, step: float = 0.01,
             break
         lam, xs, us, truncated = lam2, xs2, us2, trunc2
         h = h / 2
-    q_init = float(u0 @ chart.metric_at(x0) @ u0)
-    drift = max(abs(float(us[i] @ chart.metric_at(xs[i]) @ us[i]) - q_init)
-                for i in range(len(xs)))
+    ms = chart.metrics_at(xs)
+    drift = max(abs(float(us[i] @ ms[i] @ us[i]) - q_init) for i in range(len(xs)))
     worldline = None
     t_col = xs[:, 3]
     if np.all(np.diff(t_col) > 0):
@@ -538,6 +562,10 @@ class ChartSuiteConfig:
     order: int = 3
 
 
+# Number of words that follow each fixed-arity chart keyword.
+_CHART_ARITY = {"chart": 1, "order": 1, "domain": 3, "worldline": 4, "meet": 6}
+
+
 def parse_chart_file(text: str) -> ChartSuiteConfig:
     """Chart file grammar (one declaration per line)::
 
@@ -547,6 +575,8 @@ def parse_chart_file(text: str) -> ChartSuiteConfig:
         g I J = EXPR               # symmetric; unset entries are 0
         worldline NAME X1 X2 X3    # static observer position (literals)
         meet NAME NAME X1 X2 X3 X4
+
+    A malformed line raises a ValueError that names its line number.
     """
     name = "chart"
     order = 3
@@ -555,33 +585,38 @@ def parse_chart_file(text: str) -> ChartSuiteConfig:
     entries: dict = {}
     observers: dict = {}
     meets: list = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         words = line.split()
-        if words[0] == "chart":
-            name = words[1]
-        elif words[0] == "order":
-            order = int(words[1])
-        elif words[0] == "domain":
-            axis = int(words[1]) - 1
-            lo[axis] = -math.inf if words[2] == "-inf" else float(ER(words[2]))
-            hi[axis] = math.inf if words[3] == "inf" else float(ER(words[3]))
-        elif words[0] == "g":
-            i, j = int(words[1]) - 1, int(words[2]) - 1
-            assert words[3] == "=", line
-            expr = parse_expression(" ".join(words[4:]), ("x1", "x2", "x3", "x4"))
+        head, args = words[0], words[1:]
+        arity = _CHART_ARITY.get(head)
+        if arity is not None and len(args) != arity:
+            raise ValueError("line %d: %s needs %d values in %r" % (lineno, head, arity, line))
+        if head == "chart":
+            name = args[0]
+        elif head == "order":
+            order = int(args[0])
+        elif head == "domain":
+            axis = _chart_index(args[0], lineno, line)
+            lo[axis] = -math.inf if args[1] == "-inf" else float(ER(args[1]))
+            hi[axis] = math.inf if args[2] == "inf" else float(ER(args[2]))
+        elif head == "g":
+            if len(args) < 4 or args[2] != "=":
+                raise ValueError("line %d: metric entry must read 'g I J = EXPR' in %r"
+                                 % (lineno, line))
+            i, j = _chart_index(args[0], lineno, line), _chart_index(args[1], lineno, line)
+            expr = parse_expression(" ".join(args[3:]), ("x1", "x2", "x3", "x4"))
             fn = compile_float(expr, ("x1", "x2", "x3", "x4"))
             entries[(i, j)] = fn
             entries[(j, i)] = fn
-        elif words[0] == "worldline":
-            observers[words[1]] = tuple(float(ER(w)) for w in words[2:5])
-        elif words[0] == "meet":
-            meets.append((words[1], words[2],
-                          tuple(float(ER(w)) for w in words[3:7])))
+        elif head == "worldline":
+            observers[args[0]] = tuple(float(ER(w)) for w in args[1:])
+        elif head == "meet":
+            meets.append((args[0], args[1], tuple(float(ER(w)) for w in args[2:])))
         else:
-            raise ValueError("unknown chart line %r" % line)
+            raise ValueError("line %d: unknown chart line %r" % (lineno, line))
 
     def g(p):
         m = np.zeros((4, 4))
@@ -592,6 +627,13 @@ def parse_chart_file(text: str) -> ChartSuiteConfig:
     box = FloatBox(tuple(lo), tuple(hi))
     chart = MetricChart(g, box, order=order, name=name)
     return ChartSuiteConfig(chart, observers, meets, order=order)
+
+
+def _chart_index(word: str, lineno: int, line: str) -> int:
+    """A 1-based axis or metric index, returned 0-based."""
+    if word not in ("1", "2", "3", "4"):
+        raise ValueError("line %d: index %r must be 1 to 4 in %r" % (lineno, word, line))
+    return int(word) - 1
 
 
 def load_chart_file(path) -> ChartSuiteConfig:

@@ -497,7 +497,7 @@ def parse_model(text: str) -> Structure:
         elif head == "observer":
             observers.append(_parse_observer(words[1:], line, lineno))
         elif head == "body":
-            bodies.append(_parse_body(words[1:], line))
+            bodies.append(_parse_body(words[1:], line, lineno))
         else:
             raise ValueError("unknown declaration %r" % line)
     if not families_seen:
@@ -571,31 +571,46 @@ def _parse_observer(words, line, lineno) -> ObserverSpec:
     return ObserverSpec(name, velocity, tuple(rotations), trans, domain, galilean)
 
 
-def _parse_body(words, line) -> Body:
+# The vector keyword of each straight body kind.
+_BODY_VECTOR = {"photon": "direction", "inertial": "velocity"}
+
+
+def _parse_body(words, line, lineno) -> Body:
+    if len(words) < 2:
+        raise ValueError("line %d: body needs a name and a kind in %r" % (lineno, line))
     name, kind = words[0], words[1]
-    if kind == "photon":
-        assert words[2] == "through" and words[7] == "direction", line
+    key = _BODY_VECTOR.get(kind)
+    if key is not None:
+        if len(words) != 11 or words[2] != "through" or words[7] != key:
+            raise ValueError("line %d: %s body must read 'through X1 X2 X3 X4 %s V1 V2 V3' in %r"
+                             % (lineno, kind, key, line))
         point = coord4(*[ER(w) for w in words[3:7]])
-        direction = tuple(ER(w) for w in words[8:11])
-        return Body(name, False, True, PhotonLine(point, direction))
-    if kind == "inertial":
-        assert words[2] == "through" and words[7] == "velocity", line
-        point = coord4(*[ER(w) for w in words[3:7]])
-        velocity = tuple(ER(w) for w in words[8:11])
-        return Body(name, True, False, InertialLine(point, velocity))
+        vector = tuple(ER(w) for w in words[8:11])
+        if kind == "photon":
+            return Body(name, False, True, PhotonLine(point, vector))
+        return Body(name, True, False, InertialLine(point, vector))
     if kind == "piecewise":
-        assert words[2] == "knots", line
+        if len(words) < 3 or words[2] != "knots":
+            raise ValueError("line %d: piecewise body must read 'knots X1 X2 X3 X4 , ...' in %r"
+                             % (lineno, line))
         knots, current = [], []
+
+        def knot(coords):
+            if len(coords) != 4:
+                raise ValueError("line %d: knot %d needs 4 coordinates in %r"
+                                 % (lineno, len(knots) + 1, line))
+            return coord4(*coords)
+
         for w in words[3:]:
             if w == ",":
-                knots.append(coord4(*current))
+                knots.append(knot(current))
                 current = []
             else:
                 current.append(ER(w))
         if current:
-            knots.append(coord4(*current))
+            knots.append(knot(current))
         return Body(name, False, False, PiecewiseInertial(tuple(knots)))
-    raise ValueError("unknown body kind %r in %r" % (kind, line))
+    raise ValueError("line %d: unknown body kind %r in %r" % (lineno, kind, line))
 
 
 def serialize_model(s: Structure) -> str:

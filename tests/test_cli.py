@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -139,6 +140,21 @@ def test_geodesic_command(files, tmp_path, capsys):
     assert csv.read_text().startswith("lambda,")
 
 
+def test_readme_geodesic_golden_bytes(files, tmp_path, capsys):
+    # The README's geodesic at the default step and halvings; the SHA-256 is
+    # that of the CSV the scalar Christoffel loop wrote.
+    csv = tmp_path / "out.csv"
+    code, out, _ = run_cli(["geodesic", files["rindler.chart"],
+                            "--x0", "2,0,0,0", "--u0", "1/5,0,0,11/20",
+                            "--span", "1", "--csv", str(csv)], capsys)
+    assert code == 0
+    assert out == ("steps: 200, step size: 0.005\n"
+                   "conservation drift: 5.19695e-12 (tolerance 1e-06)\n"
+                   "truncated at domain boundary: False\n")
+    digest = hashlib.sha256(csv.read_bytes()).hexdigest()
+    assert digest == "4cf8f6565daaa254fcd569b5349488a16f750434924cda13f2e9bf4cfa0b5475"
+
+
 def test_check_genrel_chart(files, capsys):
     code, out, _ = run_cli(["check", "GenRel(3)", files["rindler.chart"]], capsys)
     assert code == 0
@@ -241,6 +257,54 @@ def test_division_by_zero_in_model_is_data_error(tmp_path, capsys):
     model.write_text("structure broken\nobserver a velocity 1/0 0 0\n")
     code, _, err = run_cli(["check", "SpecRel", str(model)], capsys)
     _one_line_error(code, err)
+
+
+@pytest.mark.parametrize("line, needle", [
+    ("worldline a 0 0", "line 3: worldline needs 4 values"),
+    ("meet a a 0 0 0", "line 3: meet needs 6 values"),
+    ("g 1 1 1", "line 3: metric entry must read 'g I J = EXPR'"),
+    ("g 1 5 = 1", "line 3: index '5' must be 1 to 4"),
+])
+@pytest.mark.parametrize("command", [
+    ["check", "GenRel(3)"],
+    ["geodesic", "--x0", "0,0,0,0", "--u0", "0,0,0,1"],
+], ids=["check", "geodesic"])
+def test_malformed_chart_line_is_data_error(tmp_path, capsys, line, needle, command):
+    chart = tmp_path / "broken.chart"
+    chart.write_text("chart broken\n# a declaration is cut short\n%s\n" % line)
+    code, out, err = run_cli(command + [str(chart)], capsys)
+    _one_line_error(code, err)
+    assert needle in err and out == ""
+
+
+@pytest.mark.parametrize("line, needle", [
+    ("body f photon through 0 0 0", "line 3: photon body must read"),
+    ("body r inertial through 0 0 0 0 direction 0 0 0", "line 3: inertial body must read"),
+    ("body k piecewise knots 0 0 0 0 , 0 0 5", "line 3: knot 2 needs 4 coordinates"),
+    ("body k piecewise 0 0 0 0", "line 3: piecewise body must read"),
+    ("body lonely", "line 3: body needs a name and a kind"),
+])
+def test_malformed_body_line_is_data_error(tmp_path, capsys, line, needle):
+    model = tmp_path / "broken.model"
+    model.write_text("structure broken\nobserver rest\n%s\n" % line)
+    code, _, err = run_cli(["check", "SpecRel", str(model)], capsys)
+    _one_line_error(code, err)
+    assert needle in err
+
+
+@pytest.mark.parametrize("old, new, needle", [
+    ("meet 0 0 0 10", "meet 0 0 0", "line 7: meet needs 4 values"),
+    ("body home inertial through 0 0 0 0 velocity 0 0 0", "body home inertial through 0 0 0 0",
+     "line 2: inertial body must read"),
+    ("knots 0 0 0 0 , 3 0 0 5", "knots 0 0 0 0 , 3 0 5", "line 3: knot 2 needs 4 coordinates"),
+    ("home home", "home nobody", "scenario home 'nobody' is not a declared body"),
+], ids=["short-meet", "short-body", "short-knot", "undeclared-home"])
+def test_malformed_scenario_line_is_data_error(tmp_path, capsys, old, new, needle):
+    scenario = tmp_path / "broken.scn"
+    scenario.write_text(SCENARIO.replace(old, new).lstrip("\n"))
+    code, _, err = run_cli(["twin", str(scenario)], capsys)
+    _one_line_error(code, err)
+    assert needle in err
 
 
 @pytest.mark.parametrize("step", ["0", "-0.01", "nan", "inf"])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction as Fr
 
@@ -8,7 +9,7 @@ from axrel.field import ER
 from axrel.kinematics import effects
 from axrel.model import SmoothNumeric
 from axrel.genrel import (
-    ChartSuiteConfig, DegenerateMetric, FloatBox, LeftDomain, MetricChart,
+    _christoffels, _symmetric, ChartSuiteConfig, DegenerateMetric, FloatBox, LeftDomain, MetricChart,
     NoMeeting, NotTimelike, check_axdiff, check_axev_minus, check_axph_minus,
     check_axself_minus, check_axsymt_minus, check_chart_theory, flat_chart,
     geodesic, geodesic_csv, normal_frame, parse_chart_file, rindler_chart,
@@ -291,3 +292,185 @@ def test_coordinate_covariance_smoke():
         assert check_axph_minus(chart, p).is_holds
     res = geodesic(chart, (0, 0, 0, 0), (0.1, 0, 0, 1), span=0.5, step=0.005)
     assert res.conservation_drift <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Stacked metrics and vectorized Christoffel symbols.
+
+
+def _reference_christoffels(chart, x, h):
+    # The scalar triple loop that _christoffels replaces, kept as its oracle.
+    G = chart.metric_at(x)
+    G_inv = np.linalg.inv(G)
+    dg = np.empty((4, 4, 4))
+    if chart.dg is not None:
+        for c in range(4):
+            dg[c] = np.asarray(chart.dg(tuple(x), c), dtype=float)
+    else:
+        for c in range(4):
+            e = np.zeros(4)
+            e[c] = h
+            dg[c] = (chart.metric_at(np.asarray(x) + e) -
+                     chart.metric_at(np.asarray(x) - e)) / (2 * h)
+    gamma = np.empty((4, 4, 4))
+    for a in range(4):
+        for b in range(4):
+            for c in range(4):
+                gamma[a, b, c] = 0.5 * sum(
+                    G_inv[a, d] * (dg[b][d, c] + dg[c][d, b] - dg[d][b, c])
+                    for d in range(4))
+    return gamma
+
+
+# Every metric entry is nonzero and varies, so each Christoffel sum has four
+# nonzero terms and a reordered sum would round differently.
+DENSE_CHART_TEXT = """
+chart dense
+order 3
+g 1 1 = 1 + x2^2/10
+g 1 2 = x1*x3/20 + x4/30
+g 1 3 = x2/15 + 1/40
+g 1 4 = x1*x3/20 - x2/35
+g 2 2 = 1 + x3^2/7
+g 2 3 = x4/10 + x1*x2/25
+g 2 4 = x3/12 + x4^2/50
+g 3 3 = 1 + x1/10
+g 3 4 = x1*x4/30 + 1/45
+g 4 4 = 0 - 1 - x1^2/5
+"""
+
+
+def _analytic_chart():
+    # g(p) = eta + sum_c p_c A_c + p_c^2 B_c / 2 with dense symmetric A_c, B_c.
+    rng = np.random.default_rng(5)
+    sym = [s + s.T for s in rng.uniform(-0.03, 0.03, size=(8, 4, 4))]
+    A, B = sym[:4], sym[4:]
+
+    def g(p):
+        return ETA + sum(p[c] * A[c] + 0.5 * p[c] * p[c] * B[c] for c in range(4))
+
+    def dg(p, axis):
+        return A[axis] + p[axis] * B[axis]
+
+    return MetricChart(g, FloatBox(), order=9, name="analytic", dg=dg)
+
+
+@pytest.mark.parametrize("make", [rindler_chart, lambda: parse_chart_file(DENSE_CHART_TEXT).chart,
+                                  _analytic_chart], ids=["rindler", "dense-file", "analytic-dg"])
+def test_christoffels_bit_identical_to_triple_loop(make):
+    chart = make()
+    rng = np.random.default_rng(7)
+    for _ in range(25):
+        x = np.array([rng.uniform(0.5, 3.0), rng.uniform(-1, 1), rng.uniform(-1, 1),
+                      rng.uniform(-1, 1)])
+        for h in (1e-4, 1e-3):
+            got, want = _christoffels(chart, x, h), _reference_christoffels(chart, x, h)
+            assert np.array_equal(got, want), (x, h, np.max(np.abs(got - want)))
+
+
+def _symmetric_cases():
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(40):
+        a = rng.normal(size=(4, 4))
+        cases.append(a + a.T)
+        a = a + a.T
+        a[0, 1] = 0.0
+        a[1, 0] = 0.0
+        for eps in (1e-13, 1e-11, 1e-6, 1e-3):
+            b = a.copy()
+            i, j = rng.choice(4, size=2, replace=False)
+            b[i, j] = eps
+            cases.append(b)
+            c = a.copy()
+            c[2, 3] *= 1 + eps
+            cases.append(c)
+    base = np.diag([1.0, 1.0, 1.0, -1.0])
+    for value in (np.nan, np.inf, -np.inf):
+        for where, mirror in (((0, 0), None), ((0, 1), value), ((0, 1), 0.0),
+                              ((0, 1), -value), ((2, 3), 1.0)):
+            m = base.copy()
+            m[where] = value
+            if mirror is not None:
+                m[where[::-1]] = mirror
+            cases.append(m)
+    return cases
+
+
+def test_symmetric_matches_allclose():
+    cases = _symmetric_cases()
+    outcomes = set()
+    for m in cases:
+        want = bool(np.allclose(m, m.T, atol=1e-12))
+        assert _symmetric(m) is want, m
+        assert _symmetric(m[None]) is want
+        outcomes.add(want)
+    assert outcomes == {True, False}
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        stack = np.array([cases[k] for k in rng.choice(len(cases), size=5)])
+        want = all(np.allclose(m, m.T, atol=1e-12) for m in stack)
+        assert _symmetric(stack) is want
+
+
+def test_symmetric_tolerance_edges():
+    m = np.diag([1.0, 1.0, 1.0, -1.0])
+    m[0, 1] = 1e-13
+    assert _symmetric(m)
+    m[0, 1] = 1e-11
+    assert not _symmetric(m)
+    m[0, 1] = m[1, 0] = np.inf
+    assert _symmetric(m)
+    m[1, 0] = -np.inf
+    assert not _symmetric(m)
+    m[0, 1] = m[1, 0] = np.nan
+    assert not _symmetric(m)
+
+
+ETA_LIST = [[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, -1.0]]
+
+
+@pytest.mark.parametrize("g", [
+    lambda p: np.array([[1.0, 0.5, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, -1.0]]),
+    lambda p: np.eye(3),
+    lambda p: 1.0,
+    lambda p: [[1.0, 0.0], [0.0]],
+    lambda p: ETA if p[0] <= 0 else np.eye(3),
+], ids=["asymmetric", "3x3", "scalar", "ragged", "shape-varies"])
+def test_bad_metric_raises_degenerate(g):
+    chart = MetricChart(g, FloatBox(), order=3)
+    with pytest.raises(DegenerateMetric):
+        chart.metric_at((1.0, 0, 0, 0))
+    with pytest.raises(DegenerateMetric):
+        chart.metrics_at([(0.0, 0, 0, 0), (1.0, 0, 0, 0)])
+    with pytest.raises(DegenerateMetric):
+        geodesic(chart, (0.0, 0, 0, 0), (0, 0, 0, 1), span=0.1, step=0.05)
+
+
+def test_metrics_at_stacks_metric_at():
+    chart = parse_chart_file(DENSE_CHART_TEXT).chart
+    points = [(0.5, 0.2, 0.3, 0.0), (1.0, -0.5, 0.25, 2.0), (0, 0, 0, 0)]
+    stack = chart.metrics_at(points)
+    assert stack.shape == (3, 4, 4)
+    for p, m in zip(points, stack):
+        assert np.array_equal(m, chart.metric_at(p))
+
+
+def test_christoffels_evaluates_the_metric_nine_times():
+    calls = []
+    inner = rindler_chart()
+
+    def g(p):
+        calls.append(p)
+        return inner.g(p)
+
+    chart = MetricChart(g, inner.domain, order=9)
+    _christoffels(chart, np.array([2.0, 0.1, -0.2, 0.3]), 1e-4)
+    assert len(calls) == 9
+
+
+def test_flat_geodesic_golden_bytes():
+    # SHA-256 of this CSV as the scalar Christoffel loop printed it.
+    res = geodesic(flat_chart(), (0.5, -1.0, 2.0, 0.0), (0.3, -0.2, 0.1, 1.0), span=1.0)
+    digest = hashlib.sha256(geodesic_csv(res).encode()).hexdigest()
+    assert digest == "bbe2046099931e5f3b6e3c6e8ccef5d5ff9f36d4f6ab4829f461aea9f9392997"
