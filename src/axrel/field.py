@@ -22,6 +22,22 @@ of the difference is determined; for nonzero values this terminates.
 Rational values (empty tower) take a fast path: when both operands of
 +, -, *, / or a comparison are rational, the operation works on the
 ``Fraction`` reps directly and builds the same value the tree path would.
+When exactly one operand of +, - or * is rational, the rational is not
+promoted to a tree: a product scales every leaf of the other operand's
+tree, a sum or difference changes its constant leaf only.  The result
+keeps the tower operand's tower object and has the same leaves, and the
+same normalization (a zero scale gives rational 0), as the tree path.
+
+Adjoining the square root of a radicand while unifying two towers is
+memoized.  ``_sqrt_rep(rep, tower)`` depends only on the tower's radicands
+and on ``rep``, so the memo is keyed on the identities of the radicand
+objects and the rep tree (nested ``Fraction`` tuples hash), and each entry
+keeps its tower so those identities stay valid.  A hit returns the same
+``(tower', root)``: lifts of one value share one new radicand object, and
+``_same_tower`` more often finds the same tower object.  Failures
+(``NegativeRadicand``) are not stored.  The memo holds at most
+``_ROOT_MEMO_CAP`` entries and is emptied when full.  Two threads may both
+miss and store equal entries; either one serves later lookups.
 
 Values are immutable and safe to share between threads.
 """
@@ -83,6 +99,20 @@ def _tree_add(x, y, level: int):
         return x + y
     k = level - 1
     return (_tree_add(x[0], y[0], k), _tree_add(x[1], y[1], k))
+
+
+def _tree_add_const(t, q: Fraction, level: int):
+    # t + q for a rational q: only the constant leaf changes.
+    if level == 0:
+        return t + q
+    return (_tree_add_const(t[0], q, level - 1), t[1])
+
+
+def _tree_scale(t, q: Fraction, level: int):
+    if level == 0:
+        return t * q
+    k = level - 1
+    return (_tree_scale(t[0], q, k), _tree_scale(t[1], q, k))
 
 
 def _rad(tower, k: int):
@@ -248,6 +278,11 @@ def _tree_structural_eq(x, y, level: int) -> bool:
     return _tree_structural_eq(x[0], y[0], k) and _tree_structural_eq(x[1], y[1], k)
 
 
+# Radicand-root memo: (radicand ids, rep) -> (tower, (tower', root)).
+_ROOT_MEMO: dict = {}
+_ROOT_MEMO_CAP = 256
+
+
 class ExactReal:
     """An element of a square-root tower over Q, with exact arithmetic.
 
@@ -334,7 +369,7 @@ class ExactReal:
         rad = value._tower[-1]
         coeff = ExactReal(value._tower[:-1], value._rep[1], _normalize=False)
         tower, rad_rep = ExactReal._lift(rad, tower)
-        tower, root_rep = ExactReal._sqrt_rep(rad_rep, tower)
+        tower, root_rep = ExactReal._memo_sqrt_rep(rad_rep, tower)
         tower, sub_rep = ExactReal._lift(sub, tower)
         tower, coeff_rep = ExactReal._lift(coeff, tower)
         level = len(tower)
@@ -368,6 +403,19 @@ class ExactReal:
         new_tower = tower + (radicand,)
         return new_tower, (_tree_const(_ZERO, level), _tree_const(_ONE, level))
 
+    @staticmethod
+    def _memo_sqrt_rep(rep, tower) -> tuple:
+        """:meth:`_sqrt_rep` through the radicand-root memo (module docstring)."""
+        key = (tuple(map(id, tower)), rep)
+        hit = _ROOT_MEMO.get(key)
+        if hit is not None:
+            return hit[1]
+        result = ExactReal._sqrt_rep(rep, tower)
+        if len(_ROOT_MEMO) >= _ROOT_MEMO_CAP:
+            _ROOT_MEMO.clear()
+        _ROOT_MEMO[key] = (tower, result)
+        return result
+
     def _unified(self, other: "ExactReal") -> tuple:
         if self._same_tower(other):
             return self._tower, self._rep, other._rep
@@ -393,8 +441,12 @@ class ExactReal:
         other = ExactReal._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not (self._tower or other._tower):
-            return ExactReal((), self._rep + other._rep, _normalize=False)
+        if not other._tower:
+            if not self._tower:
+                return ExactReal((), self._rep + other._rep, _normalize=False)
+            return ExactReal(self._tower, _tree_add_const(self._rep, other._rep, self.level))
+        if not self._tower:
+            return ExactReal(other._tower, _tree_add_const(other._rep, self._rep, other.level))
         tower, a, b = self._unified(other)
         return ExactReal(tower, _tree_add(a, b, len(tower)))
 
@@ -421,8 +473,12 @@ class ExactReal:
         other = ExactReal._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not (self._tower or other._tower):
-            return ExactReal((), self._rep * other._rep, _normalize=False)
+        if not other._tower:
+            if not self._tower:
+                return ExactReal((), self._rep * other._rep, _normalize=False)
+            return ExactReal(self._tower, _tree_scale(self._rep, other._rep, self.level))
+        if not self._tower:
+            return ExactReal(other._tower, _tree_scale(other._rep, self._rep, other.level))
         tower, a, b = self._unified(other)
         return ExactReal(tower, _tree_mul(a, b, tower, len(tower)))
 

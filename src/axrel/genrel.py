@@ -476,6 +476,8 @@ def geodesic(chart: MetricChart, x0, u0, span: float, step: float = 0.01,
     control; deterministic."""
     if not (math.isfinite(step) and step > 0):
         raise ValueError("geodesic step must be a positive finite number, got %g" % step)
+    if not (math.isfinite(span) and span > 0):
+        raise ValueError("geodesic span must be a positive finite number, got %g" % span)
     x0 = np.asarray([float(c) for c in x0], dtype=float)
     u0 = np.asarray([float(c) for c in u0], dtype=float)
     if not chart.domain.contains(x0, strict=False):

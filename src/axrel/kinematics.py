@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .field import ER, ExactReal, sqrt
 from . import linalg
-from .linalg import Mat, mat_mul, mat_vec, mat_inverse, transpose, vec_add, vec_sub
+from .linalg import Mat, mat_mul, mat_vec, mat_inverse, vec_add, vec_sub
 
 if TYPE_CHECKING:
     from .model import Body, Structure
@@ -103,7 +103,20 @@ class AffineMap:
         return self._inverse
 
     def is_lorentz(self) -> bool:
-        return linalg.mat_eq(mat_mul(transpose(self.linear), mat_mul(ETA, self.linear)), ETA)
+        """Whether L^T eta L = eta holds exactly.
+
+        Checks the Gram form sum_k eta_k L_ki L_kj = eta_ij on the ten
+        entries i <= j (the product is symmetric; the time row enters with
+        eta_4 = -1) by an exact zero test of each difference, and stops at
+        the first entry that differs.
+        """
+        m = self.linear
+        for i in range(4):
+            for j in range(i, 4):
+                gram = m[0][i] * m[0][j] + m[1][i] * m[1][j] + m[2][i] * m[2][j] - m[3][i] * m[3][j]
+                if not (gram - ETA[i][j]).is_zero():
+                    return False
+        return True
 
     def __eq__(self, other):
         if not isinstance(other, AffineMap):

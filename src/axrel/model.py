@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .field import ER, ExactReal, sqrt
+from .field import ER, ExactReal, ExactRealSyntaxError, sqrt
 from .kinematics import (
     AffineMap, Coord4, PoincareMap, SuperluminalVelocity, boost, coord4,
     plane_rotation, speed_squared,
@@ -561,14 +561,24 @@ def _parse_observer(words, line, lineno) -> ObserverSpec:
             axis = int(args[0]) - 1
             if not 0 <= axis < 4:
                 raise ValueError("line %d: domain axis must be 1 to 4 in %r" % (lineno, line))
-            lo = None if args[1] == "-inf" else ER(args[1])
-            hi = None if args[2] == "inf" else ER(args[2])
-            domain_bounds[axis] = (lo, hi)
+            domain_bounds[axis] = (_domain_bound(args[1], "lower", "-inf", lineno, line),
+                                   _domain_bound(args[2], "upper", "inf", lineno, line))
             if i < len(words) and words[i] == "closed":
                 closed = True
                 i += 1
     domain = ChartDomain(tuple(domain_bounds), closed) if has_domain else ChartDomain()
     return ObserverSpec(name, velocity, tuple(rotations), trans, domain, galilean)
+
+
+def _domain_bound(word, which, unbounded, lineno, line):
+    # A domain bound is a field literal, or `unbounded` (-inf low, inf high).
+    if word == unbounded:
+        return None
+    try:
+        return ER(word)
+    except ExactRealSyntaxError:
+        raise ValueError("line %d: domain %s bound must be a field literal or %s, got %r in %r"
+                         % (lineno, which, unbounded, word, line)) from None
 
 
 # The vector keyword of each straight body kind.

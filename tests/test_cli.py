@@ -215,6 +215,29 @@ def test_golden_machine_report(files, capsys):
     assert report == golden.read_text()
 
 
+CAPPED_IRRATIONAL = """structure capped
+families photons inertials
+observer rest
+observer capped velocity 1/2 0 0 domain 4 -inf 10
+"""
+
+
+@pytest.mark.parametrize("argv, golden, exit_code", [
+    (["check", "AccRel", "capped.model", "--format", "json", "--samples", "4"],
+     "accrel_capped_irrational.json", 1),
+    (["effects", "--v", "0", "--sweep", "17"], "effects_sweep17.csv", 0),
+    (["gtd", "--g", "sqrt(2)", "--h", "1/3"], "gtd_sqrt2.txt", 0),
+], ids=["accrel-capped", "effects-sweep", "gtd"])
+def test_golden_radical_outputs(tmp_path, monkeypatch, capsys, argv, golden, exit_code):
+    # Outputs with radicals (the capped observer's Lorentz factor 2/sqrt(3)
+    # is irrational), so they pin the tower arithmetic's printed literals.
+    (tmp_path / "capped.model").write_text(CAPPED_IRRATIONAL)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(argv, capsys)
+    assert code == exit_code
+    assert out == (Path(__file__).parent / "golden" / golden).read_text()
+
+
 def test_tiny_budget_may_return_unknown(tmp_path, capsys):
     # a model whose AxCmv cannot be certified (accelerated observer chart is
     # absent from model files, so instead: break certification by turning
@@ -247,6 +270,19 @@ def _one_line_error(code, err, expected_codes=(65,)):
 def test_truncated_observer_field_is_data_error(tmp_path, capsys, line, needle):
     model = tmp_path / "broken.model"
     model.write_text("structure broken\n# an observer field is cut short\n%s\n" % line)
+    code, _, err = run_cli(["check", "SpecRel", str(model)], capsys)
+    _one_line_error(code, err)
+    assert needle in err
+
+
+@pytest.mark.parametrize("bounds, needle", [
+    ("10 -inf", "line 2: domain upper bound must be a field literal or inf, got '-inf'"),
+    ("inf 10", "line 2: domain lower bound must be a field literal or -inf, got 'inf'"),
+    ("0 x", "line 2: domain upper bound must be a field literal or inf, got 'x'"),
+])
+def test_bad_domain_bound_is_data_error(tmp_path, capsys, bounds, needle):
+    model = tmp_path / "bounds.model"
+    model.write_text("structure broken\nobserver a domain 4 %s\n" % bounds)
     code, _, err = run_cli(["check", "SpecRel", str(model)], capsys)
     _one_line_error(code, err)
     assert needle in err
@@ -313,6 +349,14 @@ def test_geodesic_rejects_bad_step(files, capsys, step):
                             "--u0", "1/5,0,0,11/20", "--step", step], capsys)
     _one_line_error(code, err, (64, 65))
     assert "step" in err
+
+
+@pytest.mark.parametrize("span", ["inf", "nan", "0", "-1"])
+def test_geodesic_rejects_bad_span(files, capsys, span):
+    code, out, err = run_cli(["geodesic", files["rindler.chart"], "--x0", "2,0,0,0",
+                              "--u0", "1/5,0,0,11/20", "--span", span], capsys)
+    _one_line_error(code, err)
+    assert "span" in err and out == ""
 
 
 @pytest.mark.parametrize("theory", ["GenRelX", "GenRel", "GenRel(0)", "GenRel(3"])

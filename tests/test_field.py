@@ -4,6 +4,7 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from axrel import field
 from axrel.field import (
     ApproxReal, DivisionByZero, ER, ExactReal, NegativeRadicand, parse_exact,
     sqrt,
@@ -215,3 +216,82 @@ def test_mixed_rational_tower_literals_unchanged(make, literal):
     value = make(sqrt(ER(2)), sqrt(ER(3)))
     assert value.literal() == literal
     assert value.is_rational() == ("sqrt" not in literal)
+
+
+def _tree_path(op, x, y):
+    # The general path: unify the towers, then combine whole trees.
+    if op == "-":
+        op, y = "+", -y
+    tower, a, b = x._unified(y)
+    level = len(tower)
+    if op == "+":
+        return ExactReal(tower, field._tree_add(a, b, level))
+    return ExactReal(tower, field._tree_mul(a, b, tower, level))
+
+
+def _seeded_tower_value(rng, level):
+    q = lambda: Fr(rng.randint(-20, 20), rng.randint(1, 9))
+    if level == 2 and rng.random() < 0.5:
+        # a nested radicand: tower (2, 1 + sqrt(2))
+        value = ER(q()) + ER(q() or 1) * sqrt(1 + sqrt(ER(2))) + ER(q()) * sqrt(ER(2))
+    else:
+        value = ER(q()) + ER(q() or 1) * sqrt(ER(rng.choice([2, 3, Fr(5, 7)])))
+        if level == 2:
+            value = value + ER(q() or 1) * sqrt(ER(11)) * value
+    assert value.level == level
+    return value
+
+
+def test_mixed_fast_path_matches_tree_path():
+    rng = random.Random(23)
+    ops = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b}
+    for trial in range(120):
+        t = _seeded_tower_value(rng, 1 + trial % 2)
+        q = ER(Fr(rng.randint(-9, 9), rng.randint(1, 5)) if trial % 10 else 0)
+        for op, x, y in [(op, t, q) for op in ops] + [(op, q, t) for op in ops]:
+            got, want = ops[op](x, y), _tree_path(op, x, y)
+            assert len(got._tower) == len(want._tower)
+            assert all(a is b for a, b in zip(got._tower, want._tower)), (op, x, y)
+            assert got._rep == want._rep, (op, x, y)
+            assert got.literal() == want.literal()
+
+
+def test_zero_scale_normalizes_to_rational_zero():
+    t = 1 + sqrt(ER(2)) * sqrt(ER(3))
+    for value in (t * 0, 0 * t, ER(0) * t, t * ER(0), t - t, (t - 1) * 0 - 0):
+        assert value.is_rational() and value.tower == () and value._rep == 0
+        assert value.literal() == "0"
+
+
+def test_radicand_root_memo_hit_matches_uncached(monkeypatch):
+    monkeypatch.setattr(field, "_ROOT_MEMO", {})
+    base = sqrt(ER(2)) + sqrt(ER(3))
+    tower = base.tower
+    level = len(tower)
+    square = (base * base)._rep                      # a square in the tower: no new radicand
+    fresh = (base + 7)._rep                          # not a square: adjoins sqrt(base + 7)
+    stored = len(field._ROOT_MEMO)                   # base's own lift of sqrt(3)
+    for rep in (square, fresh):
+        first = ExactReal._memo_sqrt_rep(rep, tower)
+        hit = ExactReal._memo_sqrt_rep(rep, tower)
+        assert hit is first
+        uncached_tower, uncached_root = ExactReal._sqrt_rep(rep, tower)
+        hit_tower, hit_root = hit
+        assert len(hit_tower) == len(uncached_tower)
+        assert all(a is b for a, b in zip(hit_tower[:level], tower))
+        assert all(ExactReal._radicands_eq(a, b) for a, b in zip(hit_tower, uncached_tower))
+        assert hit_root == uncached_root
+    assert ExactReal(*ExactReal._memo_sqrt_rep(square, tower)) == base
+    assert len(field._ROOT_MEMO) == stored + 2
+    with pytest.raises(NegativeRadicand):
+        ExactReal._memo_sqrt_rep((-base)._rep, tower)
+    assert len(field._ROOT_MEMO) == stored + 2  # failures are not stored
+
+
+def test_radicand_root_memo_is_capped(monkeypatch):
+    monkeypatch.setattr(field, "_ROOT_MEMO", {})
+    monkeypatch.setattr(field, "_ROOT_MEMO_CAP", 3)
+    tower = sqrt(ER(2)).tower
+    for n in range(3, 10):
+        ExactReal._memo_sqrt_rep((ER(n) + sqrt(ER(2)))._rep, tower)
+        assert 1 <= len(field._ROOT_MEMO) <= 3

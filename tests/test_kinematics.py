@@ -3,8 +3,8 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from axrel import kinematics, linalg
-from axrel.field import ER, sqrt
+from axrel import field, kinematics, linalg
+from axrel.field import ER, ExactReal, sqrt
 from axrel.kinematics import (
     ETA, AffineMap, ConfigurationUnrealizable, EffectReport, PoincareMap,
     SuperluminalVelocity, boost, check_mu_invariance, check_noftl, coord4,
@@ -251,3 +251,61 @@ def test_sampled_evaluation_inverts_each_map_once(monkeypatch):
     assert v.is_holds
     assert inverse_calls[0] > 10 * len(inverted)
     assert inversions[0] <= len(inverted)
+
+
+def _old_is_lorentz(m):
+    # Reference: the full product L^T (eta L), compared entry by entry.
+    return mat_eq(mat_mul(transpose(m.linear), mat_mul(ETA, m.linear)), ETA)
+
+
+def _perturbed(linear, i, j, delta):
+    rows = [list(r) for r in linear]
+    rows[i][j] = rows[i][j] + delta
+    return tuple(tuple(r) for r in rows)
+
+
+def test_gram_lorentz_check_matches_full_product():
+    rng = random.Random(41)
+    pythagorean = [plane_rotation(1, 2, Fr(3, 5), Fr(4, 5)).compose(boost((Fr(3, 5), 0, 0)))
+                   .compose(boost((0, Fr(5, 13), 0))), boost((Fr(8, 17), 0, 0))]
+    level_two = [plane_rotation(1, 3, Fr(5, 13), Fr(12, 13)).compose(boost((Fr(1, 2), 0, 0)))
+                 .compose(boost((0, Fr(1, 3), 0)))]
+    maps = pythagorean + level_two + [random_poincare_map(rng) for _ in range(6)]
+    assert all(e.is_rational() for row in pythagorean[0].linear for e in row)
+    assert max(e.level for row in level_two[0].linear for e in row) == 2
+    for m in maps + [_galilean_map(rng) for _ in range(4)]:
+        assert m.is_lorentz() == _old_is_lorentz(m) == isinstance(m, PoincareMap)
+    for k, m in enumerate(maps):
+        i, j = rng.randrange(4), rng.randrange(4)
+        for delta in (ER(Fr(1, 7 + k)), sqrt(ER(2)) / (97 + k)):
+            bent = AffineMap(_perturbed(m.linear, i, j, delta))
+            assert not _old_is_lorentz(bent)
+            assert not bent.is_lorentz()
+            with pytest.raises(ValueError, match="not a Lorentz matrix"):
+                PoincareMap(bent.linear)
+
+
+def test_irrational_mu_invariance_adjoins_each_root_once(monkeypatch):
+    # Counts calls, not time.  Computing each radicand's square root again
+    # on every tower unification took 135 calls for this map and these four
+    # pairs before the Gram-form Lorentz check and the mixed rational/tower
+    # path, and still takes 125 with them; the radicand-root memo leaves 10.
+    calls = [0]
+    uncached = ExactReal._sqrt_rep
+
+    def counting(rep, tower):
+        calls[0] += 1
+        return uncached(rep, tower)
+
+    monkeypatch.setattr(field, "_ROOT_MEMO", {})
+    monkeypatch.setattr(ExactReal, "_sqrt_rep", staticmethod(counting))
+    m = plane_rotation(1, 2, Fr(3, 5), Fr(4, 5)).compose(boost((Fr(1, 2), 0, 0))) \
+        .compose(boost((0, Fr(1, 3), 0)))
+    assert m.linear[3][3].level == 2
+    rng = random.Random(4)
+
+    def event():
+        return coord4(*[Fr(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(4)])
+
+    assert all(check_mu_invariance(m, event(), event()) for _ in range(4))
+    assert calls[0] < 30

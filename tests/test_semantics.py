@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction as Fr
+from math import isqrt
 
 import pytest
 
@@ -223,3 +225,48 @@ def test_ind_sampled_agreement_with_solver(two_observer):
     assert v.outcome in ("Holds", "Unknown")
     if v.is_holds:
         assert v.method == "sampled"
+
+
+def _irrational_speed(rng):
+    # p/q whose Lorentz factor 1/sqrt(1 - (p/q)^2) is not rational.
+    while True:
+        v = Fr(rng.randint(1, 8), rng.randint(9, 12))
+        r = 1 - v * v
+        if isqrt(r.numerator) ** 2 != r.numerator or isqrt(r.denominator) ** 2 != r.denominator:
+            return v
+
+
+def _irrational_structure(seed):
+    """Rest plus two translated observers at non-Pythagorean speeds, the
+    second also rotated; odd seeds cap the first mover's time below 10."""
+    rng = random.Random(seed)
+    specs = [ObserverSpec("rest")]
+    for k in range(2):
+        velocity = [0, 0, 0]
+        velocity[rng.randint(0, 2)] = _irrational_speed(rng)
+        a = Fr(rng.randint(1, 6), rng.randint(1, 6))
+        rotations = ((1, 2, (1 - a * a) / (1 + a * a), 2 * a / (1 + a * a)),) if k else ()
+        translation = tuple(Fr(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4))
+        capped = seed % 2 == 1 and k == 0
+        domain = ChartDomain(((None, None),) * 3 + ((None, ER(10)),)) if capped else ChartDomain()
+        specs.append(ObserverSpec("m%d" % k, velocity=tuple(velocity), rotations=rotations,
+                                  translation=translation, domain=domain))
+    return standard_minkowski(specs)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sampled_and_certified_agree_on_irrational_structures(seed):
+    s = _irrational_structure(seed)
+    assert not s.chart_of(s.bodies["m0"]).linear[3][3].is_rational()
+    budget = Budget(samples=4, seed=seed)
+    certified = check_theory(s, axiom_corpus("SpecRel"), budget)
+    # The cap puts events outside one worldview, so AxEv has a counterexample.
+    assert certified["AxEv"].is_fails == (seed % 2 == 1)
+    for name in ("AxSelf", "AxPh", "AxEv", "AxSymd"):
+        sampled = evaluate(s, named_axiom(name), None, budget)
+        reference = certified[name]
+        assert not (reference.is_holds and reference.method == "certified"
+                    and sampled.is_fails), (seed, name)
+        for verdict in (sampled, reference):
+            if verdict.is_fails:
+                assert recheck_counterexample(s, named_axiom(name), verdict.evidence), (seed, name)
