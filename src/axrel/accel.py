@@ -13,7 +13,8 @@ pasted) as 1 + g*h.
 
 Checks here are the model-side (semantic) verifications of the twin
 paradox and gravitational time dilation; there is no proof-theoretic
-derivation anywhere in this package.
+derivation anywhere in this package.  Finite differences and the float
+boost come from `axrel.numeric`, shared with the chart layer.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ from .model import (
     Body, DifferentiableChart, InertialLine, PhotonLine, PiecewiseInertial,
     SmoothNumeric, Structure, parse_model, _parse_body,
 )
+from .numeric import (
+    NotDifferentiable, apply4, float_boost, one_sided_jump, richardson_derivative, velocity_at,
+)
 from .semantics import Verdict
 
 __all__ = [
@@ -42,10 +46,6 @@ __all__ = [
 
 
 class SuperluminalSegment(ValueError):
-    pass
-
-
-class NotDifferentiable(ValueError):
     pass
 
 
@@ -164,27 +164,8 @@ def comoving_inertial(w, t):
         raise AssertionError
     if isinstance(w, SmoothNumeric):
         tf = float(t)
-        v = _richardson_velocity(w, tf)
-        return v, w.point_at(tf)
+        return velocity_at(w, tf), w.point_at(tf)
     raise TypeError(w)
-
-
-def _richardson_velocity(w: SmoothNumeric, t: float):
-    if w.velocity is not None:
-        return tuple(w.velocity(t))
-    h = min(1e-4, (w.t_max - w.t_min) / 16.0)
-    if not (w.t_min <= t - 2 * h and t + 2 * h <= w.t_max):
-        h = min(t - w.t_min, w.t_max - t) / 2.0
-        if h <= 0:
-            raise NotDifferentiable("cannot differentiate at the domain edge")
-    coarse = _central(w, t, 2 * h)
-    fine = _central(w, t, h)
-    return tuple((4 * f - c) / 3.0 for f, c in zip(fine, coarse))
-
-
-def _central(w: SmoothNumeric, t: float, h: float):
-    p0, p1 = w.position(t - h), w.position(t + h)
-    return tuple((b - a) / (2 * h) for a, b in zip(p0, p1))
 
 
 def tangent_deviation_ladder(w, t, deltas: Sequence[float]):
@@ -195,7 +176,7 @@ def tangent_deviation_ladder(w, t, deltas: Sequence[float]):
     ef = tuple(float(c) for c in event)
     out = []
     for d in deltas:
-        p = w.point_at(float(t) + d) if not isinstance(w, SmoothNumeric) else w.point_at(float(t) + d)
+        p = w.point_at(float(t) + d)
         tangent = tuple(ef[i] + vf[i] * d for i in range(3))
         out.append(max(abs(float(p[i]) - tangent[i]) for i in range(3)))
     return out
@@ -219,27 +200,21 @@ def check_axcmv(s: Structure, o: Body, t, ladder: Sequence[float] = DEFAULT_LADD
         return Verdict.holds(evidence={"note": "inertial observer is its own co-moving observer"})
     tf = float(t)
     ref_line = lambda u: chart.inverse((0.0, 0.0, 0.0, u))
-    h = ladder[-1] / 4.0
-    left = tuple((b - a) / h for a, b in zip(ref_line(tf - h), ref_line(tf)))
-    right = tuple((b - a) / h for a, b in zip(ref_line(tf), ref_line(tf + h)))
-    kink = max(abs(l - r) for l, r in zip(left, right))
+    kink = one_sided_jump(ref_line, tf, ladder[-1] / 4.0, 1.0)
     if kink > 1e-3:
         raise NotDifferentiable("worldline kink at t=%g (jump %.3g)" % (tf, kink))
     e_ref = ref_line(tf)
     # Velocity in the reference chart: d(space)/d(ref time), both derived
     # along the observer's worldline parameterized by its own chart time.
-    dspace = _richardson_velocity(
-        SmoothNumeric(lambda u: ref_line(u)[:3], chart.order, tf - 1.0, tf + 1.0), tf)
-    dtime = _richardson_velocity(
-        SmoothNumeric(lambda u: (ref_line(u)[3], 0.0, 0.0), chart.order,
-                      tf - 1.0, tf + 1.0), tf)[0]
-    v = tuple(c / dtime for c in dspace)
+    dref = richardson_derivative(ref_line, tf, tf - 1.0, tf + 1.0)
+    v = tuple(c / dref[3] for c in dref[:3])
     speed2 = sum(c * c for c in v)
     if speed2 >= 1.0:
         raise SuperluminalSegment("observer at or above light speed")
-    tangent = _float_boost(v)
+    tangent = float_boost(v)
     directions = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
                   (0.6, 0.0, 0.0, 0.8), (0.0, 0.6, 0.8, 0.0)]
+    base = chart.forward(e_ref)
     worst = []
     for delta in ladder:
         residual = 0.0
@@ -247,8 +222,7 @@ def check_axcmv(s: Structure, o: Body, t, ladder: Sequence[float] = DEFAULT_LADD
             x = tuple(e_ref[i] + delta * d[i] for i in range(4))
             chart_img = chart.forward(x)
             rel = tuple(x[i] - e_ref[i] for i in range(4))
-            tang_img = _apply4(tangent, rel)
-            base = chart.forward(e_ref)
+            tang_img = apply4(tangent, rel)
             expected = tuple(base[i] + tang_img[i] for i in range(4))
             residual = max(residual, max(abs(a - b) for a, b in zip(chart_img, expected)))
         worst.append(residual)
@@ -259,25 +233,6 @@ def check_axcmv(s: Structure, o: Body, t, ladder: Sequence[float] = DEFAULT_LADD
     return Verdict.holds(method="sampled",
                          evidence={"residuals": tuple(worst), "ladder": tuple(ladder)},
                          tolerance=residual_coefficient)
-
-
-def _float_boost(v):
-    v2 = sum(c * c for c in v)
-    if v2 == 0.0:
-        return [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
-    g = 1.0 / math.sqrt(1.0 - v2)
-    m = [[0.0] * 4 for _ in range(4)]
-    for i in range(3):
-        for j in range(3):
-            m[i][j] = (1.0 if i == j else 0.0) + (g - 1.0) * v[i] * v[j] / v2
-        m[i][3] = -g * v[i]
-        m[3][i] = -g * v[i]
-    m[3][3] = g
-    return m
-
-
-def _apply4(m, x):
-    return tuple(sum(m[i][j] * x[j] for j in range(4)) for i in range(4))
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +484,10 @@ def worldline_csv(w, t0, t1, steps: int = 100) -> str:
             rows.append(",".join(x.decimal_str() for x in row))
         else:
             p = w.point_at(tf)
-            v = _richardson_velocity(w, tf)
+            try:
+                v = velocity_at(w, tf)
+            except NotDifferentiable:  # a domain edge: one-sided estimate
+                v = _numeric_velocity(w, tf)
             tau = _numeric_proper_time(w, t0f, tf) if tf > t0f else ApproxReal.from_float(0.0, 0.0)
             vals = [tf, p[0], p[1], p[2], v[0], v[1], v[2], float(tau)]
             rows.append(",".join("%.12g" % x for x in vals))

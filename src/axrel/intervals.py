@@ -97,13 +97,14 @@ class Poly:
         raise UnsupportedDefinableSet("degree %d polynomial" % self.degree)
 
 
-def term_to_poly(term, var: str, env: dict) -> Poly:
-    """Quantity term -> polynomial in `var`; other variables from env."""
+def term_to_poly(term, polys: dict, env: dict) -> Poly:
+    """Quantity term -> polynomial: variables named in `polys` are those
+    polynomials, other variables constants from env."""
     from .syntax.ast import Add, Mul, OneC, Sub, Var, ZeroC
 
     if isinstance(term, Var):
-        if term.name == var:
-            return Poly([0, 1])
+        if term.name in polys:
+            return polys[term.name]
         if term.name not in env:
             raise UnsupportedDefinableSet("unbound variable %s" % term.name)
         return Poly([env[term.name]])
@@ -112,11 +113,11 @@ def term_to_poly(term, var: str, env: dict) -> Poly:
     if isinstance(term, OneC):
         return Poly([1])
     if isinstance(term, Add):
-        return term_to_poly(term.left, var, env) + term_to_poly(term.right, var, env)
+        return term_to_poly(term.left, polys, env) + term_to_poly(term.right, polys, env)
     if isinstance(term, Sub):
-        return term_to_poly(term.left, var, env) - term_to_poly(term.right, var, env)
+        return term_to_poly(term.left, polys, env) - term_to_poly(term.right, polys, env)
     if isinstance(term, Mul):
-        return term_to_poly(term.left, var, env) * term_to_poly(term.right, var, env)
+        return term_to_poly(term.left, polys, env) * term_to_poly(term.right, polys, env)
     raise UnsupportedDefinableSet("unsupported term %r" % (term,))
 
 
@@ -175,16 +176,8 @@ class IntervalSet:
         return IntervalSet((Interval(x, x, False, False),))
 
     @staticmethod
-    def _key(iv: Interval):
-        return iv.lo
-
-    @staticmethod
     def _normalize(intervals):
         items = [iv for iv in intervals if not iv.is_empty()]
-
-        def lo_key(iv):
-            return (0,) if iv.lo is None else (1, iv.lo)
-
         # Exact sort: insertion by comparisons (lists are tiny).
         ordered: list = []
         for iv in items:

@@ -6,14 +6,10 @@ use exact zero tests, so inverses and null spaces are exact.
 
 from __future__ import annotations
 
-from .field import ER, ExactReal
+from .field import ER
 
 Vec = tuple
 Mat = tuple
-
-
-def vector(*entries) -> Vec:
-    return tuple(ER(e) for e in entries)
 
 
 def matrix(rows) -> Mat:
@@ -50,15 +46,6 @@ def vec_add(u: Vec, v: Vec) -> Vec:
 
 def vec_sub(u: Vec, v: Vec) -> Vec:
     return tuple(x - y for x, y in zip(u, v))
-
-
-def vec_scale(c, v: Vec) -> Vec:
-    c = ER(c)
-    return tuple(c * x for x in v)
-
-
-def dot(u: Vec, v: Vec) -> ExactReal:
-    return sum((x * y for x, y in zip(u, v)), ER(0))
 
 
 def mat_inverse(a: Mat) -> Mat:

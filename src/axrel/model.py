@@ -18,15 +18,14 @@ Model description files round-trip losslessly; see ``parse_model`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from .field import ER, ExactReal, ExactRealSyntaxError, sqrt
 from .kinematics import (
-    AffineMap, Coord4, PoincareMap, SuperluminalVelocity, boost, coord4,
-    plane_rotation, speed_squared,
+    AffineMap, Coord4, SuperluminalVelocity, boost, coord4, plane_rotation,
+    speed_squared, translation,
 )
-from . import linalg
 
 __all__ = [
     "InertialLine", "PhotonLine", "PiecewiseInertial", "SmoothNumeric",
@@ -383,10 +382,7 @@ def _observer_chart(spec: ObserverSpec) -> AffineMap:
     for (i, j, c, s) in spec.rotations:
         chart = plane_rotation(i, j, c, s).compose(chart)
     if any(not ER(c).is_zero() for c in spec.translation):
-        shift = AffineMap(linalg.identity(4), tuple(ER(c) for c in spec.translation))
-        if isinstance(chart, PoincareMap):
-            shift = PoincareMap(linalg.identity(4), tuple(ER(c) for c in spec.translation))
-        chart = shift.compose(chart)
+        chart = translation(spec.translation).compose(chart)
     return chart
 
 
@@ -400,6 +396,23 @@ def _observer_body(name: str, chart: AffineMap) -> Body:
                 worldline=InertialLine(p0, velocity))
 
 
+def _structure(observers: Sequence[ObserverSpec], extra_bodies: Sequence[Body],
+               photon_family: bool, inertial_family: bool, name: str) -> Structure:
+    """Observer charts and bodies, then the extra bodies; the observers'
+    velocities and translations are the sampling constants."""
+    charts, bodies, domains, consts = {}, [], {}, []
+    for spec in observers:
+        chart = _observer_chart(spec)
+        charts[spec.name] = chart
+        bodies.append(_observer_body(spec.name, chart))
+        if not spec.domain.is_full():
+            domains[spec.name] = spec.domain
+        consts.extend(spec.velocity)
+        consts.extend(spec.translation)
+    return Structure(bodies + list(extra_bodies), charts, photon_family, inertial_family,
+                     domains, name, tuple(ER(c) for c in consts))
+
+
 def standard_minkowski(observers: Sequence[ObserverSpec],
                        extra_bodies: Sequence[Body] = (),
                        name: str = "minkowski") -> Structure:
@@ -408,21 +421,9 @@ def standard_minkowski(observers: Sequence[ObserverSpec],
     Both intensional families are on; every chart is a Poincare map, so
     all SpecRel axioms hold (certified by the semantics module).
     """
-    charts, bodies, domains, consts = {}, [], {}, []
-    for spec in observers:
-        if spec.galilean:
-            raise ValueError("standard_minkowski takes Lorentz observers only")
-        chart = _observer_chart(spec)
-        charts[spec.name] = chart
-        bodies.append(_observer_body(spec.name, chart))
-        if not spec.domain.is_full():
-            domains[spec.name] = spec.domain
-        consts.extend(c for c in spec.velocity)
-        consts.extend(c for c in spec.translation)
-    bodies.extend(extra_bodies)
-    constants = tuple(ER(c) for c in consts)
-    return Structure(bodies, charts, photon_family=True, inertial_family=True,
-                     chart_domains=domains, name=name, constants=constants)
+    if any(spec.galilean for spec in observers):
+        raise ValueError("standard_minkowski takes Lorentz observers only")
+    return _structure(observers, extra_bodies, True, True, name)
 
 
 def galilean_structure(observers: Sequence[ObserverSpec],
@@ -433,20 +434,8 @@ def galilean_structure(observers: Sequence[ObserverSpec],
     The negative control for AxPh: Galilean maps do not preserve the
     lightlike equation.
     """
-    charts, bodies, domains, consts = {}, [], {}, []
-    for spec in observers:
-        galspec = ObserverSpec(spec.name, spec.velocity, spec.rotations,
-                               spec.translation, spec.domain, galilean=True)
-        chart = _observer_chart(galspec)
-        charts[spec.name] = chart
-        bodies.append(_observer_body(spec.name, chart))
-        if not spec.domain.is_full():
-            domains[spec.name] = spec.domain
-        consts.extend(c for c in spec.velocity)
-    bodies.extend(extra_bodies)
-    constants = tuple(ER(c) for c in consts)
-    return Structure(bodies, charts, photon_family=True, inertial_family=True,
-                     chart_domains=domains, name=name, constants=constants)
+    return _structure([replace(spec, galilean=True) for spec in observers],
+                      extra_bodies, True, True, name)
 
 
 # ---------------------------------------------------------------------------
@@ -503,18 +492,7 @@ def parse_model(text: str) -> Structure:
     if not families_seen:
         photon_family = inertial_family = True
 
-    charts, obs_bodies, domains, consts = {}, [], {}, []
-    for spec in observers:
-        chart = _observer_chart(spec)
-        charts[spec.name] = chart
-        obs_bodies.append(_observer_body(spec.name, chart))
-        if not spec.domain.is_full():
-            domains[spec.name] = spec.domain
-        consts.extend(spec.velocity)
-        consts.extend(spec.translation)
-    constants = tuple(ER(c) for c in consts)
-    return Structure(obs_bodies + bodies, charts, photon_family, inertial_family,
-                     domains, name, constants)
+    return _structure(observers, bodies, photon_family, inertial_family, name)
 
 
 def _one(rest, line):
@@ -552,13 +530,23 @@ def _parse_observer(words, line, lineno) -> ObserverSpec:
         if key in ("velocity", "galilean"):
             galilean = key == "galilean"
             velocity = tuple(ER(w) for w in args)
+            if speed_squared(velocity).compare(1) >= 0:
+                raise ValueError("line %d: observer speed must be below 1 in %r" % (lineno, line))
         elif key == "rotate":
-            rotations.append((int(args[0]), int(args[1]), ER(args[2]), ER(args[3])))
+            a, b = _integer(args[0], lineno, line), _integer(args[1], lineno, line)
+            c, sn = ER(args[2]), ER(args[3])
+            if not 1 <= a < b <= 3:
+                raise ValueError("line %d: rotation plane must satisfy 1 <= I < J <= 3 in %r"
+                                 % (lineno, line))
+            if c * c + sn * sn != 1:
+                raise ValueError("line %d: rotation needs COS^2 + SIN^2 = 1 exactly in %r"
+                                 % (lineno, line))
+            rotations.append((a, b, c, sn))
         elif key == "translate":
             trans = tuple(ER(w) for w in args)
         else:  # domain
             has_domain = True
-            axis = int(args[0]) - 1
+            axis = _integer(args[0], lineno, line) - 1
             if not 0 <= axis < 4:
                 raise ValueError("line %d: domain axis must be 1 to 4 in %r" % (lineno, line))
             domain_bounds[axis] = (_domain_bound(args[1], "lower", "-inf", lineno, line),
@@ -568,6 +556,13 @@ def _parse_observer(words, line, lineno) -> ObserverSpec:
                 i += 1
     domain = ChartDomain(tuple(domain_bounds), closed) if has_domain else ChartDomain()
     return ObserverSpec(name, velocity, tuple(rotations), trans, domain, galilean)
+
+
+def _integer(word, lineno, line) -> int:
+    try:
+        return int(word)
+    except ValueError:
+        raise ValueError("line %d: %r is not an integer in %r" % (lineno, word, line)) from None
 
 
 def _domain_bound(word, which, unbounded, lineno, line):

@@ -1,0 +1,83 @@
+"""Float numerics shared by the accelerated-observer and chart layers:
+finite differences and the float Lorentz boost.
+
+Every stencil step is a power-of-two multiple of the base step, so
+stencil points and quotients round the same way wherever they are used.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+__all__ = [
+    "NotDifferentiable", "central_difference", "richardson_derivative",
+    "velocity_at", "one_sided_jump", "float_boost", "apply4",
+]
+
+
+class NotDifferentiable(ValueError):
+    pass
+
+
+def central_difference(f, x, k: int, h: float, d):
+    """k-th central difference quotient of f at x along d with step h;
+    f returns numpy arrays (or floats), and so does this."""
+    acc = None
+    for j in range(k + 1):
+        val = math.comb(k, j) * (-1.0) ** (k - j) * f(x + (j - k / 2.0) * h * d)
+        acc = val if acc is None else acc + val
+    return acc / h ** k
+
+
+def richardson_derivative(f, t: float, t_min: float, t_max: float) -> tuple:
+    """f'(t) of a curve f on [t_min, t_max] as a tuple of floats: central
+    differences at steps 2h and 4h, Richardson-extrapolated, with the
+    stencil kept inside the interval.  Raises NotDifferentiable at its edge."""
+    h = min(1e-4, (t_max - t_min) / 16.0)
+    if not (t_min <= t - 2 * h and t + 2 * h <= t_max):
+        h = min(t - t_min, t_max - t) / 2.0
+        if h <= 0:
+            raise NotDifferentiable("cannot differentiate at the domain edge")
+    g = lambda u: np.asarray(f(u), dtype=float)
+    coarse = central_difference(g, t, 1, 4 * h, 1.0)
+    fine = central_difference(g, t, 1, 2 * h, 1.0)
+    return tuple(float(c) for c in (4 * fine - coarse) / 3.0)
+
+
+def velocity_at(w, t: float) -> tuple:
+    """Velocity of the numeric worldline w (a SmoothNumeric) at t: its
+    analytic velocity if it has one, else richardson_derivative."""
+    if w.velocity is not None:
+        return tuple(w.velocity(t))
+    return richardson_derivative(w.position, t, w.t_min, w.t_max)
+
+
+def one_sided_jump(f, x, h: float, d) -> float:
+    """max |right - left| of f's one-sided difference quotients at x along
+    d with step h: near 0 where f is differentiable, large at a kink."""
+    g = lambda u: np.asarray(f(u), dtype=float)
+    gx = g(x)
+    right = (g(x + h * d) - gx) / h
+    left = (gx - g(x - h * d)) / h
+    return float(np.max(np.abs(right - left)))
+
+
+def float_boost(v):
+    v2 = sum(c * c for c in v)
+    if v2 == 0.0:
+        return [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
+    g = 1.0 / math.sqrt(1.0 - v2)
+    m = [[0.0] * 4 for _ in range(4)]
+    for i in range(3):
+        for j in range(3):
+            m[i][j] = (1.0 if i == j else 0.0) + (g - 1.0) * v[i] * v[j] / v2
+        m[i][3] = -g * v[i]
+        m[3][i] = -g * v[i]
+    m[3][3] = g
+    return m
+
+
+def apply4(m, x):
+    return tuple(sum(m[i][j] * x[j] for j in range(4)) for i in range(4))

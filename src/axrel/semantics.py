@@ -879,32 +879,6 @@ def _collect_equations(matrix, limit: int = 4) -> list:
     return out
 
 
-def _term_to_poly_env(term, env, var_polys: dict):
-    """Term -> Poly in a single hidden parameter; block variables are
-    supplied as polynomials, outer variables as constants."""
-    if isinstance(term, Var):
-        if term.name in var_polys:
-            return var_polys[term.name]
-        if term.name in env and isinstance(env[term.name], ExactReal):
-            return Poly([env[term.name]])
-        return None
-    if isinstance(term, ZeroC):
-        return Poly([0])
-    if isinstance(term, OneC):
-        return Poly([1])
-    left = _term_to_poly_env(term.left, env, var_polys)
-    right = _term_to_poly_env(term.right, env, var_polys)
-    if left is None or right is None:
-        return None
-    if isinstance(term, Add):
-        return left + right
-    if isinstance(term, Sub):
-        return left - right
-    if isinstance(term, Mul):
-        return left * right
-    return None
-
-
 def _eval_quantity_forall(names, matrix, env, ctx: _Ctx, path: str):
     conjuncts = _flatten_and(matrix.left) if isinstance(matrix, Implies) else []
     binding, params, equations = _pin_with_constraints(names, conjuncts, env, ctx)
@@ -915,6 +889,7 @@ def _eval_quantity_forall(names, matrix, env, ctx: _Ctx, path: str):
     particular, basis = solved
     dims = len(basis)
     guide_eqs = _collect_equations(matrix) if dims else []
+    num_env = _num_env(env) if guide_eqs else {}
     saw_unknown = False
     sample_no = 0
 
@@ -973,8 +948,11 @@ def _eval_quantity_forall(names, matrix, env, ctx: _Ctx, path: str):
             for eq_i, eq in enumerate(guide_eqs):
                 if sample_no >= ctx.budget.samples:
                     break
-                lhs = _term_to_poly_env(Sub(eq.left, eq.right), env, var_polys)
-                if lhs is None or lhs.degree < 1 or lhs.degree > 2:
+                try:
+                    lhs = term_to_poly(Sub(eq.left, eq.right), var_polys, num_env)
+                except UnsupportedDefinableSet:
+                    continue
+                if lhs.degree < 1 or lhs.degree > 2:
                     continue
                 for r_i, root in enumerate(lhs.roots()):
                     if sample_no >= ctx.budget.samples:
@@ -1030,7 +1008,7 @@ def _eval_quantity_exists(names, matrix, env, ctx: _Ctx, path: str):
         for g in conjuncts:
             if isinstance(g, (EqQ, Less)):
                 try:
-                    p = term_to_poly(Sub(g.left, g.right), var, env)
+                    p = term_to_poly(Sub(g.left, g.right), {var: Poly([0, 1])}, env)
                 except UnsupportedDefinableSet:
                     continue
                 if 1 <= p.degree <= 2:
@@ -1091,13 +1069,15 @@ def check_axiom(s: Structure, axiom_name: str, budget: Optional[Budget] = None,
         group = th.group(axiom_name)
     except (UnknownTheory, KeyError):
         raise UnknownAxiom(axiom_name)
-    certified = _certified_axiom(s, axiom_name, budget)
+    return _check_group(s, group, budget)
+
+
+def _check_group(s: Structure, group, budget: Budget) -> Verdict:
+    """A certified verdict where a reduction applies, else the sentences' combined."""
+    certified = _certified_axiom(s, group.name, budget)
     if certified is not None:
         return certified
-    results = []
-    for sub, sentence in group.sentences:
-        results.append(evaluate(s, sentence, None, budget))
-    return _combine(results)
+    return _combine([evaluate(s, sentence, None, budget) for _, sentence in group.sentences])
 
 
 def _combine(verdicts: Sequence[Verdict]) -> Verdict:
@@ -1309,10 +1289,9 @@ def recheck_counterexample(s: Structure, sentence: Formula, evidence: dict,
 
 def definable_set(s: Structure, phi: Formula, var: str, env: Assignment) -> IntervalSet:
     """The subset of the quantity sort defined by phi(var), exactly."""
-    if isinstance(phi, Less):
-        return poly_less_zero(term_to_poly(Sub(phi.left, phi.right), var, _num_env(env)))
-    if isinstance(phi, EqQ):
-        return poly_eq_zero(term_to_poly(Sub(phi.left, phi.right), var, _num_env(env)))
+    if isinstance(phi, (Less, EqQ)):
+        p = term_to_poly(Sub(phi.left, phi.right), {var: Poly([0, 1])}, _num_env(env))
+        return poly_less_zero(p) if isinstance(phi, Less) else poly_eq_zero(p)
     if isinstance(phi, Not):
         return definable_set(s, phi.arg, var, env).complement()
     if isinstance(phi, And):
@@ -1343,7 +1322,7 @@ def _num_env(env: Assignment) -> dict:
 
 
 def _coord_polys(s: Structure, obs: Body, coords, var, env):
-    polys = [term_to_poly(c, var, _num_env(env)) for c in coords]
+    polys = [term_to_poly(c, {var: Poly([0, 1])}, _num_env(env)) for c in coords]
     if any(p.degree > 1 for p in polys):
         raise UnsupportedDefinableSet("nonlinear coordinate in W")
     chart = s.chart_of(obs)
@@ -1479,12 +1458,7 @@ def check_theory(s: Structure, theory: Theory, budget: Optional[Budget] = None,
     budget = budget or Budget()
     out = {}
     for group in theory.groups:
-        certified = _certified_axiom(s, group.name, budget)
-        if certified is not None:
-            out[group.name] = certified
-            continue
-        results = [evaluate(s, sentence, None, budget) for _, sentence in group.sentences]
-        out[group.name] = _combine(results)
+        out[group.name] = _check_group(s, group, budget)
     if theory.has_ind_schema:
         for inst in (battery if battery is not None else ind_battery()):
             out["IND.%s" % inst.name] = check_ind_instance(s, inst, budget)

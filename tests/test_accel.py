@@ -236,3 +236,18 @@ def test_worldline_csv_columns():
     assert lines[0] == "t,x1,x2,x3,v1,v2,v3,tau"
     assert len(lines) == 12
     assert lines[-1].split(",")[-1].startswith("8.0000")
+
+
+def test_worldline_csv_starts_at_a_numeric_domain_edge():
+    w = SmoothNumeric(lambda t: (0.5 * t + 0.1 * math.sin(t), 0.0, 0.0), 9, -3.0, 3.0)
+    rows = worldline_csv(w, -3.0, 3.0, steps=12).strip().splitlines()[1:]
+    assert len(rows) == 13
+    first = [float(x) for x in rows[0].split(",")]
+    assert abs(first[4] - (0.5 + 0.1 * math.cos(-3.0))) <= 1e-5
+    last = [float(x) for x in rows[-1].split(",")]
+    assert abs(last[4] - (0.5 + 0.1 * math.cos(3.0))) <= 1e-5
+    # Interior rows keep the Richardson velocity.
+    for row in rows[1:-1]:
+        t = float(row.split(",")[0])
+        v = comoving_inertial(w, t)[0]
+        assert row.split(",")[4:7] == ["%.12g" % c for c in v]

@@ -275,6 +275,21 @@ def test_truncated_observer_field_is_data_error(tmp_path, capsys, line, needle):
     assert needle in err
 
 
+@pytest.mark.parametrize("line", [
+    "observer a domain x 0 1",
+    "observer a rotate 1 x 3/5 4/5",
+    "observer a rotate 1 4 3/5 4/5",
+    "observer a rotate 1 2 1/2 1/2",
+    "observer a velocity 1 0 0",
+])
+def test_bad_observer_value_names_its_line(tmp_path, capsys, line):
+    model = tmp_path / "bad.model"
+    model.write_text("structure bad\nfamilies photons inertials\n%s\n" % line)
+    code, _, err = run_cli(["check", "SpecRel", str(model)], capsys)
+    _one_line_error(code, err)
+    assert "line 3:" in err
+
+
 @pytest.mark.parametrize("bounds, needle", [
     ("10 -inf", "line 2: domain upper bound must be a field literal or inf, got '-inf'"),
     ("inf 10", "line 2: domain lower bound must be a field literal or -inf, got 'inf'"),

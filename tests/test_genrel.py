@@ -169,6 +169,40 @@ def test_axdiff_kink_fails_at_first_order():
     assert v.is_fails
 
 
+def test_axdiff_holds_where_the_transform_vanishes():
+    # f(p) = 0 at the probe point: the rounding floor is scaled by |f| on
+    # the finest stencil, so float rounding does not read as divergence.
+    v = check_axdiff(lambda p: (p[0], p[1] ** 2, p[2], p[3]), 6, [(0, 0, 0, 0)],
+                     declared_order=9)
+    assert v.is_holds
+
+
+FLAT_BOXED = """chart flatboxed
+order 9
+domain 1 -2 4
+domain 2 -2 4
+domain 3 -2 4
+domain 4 -2 4
+g 1 1 = 1
+g 2 2 = 1
+g 3 3 = 1
+g 4 4 = -1
+worldline a 0 0 0
+worldline b 0 0 0
+"""
+
+
+def test_axdiff_flat_chart_probed_at_the_origin_holds(tmp_path, capsys):
+    from axrel.cli import main
+
+    chart = tmp_path / "boxed.chart"
+    chart.write_text(FLAT_BOXED)
+    code = main(["check", "GenRel(9)", str(chart)])
+    out = capsys.readouterr().out
+    assert "AxDiff_9          Holds" in out
+    assert code == 2  # AxSymt- is Unknown: no meetings declared
+
+
 def test_axdiff_exceeding_declared_order_unknown():
     v = check_axdiff(lambda p: p, 5, [(0, 0, 0, 0)], declared_order=3)
     assert v.outcome == "Unknown"

@@ -149,3 +149,16 @@ def test_galilean_structure_charts_not_lorentz(galilean):
     train = galilean.bodies["train"]
     assert not galilean.chart_of(train).is_lorentz()
     assert galilean.holds_W(train, train, coord4(0, 0, 0, 3))
+
+
+def test_galilean_structure_keeps_translations_as_constants():
+    specs = [ObserverSpec("lab"),
+             ObserverSpec("train", velocity=(Fr(3, 5), 0, 0), translation=(1, 0, 0, 2))]
+    built = galilean_structure(specs)
+    parsed = parse_model("structure g\nobserver lab galilean 0 0 0\n"
+                         "observer train galilean 3/5 0 0 translate 1 0 0 2\n")
+    assert built.constants == parsed.constants
+    assert ER(2) in built.constants
+    x = coord4(1, 1, 0, 2)
+    assert built.event_correspondence(built.bodies["lab"], built.bodies["train"], x) == \
+        parsed.event_correspondence(parsed.bodies["lab"], parsed.bodies["train"], x)

@@ -270,3 +270,80 @@ def test_sampled_and_certified_agree_on_irrational_structures(seed):
         for verdict in (sampled, reference):
             if verdict.is_fails:
                 assert recheck_counterexample(s, named_axiom(name), verdict.evidence), (seed, name)
+
+
+def _reference_term_to_poly_env(term, env, var_polys):
+    # The guided-sampling term walker that term_to_poly replaced.
+    from axrel.field import ExactReal
+    from axrel.intervals import Poly
+    from axrel.syntax.ast import Add, Mul, OneC, Sub, Var, ZeroC
+
+    if isinstance(term, Var):
+        if term.name in var_polys:
+            return var_polys[term.name]
+        if term.name in env and isinstance(env[term.name], ExactReal):
+            return Poly([env[term.name]])
+        return None
+    if isinstance(term, ZeroC):
+        return Poly([0])
+    if isinstance(term, OneC):
+        return Poly([1])
+    left = _reference_term_to_poly_env(term.left, env, var_polys)
+    right = _reference_term_to_poly_env(term.right, env, var_polys)
+    if left is None or right is None:
+        return None
+    if isinstance(term, Add):
+        return left + right
+    if isinstance(term, Sub):
+        return left - right
+    if isinstance(term, Mul):
+        return left * right
+    return None
+
+
+def _random_term(rng, depth, names):
+    from axrel.syntax.ast import Add, Mul, OneC, Sub, Var, ZeroC
+
+    if depth == 0 or rng.random() < 0.3:
+        pick = rng.randrange(len(names) + 2)
+        if pick == len(names):
+            return ZeroC()
+        if pick == len(names) + 1:
+            return OneC()
+        return Var(names[pick], Sort.QUANTITY)
+    op = rng.choice((Add, Sub, Mul))
+    return op(_random_term(rng, depth - 1, names), _random_term(rng, depth - 1, names))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_term_to_poly_matches_the_guided_sampling_walker(seed, minkowski):
+    from axrel.intervals import Poly, UnsupportedDefinableSet, term_to_poly
+    from axrel.semantics import _num_env
+
+    rng = random.Random(seed)
+    polys = {"x": Poly([Fr(1, 3), 2]), "y": Poly([ER(-1), Fr(1, 2)])}
+    env = {"a": ER(Fr(5, 7)), "x": ER(9), "b": minkowski.bodies["rest"]}
+    names = ("x", "y", "a", "b", "u")
+    checked = 0
+    for _ in range(60):
+        term = _random_term(rng, 3, names)
+        expected = _reference_term_to_poly_env(term, env, polys)
+        if expected is None:
+            with pytest.raises(UnsupportedDefinableSet):
+                term_to_poly(term, polys, _num_env(env))
+        else:
+            assert term_to_poly(term, polys, _num_env(env)).coeffs == expected.coeffs
+            checked += 1
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("name", ["b", "u"])
+def test_term_to_poly_rejects_body_and_unbound_variables(name, minkowski):
+    from axrel.intervals import Poly, UnsupportedDefinableSet, term_to_poly
+    from axrel.semantics import _num_env
+    from axrel.syntax.ast import Add, Var
+
+    env = {"b": minkowski.bodies["rest"]}
+    term = Add(Var("x", Sort.QUANTITY), Var(name, Sort.QUANTITY))
+    with pytest.raises(UnsupportedDefinableSet):
+        term_to_poly(term, {"x": Poly([0, 1])}, _num_env(env))
