@@ -32,10 +32,24 @@ from .accel import (
     AcceleratedScenario, ShipConfig, check_axcmv, comoving_inertial,
     gtd_clock_ratio, proper_time, twin_paradox,
 )
-from .genrel import (
-    MetricChart, check_axdiff, check_axev_minus, check_axph_minus,
-    check_axself_minus, check_axsymt_minus, check_chart_theory, flat_chart,
-    geodesic, normal_frame, rindler_chart,
-)
+from . import exprs  # noqa: F401  (field.parse_exact imports it on first use)
 
 __version__ = "0.1.0"
+
+# The chart layer is the only one that needs numpy, so it loads on first
+# use of one of its names (PEP 562), not with the package.
+_GENREL_NAMES = frozenset((
+    "MetricChart", "check_axdiff", "check_axev_minus", "check_axph_minus",
+    "check_axself_minus", "check_axsymt_minus", "check_chart_theory", "flat_chart",
+    "geodesic", "normal_frame", "rindler_chart",
+))
+
+
+def __getattr__(name):
+    if name in _GENREL_NAMES:
+        from . import genrel
+
+        value = getattr(genrel, name)
+        globals()[name] = value
+        return value
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -466,20 +466,30 @@ def load_scenario(path) -> AcceleratedScenario:
 
 
 def worldline_csv(w, t0, t1, steps: int = 100) -> str:
-    """CSV rows (t, x1, x2, x3, v1, v2, v3, tau) along the worldline."""
+    """CSV rows (t, x1, x2, x3, v1, v2, v3, tau) along the worldline.
+
+    tau counts from the first row, at t0, for every kind of worldline.  At
+    a knot of a piecewise-inertial worldline the row shows the velocity of
+    the segment that starts there."""
     rows = ["t,x1,x2,x3,v1,v2,v3,tau"]
     t0f, t1f = float(t0), float(t1)
     exact = isinstance(w, (InertialLine, PiecewiseInertial))
+    if isinstance(w, PiecewiseInertial):
+        velocities = w.segment_velocities()
+    origin = None
     for i in range(steps + 1):
         tf = t0f + (t1f - t0f) * i / steps
         if exact:
             t = ER(Fraction(tf).limit_denominator(10 ** 9))
+            origin = t if origin is None else origin
             p = w.point_at(t)
-            try:
-                v, _ = comoving_inertial(w, t)
-            except NotDifferentiable:
-                v = (ER(0), ER(0), ER(0))
-            tau = proper_time(w, ER(w.t_min) if isinstance(w, PiecewiseInertial) else ER(t0), t)
+            if isinstance(w, PiecewiseInertial):
+                # The first segment that ends after t; the last one at t_max.
+                v = next((u for u, b in zip(velocities, w.knots[1:]) if (t - b[3]).sign() < 0),
+                         velocities[-1])
+            else:
+                v = w.velocity
+            tau = proper_time(w, origin, t)
             row = [t, p[0], p[1], p[2], v[0], v[1], v[2], tau]
             rows.append(",".join(x.decimal_str() for x in row))
         else:

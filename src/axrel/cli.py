@@ -2,7 +2,8 @@
 
 Commands: parse, axioms, check, effects, twin, gtd, geodesic, report.
 Exit codes: 0 all verdicts hold, 1 some verdict fails, 2 some verdict is
-unknown (and none fails), 64 usage error, 65 data/format error.
+unknown (and none fails), 64 usage error, 65 data/format error, 70
+internal error (a bug, reported in one line, never as a verdict).
 
 Output is byte-identical for identical inputs, flags and seed; exact
 values print as field literals with a 12-digit decimal after them.
@@ -14,12 +15,14 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 
 from .field import ER, ExactReal, parse_exact, ExactRealSyntaxError
 from .kinematics import effects
 from .model import load_model
+from .numeric import require_positive_finite
 from .report import exit_code, machine_report, text_report
 from .semantics import Budget, check_theory
 from .syntax import (
@@ -29,6 +32,7 @@ from .syntax import (
 
 EX_USAGE = 64
 EX_DATA = 65
+EX_SOFTWARE = 70
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,6 +131,10 @@ def main(argv=None) -> int:
         # ZeroDivisionError covers field.DivisionByZero, e.g. `velocity 1/0 0 0`.
         sys.stderr.write("axrel: %s\n" % exc)
         return EX_DATA
+    except Exception as exc:
+        # Exit 1 means "some axiom fails", so a crash must not end with it.
+        sys.stderr.write("axrel: internal error: %s: %s\n" % (type(exc).__name__, exc))
+        return EX_SOFTWARE
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +175,12 @@ def cmd_axioms(args) -> int:
 def cmd_check(args) -> int:
     budget = _budget(args)
     if args.theory.startswith("GenRel"):
-        from .genrel import load_chart_file, check_chart_theory
-        import re
-
         m = re.fullmatch(r"GenRel\((\d+)\)", args.theory)
         n = int(m.group(1)) if m else 0
         if n < 1:
             raise UnknownTheory(args.theory)
+        from .genrel import load_chart_file, check_chart_theory
+
         config = load_chart_file(args.model_file)
         results = check_chart_theory(config, n=n)
     else:
@@ -268,6 +275,9 @@ def cmd_gtd(args) -> int:
 
 
 def cmd_geodesic(args) -> int:
+    # Checked before the chart layer (and numpy) loads; geodesic() repeats it.
+    require_positive_finite("geodesic step", args.step)
+    require_positive_finite("geodesic span", args.span)
     from .genrel import geodesic, geodesic_csv, load_chart_file
 
     config = load_chart_file(args.chart_file)

@@ -33,7 +33,9 @@ import numpy as np
 from .exprs import compile_float, parse_expression
 from .field import ER
 from .model import DifferentiableChart, SmoothNumeric
-from .numeric import central_difference, one_sided_jump, velocity_at
+from .numeric import (
+    central_difference, one_sided_jump, require_positive_finite, velocity_at,
+)
 from .semantics import Verdict
 
 __all__ = [
@@ -463,10 +465,8 @@ def geodesic(chart: MetricChart, x0, u0, span: float, step: float = 0.01,
     span.  u0 must be timelike; the curve truncates (flagged) if it
     leaves the chart domain.  Fixed-step RK4 with halving-based error
     control; deterministic."""
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError("geodesic step must be a positive finite number, got %g" % step)
-    if not (math.isfinite(span) and span > 0):
-        raise ValueError("geodesic span must be a positive finite number, got %g" % span)
+    require_positive_finite("geodesic step", step)
+    require_positive_finite("geodesic span", span)
     x0 = np.asarray([float(c) for c in x0], dtype=float)
     u0 = np.asarray([float(c) for c in u0], dtype=float)
     if not chart.domain.contains(x0, strict=False):

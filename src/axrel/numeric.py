@@ -3,17 +3,19 @@ finite differences and the float Lorentz boost.
 
 Every stencil step is a power-of-two multiple of the base step, so
 stencil points and quotients round the same way wherever they are used.
+The module works on plain floats, component by component, and never
+imports numpy: only the chart layer (`axrel.genrel`) needs it, and the
+exact commands should not pay for loading it.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 __all__ = [
     "NotDifferentiable", "central_difference", "richardson_derivative",
     "velocity_at", "one_sided_jump", "float_boost", "apply4",
+    "require_positive_finite",
 ]
 
 
@@ -40,10 +42,13 @@ def richardson_derivative(f, t: float, t_min: float, t_max: float) -> tuple:
         h = min(t - t_min, t_max - t) / 2.0
         if h <= 0:
             raise NotDifferentiable("cannot differentiate at the domain edge")
-    g = lambda u: np.asarray(f(u), dtype=float)
-    coarse = central_difference(g, t, 1, 4 * h, 1.0)
-    fine = central_difference(g, t, 1, 2 * h, 1.0)
-    return tuple(float(c) for c in (4 * fine - coarse) / 3.0)
+
+    def quotient(step):
+        lo, hi = f(t - step / 2), f(t + step / 2)
+        return [(float(b) - float(a)) / step for a, b in zip(lo, hi)]
+
+    coarse, fine = quotient(4 * h), quotient(2 * h)
+    return tuple((4 * d2 - d4) / 3.0 for d2, d4 in zip(fine, coarse))
 
 
 def velocity_at(w, t: float) -> tuple:
@@ -57,11 +62,18 @@ def velocity_at(w, t: float) -> tuple:
 def one_sided_jump(f, x, h: float, d) -> float:
     """max |right - left| of f's one-sided difference quotients at x along
     d with step h: near 0 where f is differentiable, large at a kink."""
-    g = lambda u: np.asarray(f(u), dtype=float)
-    gx = g(x)
-    right = (g(x + h * d) - gx) / h
-    left = (gx - g(x - h * d)) / h
-    return float(np.max(np.abs(right - left)))
+    gx = [float(c) for c in f(x)]
+    hi = [float(c) for c in f(x + h * d)]
+    lo = [float(c) for c in f(x - h * d)]
+    jumps = [abs((b - c) / h - (c - a) / h) for a, c, b in zip(lo, gx, hi)]
+    # A NaN component makes the jump NaN, whatever its position.
+    return math.nan if any(math.isnan(j) for j in jumps) else max(jumps)
+
+
+def require_positive_finite(what: str, value: float) -> None:
+    """ValueError naming `what` unless value is finite and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError("%s must be a positive finite number, got %g" % (what, value))
 
 
 def float_boost(v):

@@ -238,6 +238,25 @@ def test_worldline_csv_columns():
     assert lines[-1].split(",")[-1].startswith("8.0000")
 
 
+def test_worldline_csv_tau_starts_at_t0_for_every_kind():
+    sc = _roundtrip_scenario()
+    for w in (sc.traveler.worldline, sc.home.worldline):
+        rows = worldline_csv(w, 5, 10, steps=5).strip().splitlines()[1:]
+        assert rows[0].split(",")[0] == "5.00000000000"
+        assert rows[0].split(",")[-1] == "0.00000000000"
+    # The traveler's second leg lasts 5 at speed 3/5: 4 of proper time.
+    last = worldline_csv(sc.traveler.worldline, 5, 10, steps=5).strip().splitlines()[-1]
+    assert last.split(",")[-1] == "4.00000000000"
+
+
+def test_worldline_csv_knot_row_takes_the_outgoing_segment():
+    sc = _roundtrip_scenario()
+    rows = worldline_csv(sc.traveler.worldline, 0, 10, steps=10).strip().splitlines()[1:]
+    # t = 0 and t = 5 start segments at +3/5 and -3/5; t = 10 ends the last.
+    assert [r.split(",")[4] for r in (rows[0], rows[5], rows[10])] == \
+        ["0.600000000000", "-0.600000000000", "-0.600000000000"]
+
+
 def test_worldline_csv_starts_at_a_numeric_domain_edge():
     w = SmoothNumeric(lambda t: (0.5 * t + 0.1 * math.sin(t), 0.0, 0.0), 9, -3.0, 3.0)
     rows = worldline_csv(w, -3.0, 3.0, steps=12).strip().splitlines()[1:]

@@ -379,3 +379,30 @@ def test_check_rejects_malformed_genrel_name(files, capsys, theory):
     code, out, err = run_cli(["check", theory, files["rindler.chart"]], capsys)
     _one_line_error(code, err)
     assert out == ""
+
+
+def test_unexpected_exception_exits_70_in_one_line(monkeypatch, capsys):
+    import axrel.cli
+
+    def boom(args):
+        raise RuntimeError("simulated bug")
+
+    monkeypatch.setattr(axrel.cli, "cmd_gtd", boom)
+    code, out, err = run_cli(["gtd", "--g", "1", "--h", "1/2"], capsys)
+    assert code == 70
+    assert out == ""
+    assert err == "axrel: internal error: RuntimeError: simulated bug\n"
+
+
+def test_twin_csv_row_at_the_turnaround(files, tmp_path, capsys):
+    # The README round trip: out at 3/5 until t = 5, back at -3/5.
+    csv = tmp_path / "traveler.csv"
+    code, _, _ = run_cli(["twin", files["trip.scn"], "--csv", str(csv)], capsys)
+    assert code == 0
+    rows = {float(r.split(",")[0]): [float(x) for x in r.split(",")]
+            for r in csv.read_text().splitlines()[1:]}
+    assert len(rows) == 101
+    # The row at the knot carries the velocity of the segment it starts.
+    assert rows[5.0] == [5.0, 3.0, 0.0, 0.0, -0.6, 0.0, 0.0, 4.0]
+    assert rows[4.9][4] == 0.6 and rows[5.1][4] == -0.6
+    assert rows[0.0][7] == 0.0 and rows[10.0][7] == 8.0

@@ -127,3 +127,18 @@ def test_one_sided_jump_matches_both_references(seed):
 
 def test_one_sided_jump_sees_a_kink():
     assert one_sided_jump(lambda u: (abs(u), 0.0), 0.0, 1e-3, 1.0) == 2.0
+
+
+@pytest.mark.parametrize("axis", range(4))
+def test_one_sided_jump_propagates_nan_like_np_max(axis):
+    # A metric or transform that is undefined at a stencil point gives a
+    # NaN component; np.max turns it into a NaN jump wherever it sits.
+    def f(x):
+        out = np.asarray(x, dtype=float) * 2.0
+        if x[axis] > 0.5:
+            out[axis] = math.nan
+        return out
+
+    p, d = np.full(4, 0.5), np.eye(4)[axis]
+    assert math.isnan(_reference_kink_arrays(f, p, 1e-2, d))
+    assert math.isnan(one_sided_jump(f, p, 1e-2, d))

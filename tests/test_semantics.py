@@ -4,17 +4,18 @@ from math import isqrt
 
 import pytest
 
-from axrel.field import ER, sqrt
+from axrel import linalg
+from axrel.field import ER, ExactReal, sqrt
 from axrel.kinematics import AffineMap, coord4
 from axrel.linalg import identity
 from axrel.model import (
     Body, ChartDomain, InertialLine, ObserverSpec, PhotonLine, Structure,
-    standard_minkowski,
+    parse_model, standard_minkowski,
 )
 from axrel.semantics import (
-    Budget, UnknownAxiom, Verdict, check_axiom, check_ind_instance,
-    check_theory, evaluate, recheck_counterexample, witness_inertial,
-    witness_photon,
+    Budget, UnknownAxiom, Verdict, _certify_axsymd, _symd_violation, check_axiom,
+    check_ind_instance, check_theory, evaluate, recheck_counterexample,
+    witness_inertial, witness_photon,
 )
 from axrel.syntax import (
     Sort, axiom_corpus, expand_definitions, ind_battery, named_axiom, parse,
@@ -270,6 +271,79 @@ def test_sampled_and_certified_agree_on_irrational_structures(seed):
         for verdict in (sampled, reference):
             if verdict.is_fails:
                 assert recheck_counterexample(s, named_axiom(name), verdict.evidence), (seed, name)
+
+
+def _symd_structure(kind, seed):
+    """2-4 observers, each boosted (Lorentz) or Galilean-shifted along a
+    seeded axis, some rotated, all translated; a mixed structure has both
+    kinds of chart.  One seeded chart, or none, then scales space by
+    3/2, as a ruler in other units would: AxSymd fails exactly when the
+    scales differ.  Returns the structure and the scales."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+    galilean = [kind == "galilean" or (kind == "mixed" and rng.random() < 0.5)
+                for _ in range(n)]
+    if kind == "mixed" and len(set(galilean)) == 1:
+        galilean[rng.randrange(n)] = not galilean[0]
+    lines = ["structure %s%d" % (kind, seed), "families photons inertials"]
+    for k in range(n):
+        v = [Fr(0)] * 3
+        v[rng.randint(0, 2)] = rng.choice((Fr(3, 5), Fr(5, 13), _irrational_speed(rng)))
+        words = ["observer", "o%d" % k, "galilean" if galilean[k] else "velocity"]
+        words += [str(c) for c in v]
+        if rng.random() < 0.5:
+            a = Fr(rng.randint(1, 6), rng.randint(1, 6))
+            i = rng.randint(1, 2)
+            words += ["rotate", str(i), str(rng.randint(i + 1, 3)),
+                      str((1 - a * a) / (1 + a * a)), str(2 * a / (1 + a * a))]
+        words += ["translate"] + [str(Fr(rng.randint(-4, 4), rng.randint(1, 3))) for _ in range(4)]
+        lines.append(" ".join(words))
+    s = parse_model("\n".join(lines) + "\n")
+    scales = [Fr(1)] * n
+    ruler = rng.randrange(n + 1)  # n: no ruler
+    if ruler < n:
+        scales[ruler] = Fr(3, 2)
+    charts = {}
+    for (oid, chart), a in zip(s.charts.items(), scales):
+        scale = [[ER(a if i == j < 3 else (1 if i == j else 0)) for j in range(4)]
+                 for i in range(4)]
+        charts[oid] = AffineMap(scale).compose(chart)
+    return Structure(list(s.bodies.values()), charts), scales
+
+
+def _ordered_pairs_axsymd(s):
+    """The AxSymd reduction over every ordered pair (o, o'), o' varying
+    fastest: (outcome, evidence) of the first violation, else Holds."""
+    observers = s.observers()
+    for o in observers:
+        for o2 in observers:
+            w = s.chart_of(o2).compose(s.chart_of(o).inverse())
+            rows = ((ER(0), ER(0), ER(0), ER(1)), tuple(w.linear[3][j] for j in range(4)))
+            bad = _symd_violation(w.linear, linalg.null_space(rows))
+            if bad is not None:
+                zero4 = (ER(0),) * 4
+                ev = {"o": o.id, "o'": o2.id}
+                ev.update(zip(("x1", "x2", "x3", "x4"), bad))
+                ev.update(zip(("y1", "y2", "y3", "y4"), zero4))
+                ev.update(zip(("x1'", "x2'", "x3'", "x4'"), w.apply(bad)))
+                ev.update(zip(("y1'", "y2'", "y3'", "y4'"), w.apply(zero4)))
+                return "Fails", ev
+    return "Holds", {}
+
+
+@pytest.mark.parametrize("kind", ["lorentz", "galilean", "mixed"])
+@pytest.mark.parametrize("seed", range(8))
+def test_axsymd_unordered_pairs_match_the_ordered_reference(kind, seed):
+    s, scales = _symd_structure(kind, seed)
+    outcome, evidence = _ordered_pairs_axsymd(s)
+    assert outcome == ("Fails" if len(set(scales)) > 1 else "Holds")
+    got = _certify_axsymd(s)
+    assert got.outcome == outcome
+    assert list(got.evidence) == list(evidence)
+    for key, value in evidence.items():
+        assert got.evidence[key] == value, key
+        if isinstance(value, ExactReal):
+            assert got.evidence[key].literal() == value.literal(), key
 
 
 def _reference_term_to_poly_env(term, env, var_polys):
