@@ -621,28 +621,27 @@ def witness_inertial_refs(refs) -> Optional[Body]:
 
 def witness_photon(s: Structure, o: Body, x, x2) -> Optional[Body]:
     """The family photon through o-events x and x2, if lightlike; else None."""
-    if not s.is_observer(o):
-        raise NotAnObserver(o.id)
-    if not s.photon_family:
-        return None
-    x = tuple(ER(c) for c in x)
-    x2 = tuple(ER(c) for c in x2)
-    for p in (x, x2):
-        if not s.domain_of(o).contains(p):
-            return None
-    refs = [s.reference_point(o, x), s.reference_point(o, x2)]
-    return witness_photon_refs(refs)
+    refs = _observed_refs(s, o, s.photon_family, x, x2)
+    return witness_photon_refs(refs) if refs else None
 
 
 def witness_inertial(s: Structure, o: Body, x, x2) -> Optional[Body]:
     """The family inertial body through two strictly timelike o-events."""
+    refs = _observed_refs(s, o, s.inertial_family, x, x2)
+    return witness_inertial_refs(refs) if refs else None
+
+
+def _observed_refs(s: Structure, o: Body, family: bool, *events) -> Optional[list]:
+    """Reference points of o-events, or None without the family or when o's
+    chart domain leaves one of them out."""
     if not s.is_observer(o):
         raise NotAnObserver(o.id)
-    if not s.inertial_family:
+    if not family:
         return None
-    refs = [s.reference_point(o, tuple(ER(c) for c in x)),
-            s.reference_point(o, tuple(ER(c) for c in x2))]
-    return witness_inertial_refs(refs)
+    points = [tuple(ER(c) for c in x) for x in events]
+    if not all(s.domain_of(o).contains(p) for p in points):
+        return None
+    return [s.reference_point(o, p) for p in points]
 
 
 # -- quantity sort: linear-form pinning and sampling -------------------------
@@ -1032,7 +1031,6 @@ def _eval_quantity_exists(names, matrix, env, ctx: _Ctx, path: str):
                 return FAILS, False, {}
     # 3. Corner + seeded tuples.
     tried = 0
-    seen_sampled = False
     for i, tup in enumerate(_candidate_stream(candidates, names, ctx, path)):
         if tried >= ctx.budget.samples:
             break
@@ -1040,7 +1038,6 @@ def _eval_quantity_exists(names, matrix, env, ctx: _Ctx, path: str):
         ctx.samples_used += 1
         env2 = {**env, **dict(zip(names, tup))}
         state, sampled, ev = _eval(matrix, env2, ctx, "%s.x%d" % (path, i))
-        seen_sampled = seen_sampled or sampled
         if state == HOLDS:
             return HOLDS, sampled, {**ev, **dict(zip(names, tup))}
     return UNKNOWN, True, {}
@@ -1185,7 +1182,10 @@ def _certify_axph(s: Structure, budget: Budget) -> Optional[Verdict]:
 
 
 def _certify_axev(s: Structure) -> Verdict:
+    """Fails at the first restricted pair with an escape point; Unknown if
+    some restricted pair has none and no pair fails; else Holds."""
     observers = s.observers()
+    undecided = False
     for o in observers:
         for o2 in observers:
             if s.domain_of(o2).is_full() and s.domain_of(o).is_full():
@@ -1197,7 +1197,9 @@ def _certify_axev(s: Structure) -> Verdict:
                 for i, nm in enumerate(("x1", "x2", "x3", "x4")):
                     evidence[nm] = probe[i]
                 return Verdict.fails(evidence=evidence)
-            return Verdict.unknown(evidence={"note": "restricted domains; no certified decision"})
+            undecided = True
+    if undecided:
+        return Verdict.unknown(evidence={"note": "restricted domains; no certified decision"})
     return Verdict.holds()
 
 

@@ -13,6 +13,7 @@ source offset for parser diagnostics and never takes part in equality.
 from __future__ import annotations
 
 import enum
+import functools
 import sys
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -280,16 +281,22 @@ class Exists(Formula):
 
 @dataclass(frozen=True)
 class AxiomGroup:
-    """A named axiom: one sentence, or a finite list (AxField)."""
+    """A named axiom: one sentence, or a finite list (AxField).
+
+    The sentences are held as formula text and parsed on first access to
+    ``sentences``, so naming, counting and certified checks parse nothing.
+    """
 
     name: str
-    sentences: tuple  # of (sub_name, Formula)
+    texts: tuple  # of (sub_name, sentence text)
     reconstruction: bool = False  # FOL shape reconstructed, not displayed in sources
 
-    def single(self) -> Formula:
-        if len(self.sentences) != 1:
-            raise ValueError("%s is a group of %d sentences" % (self.name, len(self.sentences)))
-        return self.sentences[0][1]
+    @functools.cached_property
+    def sentences(self) -> tuple:
+        """(sub_name, Formula) pairs, parsed once per group."""
+        from .parser import parse
+
+        return tuple((sub, parse(text)) for sub, text in self.texts)
 
 
 @dataclass(frozen=True)

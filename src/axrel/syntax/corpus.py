@@ -1,32 +1,41 @@
 """The axiom corpus: SpecRel, AccRel(-), GenRel(n), definitional
 expansion, and the IND schema.
 
-Theories are built programmatically as ASTs.  AxField is the finite
-ordered-field axiom list; AxSelf/AxPh/AxEv/AxSymd follow their displayed
-first-order shapes.  AxCmv, AxPh-, AxEv-, AxSymt- and AxDiff_n have no
-displayed shape in the sources (they are delegated to citations); the
-encodings here are epsilon-delta reconstructions and are marked
-``reconstruction=True`` on their groups.
+The axioms are written once below, as ``axiom NAME:`` blocks in the
+formula grammar of the README (the one ``parse_theory_file`` reads), and
+each group is parsed the first time its ``sentences`` are read.  A name
+``GROUP.SUB`` puts sentence SUB into group GROUP (AxField is the finite
+ordered-field axiom list); every other block is a group of one sentence.
+AxSelf/AxPh/AxEv/AxSymd follow their displayed first-order shapes.
+AxCmv, AxPh-, AxEv-, AxSymt- and AxDiff_n have no displayed shape in the
+sources (they are delegated to citations); the encodings here are
+epsilon-delta reconstructions and are marked ``reconstruction=True`` on
+their groups.  AxDiff_n is generated as text for each order n.
 
 AxSymd is stored twice: the default corrected form compares the primed
-spatial distance component-by-component; ``AxSymd#literal`` transcribes
-the garbled displayed right-hand side and exists only as a flagged
-curiosity (it is never part of SpecRel).
+spatial distance component-by-component; ``AxSymd#literal`` (block
+``AxSymd_literal``, since ``#`` starts a comment) transcribes the garbled
+displayed right-hand side and exists only as a flagged curiosity (it is
+never part of SpecRel).
+
+Sibling binders keep their names (two ``A b:B`` in one conjunction):
+``tests/golden/corpus_ast.json`` pins the AST each text parses to.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
 from typing import Optional
 
 from .ast import (
-    Add, And, AxiomGroup, EqB, EqQ, Exists, Forall, Formula, IBAtom, IObAtom,
-    Iff, Implies, Less, Mul, Not, ObAtom, OneC, Or, PhAtom, Sort, Sub, Term,
-    Theory, Var, WAtom, ZeroC, conj, disj, exists_many, forall_many, free_vars,
-    is_sentence, subformulas, subterms,
+    Add, And, AxiomGroup, EqQ, Exists, Forall, Formula, IBAtom, IObAtom,
+    Iff, Implies, Less, Mul, Not, ObAtom, OneC, Or, Sort, Sub, Term,
+    Theory, Var, WAtom, ZeroC, exists_many, free_vars, subterms,
 )
+from .parser import theory_blocks
 
 __all__ = [
     "axiom_corpus", "named_axiom", "all_named_axioms", "UnknownTheory",
@@ -43,411 +52,209 @@ class NotQuantityVariable(ValueError):
     pass
 
 
-def _bv(name: str) -> Var:
-    return Var(name, Sort.BODY)
+_CORPUS = """
+axiom AxField.add_assoc:         A x:Q y:Q z:Q . (x + y) + z = x + (y + z)
+axiom AxField.add_comm:          A x:Q y:Q . x + y = y + x
+axiom AxField.add_identity:      A x:Q . x + 0 = x
+axiom AxField.add_inverse:       A x:Q . E y:Q . x + y = 0
+axiom AxField.mul_assoc:         A x:Q y:Q z:Q . (x * y) * z = x * (y * z)
+axiom AxField.mul_comm:          A x:Q y:Q . x * y = y * x
+axiom AxField.mul_identity:      A x:Q . x * 1 = x
+axiom AxField.mul_inverse:       A x:Q . !x = 0 -> (E y:Q . x * y = 1)
+axiom AxField.distributive:      A x:Q y:Q z:Q . x * (y + z) = x * y + x * z
+axiom AxField.zero_one_distinct: !0 = 1
+axiom AxField.less_irreflexive:  A x:Q . !x < x
+axiom AxField.less_transitive:   A x:Q y:Q z:Q . x < y & y < z -> x < z
+axiom AxField.less_total:        A x:Q y:Q . x < y | x = y | y < x
+axiom AxField.add_monotone:      A x:Q y:Q z:Q . x < y -> x + z < y + z
+axiom AxField.mul_positive:      A x:Q y:Q . 0 < x & 0 < y -> 0 < x * y
+
+axiom AxSelf:
+  A o:B x:Q y:Q z:Q t:Q . IOb(o) -> (W(o, o, x, y, z, t) <-> x = 0 & y = 0 & z = 0)
+
+axiom AxPh:
+  A o:B x1:Q x2:Q x3:Q x4:Q x1':Q x2':Q x3':Q x4':Q . IOb(o) ->
+    ((E p:B . Ph(p) & W(o, p, x1, x2, x3, x4) & W(o, p, x1', x2', x3', x4'))
+     <-> (x1 - x1')^2 + (x2 - x2')^2 + (x3 - x3')^2 = (x4 - x4')^2)
+
+axiom AxEv:
+  A o:B o':B x1:Q x2:Q x3:Q x4:Q . IOb(o) & IOb(o') ->
+    (E x1':Q x2':Q x3':Q x4':Q . A b:B . W(o, b, x1, x2, x3, x4) <-> W(o', b, x1', x2', x3', x4'))
+
+axiom AxSymd:
+  A o:B o':B x1:Q x2:Q x3:Q x4:Q x1':Q x2':Q x3':Q x4':Q
+             y1:Q y2:Q y3:Q y4:Q y1':Q y2':Q y3':Q y4':Q .
+    IOb(o) & IOb(o') & x4 = y4 & x4' = y4'
+    & (A b:B . W(o, b, x1, x2, x3, x4) <-> W(o', b, x1', x2', x3', x4'))
+    & (A b:B . W(o, b, y1, y2, y3, y4) <-> W(o', b, y1', y2', y3', y4'))
+    -> (x1 - y1)^2 + (x2 - y2)^2 + (x3 - y3)^2 = (x1' - y1')^2 + (x2' - y2')^2 + (x3' - y3')^2
+
+# The displayed right-hand side, transcribed under the component naming
+# used elsewhere in the axioms (z'_i read as the third components).
+# Demonstrably not the intended formula.
+axiom AxSymd_literal:
+  A o:B o':B x1:Q x2:Q x3:Q x4:Q x1':Q x2':Q x3':Q x4':Q
+             y1:Q y2:Q y3:Q y4:Q y1':Q y2':Q y3':Q y4':Q .
+    IOb(o) & IOb(o') & x4 = y4 & x4' = y4'
+    & (A b:B . W(o, b, x1, x2, x3, x4) <-> W(o', b, x1', x2', x3', x4'))
+    & (A b:B . W(o, b, y1, y2, y3, y4) <-> W(o', b, y1', y2', y3', y4'))
+    -> (x1 - y1)^2 + (x2 - y2)^2 + (x3 - y3)^2 = (x1' - x2')^2 + (y1' - y2')^2 + (x3' - y3')^2
+
+# AccRel.  At each moment of its life, an observer k sees the nearby world
+# for a short while like some inertial observer m: the worldview
+# correspondence k -> m is the identity to first order at the moment.
+axiom AxCmv:
+  A k:B . Ob(k) -> (A t:Q . W(k, k, 0, 0, 0, t) -> (E m:B . IOb(m) & (A e:Q . 0 < e ->
+    (E d:Q . 0 < d & (A x1:Q x2:Q x3:Q x4:Q y1:Q y2:Q y3:Q y4:Q .
+      (A b:B . W(k, b, x1, x2, x3, x4) <-> W(m, b, y1, y2, y3, y4))
+      & (x1 - 0)^2 + (x2 - 0)^2 + (x3 - 0)^2 + (x4 - t)^2 < d^2
+      -> (y1 - x1)^2 + (y2 - x2)^2 + (y3 - x3)^2 + (y4 - x4)^2
+           < e^2 * ((x1 - 0)^2 + (x2 - 0)^2 + (x3 - 0)^2 + (x4 - t)^2)
+         | (y1 - x1)^2 + (y2 - x2)^2 + (y3 - x3)^2 + (y4 - x4)^2
+           = e^2 * ((x1 - 0)^2 + (x2 - 0)^2 + (x3 - 0)^2 + (x4 - t)^2))))))
+
+# GenRel: the localized axioms.  All but AxSelf- are reconstructions.
+axiom AxSelf-:
+  A o:B x:Q y:Q z:Q t:Q . W(o, o, x, y, z, t) -> x = 0 & y = 0 & z = 0
+
+# (1) an observer's photons move at unit speed at the observer, to first
+# order; (2) any observer can send out photons in any direction (d1, d2, d3).
+axiom AxPh-:
+  (A o:B p:B t:Q . Ob(o) & Ph(p) & W(o, o, 0, 0, 0, t) & W(o, p, 0, 0, 0, t) ->
+    (A e:Q . 0 < e -> (E d:Q . 0 < d & (A y1:Q y2:Q y3:Q y4:Q .
+      W(o, p, y1, y2, y3, y4) & 0 < (y4 - t)^2 & (y4 - t)^2 < d^2
+      -> ((y1 - 0)^2 + (y2 - 0)^2 + (y3 - 0)^2 - (y4 - t)^2 < e * (y4 - t)^2
+          | (y1 - 0)^2 + (y2 - 0)^2 + (y3 - 0)^2 - (y4 - t)^2 = e * (y4 - t)^2)
+       & ((y4 - t)^2 - ((y1 - 0)^2 + (y2 - 0)^2 + (y3 - 0)^2) < e * (y4 - t)^2
+          | (y4 - t)^2 - ((y1 - 0)^2 + (y2 - 0)^2 + (y3 - 0)^2) = e * (y4 - t)^2)))))
+  & (A o:B t:Q d1:Q d2:Q d3:Q . Ob(o) & W(o, o, 0, 0, 0, t) & d1^2 + d2^2 + d3^2 = 1 ->
+    (E p:B . Ph(p) & W(o, p, 0, 0, 0, t) & (A e:Q . 0 < e -> (E d:Q . 0 < d &
+      (A y1:Q y2:Q y3:Q y4:Q . W(o, p, y1, y2, y3, y4) & 0 < (y4 - t)^2 & (y4 - t)^2 < d^2
+        -> (y1 - d1 * (y4 - t))^2 + (y2 - d2 * (y4 - t))^2 + (y3 - d3 * (y4 - t))^2 < e^2 * (y4 - t)^2
+           | (y1 - d1 * (y4 - t))^2 + (y2 - d2 * (y4 - t))^2 + (y3 - d3 * (y4 - t))^2 = e^2 * (y4 - t)^2)))))
+
+# (1) an observer coordinatizes the events in which it was observed;
+# (2) domains of worldview transformations are open.
+axiom AxEv-:
+  (A o:B o':B x1:Q x2:Q x3:Q x4:Q . Ob(o) & Ob(o') & W(o', o, x1, x2, x3, x4) ->
+    (E y1:Q y2:Q y3:Q y4:Q . A b:B . W(o', b, x1, x2, x3, x4) <-> W(o, b, y1, y2, y3, y4)))
+  & (A o:B o':B x1:Q x2:Q x3:Q x4:Q y1:Q y2:Q y3:Q y4:Q .
+    Ob(o) & Ob(o') & (A b:B . W(o, b, x1, x2, x3, x4) <-> W(o', b, y1, y2, y3, y4)) ->
+    (E d:Q . 0 < d & (A x1':Q x2':Q x3':Q x4':Q .
+      (x1' - x1)^2 + (x2' - x2)^2 + (x3' - x3)^2 + (x4' - x4)^2 < d^2 ->
+      (E y1':Q y2':Q y3':Q y4':Q . A b:B . W(o, b, x1', x2', x3', x4') <-> W(o', b, y1', y2', y3', y4')))))
+
+# Meeting observers see each other's clocks behave the same way at the
+# meeting: first-order rates agree, stated cross-multiplied to avoid
+# division: s*(x4 - t) ~ s'*(y4 - t').
+axiom AxSymt-:
+  A o:B o':B t:Q t':Q . Ob(o) & Ob(o') & (A b:B . W(o, b, 0, 0, 0, t) <-> W(o', b, 0, 0, 0, t')) ->
+    (A e:Q . 0 < e -> (E d:Q . 0 < d & (A s:Q s':Q x1:Q x2:Q x3:Q x4:Q y1:Q y2:Q y3:Q y4:Q .
+      0 < s^2 & s^2 < d^2 & 0 < s'^2 & s'^2 < d^2
+      & (A b:B . W(o, b, 0, 0, 0, t + s) <-> W(o', b, y1, y2, y3, y4))
+      & (A b:B . W(o', b, 0, 0, 0, t' + s') <-> W(o, b, x1, x2, x3, x4))
+      -> (s * (x4 - t) - s' * (y4 - t') < e * (s^2 + s'^2)
+          | s * (x4 - t) - s' * (y4 - t') = e * (s^2 + s'^2))
+       & (s' * (y4 - t') - s * (x4 - t) < e * (s^2 + s'^2)
+          | s' * (y4 - t') - s * (x4 - t) = e * (s^2 + s'^2)))))
+"""
+
+# AxDiff_n: iterated difference quotients of the worldview transformation
+# converge along every line through every domain point, up to order n
+# (per-direction coefficients a_k).  Filled in by _ax_diff.
+_AX_DIFF = """
+A o:B o':B x1:Q x2:Q x3:Q x4:Q .
+  Ob(o) & Ob(o') & (E w1:Q w2:Q w3:Q w4:Q . A b:B . W(o, b, x1, x2, x3, x4) <-> W(o', b, w1, w2, w3, w4))
+  -> (A h1:Q h2:Q h3:Q h4:Q . E {coeffs} . A e:Q . 0 < e -> (E d:Q . 0 < d & (A l:Q {images} .
+       0 < l^2 & l^2 < d^2 & {steps} -> {bounds})))
+"""
+
+_PUBLIC_NAMES = {"AxSymd_literal": "AxSymd#literal"}
+_RECONSTRUCTIONS = {"AxCmv", "AxPh-", "AxEv-", "AxSymt-"}
 
 
-def _qv(name: str) -> Var:
-    return Var(name, Sort.QUANTITY)
+def _read_groups(text: str) -> dict:
+    texts: dict = {}
+    for _, name, body in theory_blocks(text):
+        group, _, sub = _PUBLIC_NAMES.get(name, name).partition(".")
+        texts.setdefault(group, []).append((sub or group, body))
+    return {name: AxiomGroup(name, tuple(items), name in _RECONSTRUCTIONS)
+            for name, items in texts.items()}
 
 
-def _sq(t: Term) -> Term:
-    return Mul(t, t)
+# Built once per process, so each group parses its sentences at most once.
+_GROUPS = _read_groups(_CORPUS)
+_SPECREL = ("AxField", "AxSelf", "AxPh", "AxEv", "AxSymd")
+_GENREL = ("AxField", "AxSelf-", "AxPh-", "AxEv-", "AxSymt-")
 
 
-def _le(a: Term, b: Term) -> Formula:
-    return Or(Less(a, b), EqQ(a, b))
+@functools.cache
+def _ax_diff(n: int) -> AxiomGroup:
+    def num(k: int) -> str:
+        return "1" if k == 1 else "(%s)" % " + ".join(["1"] * k)
 
+    def lam_pow(k: int) -> str:
+        return "l" if k == 1 else "(%s)" % " * ".join(["l"] * k)
 
-def _num(k: int) -> Term:
-    if k == 0:
-        return ZeroC()
-    t: Term = OneC()
-    for _ in range(k - 1):
-        t = Add(t, OneC())
-    return t
+    def names(prefix: str, rows) -> str:
+        return " ".join("%s%d%d:Q" % (prefix, j, c) for j in rows for c in range(1, 5))
 
-
-def _names4(prefix: str) -> list:
-    # Primes go after the digit (x1', x2', ...) so names stay single tokens.
-    ticks = len(prefix) - len(prefix.rstrip("'"))
-    stem = prefix.rstrip("'")
-    return ["%s%d%s" % (stem, i, "'" * ticks) for i in range(1, 5)]
-
-
-def _vars4(prefix: str) -> list:
-    return [_qv(name) for name in _names4(prefix)]
-
-
-def _spatial_dist2(xs, ys) -> Term:
-    parts = [_sq(Sub(xs[i], ys[i])) for i in range(3)]
-    return Add(Add(parts[0], parts[1]), parts[2])
-
-
-def _dist4sq(xs, ys) -> Term:
-    return Add(_spatial_dist2(xs, ys), _sq(Sub(xs[3], ys[3])))
-
-
-def _corr(o: str, o2: str, xs, ys, bname: str = "b") -> Formula:
-    """The event-correspondence subformula: A b . W(o,b,xs) <-> W(o2,b,ys)."""
-    b = _bv(bname)
-    return Forall(bname, Sort.BODY,
-                  Iff(WAtom(_bv(o), b, *xs), WAtom(_bv(o2), b, *ys)))
-
-
-# ---------------------------------------------------------------------------
-# SpecRel axioms.
-
-
-def _ax_field_sentences() -> tuple:
-    x, y, z = _qv("x"), _qv("y"), _qv("z")
-    zero, one = ZeroC(), OneC()
-    items = [
-        ("add_assoc", forall_many(["x", "y", "z"], Sort.QUANTITY,
-                                  EqQ(Add(Add(x, y), z), Add(x, Add(y, z))))),
-        ("add_comm", forall_many(["x", "y"], Sort.QUANTITY, EqQ(Add(x, y), Add(y, x)))),
-        ("add_identity", Forall("x", Sort.QUANTITY, EqQ(Add(x, zero), x))),
-        ("add_inverse", Forall("x", Sort.QUANTITY,
-                               Exists("y", Sort.QUANTITY, EqQ(Add(x, y), zero)))),
-        ("mul_assoc", forall_many(["x", "y", "z"], Sort.QUANTITY,
-                                  EqQ(Mul(Mul(x, y), z), Mul(x, Mul(y, z))))),
-        ("mul_comm", forall_many(["x", "y"], Sort.QUANTITY, EqQ(Mul(x, y), Mul(y, x)))),
-        ("mul_identity", Forall("x", Sort.QUANTITY, EqQ(Mul(x, one), x))),
-        ("mul_inverse", Forall("x", Sort.QUANTITY,
-                               Implies(Not(EqQ(x, zero)),
-                                       Exists("y", Sort.QUANTITY, EqQ(Mul(x, y), one))))),
-        ("distributive", forall_many(["x", "y", "z"], Sort.QUANTITY,
-                                     EqQ(Mul(x, Add(y, z)), Add(Mul(x, y), Mul(x, z))))),
-        ("zero_one_distinct", Not(EqQ(zero, one))),
-        ("less_irreflexive", Forall("x", Sort.QUANTITY, Not(Less(x, x)))),
-        ("less_transitive", forall_many(["x", "y", "z"], Sort.QUANTITY,
-                                        Implies(And(Less(x, y), Less(y, z)), Less(x, z)))),
-        ("less_total", forall_many(["x", "y"], Sort.QUANTITY,
-                                   disj([Less(x, y), EqQ(x, y), Less(y, x)]))),
-        ("add_monotone", forall_many(["x", "y", "z"], Sort.QUANTITY,
-                                     Implies(Less(x, y), Less(Add(x, z), Add(y, z))))),
-        ("mul_positive", forall_many(["x", "y"], Sort.QUANTITY,
-                                     Implies(And(Less(zero, x), Less(zero, y)),
-                                             Less(zero, Mul(x, y))))),
-    ]
-    return tuple(items)
-
-
-def _ax_self() -> Formula:
-    o = _bv("o")
-    x, y, z, t = _qv("x"), _qv("y"), _qv("z"), _qv("t")
-    zero = ZeroC()
-    body = Implies(
-        IObAtom(o),
-        Iff(WAtom(o, o, x, y, z, t),
-            conj([EqQ(x, zero), EqQ(y, zero), EqQ(z, zero)])),
-    )
-    return Forall("o", Sort.BODY, forall_many(["x", "y", "z", "t"], Sort.QUANTITY, body))
-
-
-def _ax_ph() -> Formula:
-    o, p = _bv("o"), _bv("p")
-    xs, ys = _vars4("x"), _vars4("x'")
-    photon = Exists("p", Sort.BODY,
-                    conj([PhAtom(p), WAtom(o, p, *xs), WAtom(o, p, *ys)]))
-    lightlike = EqQ(_spatial_dist2(xs, ys), _sq(Sub(xs[3], ys[3])))
-    body = Implies(IObAtom(o), Iff(photon, lightlike))
-    return Forall("o", Sort.BODY,
-                  forall_many(_names4("x") + _names4("x'"), Sort.QUANTITY, body))
-
-
-def _ax_ev() -> Formula:
-    o, o2 = _bv("o"), _bv("o'")
-    xs, ys = _vars4("x"), _vars4("x'")
-    body = Implies(
-        And(IObAtom(o), IObAtom(o2)),
-        exists_many(_names4("x'"), Sort.QUANTITY, _corr("o", "o'", xs, ys)),
-    )
-    return forall_many(["o", "o'"], Sort.BODY,
-                       forall_many(_names4("x"), Sort.QUANTITY, body))
-
-
-def _ax_symd(literal: bool = False) -> Formula:
-    xs, xs2 = _vars4("x"), _vars4("x'")
-    ys, ys2 = _vars4("y"), _vars4("y'")
-    hyp = conj([
-        IObAtom(_bv("o")), IObAtom(_bv("o'")),
-        EqQ(xs[3], ys[3]), EqQ(xs2[3], ys2[3]),
-        _corr("o", "o'", xs, xs2),
-        _corr("o", "o'", ys, ys2),
-    ])
-    if not literal:
-        rhs = _spatial_dist2(xs2, ys2)
-    else:
-        # The displayed right-hand side, transcribed under the component
-        # naming used elsewhere in the axioms (z'_i read as the third
-        # components).  Demonstrably not the intended formula.
-        rhs = Add(Add(_sq(Sub(xs2[0], xs2[1])), _sq(Sub(ys2[0], ys2[1]))),
-                  _sq(Sub(xs2[2], ys2[2])))
-    body = Implies(hyp, EqQ(_spatial_dist2(xs, ys), rhs))
-    names = _names4("x") + _names4("x'") + _names4("y") + _names4("y'")
-    return forall_many(["o", "o'"], Sort.BODY, forall_many(names, Sort.QUANTITY, body))
-
-
-# ---------------------------------------------------------------------------
-# AccRel: the co-moving observer axiom (reconstruction).
-
-
-def _ax_cmv() -> Formula:
-    # At each moment of its life, an observer sees the nearby world for a
-    # short while like some inertial observer: the worldview
-    # correspondence k -> m is the identity to first order at the moment.
-    k, m = "k", "m"
-    xs, ys = _vars4("x"), _vars4("y")
-    t = _qv("t")
-    e, d = _qv("e"), _qv("d")
-    here = [ZeroC(), ZeroC(), ZeroC(), t]
-    near = Less(_dist4sq(xs, here), _sq(d))
-    close = _le(_dist4sq(ys, xs), Mul(_sq(e), _dist4sq(xs, here)))
-    inner = forall_many(_names4("x") + _names4("y"), Sort.QUANTITY,
-                        Implies(And(_corr(k, m, xs, ys), near), close))
-    ladder = Forall("e", Sort.QUANTITY,
-                    Implies(Less(ZeroC(), e),
-                            Exists("d", Sort.QUANTITY, And(Less(ZeroC(), d), inner))))
-    witness = Exists(m, Sort.BODY, And(IObAtom(_bv(m)), ladder))
-    body = Implies(ObAtom(_bv(k)),
-                   Forall("t", Sort.QUANTITY,
-                          Implies(WAtom(_bv(k), _bv(k), *here), witness)))
-    return Forall(k, Sort.BODY, body)
-
-
-# ---------------------------------------------------------------------------
-# GenRel axioms (localized; reconstructions except AxSelf-).
-
-
-def _ax_self_minus() -> Formula:
-    o = _bv("o")
-    x, y, z, t = _qv("x"), _qv("y"), _qv("z"), _qv("t")
-    zero = ZeroC()
-    body = Implies(WAtom(o, o, x, y, z, t),
-                   conj([EqQ(x, zero), EqQ(y, zero), EqQ(z, zero)]))
-    return Forall("o", Sort.BODY, forall_many(["x", "y", "z", "t"], Sort.QUANTITY, body))
-
-
-def _ax_ev_minus() -> Formula:
-    o, o2 = _bv("o"), _bv("o'")
-    xs, ys = _vars4("x"), _vars4("y")
-    xs2, ys2 = _vars4("x'"), _vars4("y'")
-    # (1) an observer coordinatizes the events in which it was observed
-    seen = forall_many(["o", "o'"], Sort.BODY, forall_many(_names4("x"), Sort.QUANTITY, Implies(
-        conj([ObAtom(o), ObAtom(o2), WAtom(o2, o, *xs)]),
-        exists_many(_names4("y"), Sort.QUANTITY, _corr("o'", "o", xs, ys)),
-    )))
-    # (2) domains of worldview transformations are open
-    d = _qv("d")
-    inner = forall_many(_names4("x'"), Sort.QUANTITY, Implies(
-        Less(_dist4sq(xs2, xs), _sq(d)),
-        exists_many(_names4("y'"), Sort.QUANTITY, _corr("o", "o'", xs2, ys2)),
-    ))
-    open_domains = forall_many(["o", "o'"], Sort.BODY, forall_many(
-        _names4("x") + _names4("y"), Sort.QUANTITY, Implies(
-            conj([ObAtom(o), ObAtom(o2), _corr("o", "o'", xs, ys)]),
-            Exists("d", Sort.QUANTITY, And(Less(ZeroC(), d), inner)),
-        )))
-    return And(seen, open_domains)
-
-
-def _ax_ph_minus() -> Formula:
-    o, p = _bv("o"), _bv("p")
-    t = _qv("t")
-    e, d = _qv("e"), _qv("d")
-    ys = _vars4("y")
-    here = [ZeroC(), ZeroC(), ZeroC(), t]
-    origin3 = [ZeroC(), ZeroC(), ZeroC(), ys[3]]
-    dt2 = _sq(Sub(ys[3], t))
-    space2 = _spatial_dist2(ys, origin3)
-    diff_hi = _le(Sub(space2, dt2), Mul(e, dt2))
-    diff_lo = _le(Sub(dt2, space2), Mul(e, dt2))
-    speed_one = forall_many(_names4("y"), Sort.QUANTITY, Implies(
-        conj([WAtom(o, p, *ys), Less(ZeroC(), dt2), Less(dt2, _sq(d))]),
-        And(diff_hi, diff_lo),
-    ))
-    ladder = Forall("e", Sort.QUANTITY, Implies(Less(ZeroC(), e), Exists(
-        "d", Sort.QUANTITY, And(Less(ZeroC(), d), speed_one))))
-    clause1 = forall_many(["o", "p"], Sort.BODY, Forall("t", Sort.QUANTITY, Implies(
-        conj([ObAtom(o), PhAtom(p), WAtom(o, o, *here), WAtom(o, p, *here)]),
-        ladder,
-    )))
-    # any observer can send out photons in any direction, at unit speed
-    ds = [_qv("d1"), _qv("d2"), _qv("d3")]
-    unit = EqQ(Add(Add(_sq(ds[0]), _sq(ds[1])), _sq(ds[2])), OneC())
-    ray = [Mul(ds[0], Sub(ys[3], t)), Mul(ds[1], Sub(ys[3], t)), Mul(ds[2], Sub(ys[3], t)), ys[3]]
-    off_ray2 = _spatial_dist2(ys, ray)
-    track = forall_many(_names4("y"), Sort.QUANTITY, Implies(
-        conj([WAtom(o, p, *ys), Less(ZeroC(), dt2), Less(dt2, _sq(d))]),
-        _le(off_ray2, Mul(_sq(e), dt2)),
-    ))
-    ladder2 = Forall("e", Sort.QUANTITY, Implies(Less(ZeroC(), e), Exists(
-        "d", Sort.QUANTITY, And(Less(ZeroC(), d), track))))
-    emission = Exists("p", Sort.BODY, conj([PhAtom(p), WAtom(o, p, *here), ladder2]))
-    clause2 = Forall("o", Sort.BODY, forall_many(["t", "d1", "d2", "d3"], Sort.QUANTITY, Implies(
-        conj([ObAtom(o), WAtom(o, o, *here), unit]), emission)))
-    return And(clause1, clause2)
-
-
-def _ax_symt_minus() -> Formula:
-    # Meeting observers see each other's clocks behave the same way at the
-    # meeting: first-order rates agree, stated cross-multiplied to avoid
-    # division: s*(x4 - t) ~ s'*(y4 - t').
-    t, t2 = _qv("t"), _qv("t'")
-    s, s2 = _qv("s"), _qv("s'")
-    e, d = _qv("e"), _qv("d")
-    xs, ys = _vars4("x"), _vars4("y")
-    here_o = [ZeroC(), ZeroC(), ZeroC(), t]
-    here_o2 = [ZeroC(), ZeroC(), ZeroC(), t2]
-    tick_o = [ZeroC(), ZeroC(), ZeroC(), Add(t, s)]
-    tick_o2 = [ZeroC(), ZeroC(), ZeroC(), Add(t2, s2)]
-    lhs = Mul(s, Sub(xs[3], t))
-    rhs = Mul(s2, Sub(ys[3], t2))
-    small = Add(_sq(s), _sq(s2))
-    sym_hi = _le(Sub(lhs, rhs), Mul(e, small))
-    sym_lo = _le(Sub(rhs, lhs), Mul(e, small))
-    inner = forall_many(["s", "s'"] + _names4("x") + _names4("y"), Sort.QUANTITY, Implies(
-        conj([
-            Less(ZeroC(), _sq(s)), Less(_sq(s), _sq(d)),
-            Less(ZeroC(), _sq(s2)), Less(_sq(s2), _sq(d)),
-            _corr("o", "o'", tick_o, ys),
-            _corr("o'", "o", tick_o2, xs),
-        ]),
-        And(sym_hi, sym_lo),
-    ))
-    ladder = Forall("e", Sort.QUANTITY, Implies(Less(ZeroC(), e), Exists(
-        "d", Sort.QUANTITY, And(Less(ZeroC(), d), inner))))
-    body = Implies(
-        conj([ObAtom(_bv("o")), ObAtom(_bv("o'")), _corr("o", "o'", here_o, here_o2)]),
-        ladder,
-    )
-    return forall_many(["o", "o'"], Sort.BODY, forall_many(["t", "t'"], Sort.QUANTITY, body))
-
-
-def _ax_diff(n: int) -> Formula:
-    """AxDiff_n: iterated difference quotients of the worldview
-    transformation converge along every line through every domain point,
-    up to order n (per-direction coefficients)."""
-    if n < 1:
-        raise ValueError("differentiability order must be >= 1")
-    xs = _vars4("x")
-    hs = _vars4("h")
-    lam = _qv("l")
-    e, d = _qv("e"), _qv("d")
-    y_names = [_names4("y%d" % j) for j in range(n + 1)]
-    y_vars = [[_qv(nm) for nm in row] for row in y_names]
-    a_names = [_names4("a%d" % k) for k in range(1, n + 1)]
-    a_vars = [[_qv(nm) for nm in row] for row in a_names]
-
-    def scaled_point(j: int) -> list:
-        # x + j*lambda*h
-        if j == 0:
-            return list(xs)
-        step = [Mul(_num(j), Mul(lam, hs[i])) for i in range(4)]
-        return [Add(xs[i], step[i]) for i in range(4)]
-
-    corr_chain = [_corr("o", "o'", scaled_point(j), y_vars[j]) for j in range(n + 1)]
-
-    def lam_pow(k: int) -> Term:
-        t: Term = lam
-        for _ in range(k - 1):
-            t = Mul(t, lam)
-        return t
-
+    points = ["x1, x2, x3, x4"] + [
+        ", ".join("x%d + %s * (l * h%d)" % (c, num(j), c) for c in range(1, 5))
+        for j in range(1, n + 1)]
+    steps = " & ".join("(A b:B . W(o, b, %s) <-> W(o', b, y%d1, y%d2, y%d3, y%d4))"
+                       % (p, j, j, j, j) for j, p in enumerate(points))
     bounds = []
     for k in range(1, n + 1):
-        # component-wise k-th forward difference minus k! * a_k * lambda^k
-        fact = math.factorial(k)
-        residual2 = None
-        for c in range(4):
-            acc: Optional[Term] = None
-            for j in range(0, k + 1):
+        # Component-wise k-th difference minus k! * a_k * l^k.  The j >= 1
+        # terms get (-1)^(k-j) but the j = 0 term no sign, so for odd k this
+        # is not the forward difference; the golden pins it as it stands.
+        residuals = []
+        for c in range(1, 5):
+            diff = "y0%d" % c
+            for j in range(1, k + 1):
                 coeff = math.comb(k, j)
-                part = Mul(_num(coeff), y_vars[j][c]) if coeff != 1 else y_vars[j][c]
-                if acc is None:
-                    acc = part
-                elif (k - j) % 2 == 0:
-                    acc = Add(acc, part)
-                else:
-                    acc = Sub(acc, part)
-            # note: loop order gives sign (-1)^(k-j) with j ascending
-            expected = Mul(_num(fact), Mul(a_vars[k - 1][c], lam_pow(k)))
-            comp = _sq(Sub(acc, expected))
-            residual2 = comp if residual2 is None else Add(residual2, comp)
-        lam2k = _sq(lam_pow(k))
-        bounds.append(_le(residual2, Mul(_sq(e), lam2k)))
-
-    flat_y = [nm for row in y_names for nm in row]
-    inner = forall_many(["l"] + flat_y, Sort.QUANTITY, Implies(
-        conj([Less(ZeroC(), _sq(lam)), Less(_sq(lam), _sq(d))] + corr_chain),
-        conj(bounds),
-    ))
-    ladder = Forall("e", Sort.QUANTITY, Implies(Less(ZeroC(), e), Exists(
-        "d", Sort.QUANTITY, And(Less(ZeroC(), d), inner))))
-    flat_a = [nm for row in a_names for nm in row]
-    with_coeffs = exists_many(flat_a, Sort.QUANTITY, ladder)
-    ws = _vars4("w")
-    in_domain = exists_many(_names4("w"), Sort.QUANTITY, _corr("o", "o'", xs, ws))
-    body = Implies(conj([ObAtom(_bv("o")), ObAtom(_bv("o'")), in_domain]),
-                   forall_many(_names4("h"), Sort.QUANTITY, with_coeffs))
-    return forall_many(["o", "o'"], Sort.BODY, forall_many(_names4("x"), Sort.QUANTITY, body))
+                part = "y%d%d" % (j, c) if coeff == 1 else "%s * y%d%d" % (num(coeff), j, c)
+                diff += " %s %s" % ("+" if (k - j) % 2 == 0 else "-", part)
+            residuals.append("(%s - %s * (a%d%d * %s))^2"
+                             % (diff, num(math.factorial(k)), k, c, lam_pow(k)))
+        residual, scale = " + ".join(residuals), "e^2 * %s^2" % lam_pow(k)
+        bounds.append("(%s < %s | %s = %s)" % (residual, scale, residual, scale))
+    text = _AX_DIFF.format(coeffs=names("a", range(1, n + 1)), images=names("y", range(n + 1)),
+                           steps=steps, bounds=" & ".join(bounds))
+    name = "AxDiff_%d" % n
+    return AxiomGroup(name, ((name, " ".join(text.split())),), reconstruction=True)
 
 
 # ---------------------------------------------------------------------------
 # Theories.
 
 
-def _specrel_groups() -> tuple:
-    return (
-        AxiomGroup("AxField", _ax_field_sentences()),
-        AxiomGroup("AxSelf", (("AxSelf", _ax_self()),)),
-        AxiomGroup("AxPh", (("AxPh", _ax_ph()),)),
-        AxiomGroup("AxEv", (("AxEv", _ax_ev()),)),
-        AxiomGroup("AxSymd", (("AxSymd", _ax_symd()),)),
-    )
-
-
 def axiom_corpus(name: str) -> Theory:
     """Theory by name: SpecRel, AccRelMinus, AccRel, or GenRel(n)."""
     if name == "SpecRel":
-        return Theory("SpecRel", _specrel_groups())
-    if name in ("AccRelMinus", "AccRel-"):
-        groups = _specrel_groups() + (
-            AxiomGroup("AxCmv", (("AxCmv", _ax_cmv()),), reconstruction=True),
-        )
+        return Theory("SpecRel", tuple(_GROUPS[g] for g in _SPECREL))
+    if name in ("AccRelMinus", "AccRel-", "AccRel"):
+        groups = tuple(_GROUPS[g] for g in _SPECREL + ("AxCmv",))
+        if name == "AccRel":
+            return Theory("AccRel", groups, has_ind_schema=True)
         return Theory("AccRelMinus", groups)
-    if name == "AccRel":
-        groups = _specrel_groups() + (
-            AxiomGroup("AxCmv", (("AxCmv", _ax_cmv()),), reconstruction=True),
-        )
-        return Theory("AccRel", groups, has_ind_schema=True)
     m = re.fullmatch(r"GenRel\((\d+)\)", name)
-    if m:
-        n = int(m.group(1))
-        if n < 1:
-            raise UnknownTheory(name)
-        groups = (
-            AxiomGroup("AxField", _ax_field_sentences()),
-            AxiomGroup("AxSelf-", (("AxSelf-", _ax_self_minus()),)),
-            AxiomGroup("AxPh-", (("AxPh-", _ax_ph_minus()),), reconstruction=True),
-            AxiomGroup("AxEv-", (("AxEv-", _ax_ev_minus()),), reconstruction=True),
-            AxiomGroup("AxSymt-", (("AxSymt-", _ax_symt_minus()),), reconstruction=True),
-            AxiomGroup("AxDiff_%d" % n, (("AxDiff_%d" % n, _ax_diff(n)),), reconstruction=True),
-        )
+    if m and int(m.group(1)) >= 1:
+        groups = tuple(_GROUPS[g] for g in _GENREL) + (_ax_diff(int(m.group(1))),)
         return Theory(name, groups, has_ind_schema=True)
     raise UnknownTheory(name)
 
 
 def named_axiom(name: str) -> Formula:
     """A single axiom sentence by name (e.g. ``AxPh``, ``AxSymd#literal``)."""
-    if name == "AxSymd#literal":
-        return _ax_symd(literal=True)
+    groups = [_GROUPS["AxSymd#literal"]]
     for theory in ("SpecRel", "AccRel", "GenRel(2)"):
-        for group in axiom_corpus(theory).groups:
-            for sub, sentence in group.sentences:
-                if sub == name or group.name == name and len(group.sentences) == 1:
-                    return sentence
+        groups += axiom_corpus(theory).groups
+    for group in groups:
+        for i, (sub, _) in enumerate(group.texts):
+            if sub == name:
+                return group.sentences[i][1]
     raise UnknownTheory(name)
 
 
@@ -461,8 +268,8 @@ def all_named_axioms() -> list:
                 key = (group.name, sub)
                 if key not in seen:
                     seen.add(key)
-                    out.append(("%s.%s" % key if len(group.sentences) > 1 else sub, sentence))
-    out.append(("AxSymd#literal", _ax_symd(literal=True)))
+                    out.append(("%s.%s" % key if len(group.texts) > 1 else sub, sentence))
+    out += _GROUPS["AxSymd#literal"].sentences
     return out
 
 
@@ -649,14 +456,17 @@ def instantiate_ind(phi: Formula, var: str = "t") -> Formula:
     sup_name = fresh("s")
     other_ub = fresh("u'")
 
+    def le(a: str, b: str) -> Formula:
+        a, b = Var(a, Sort.QUANTITY), Var(b, Sort.QUANTITY)
+        return Or(Less(a, b), EqQ(a, b))
+
     def upper_bound(u: str) -> Formula:
-        return Forall(var, Sort.QUANTITY,
-                      Implies(phi, _le(_qv(var), _qv(u))))
+        return Forall(var, Sort.QUANTITY, Implies(phi, le(var, u)))
 
     nonempty = Exists(var, Sort.QUANTITY, phi)
     bounded = Exists(ub_name, Sort.QUANTITY, upper_bound(ub_name))
     least = Forall(other_ub, Sort.QUANTITY,
-                   Implies(upper_bound(other_ub), _le(_qv(sup_name), _qv(other_ub))))
+                   Implies(upper_bound(other_ub), le(sup_name, other_ub)))
     has_sup = Exists(sup_name, Sort.QUANTITY, And(upper_bound(sup_name), least))
     instance = Implies(And(nonempty, bounded), has_sup)
     for p in reversed(params):

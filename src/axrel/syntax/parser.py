@@ -28,7 +28,7 @@ from .ast import (
     WAtom, ZeroC, free_vars,
 )
 
-__all__ = ["parse", "parse_theory_file", "FormulaSyntaxError"]
+__all__ = ["parse", "parse_theory_file", "theory_blocks", "FormulaSyntaxError"]
 
 RESERVED = {"A", "E", "IB", "Ph", "Ob", "IOb", "W", "B", "Q"}
 
@@ -292,25 +292,21 @@ def parse(text: str, declarations: Optional[Mapping[str, Sort]] = None) -> Formu
     return node
 
 
-def parse_theory_file(text: str) -> list:
-    """Parse a formula file: blocks of ``axiom NAME:`` / ``theorem NAME:``
-    headers each followed by one sentence (possibly spanning lines).
+def theory_blocks(text: str):
+    """The blocks of a formula file, unparsed: ``axiom NAME:`` /
+    ``theorem NAME:`` headers each followed by one sentence (possibly
+    spanning lines, joined by spaces); ``#`` starts a comment.
 
-    Returns a list of (kind, name, Formula).
+    Yields (kind, name, sentence text) in file order.
     """
-    entries = []
     current: Optional[tuple] = None
     buff: list = []
 
-    def flush():
-        nonlocal current, buff
-        if current is None:
-            return
+    def block() -> tuple:
         body = " ".join(buff).strip()
         if not body:
             raise FormulaSyntaxError("empty %s block %r" % current, 0)
-        entries.append((current[0], current[1], parse(body)))
-        current, buff = None, []
+        return current + (body,)
 
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].rstrip()
@@ -318,12 +314,20 @@ def parse_theory_file(text: str) -> list:
             continue
         m = re.match(r"\s*(axiom|theorem)\s+([A-Za-z0-9_.'-]+)\s*:\s*(.*)$", line)
         if m:
-            flush()
-            current = (m.group(1), m.group(2))
-            buff = [m.group(3)]
+            if current is not None:
+                yield block()
+            current, buff = (m.group(1), m.group(2)), [m.group(3)]
         else:
             if current is None:
                 raise FormulaSyntaxError("content outside axiom/theorem block: %r" % line, 0)
             buff.append(line)
-    flush()
-    return entries
+    if current is not None:
+        yield block()
+
+
+def parse_theory_file(text: str) -> list:
+    """Parse a formula file (see ``theory_blocks``).
+
+    Returns a list of (kind, name, Formula).
+    """
+    return [(kind, name, parse(body)) for kind, name, body in theory_blocks(text)]

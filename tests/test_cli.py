@@ -202,6 +202,15 @@ def test_report_command(files, capsys):
     assert any(k.startswith("IND.") for k in payload["results"])
 
 
+def test_report_is_check_json_under_its_own_label(files, capsys):
+    flags = ["--samples", "8", "--seed", "3"]
+    code, report, _ = run_cli(["report", files["galilean.model"], "--theory", "SpecRel"] + flags, capsys)
+    check_code, check, _ = run_cli(["check", "SpecRel", files["galilean.model"],
+                                    "--format", "json"] + flags, capsys)
+    assert (code, check_code) == (1, 1)
+    assert '"command": "report SpecRel"' in report
+    assert report == check.replace('"command": "check SpecRel"', '"command": "report SpecRel"')
+
 def test_golden_machine_report(files, capsys):
     golden = Path(__file__).parent / "golden" / "specrel_minkowski.json"
     from axrel.model import load_model

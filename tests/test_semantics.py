@@ -84,6 +84,13 @@ def test_witness_inertial_requires_timelike(two_observer):
                             coord4(0, 0, 0, 0), coord4(3, 0, 0, 2)) is None
 
 
+def test_witness_inertial_respects_the_chart_domain():
+    s = parse_model("structure capped\nfamilies photons inertials\nobserver rest\n"
+                    "observer capped velocity 1/2 0 0 domain 4 -inf 10\n")
+    capped = s.bodies["capped"]
+    assert witness_inertial(s, capped, coord4(0, 0, 0, 0), coord4(0, 0, 0, 1)) is not None
+    assert witness_inertial(s, capped, coord4(0, 0, 0, 20), coord4(0, 0, 0, 21)) is None
+
 def test_sampled_evaluation_agrees_with_certified(minkowski, galilean):
     for structure in (minkowski, galilean):
         certified = check_theory(structure, axiom_corpus("SpecRel"), BUDGET)
@@ -168,6 +175,18 @@ def test_broken_axev_restricted_domain():
                             "x1": x[0], "x2": x[1], "x3": x[2], "x4": x[3]}, BUDGET)
     assert check.is_fails
 
+
+@pytest.mark.parametrize("order", [("rest", "capped"), ("capped", "rest")])
+def test_axev_verdict_does_not_depend_on_declaration_order(order):
+    lines = {"rest": "observer rest",
+             "capped": "observer capped velocity 3/5 0 0 domain 4 -inf 10"}
+    s = parse_model("structure minkowski\n" + "\n".join(lines[o] for o in order) + "\n")
+    v = check_axiom(s, "AxEv", BUDGET, theory="SpecRel")
+    assert v.is_fails and v.method == "certified"
+    assert (v.evidence["o"], v.evidence["o'"]) == ("rest", "capped")
+    assert tuple(v.evidence[k] for k in ("x1", "x2", "x3", "x4")) == (
+        ER(Fr(33, 4)), ER(0), ER(0), ER(Fr(55, 4)))
+    assert recheck_counterexample(s, named_axiom("AxEv"), v.evidence)
 
 def test_broken_axsymd_scaled_chart():
     scale = [[ER(2 if i == j == 0 else (1 if i == j else 0)) for j in range(4)]

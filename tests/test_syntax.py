@@ -1,4 +1,9 @@
+import hashlib
+import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +15,7 @@ from axrel.syntax import (
     parse_theory_file, print_formula, FormulaSyntaxError, UnknownTheory,
 )
 from axrel.syntax.corpus import NotQuantityVariable
+from axrel.syntax.parser import theory_blocks
 from axrel.syntax.ast import subformulas
 
 
@@ -225,3 +231,68 @@ theorem trivial: A x:Q . x = x
     assert [(k, n) for k, n, _ in entries] == [
         ("axiom", "self_like"), ("theorem", "trivial")]
     assert all(is_sentence(f) for _, _, f in entries)
+
+
+def _corpus_snapshot():
+    sentences = {name: hashlib.sha256(repr(s).encode()).hexdigest()
+                 for name, s in all_named_axioms()}
+    theories = {}
+    for name in ("SpecRel", "AccRelMinus", "AccRel", "GenRel(1)", "GenRel(2)", "GenRel(3)"):
+        th = axiom_corpus(name)
+        theories[name] = {
+            "name": th.name, "has_ind_schema": th.has_ind_schema,
+            "groups": [{"name": g.name, "subs": [sub for sub, _ in g.sentences],
+                        "reconstruction": g.reconstruction} for g in th.groups]}
+    return {"sentences": sentences, "theories": theories}
+
+
+def test_corpus_asts_match_the_golden():
+    # sha256 of repr(sentence) (repr leaves out source positions) for all
+    # 28 corpus sentences, and each theory's group layout.
+    golden = Path(__file__).parent / "golden" / "corpus_ast.json"
+    assert json.dumps(_corpus_snapshot(), indent=1) + "\n" == golden.read_text()
+
+
+_LAZY_PROBE = """
+import contextlib, io, sys
+sys.path.insert(0, {src!r})
+from fractions import Fraction
+from axrel.cli import main
+from axrel.model import ObserverSpec, standard_minkowski
+from axrel.semantics import Budget, check_theory
+from axrel.syntax import axiom_corpus, corpus
+
+def parsed():
+    groups = list(corpus._GROUPS.values()) + [corpus._ax_diff(n) for n in (1, 2, 3)]
+    return sorted(g.name for g in groups if "sentences" in g.__dict__)
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["axioms", "list"]) == 0
+print(parsed())
+s = standard_minkowski([ObserverSpec("rest"), ObserverSpec("boosted", velocity=(Fraction(3, 5), 0, 0))])
+check_theory(s, axiom_corpus("AccRel"), Budget(samples=4, seed=1))
+print(parsed())
+"""
+
+
+def test_certified_checks_and_axioms_list_parse_no_corpus_group():
+    # A fresh interpreter, since groups parse once per process.
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", _LAZY_PROBE.format(src=str(src))],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["[]", "[]"]
+
+
+def test_groups_parse_once_and_named_axiom_reuses_them():
+    group = axiom_corpus("SpecRel").group("AxPh")
+    assert group is axiom_corpus("AccRel").group("AxPh")
+    assert named_axiom("AxPh") is group.sentences[0][1]
+    assert axiom_corpus("GenRel(2)").group("AxDiff_2") is axiom_corpus("GenRel(2)").group("AxDiff_2")
+
+
+def test_theory_blocks_return_unparsed_texts():
+    text = "axiom a: A x:Q .\n  x = x  # comment\ntheorem b: & not a formula\n"
+    assert list(theory_blocks(text)) == [("axiom", "a", "A x:Q .   x = x"),
+                                         ("theorem", "b", "& not a formula")]
+    with pytest.raises(FormulaSyntaxError):
+        parse_theory_file(text)
