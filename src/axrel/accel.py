@@ -25,10 +25,10 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .field import ApproxReal, ER, ExactReal, sqrt
-from .kinematics import AffineMap, Coord4, PoincareMap, boost, coord4, mu
+from .kinematics import AffineMap, Coord4, PoincareMap, coord4
 from .model import (
     Body, DifferentiableChart, InertialLine, PhotonLine, PiecewiseInertial,
-    SmoothNumeric, Structure, parse_model, _parse_body,
+    SmoothNumeric, Structure, _parse_body, declaration_lines,
 )
 from .numeric import (
     NotDifferentiable, apply4, float_boost, one_sided_jump, richardson_derivative, velocity_at,
@@ -416,27 +416,24 @@ def parse_scenario(text: str) -> AcceleratedScenario:
     home_id: Optional[str] = None
     trav_id: Optional[str] = None
     meets = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        words = line.split()
-        arity = _SCENARIO_ARITY.get(words[0])
-        if arity is not None and len(words) - 1 != arity:
-            raise ValueError("line %d: %s needs %d values in %r" % (lineno, words[0], arity, line))
-        if words[0] == "scenario":
-            name = words[1]
-        elif words[0] == "body":
-            b = _parse_body(words[1:], line, lineno)
-            bodies[b.id] = b
-        elif words[0] == "home":
-            home_id = words[1]
-        elif words[0] == "traveler":
-            trav_id = words[1]
-        elif words[0] == "meet":
-            meets.append(coord4(*[ER(w) for w in words[1:]]))
-        else:
-            raise ValueError("line %d: unknown scenario line %r" % (lineno, line))
+    for head, args, numbered in declaration_lines(text):
+        with numbered:
+            arity = _SCENARIO_ARITY.get(head)
+            if arity is not None and len(args) != arity:
+                raise ValueError("%s needs %d values" % (head, arity))
+            if head == "scenario":
+                name = args[0]
+            elif head == "body":
+                b = _parse_body(args)
+                bodies[b.id] = b
+            elif head == "home":
+                home_id = args[0]
+            elif head == "traveler":
+                trav_id = args[0]
+            elif head == "meet":
+                meets.append(coord4(*[ER(w) for w in args]))
+            else:
+                raise ValueError("unknown scenario line %r" % head)
     if home_id is None or trav_id is None or len(meets) != 2:
         raise ValueError("scenario needs home, traveler and two meet lines")
     for role, bid in (("home", home_id), ("traveler", trav_id)):

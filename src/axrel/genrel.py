@@ -32,11 +32,11 @@ import numpy as np
 
 from .exprs import compile_float, parse_expression
 from .field import ER
-from .model import DifferentiableChart, SmoothNumeric
+from .model import DifferentiableChart, SmoothNumeric, _integer, declaration_lines
 from .numeric import (
     central_difference, one_sided_jump, require_positive_finite, velocity_at,
 )
-from .semantics import Verdict
+from .semantics import Verdict, combine_verdicts
 
 __all__ = [
     "MetricChart", "GeodesicResult", "DegenerateMetric", "NotTimelike",
@@ -574,38 +574,33 @@ def parse_chart_file(text: str) -> ChartSuiteConfig:
     entries: dict = {}
     observers: dict = {}
     meets: list = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        words = line.split()
-        head, args = words[0], words[1:]
-        arity = _CHART_ARITY.get(head)
-        if arity is not None and len(args) != arity:
-            raise ValueError("line %d: %s needs %d values in %r" % (lineno, head, arity, line))
-        if head == "chart":
-            name = args[0]
-        elif head == "order":
-            order = int(args[0])
-        elif head == "domain":
-            axis = _chart_index(args[0], lineno, line)
-            lo[axis] = -math.inf if args[1] == "-inf" else float(ER(args[1]))
-            hi[axis] = math.inf if args[2] == "inf" else float(ER(args[2]))
-        elif head == "g":
-            if len(args) < 4 or args[2] != "=":
-                raise ValueError("line %d: metric entry must read 'g I J = EXPR' in %r"
-                                 % (lineno, line))
-            i, j = _chart_index(args[0], lineno, line), _chart_index(args[1], lineno, line)
-            expr = parse_expression(" ".join(args[3:]), ("x1", "x2", "x3", "x4"))
-            fn = compile_float(expr, ("x1", "x2", "x3", "x4"))
-            entries[(i, j)] = fn
-            entries[(j, i)] = fn
-        elif head == "worldline":
-            observers[args[0]] = tuple(float(ER(w)) for w in args[1:])
-        elif head == "meet":
-            meets.append((args[0], args[1], tuple(float(ER(w)) for w in args[2:])))
-        else:
-            raise ValueError("line %d: unknown chart line %r" % (lineno, line))
+    for head, args, numbered in declaration_lines(text):
+        with numbered:
+            arity = _CHART_ARITY.get(head)
+            if arity is not None and len(args) != arity:
+                raise ValueError("%s needs %d values" % (head, arity))
+            if head == "chart":
+                name = args[0]
+            elif head == "order":
+                order = _integer(args[0])
+            elif head == "domain":
+                axis = _chart_index(args[0])
+                lo[axis] = -math.inf if args[1] == "-inf" else float(ER(args[1]))
+                hi[axis] = math.inf if args[2] == "inf" else float(ER(args[2]))
+            elif head == "g":
+                if len(args) < 4 or args[2] != "=":
+                    raise ValueError("metric entry must read 'g I J = EXPR'")
+                i, j = _chart_index(args[0]), _chart_index(args[1])
+                expr = parse_expression(" ".join(args[3:]), ("x1", "x2", "x3", "x4"))
+                fn = compile_float(expr, ("x1", "x2", "x3", "x4"))
+                entries[(i, j)] = fn
+                entries[(j, i)] = fn
+            elif head == "worldline":
+                observers[args[0]] = tuple(float(ER(w)) for w in args[1:])
+            elif head == "meet":
+                meets.append((args[0], args[1], tuple(float(ER(w)) for w in args[2:])))
+            else:
+                raise ValueError("unknown chart line %r" % head)
 
     def g(p):
         m = np.zeros((4, 4))
@@ -618,10 +613,10 @@ def parse_chart_file(text: str) -> ChartSuiteConfig:
     return ChartSuiteConfig(chart, observers, meets, order=order)
 
 
-def _chart_index(word: str, lineno: int, line: str) -> int:
+def _chart_index(word: str) -> int:
     """A 1-based axis or metric index, returned 0-based."""
     if word not in ("1", "2", "3", "4"):
-        raise ValueError("line %d: index %r must be 1 to 4 in %r" % (lineno, word, line))
+        raise ValueError("index %r must be 1 to 4" % word)
     return int(word) - 1
 
 
@@ -661,12 +656,12 @@ def check_chart_theory(config: ChartSuiteConfig, n: Optional[int] = None,
         line = obs_lines[nm]
         times = [line.t_min + (line.t_max - line.t_min) * k / 6 for k in range(1, 6)]
         verdicts.append(check_axself_minus(obs_charts[nm], line, times, tol))
-    out["AxSelf-"] = _merge(verdicts)
+    out["AxSelf-"] = combine_verdicts(verdicts)
     # AxPh-
     verdicts = []
     for p in chart.domain.sample_points(3):
         verdicts.append(check_axph_minus(chart, p, tol=tol))
-    out["AxPh-"] = _merge(verdicts)
+    out["AxPh-"] = combine_verdicts(verdicts)
     # AxEv-
     domains = {nm: chart.domain for nm in obs_charts} or {"chart": chart.domain}
     out["AxEv-"] = check_axev_minus(domains, obs_lines)
@@ -676,7 +671,7 @@ def check_chart_theory(config: ChartSuiteConfig, n: Optional[int] = None,
         w1 = obs_lines.get(a) or _static_worldline(chart, point[:3])
         w2 = obs_lines.get(b) or _static_worldline(chart, point[:3])
         verdicts.append(check_axsymt_minus(chart, w1, w2, point[3], tol))
-    out["AxSymt-"] = _merge(verdicts) if verdicts else Verdict.unknown(
+    out["AxSymt-"] = combine_verdicts(verdicts) if verdicts else Verdict.unknown(
         evidence={"note": "no meetings declared"})
     # AxDiff_n over worldview transformations between the observers
     verdicts = []
@@ -689,7 +684,7 @@ def check_chart_theory(config: ChartSuiteConfig, n: Optional[int] = None,
             fa, fb = obs_charts[a], obs_charts[b]
             transform = lambda p, fa=fa, fb=fb: fb.forward(fa.inverse(p))
             verdicts.append(check_axdiff(transform, n, probe, declared_order=99))
-    out["AxDiff_%d" % n] = _merge(verdicts) if verdicts else Verdict.holds(
+    out["AxDiff_%d" % n] = combine_verdicts(verdicts) if verdicts else Verdict.holds(
         method="sampled", evidence={"note": "no observer pairs"})
     # IND battery: field-language instances are structure-independent.
     empty = Structure([], {}, photon_family=False, inertial_family=False, name="field")
@@ -698,15 +693,3 @@ def check_chart_theory(config: ChartSuiteConfig, n: Optional[int] = None,
             out["IND.%s" % inst.name] = check_ind_instance(empty, inst)
     return out
 
-
-def _merge(verdicts: Sequence[Verdict]) -> Verdict:
-    for v in verdicts:
-        if v.is_fails:
-            return v
-    for v in verdicts:
-        if v.outcome == "Unknown":
-            return v
-    if not verdicts:
-        return Verdict.unknown()
-    tol = max((v.tolerance or 0.0) for v in verdicts) or None
-    return Verdict.holds(method="sampled", tolerance=tol)

@@ -100,25 +100,18 @@ class Poly:
 def term_to_poly(term, polys: dict, env: dict) -> Poly:
     """Quantity term -> polynomial: variables named in `polys` are those
     polynomials, other variables constants from env."""
-    from .syntax.ast import Add, Mul, OneC, Sub, Var, ZeroC
+    from .syntax.ast import OneC, Var, fold_term
 
-    if isinstance(term, Var):
-        if term.name in polys:
-            return polys[term.name]
-        if term.name not in env:
-            raise UnsupportedDefinableSet("unbound variable %s" % term.name)
-        return Poly([env[term.name]])
-    if isinstance(term, ZeroC):
-        return Poly([0])
-    if isinstance(term, OneC):
-        return Poly([1])
-    if isinstance(term, Add):
-        return term_to_poly(term.left, polys, env) + term_to_poly(term.right, polys, env)
-    if isinstance(term, Sub):
-        return term_to_poly(term.left, polys, env) - term_to_poly(term.right, polys, env)
-    if isinstance(term, Mul):
-        return term_to_poly(term.left, polys, env) * term_to_poly(term.right, polys, env)
-    raise UnsupportedDefinableSet("unsupported term %r" % (term,))
+    def leaf(t) -> Poly:
+        if isinstance(t, Var):
+            if t.name in polys:
+                return polys[t.name]
+            if t.name not in env:
+                raise UnsupportedDefinableSet("unbound variable %s" % t.name)
+            return Poly([env[t.name]])
+        return Poly([1 if isinstance(t, OneC) else 0])
+
+    return fold_term(term, leaf)
 
 
 # ---------------------------------------------------------------------------

@@ -305,41 +305,28 @@ def _arrival_time(s: "Structure", m: "Body", body: "Body", start: Coord4, target
     p0 = chart.apply(wl.point_at(ER(0)))
     p1 = chart.apply(wl.point_at(ER(1)))
     direction = vec_sub(p1, p0)
-    if not _line_contains(p0, direction, start):
+    if _line_param(p0, direction, start) is None:
         raise ConfigurationUnrealizable("%s does not pass the departure event" % body.id)
-    # Solve p0 + s*direction with spatial part == target.
-    sol = _line_reaches(p0, direction, target)
-    if sol is None:
+    # The line's spatial part must reach target; its time there is the answer.
+    param = _line_param(p0, direction, target)
+    if param is None:
         raise ConfigurationUnrealizable("%s never reaches the target location" % body.id)
-    return sol
-
-
-def _line_contains(p0: Coord4, direction: Coord4, event: Coord4) -> bool:
-    rhs = vec_sub(event, p0)
-    param = None
-    for i in range(4):
-        if not direction[i].is_zero():
-            param = rhs[i] / direction[i]
-            break
-    if param is None:
-        return all(c.is_zero() for c in rhs)
-    return all((p0[i] + param * direction[i]) == event[i] for i in range(4))
-
-
-def _line_reaches(p0: Coord4, direction: Coord4, target) -> ExactReal | None:
-    rhs = [target[i] - p0[i] for i in range(3)]
-    param = None
-    for i in range(3):
-        if not direction[i].is_zero():
-            param = rhs[i] / direction[i]
-            break
-    if param is None:
-        if not all(r.is_zero() for r in rhs):
-            return None
-        param = ER(0)
-    if not all((p0[i] + param * direction[i]) == target[i] for i in range(3)):
-        return None
     return p0[3] + param * direction[3]
+
+
+def _line_param(p0: Coord4, direction: Coord4, point) -> ExactReal | None:
+    """The s with p0 + s*direction equal to point in point's components
+    (all four, or the spatial three), or None if there is none.  s is 0
+    when those components of direction all vanish and p0 matches."""
+    n = len(point)
+    param = ER(0)
+    for i in range(n):
+        if not direction[i].is_zero():
+            param = (point[i] - p0[i]) / direction[i]
+            break
+    if all((p0[j] + param * direction[j]) == point[j] for j in range(n)):
+        return param
+    return None
 
 
 # ---------------------------------------------------------------------------

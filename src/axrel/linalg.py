@@ -48,34 +48,16 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
     return tuple(x - y for x, y in zip(u, v))
 
 
-def mat_inverse(a: Mat) -> Mat:
-    """Gauss-Jordan inverse; raises ValueError on singular input."""
-    n = len(a)
-    work = [list(row) + [ER(1 if i == j else 0) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = ER(1) / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and not work[r][col].is_zero():
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
-
-
-def solve_linear(a: Mat, b: Vec):
-    """One solution of A x = b, or None if inconsistent.
-
-    A may be rectangular; returns (solution, null_space_basis).
-    """
-    rows, cols = len(a), len(a[0]) if a else 0
-    work = [list(row) + [bi] for row, bi in zip(a, b)]
+def _eliminate(work: list, cols: int) -> list:
+    """Gauss-Jordan elimination in place on the first `cols` columns of the
+    augmented rows `work`: each pivot row is scaled to 1 and its column
+    cleared in every other row.  Returns the pivot columns, in row order."""
+    rows = len(work)
     pivots = []
     r = 0
     for c in range(cols):
+        if r == rows:
+            break
         pivot = next((i for i in range(r, rows) if not work[i][c].is_zero()), None)
         if pivot is None:
             continue
@@ -88,9 +70,27 @@ def solve_linear(a: Mat, b: Vec):
                 work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
         pivots.append(c)
         r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
+    return pivots
+
+
+def mat_inverse(a: Mat) -> Mat:
+    """Gauss-Jordan inverse; raises ValueError on singular input."""
+    n = len(a)
+    work = [list(row) + [ER(1 if i == j else 0) for j in range(n)] for i, row in enumerate(a)]
+    if len(_eliminate(work, n)) < n:
+        raise ValueError("singular matrix")
+    return tuple(tuple(row[n:]) for row in work)
+
+
+def solve_linear(a: Mat, b: Vec):
+    """One solution of A x = b, or None if inconsistent.
+
+    A may be rectangular; returns (solution, null_space_basis).
+    """
+    rows, cols = len(a), len(a[0]) if a else 0
+    work = [list(row) + [bi] for row, bi in zip(a, b)]
+    pivots = _eliminate(work, cols)
+    for i in range(len(pivots), rows):
         if not work[i][cols].is_zero():
             return None
     free = [c for c in range(cols) if c not in pivots]

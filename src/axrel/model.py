@@ -18,6 +18,7 @@ Model description files round-trip losslessly; see ``parse_model`` /
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -462,52 +463,64 @@ def parse_model(text: str) -> Structure:
     observers: list = []
     bodies: list = []
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        words = line.split()
-        head = words[0]
-        if head == "structure":
-            name = _one(words[1:], line)
-        elif head == "families":
-            families_seen = True
-            rest = words[1:]
-            if rest == ["none"]:
-                photon_family = inertial_family = False
+    for head, args, numbered in declaration_lines(text):
+        with numbered:
+            if head == "structure":
+                if len(args) != 1:
+                    raise ValueError("structure needs one name")
+                name = args[0]
+            elif head == "families":
+                families_seen = True
+                if args == ["none"]:
+                    photon_family = inertial_family = False
+                else:
+                    for w in args:
+                        if w == "photons":
+                            photon_family = True
+                        elif w == "inertials":
+                            inertial_family = True
+                        else:
+                            raise ValueError("unknown family %r" % w)
+            elif head == "observer":
+                observers.append(_parse_observer(args))
+            elif head == "body":
+                bodies.append(_parse_body(args))
             else:
-                for w in rest:
-                    if w == "photons":
-                        photon_family = True
-                    elif w == "inertials":
-                        inertial_family = True
-                    else:
-                        raise ValueError("unknown family %r" % w)
-        elif head == "observer":
-            observers.append(_parse_observer(words[1:], line, lineno))
-        elif head == "body":
-            bodies.append(_parse_body(words[1:], line, lineno))
-        else:
-            raise ValueError("unknown declaration %r" % line)
+                raise ValueError("unknown declaration %r" % head)
     if not families_seen:
         photon_family = inertial_family = True
 
     return _structure(observers, bodies, photon_family, inertial_family, name)
 
 
-def _one(rest, line):
-    if len(rest) != 1:
-        raise ValueError("malformed line %r" % line)
-    return rest[0]
+def declaration_lines(text: str):
+    """(head, args, numbered) for each line of a model, scenario or chart
+    file that is not blank once its `#` comment is cut: the first word, the
+    other words, and a context to read the line in.  A ValueError or
+    ZeroDivisionError raised inside ``with numbered:`` becomes a ValueError
+    reading `line N: MESSAGE in 'LINE'`."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            head, *args = line.split()
+            yield head, args, _numbered(lineno, line)
+
+
+@contextlib.contextmanager
+def _numbered(lineno: int, line: str):
+    try:
+        yield
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError("line %d: %s in %r" % (lineno, exc, line)) from None
 
 
 # Number of values that follow each observer field keyword.
 _OBSERVER_ARITY = {"velocity": 3, "galilean": 3, "rotate": 4, "translate": 4, "domain": 3}
 
 
-def _parse_observer(words, line, lineno) -> ObserverSpec:
+def _parse_observer(words) -> ObserverSpec:
     if not words:
-        raise ValueError("line %d: observer needs a name in %r" % (lineno, line))
+        raise ValueError("observer needs a name")
     name = words[0]
     i = 1
     velocity = (ER(0), ER(0), ER(0))
@@ -521,36 +534,33 @@ def _parse_observer(words, line, lineno) -> ObserverSpec:
         key = words[i]
         arity = _OBSERVER_ARITY.get(key)
         if arity is None:
-            raise ValueError("line %d: unknown observer field %r in %r" % (lineno, key, line))
+            raise ValueError("unknown observer field %r" % key)
         args = words[i + 1:i + 1 + arity]
         if len(args) < arity:
-            raise ValueError("line %d: observer field %r needs %d values in %r"
-                             % (lineno, key, arity, line))
+            raise ValueError("observer field %r needs %d values" % (key, arity))
         i += 1 + arity
         if key in ("velocity", "galilean"):
             galilean = key == "galilean"
             velocity = tuple(ER(w) for w in args)
             if speed_squared(velocity).compare(1) >= 0:
-                raise ValueError("line %d: observer speed must be below 1 in %r" % (lineno, line))
+                raise ValueError("observer speed must be below 1")
         elif key == "rotate":
-            a, b = _integer(args[0], lineno, line), _integer(args[1], lineno, line)
+            a, b = _integer(args[0]), _integer(args[1])
             c, sn = ER(args[2]), ER(args[3])
             if not 1 <= a < b <= 3:
-                raise ValueError("line %d: rotation plane must satisfy 1 <= I < J <= 3 in %r"
-                                 % (lineno, line))
+                raise ValueError("rotation plane must satisfy 1 <= I < J <= 3")
             if c * c + sn * sn != 1:
-                raise ValueError("line %d: rotation needs COS^2 + SIN^2 = 1 exactly in %r"
-                                 % (lineno, line))
+                raise ValueError("rotation needs COS^2 + SIN^2 = 1 exactly")
             rotations.append((a, b, c, sn))
         elif key == "translate":
             trans = tuple(ER(w) for w in args)
         else:  # domain
             has_domain = True
-            axis = _integer(args[0], lineno, line) - 1
+            axis = _integer(args[0]) - 1
             if not 0 <= axis < 4:
-                raise ValueError("line %d: domain axis must be 1 to 4 in %r" % (lineno, line))
-            domain_bounds[axis] = (_domain_bound(args[1], "lower", "-inf", lineno, line),
-                                   _domain_bound(args[2], "upper", "inf", lineno, line))
+                raise ValueError("domain axis must be 1 to 4")
+            domain_bounds[axis] = (_domain_bound(args[1], "lower", "-inf"),
+                                   _domain_bound(args[2], "upper", "inf"))
             if i < len(words) and words[i] == "closed":
                 closed = True
                 i += 1
@@ -558,37 +568,36 @@ def _parse_observer(words, line, lineno) -> ObserverSpec:
     return ObserverSpec(name, velocity, tuple(rotations), trans, domain, galilean)
 
 
-def _integer(word, lineno, line) -> int:
+def _integer(word) -> int:
     try:
         return int(word)
     except ValueError:
-        raise ValueError("line %d: %r is not an integer in %r" % (lineno, word, line)) from None
+        raise ValueError("%r is not an integer" % word) from None
 
 
-def _domain_bound(word, which, unbounded, lineno, line):
+def _domain_bound(word, which, unbounded):
     # A domain bound is a field literal, or `unbounded` (-inf low, inf high).
     if word == unbounded:
         return None
     try:
         return ER(word)
     except ExactRealSyntaxError:
-        raise ValueError("line %d: domain %s bound must be a field literal or %s, got %r in %r"
-                         % (lineno, which, unbounded, word, line)) from None
+        raise ValueError("domain %s bound must be a field literal or %s, got %r"
+                         % (which, unbounded, word)) from None
 
 
 # The vector keyword of each straight body kind.
 _BODY_VECTOR = {"photon": "direction", "inertial": "velocity"}
 
 
-def _parse_body(words, line, lineno) -> Body:
+def _parse_body(words) -> Body:
     if len(words) < 2:
-        raise ValueError("line %d: body needs a name and a kind in %r" % (lineno, line))
+        raise ValueError("body needs a name and a kind")
     name, kind = words[0], words[1]
     key = _BODY_VECTOR.get(kind)
     if key is not None:
         if len(words) != 11 or words[2] != "through" or words[7] != key:
-            raise ValueError("line %d: %s body must read 'through X1 X2 X3 X4 %s V1 V2 V3' in %r"
-                             % (lineno, kind, key, line))
+            raise ValueError("%s body must read 'through X1 X2 X3 X4 %s V1 V2 V3'" % (kind, key))
         point = coord4(*[ER(w) for w in words[3:7]])
         vector = tuple(ER(w) for w in words[8:11])
         if kind == "photon":
@@ -596,14 +605,12 @@ def _parse_body(words, line, lineno) -> Body:
         return Body(name, True, False, InertialLine(point, vector))
     if kind == "piecewise":
         if len(words) < 3 or words[2] != "knots":
-            raise ValueError("line %d: piecewise body must read 'knots X1 X2 X3 X4 , ...' in %r"
-                             % (lineno, line))
+            raise ValueError("piecewise body must read 'knots X1 X2 X3 X4 , ...'")
         knots, current = [], []
 
         def knot(coords):
             if len(coords) != 4:
-                raise ValueError("line %d: knot %d needs 4 coordinates in %r"
-                                 % (lineno, len(knots) + 1, line))
+                raise ValueError("knot %d needs 4 coordinates" % (len(knots) + 1))
             return coord4(*coords)
 
         for w in words[3:]:
@@ -615,7 +622,7 @@ def _parse_body(words, line, lineno) -> Body:
         if current:
             knots.append(knot(current))
         return Body(name, False, False, PiecewiseInertial(tuple(knots)))
-    raise ValueError("line %d: unknown body kind %r in %r" % (lineno, kind, line))
+    raise ValueError("unknown body kind %r" % kind)
 
 
 def serialize_model(s: Structure) -> str:

@@ -10,8 +10,6 @@ from __future__ import annotations
 import json
 from typing import Mapping
 
-from .semantics import Verdict
-
 SCHEMA = "axrel.report/1"
 
 __all__ = ["SCHEMA", "machine_report", "text_report", "exit_code"]

@@ -43,13 +43,12 @@ from .field import ER, ExactReal
 from . import linalg
 from .kinematics import AffineMap, ETA, mu
 from .model import (
-    Body, ChartDomain, InertialLine, PhotonLine, NotAnObserver, SmoothNumeric,
-    Structure,
+    Body, InertialLine, PhotonLine, NotAnObserver, SmoothNumeric, Structure,
 )
 from .syntax.ast import (
-    Add, And, EqB, EqQ, Exists, Forall, Formula, IBAtom, IObAtom, Iff, Implies,
-    Less, Mul, Not, ObAtom, OneC, Or, PhAtom, Sort, Sub, Term, Theory, Var,
-    WAtom, ZeroC,
+    And, EqB, EqQ, Exists, Forall, Formula, IBAtom, IObAtom, Iff, Implies,
+    Less, Not, ObAtom, OneC, Or, PhAtom, Sort, Sub, Term, Theory, Var,
+    WAtom, fold_term, mentions,
 )
 from .syntax.corpus import (
     IndInstance, contract_definitions, ind_battery, instantiate_ind,
@@ -169,22 +168,14 @@ class _Ctx:
 
 
 def eval_term(term: Term, env: Assignment):
-    if isinstance(term, Var):
-        if term.name not in env:
-            raise UnboundVariable(term.name)
-        return env[term.name]
-    if isinstance(term, ZeroC):
-        return ER(0)
-    if isinstance(term, OneC):
-        return ER(1)
-    left, right = eval_term(term.left, env), eval_term(term.right, env)
-    if isinstance(term, Add):
-        return left + right
-    if isinstance(term, Sub):
-        return left - right
-    if isinstance(term, Mul):
-        return left * right
-    raise TypeError(term)
+    def leaf(t: Term):
+        if isinstance(t, Var):
+            if t.name not in env:
+                raise UnboundVariable(t.name)
+            return env[t.name]
+        return ER(1) if isinstance(t, OneC) else ER(0)
+
+    return fold_term(term, leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +316,25 @@ def _flatten_and(f: Formula) -> list:
     return [f]
 
 
+def _about(g: Formula, var: str, kinds) -> bool:
+    """True for an atom of one of the given kinds whose body is the variable var."""
+    return isinstance(g, kinds) and isinstance(g.body, Var) and g.body.name == var
+
+
+def _split_conjuncts(conjuncts: list, var: str):
+    """(kinds, watoms, rest): the types of the Ph/IB atoms about var, the W
+    atoms about var, and every other conjunct."""
+    kinds, watoms, rest = set(), [], []
+    for g in conjuncts:
+        if _about(g, var, (PhAtom, IBAtom)):
+            kinds.add(type(g))
+        elif _about(g, var, WAtom):
+            watoms.append(g)
+        else:
+            rest.append(g)
+    return kinds, watoms, rest
+
+
 def _match_corr(f: Formula):
     """Recognize  A b . W(o, b, xs) <-> W(o2, b, ys); returns
     (o_term, o2_term, xs, ys) or None."""
@@ -334,20 +344,9 @@ def _match_corr(f: Formula):
     if not isinstance(body, Iff):
         return None
     l, r = body.left, body.right
-    if not (isinstance(l, WAtom) and isinstance(r, WAtom)):
+    if not (_about(l, f.var, WAtom) and _about(r, f.var, WAtom)):
         return None
-    bvar = f.var
-    if not (isinstance(l.body, Var) and l.body.name == bvar
-            and isinstance(r.body, Var) and r.body.name == bvar):
-        return None
-
-    def mentions(t: Term) -> bool:
-        from .syntax.ast import subterms
-        return any(isinstance(x, Var) and x.name == bvar for x in subterms(t))
-
-    if mentions(l.observer) or mentions(r.observer):
-        return None
-    if any(mentions(c) for c in l.coords + r.coords):
+    if any(mentions(t, f.var) for t in (l.observer, r.observer) + l.coords + r.coords):
         return None
     return (l.observer, r.observer, l.coords, r.coords)
 
@@ -419,7 +418,7 @@ def _eval_quantifier(f, env, ctx: _Ctx, path: str):
 def _is_observer_guard(g: Formula, var: str) -> bool:
     """True for guards that force var to be an observer: Ob/IOb atoms and
     their expansion  E b . E q... . W(var, b, q...) ."""
-    if isinstance(g, (IObAtom, ObAtom)) and isinstance(g.body, Var) and g.body.name == var:
+    if _about(g, var, (IObAtom, ObAtom)):
         return True
     node = g
     while isinstance(node, Exists):
@@ -428,23 +427,24 @@ def _is_observer_guard(g: Formula, var: str) -> bool:
             and node.observer.name == var)
 
 
-def _body_candidates(s: Structure, var: str, guards: list):
-    """(candidates, exhaustive): named bodies compatible with the guards on
-    var; exhaustive=False when an intensional family could supply more."""
-    has_iob = any(_is_observer_guard(g, var) for g in guards)
-    has_ph = any(isinstance(g, PhAtom) and isinstance(g.body, Var)
-                 and g.body.name == var for g in guards)
-    has_ib = any(isinstance(g, IBAtom) and isinstance(g.body, Var)
-                 and g.body.name == var for g in guards)
-    if has_iob:
-        return s.observers(), True
-    if has_ph:
-        named = [b for b in s.bodies.values() if b.is_photon]
-        return named, not s.photon_family
-    if has_ib:
-        named = [b for b in s.bodies.values() if b.is_inertial]
-        return named, not s.inertial_family
-    return list(s.bodies.values()), not (s.photon_family or s.inertial_family)
+def _body_candidates(s: Structure, names, guards: list):
+    """(candidate lists, exhaustive): for each name of a body block, the
+    named bodies compatible with the guards on it; exhaustive=False when an
+    intensional family could supply more."""
+    lists, exhaustive = [], True
+    for var in names:
+        if any(_is_observer_guard(g, var) for g in guards):
+            lists.append(s.observers())
+        elif any(_about(g, var, PhAtom) for g in guards):
+            lists.append([b for b in s.bodies.values() if b.is_photon])
+            exhaustive = exhaustive and not s.photon_family
+        elif any(_about(g, var, IBAtom) for g in guards):
+            lists.append([b for b in s.bodies.values() if b.is_inertial])
+            exhaustive = exhaustive and not s.inertial_family
+        else:
+            lists.append(list(s.bodies.values()))
+            exhaustive = exhaustive and not (s.photon_family or s.inertial_family)
+    return lists, exhaustive
 
 
 def _body_block_guards(matrix) -> list:
@@ -468,12 +468,7 @@ def _body_block_guards(matrix) -> list:
 
 
 def _eval_body_forall(names, matrix, env, ctx: _Ctx, path: str):
-    guards = _body_block_guards(matrix)
-    candidate_lists, exhaustive = [], True
-    for name in names:
-        cands, exh = _body_candidates(ctx.s, name, guards)
-        candidate_lists.append(cands)
-        exhaustive = exhaustive and exh
+    candidate_lists, exhaustive = _body_candidates(ctx.s, names, _body_block_guards(matrix))
     sampled_any = False
     for i, combo in enumerate(itertools.product(*candidate_lists)):
         env2 = {**env, **dict(zip(names, combo))}
@@ -490,12 +485,7 @@ def _eval_body_forall(names, matrix, env, ctx: _Ctx, path: str):
 
 def _eval_body_exists(names, matrix, env, ctx: _Ctx, path: str):
     conjuncts = _flatten_and(matrix)
-    candidate_lists = []
-    families_relevant = False
-    for name in names:
-        cands, exh = _body_candidates(ctx.s, name, conjuncts)
-        candidate_lists.append(cands)
-        families_relevant = families_relevant or not exh
+    candidate_lists, exhaustive = _body_candidates(ctx.s, names, conjuncts)
     for i, combo in enumerate(itertools.product(*candidate_lists)):
         env2 = {**env, **dict(zip(names, combo))}
         state, sampled, ev = _eval(matrix, env2, ctx, "%s.e%d" % (path, i))
@@ -514,7 +504,7 @@ def _eval_body_exists(names, matrix, env, ctx: _Ctx, path: str):
                     return FAILS, False, {}
                 return UNKNOWN, True, {}
             return FAILS, False, extra
-    if families_relevant:
+    if not exhaustive:
         return UNKNOWN, True, {}
     return FAILS, False, {}
 
@@ -525,37 +515,20 @@ def _family_witness(var: str, conjuncts: list, env, ctx: _Ctx):
     Returns None if the pattern does not apply; else (found, body, info).
     """
     s = ctx.s
-    is_ph = any(isinstance(g, PhAtom) and isinstance(g.body, Var) and g.body.name == var
-                for g in conjuncts)
-    is_ib = any(isinstance(g, IBAtom) and isinstance(g.body, Var) and g.body.name == var
-                for g in conjuncts)
-    if is_ph and not s.photon_family:
-        return None
-    if is_ib and not s.inertial_family:
+    kinds, watoms, others = _split_conjuncts(conjuncts, var)
+    is_ph, is_ib = PhAtom in kinds, IBAtom in kinds
+    if (is_ph and not s.photon_family) or (is_ib and not s.inertial_family):
         return None
     if not (is_ph or is_ib):
-        if s.photon_family:
-            is_ph = True  # unconstrained exists: any family body will do
-        elif s.inertial_family:
-            is_ib = True
-        else:
+        # Unconstrained exists: any family body will do.
+        if not (s.photon_family or s.inertial_family):
             return None
-    watoms, others = [], []
-    for g in conjuncts:
-        if isinstance(g, WAtom) and isinstance(g.body, Var) and g.body.name == var:
-            watoms.append(g)
-        elif isinstance(g, (PhAtom, IBAtom)) and isinstance(g.body, Var) and g.body.name == var:
-            continue
-        else:
-            others.append(g)
+        is_ph = s.photon_family
     if not watoms or len(watoms) > 2:
         return None
     # all other conjuncts must not mention the variable
-    from .syntax.ast import subterms
-    for g in others:
-        for t in _formula_terms_deep(g):
-            if any(isinstance(x, Var) and x.name == var for x in subterms(t)):
-                return None
+    if any(mentions(t, var) for g in others for t in _formula_terms_deep(g)):
+        return None
     try:
         obs = eval_term(watoms[0].observer, env)
         points = [tuple(eval_term(c, env) for c in w.coords) for w in watoms]
@@ -569,14 +542,10 @@ def _family_witness(var: str, conjuncts: list, env, ctx: _Ctx):
     if len(watoms) == 2 and eval_term(watoms[1].observer, env).id != obs.id:
         return None
     ctx.bump_solver()
-    for p in points:
-        if not s.domain_of(obs).contains(p):
-            return False, None, {"reason": "event outside the observer's chart domain"}
-    refs = [s.reference_point(obs, p) for p in points]
-    if is_ph:
-        body = witness_photon_refs(refs)
-    else:
-        body = witness_inertial_refs(refs)
+    refs = _observed_refs(s, obs, True, *points)
+    if refs is None:
+        return False, None, {"reason": "event outside the observer's chart domain"}
+    body = witness_photon_refs(refs) if is_ph else witness_inertial_refs(refs)
     if body is None:
         return False, None, {"reason": "no family body through the given events"}
     return True, body, {}
@@ -592,31 +561,29 @@ def _formula_terms_deep(g: Formula):
 _synth_counter = itertools.count(1)
 
 
+def _family_body(refs, photon: bool) -> Optional[Body]:
+    """The family photon (or inertial body) through one or two reference
+    events; None unless two distinct events are lightlike (strictly
+    timelike) apart.  Both then differ in time, so dt is never 0."""
+    x, y = refs[0], refs[-1]
+    if len(refs) == 1 or all((a - b).is_zero() for a, b in zip(x, y)):
+        vector = (ER(1), ER(0), ER(0)) if photon else (ER(0), ER(0), ER(0))
+    else:
+        interval = mu(x, y)
+        if not (interval.is_zero() if photon else interval.sign() < 0):
+            return None
+        dt = y[3] - x[3]
+        vector = tuple((y[i] - x[i]) / dt for i in range(3))
+    kind, line = ("photon", PhotonLine) if photon else ("inertial", InertialLine)
+    return Body("%s#%d" % (kind, next(_synth_counter)), not photon, photon, line(x, vector))
+
+
 def witness_photon_refs(refs) -> Optional[Body]:
-    if len(refs) == 1 or all((a - b).is_zero() for a, b in zip(refs[0], refs[-1])):
-        direction = (ER(1), ER(0), ER(0))
-        return Body("photon#%d" % next(_synth_counter), False, True,
-                    PhotonLine(refs[0], direction))
-    x, y = refs[0], refs[1]
-    if not mu(x, y).is_zero():
-        return None
-    dt = y[3] - x[3]
-    if dt.is_zero():
-        return None  # lightlike with zero time separation means same point
-    direction = tuple((y[i] - x[i]) / dt for i in range(3))
-    return Body("photon#%d" % next(_synth_counter), False, True, PhotonLine(x, direction))
+    return _family_body(refs, photon=True)
 
 
 def witness_inertial_refs(refs) -> Optional[Body]:
-    if len(refs) == 1 or all((a - b).is_zero() for a, b in zip(refs[0], refs[-1])):
-        return Body("inertial#%d" % next(_synth_counter), True, False,
-                    InertialLine(refs[0], (ER(0), ER(0), ER(0))))
-    x, y = refs[0], refs[1]
-    if mu(x, y).sign() >= 0:
-        return None  # not strictly timelike
-    dt = y[3] - x[3]
-    velocity = tuple((y[i] - x[i]) / dt for i in range(3))
-    return Body("inertial#%d" % next(_synth_counter), True, False, InertialLine(x, velocity))
+    return _family_body(refs, photon=False)
 
 
 def witness_photon(s: Structure, o: Body, x, x2) -> Optional[Body]:
@@ -647,8 +614,14 @@ def _observed_refs(s: Structure, o: Body, family: bool, *events) -> Optional[lis
 # -- quantity sort: linear-form pinning and sampling -------------------------
 
 
+class _NotLinear(Exception):
+    pass
+
+
 class _LinForm:
-    """Affine form: sum of coeff*param + const over the exact field."""
+    """Affine form: sum of coeff*param + const over the exact field.
+
+    ``*`` raises _NotLinear on a product of two non-constant forms."""
 
     __slots__ = ("coeffs", "const")
 
@@ -667,11 +640,21 @@ class _LinForm:
     def is_constant(self):
         return all(c.is_zero() for c in self.coeffs.values())
 
-    def add(self, other, sign=1):
+    def __add__(self, other):
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            out[k] = out.get(k, ER(0)) + (v if sign > 0 else -v)
-        return _LinForm(out, self.const + (other.const if sign > 0 else -other.const))
+            out[k] = out.get(k, ER(0)) + v
+        return _LinForm(out, self.const + other.const)
+
+    def __sub__(self, other):
+        return self + _LinForm({k: -v for k, v in other.coeffs.items()}, -other.const)
+
+    def __mul__(self, other):
+        if self.is_constant():
+            return other.scale(self.const)
+        if other.is_constant():
+            return self.scale(other.const)
+        raise _NotLinear()
 
     def scale(self, c):
         c = ER(c)
@@ -686,32 +669,34 @@ class _LinForm:
 
 
 def _term_to_linform(term: Term, env, binding: dict) -> Optional[_LinForm]:
-    if isinstance(term, Var):
-        if term.name in binding:
-            return binding[term.name]
-        if term.name in env:
-            v = env[term.name]
-            return _LinForm.constant(v) if isinstance(v, ExactReal) else None
+    """The term as an affine form over the block parameters, or None when
+    it is not affine in them or reads a variable with no quantity value."""
+
+    def leaf(t: Term) -> _LinForm:
+        if isinstance(t, Var):
+            if t.name in binding:
+                return binding[t.name]
+            if isinstance(env.get(t.name), ExactReal):
+                return _LinForm.constant(env[t.name])
+            raise _NotLinear()
+        return _LinForm.constant(1 if isinstance(t, OneC) else 0)
+
+    try:
+        return fold_term(term, leaf)
+    except _NotLinear:
         return None
-    if isinstance(term, ZeroC):
-        return _LinForm.constant(0)
-    if isinstance(term, OneC):
-        return _LinForm.constant(1)
-    left = _term_to_linform(term.left, env, binding)
-    right = _term_to_linform(term.right, env, binding)
-    if left is None or right is None:
-        return None
-    if isinstance(term, Add):
-        return left.add(right)
-    if isinstance(term, Sub):
-        return left.add(right, sign=-1)
-    if isinstance(term, Mul):
-        if left.is_constant():
-            return right.scale(left.const)
-        if right.is_constant():
-            return left.scale(right.const)
-        return None
-    return None
+
+
+def _map_forms(w: AffineMap, forms, constant) -> list:
+    """w applied to four affine forms or polynomials: component i is
+    constant(c_i) + sum over j of forms[j] scaled by L_ij."""
+    out = []
+    for i in range(4):
+        acc = constant(w.translation[i])
+        for j in range(4):
+            acc = acc + forms[j].scale(w.linear[i][j])
+        out.append(acc)
+    return out
 
 
 def _pin_with_constraints(names, conjuncts, env, ctx: _Ctx):
@@ -746,13 +731,7 @@ def _pin_with_constraints(names, conjuncts, env, ctx: _Ctx):
                 if any(fm is None for fm in xs_forms):
                     remaining.append(g)
                     continue
-                w = c2.compose(c1.inverse())
-                ys_forms = []
-                for i in range(4):
-                    acc = _LinForm.constant(w.translation[i])
-                    for j in range(4):
-                        acc = acc.add(xs_forms[j].scale(w.linear[i][j]))
-                    ys_forms.append(acc)
+                ys_forms = _map_forms(c2.compose(c1.inverse()), xs_forms, _LinForm.constant)
                 targets = [t.name if isinstance(t, Var) and t.name in binding else None
                            for t in ys_t]
                 if all(targets):
@@ -770,7 +749,7 @@ def _pin_with_constraints(names, conjuncts, env, ctx: _Ctx):
                 ys_actual = [_term_to_linform(t, env, binding) for t in ys_t]
                 if all(fm is not None for fm in ys_actual):
                     for have, want in zip(ys_actual, ys_forms):
-                        equations.append(have.add(want, sign=-1))
+                        equations.append(have - want)
                     progress = True
                     continue
                 remaining.append(g)
@@ -778,7 +757,7 @@ def _pin_with_constraints(names, conjuncts, env, ctx: _Ctx):
                 l = _term_to_linform(g.left, env, binding)
                 r = _term_to_linform(g.right, env, binding)
                 if l is not None and r is not None:
-                    equations.append(l.add(r, sign=-1))
+                    equations.append(l - r)
                     progress = True
                 else:
                     remaining.append(g)
@@ -800,7 +779,7 @@ def _substitute_pins(binding: dict, equations: list, pinned: list):
         out = _LinForm({}, form.const)
         for k, v in form.coeffs.items():
             if k in pinned and not _is_identity(binding[k], k):
-                out = out.add(binding[k].scale(v))
+                out = out + binding[k].scale(v)
             else:
                 out.coeffs[k] = out.coeffs.get(k, ER(0)) + v
         return out
@@ -1074,19 +1053,24 @@ def _check_group(s: Structure, group, budget: Budget) -> Verdict:
     certified = _certified_axiom(s, group.name, budget)
     if certified is not None:
         return certified
-    return _combine([evaluate(s, sentence, None, budget) for _, sentence in group.sentences])
+    return combine_verdicts([evaluate(s, sentence, None, budget)
+                             for _, sentence in group.sentences])
 
 
-def _combine(verdicts: Sequence[Verdict]) -> Verdict:
+def combine_verdicts(verdicts: Sequence[Verdict]) -> Verdict:
+    """One verdict for a conjunction: the first Fails, else the first
+    Unknown, else Holds with the widest tolerance; Unknown when empty."""
     for v in verdicts:
         if v.is_fails:
             return v
     for v in verdicts:
         if v.outcome == UNKNOWN:
             return v
+    if not verdicts:
+        return Verdict.unknown()
     method = "certified" if all(v.method == "certified" for v in verdicts) else "sampled"
-    budget = verdicts[0].budget_report if verdicts else {}
-    return Verdict.holds(method=method, budget=budget)
+    tolerance = max((v.tolerance or 0.0) for v in verdicts) or None
+    return Verdict.holds(method=method, budget=verdicts[0].budget_report, tolerance=tolerance)
 
 
 def _certified_axiom(s: Structure, name: str, budget: Budget) -> Optional[Verdict]:
@@ -1335,14 +1319,7 @@ def _coord_polys(s: Structure, obs: Body, coords, var, env):
     chart = s.chart_of(obs)
     if not isinstance(chart, AffineMap):
         raise UnsupportedDefinableSet("non-affine chart")
-    inv = chart.inverse()
-    ref = []
-    for i in range(4):
-        acc = Poly([inv.translation[i]])
-        for j in range(4):
-            acc = acc + polys[j].scale(inv.linear[i][j])
-        ref.append(acc)
-    return polys, ref
+    return polys, _map_forms(chart.inverse(), polys, lambda c: Poly([c]))
 
 
 def _domain_set(s: Structure, obs: Body, coord_polys) -> IntervalSet:
@@ -1381,15 +1358,8 @@ def _watom_set(s: Structure, phi: WAtom, var, env) -> IntervalSet:
 
 def _exists_body_set(s: Structure, phi: Exists, var, env) -> IntervalSet:
     bvar = phi.var
-    conjuncts = _flatten_and(phi.body)
-    is_ph = any(isinstance(g, PhAtom) and isinstance(g.body, Var) and g.body.name == bvar
-                for g in conjuncts)
-    watoms = [g for g in conjuncts
-              if isinstance(g, WAtom) and isinstance(g.body, Var) and g.body.name == bvar]
-    rest = [g for g in conjuncts if g not in watoms
-            and not (isinstance(g, (PhAtom, IBAtom)) and isinstance(g.body, Var)
-                     and g.body.name == bvar)]
-    if rest or not is_ph or len(watoms) not in (1, 2):
+    kinds, watoms, rest = _split_conjuncts(_flatten_and(phi.body), bvar)
+    if rest or PhAtom not in kinds or len(watoms) not in (1, 2):
         raise UnsupportedDefinableSet("existential outside the photon pattern")
     obs = eval_term(watoms[0].observer, env)
     if not s.is_observer(obs):
@@ -1406,18 +1376,9 @@ def _exists_body_set(s: Structure, phi: Exists, var, env) -> IntervalSet:
         domain = IntervalSet.all()
         for polys, _ in sets:
             domain = domain.intersect(_domain_set(s, obs, polys))
-        if len(watoms) == 1:
-            out = out.union(domain)
-        else:
-            _, ref1 = sets[0]
-            _, ref2 = sets[1]
-            q = Poly([0])
-            for i in range(3):
-                d = ref1[i] - ref2[i]
-                q = q + d * d
-            dt = ref1[3] - ref2[3]
-            q = q - dt * dt
-            out = out.union(domain.intersect(poly_eq_zero(q)))
+        if len(watoms) == 2:
+            domain = domain.intersect(poly_eq_zero(mu(sets[0][1], sets[1][1])))
+        out = out.union(domain)
     return out
 
 

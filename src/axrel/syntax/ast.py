@@ -8,12 +8,17 @@ every piece of sugar down to the primitive signature.
 
 Nodes are frozen dataclasses; the optional ``pos`` field records the
 source offset for parser diagnostics and never takes part in equality.
+
+``fold_term`` is the one walker that computes the value of a quantity
+term: evaluation to field values, affine forms and polynomials each
+supply only the value of a leaf (a variable, 0 or 1).
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -28,7 +33,7 @@ __all__ = [
     "EqQ", "EqB", "Less", "Not", "And", "Or", "Implies", "Iff",
     "Forall", "Exists", "Theory", "AxiomGroup", "SortError",
     "free_vars", "subterms", "subformulas", "alpha_equal", "is_sentence",
-    "conj", "disj", "forall_many", "exists_many", "substitute_term",
+    "exists_many", "substitute_term", "fold_term", "mentions",
 ]
 
 
@@ -326,6 +331,24 @@ def subterms(t: Term) -> Iterator[Term]:
         yield from subterms(t.right)
 
 
+_TERM_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+
+
+def fold_term(term: Term, leaf):
+    """The value of a quantity term: ``leaf`` gives the value of each
+    variable and constant, and +, - and * combine the values of the two
+    operands, the left one computed first."""
+    op = _TERM_OPS.get(type(term))
+    if op is None:
+        return leaf(term)
+    return op(fold_term(term.left, leaf), fold_term(term.right, leaf))
+
+
+def mentions(t: Term, var: str) -> bool:
+    """True when the variable named var occurs in t."""
+    return any(isinstance(x, Var) and x.name == var for x in subterms(t))
+
+
 def _formula_terms(f: Formula) -> Iterator[Term]:
     if isinstance(f, (IBAtom, PhAtom, ObAtom, IObAtom)):
         yield f.body
@@ -386,33 +409,6 @@ def free_vars(f: Formula) -> dict:
 
 def is_sentence(f: Formula) -> bool:
     return not free_vars(f)
-
-
-def conj(parts) -> Formula:
-    parts = list(parts)
-    if not parts:
-        raise ValueError("empty conjunction")
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
-
-
-def disj(parts) -> Formula:
-    parts = list(parts)
-    if not parts:
-        raise ValueError("empty disjunction")
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
-
-
-def forall_many(names, sort: Sort, body: Formula) -> Formula:
-    out = body
-    for name in reversed(list(names)):
-        out = Forall(name, sort, out)
-    return out
 
 
 def exists_many(names, sort: Sort, body: Formula) -> Formula:

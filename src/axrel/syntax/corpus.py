@@ -33,7 +33,7 @@ from typing import Optional
 from .ast import (
     Add, And, AxiomGroup, EqQ, Exists, Forall, Formula, IBAtom, IObAtom,
     Iff, Implies, Less, Mul, Not, ObAtom, OneC, Or, Sort, Sub, Term,
-    Theory, Var, WAtom, ZeroC, exists_many, free_vars, subterms,
+    Theory, Var, WAtom, ZeroC, exists_many, free_vars, mentions,
 )
 from .parser import theory_blocks
 
@@ -206,13 +206,12 @@ def _ax_diff(n: int) -> AxiomGroup:
                        % (p, j, j, j, j) for j, p in enumerate(points))
     bounds = []
     for k in range(1, n + 1):
-        # Component-wise k-th difference minus k! * a_k * l^k.  The j >= 1
-        # terms get (-1)^(k-j) but the j = 0 term no sign, so for odd k this
-        # is not the forward difference; the golden pins it as it stands.
+        # Component-wise forward k-th difference, sum over j of
+        # (-1)^(k-j) * C(k, j) * y_j written from j = k down, minus k! * a_k * l^k.
         residuals = []
         for c in range(1, 5):
-            diff = "y0%d" % c
-            for j in range(1, k + 1):
+            diff = "y%d%d" % (k, c)
+            for j in range(k - 1, -1, -1):
                 coeff = math.comb(k, j)
                 part = "y%d%d" % (j, c) if coeff == 1 else "%s * y%d%d" % (num(coeff), j, c)
                 diff += " %s %s" % ("+" if (k - j) % 2 == 0 else "-", part)
@@ -247,11 +246,12 @@ def axiom_corpus(name: str) -> Theory:
 
 
 def named_axiom(name: str) -> Formula:
-    """A single axiom sentence by name (e.g. ``AxPh``, ``AxSymd#literal``)."""
-    groups = [_GROUPS["AxSymd#literal"]]
-    for theory in ("SpecRel", "AccRel", "GenRel(2)"):
-        groups += axiom_corpus(theory).groups
-    for group in groups:
+    """A single axiom sentence by name (e.g. ``AxPh``, ``AxSymd#literal``,
+    ``AxDiff_3``)."""
+    m = re.fullmatch(r"AxDiff_([1-9][0-9]*)", name)
+    if m:
+        return _ax_diff(int(m.group(1))).sentences[0][1]
+    for group in _GROUPS.values():
         for i, (sub, _) in enumerate(group.texts):
             if sub == name:
                 return group.sentences[i][1]
@@ -352,8 +352,8 @@ def contract_definitions(f: Formula) -> Formula:
                         return ZeroC() if isinstance(l, Add) else OneC()
         if isinstance(guard, EqQ) and isinstance(guard.left, Add):
             t, v = guard.left.left, guard.left.right
-            if isinstance(v, Var) and v.name == var and not _mentions(t, var) \
-                    and not _mentions(guard.right, var):
+            if isinstance(v, Var) and v.name == var and not mentions(t, var) \
+                    and not mentions(guard.right, var):
                 return Sub(guard.right, t)
         return None
 
@@ -373,10 +373,6 @@ def contract_definitions(f: Formula) -> Formula:
         return node
 
     return visit(f)
-
-
-def _mentions(t: Term, var: str) -> bool:
-    return any(isinstance(x, Var) and x.name == var for x in subterms(t))
 
 
 def _first_sugar_term(atom: Formula) -> Optional[Term]:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .ast import (
     Add, And, EqB, EqQ, Exists, Forall, Formula, IBAtom, IObAtom, Iff, Implies,
-    Less, Mul, Not, ObAtom, OneC, Or, PhAtom, Sort, Sub, Term, Var, WAtom,
+    Less, Mul, Not, ObAtom, OneC, Or, PhAtom, Sub, Term, Var, WAtom,
     ZeroC, free_vars,
 )
 

@@ -182,6 +182,22 @@ def test_axioms_list_and_show(capsys):
     assert out.startswith("A o:B")
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_axioms_show_generated_axdiff(capsys, n):
+    from axrel.syntax import alpha_equal, axiom_corpus, parse
+
+    code, out, err = run_cli(["axioms", "show", "AxDiff_%d" % n], capsys)
+    assert code == 0 and err == ""
+    (_, sentence), = axiom_corpus("GenRel(%d)" % n).group("AxDiff_%d" % n).sentences
+    assert alpha_equal(parse(out), sentence)
+
+
+@pytest.mark.parametrize("name", ["AxDiff_0", "AxDiff_01", "AxDiff_x"])
+def test_axioms_show_rejects_other_axdiff_names(capsys, name):
+    code, out, err = run_cli(["axioms", "show", name], capsys)
+    assert code == 65 and out == "" and err == "axrel: %r\n" % name
+
+
 def test_missing_file_is_data_error(capsys):
     code, _, err = run_cli(["check", "SpecRel", "/nonexistent.model"], capsys)
     assert code == 65
@@ -317,6 +333,21 @@ def test_division_by_zero_in_model_is_data_error(tmp_path, capsys):
     model.write_text("structure broken\nobserver a velocity 1/0 0 0\n")
     code, _, err = run_cli(["check", "SpecRel", str(model)], capsys)
     _one_line_error(code, err)
+    assert err == "axrel: line 2: division by exact zero in 'observer a velocity 1/0 0 0'\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("structure", "structure needs one name"),
+    ("families photons bosons", "unknown family 'bosons'"),
+    ("widget 1", "unknown declaration 'widget'"),
+    ("observer rest velocity 1/2 0 zz", "unknown name 'zz'"),
+])
+def test_malformed_model_line_is_data_error(tmp_path, capsys, line, message):
+    model = tmp_path / "broken.model"
+    model.write_text("structure broken\n# the next declaration is malformed\n%s\n" % line)
+    code, out, err = run_cli(["check", "SpecRel", str(model)], capsys)
+    _one_line_error(code, err)
+    assert err == "axrel: line 3: %s in %r\n" % (message, line) and out == ""
 
 
 @pytest.mark.parametrize("line, needle", [
@@ -324,6 +355,9 @@ def test_division_by_zero_in_model_is_data_error(tmp_path, capsys):
     ("meet a a 0 0 0", "line 3: meet needs 6 values"),
     ("g 1 1 1", "line 3: metric entry must read 'g I J = EXPR'"),
     ("g 1 5 = 1", "line 3: index '5' must be 1 to 4"),
+    ("order x", "line 3: 'x' is not an integer in 'order x'"),
+    ("domain 1 0 zz", "line 3: unknown name 'zz' in 'domain 1 0 zz'"),
+    ("worldline a 0 0 q", "line 3: unknown name 'q' in 'worldline a 0 0 q'"),
 ])
 @pytest.mark.parametrize("command", [
     ["check", "GenRel(3)"],

@@ -309,3 +309,146 @@ def test_irrational_mu_invariance_adjoins_each_root_once(monkeypatch):
 
     assert all(check_mu_invariance(m, event(), event()) for _ in range(4))
     assert calls[0] < 30
+
+
+# Reference copies of the two Gauss-Jordan loops and the two line solves
+# that linalg._eliminate and kinematics._line_param replaced.
+
+def _reference_mat_inverse(a):
+    n = len(a)
+    work = [list(row) + [ER(1 if i == j else 0) for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
+        if pivot is None:
+            raise ValueError("singular matrix")
+        work[col], work[pivot] = work[pivot], work[col]
+        inv = ER(1) / work[col][col]
+        work[col] = [x * inv for x in work[col]]
+        for r in range(n):
+            if r != col and not work[r][col].is_zero():
+                factor = work[r][col]
+                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+    return tuple(tuple(row[n:]) for row in work)
+
+
+def _reference_solve_linear(a, b):
+    rows, cols = len(a), len(a[0]) if a else 0
+    work = [list(row) + [bi] for row, bi in zip(a, b)]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if not work[i][c].is_zero()), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = ER(1) / work[r][c]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(rows):
+            if i != r and not work[i][c].is_zero():
+                factor = work[i][c]
+                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    for i in range(r, rows):
+        if not work[i][cols].is_zero():
+            return None
+    solution = [ER(0)] * cols
+    for i, c in enumerate(pivots):
+        solution[c] = work[i][cols]
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        vec = [ER(0)] * cols
+        vec[f] = ER(1)
+        for i, c in enumerate(pivots):
+            vec[c] = -work[i][f]
+        basis.append(tuple(vec))
+    return tuple(solution), basis
+
+
+def _reference_line_contains(p0, direction, event):
+    rhs = tuple(e - p for e, p in zip(event, p0))
+    param = None
+    for i in range(4):
+        if not direction[i].is_zero():
+            param = rhs[i] / direction[i]
+            break
+    if param is None:
+        return all(c.is_zero() for c in rhs)
+    return all((p0[i] + param * direction[i]) == event[i] for i in range(4))
+
+
+def _reference_line_reaches(p0, direction, target):
+    rhs = [target[i] - p0[i] for i in range(3)]
+    param = None
+    for i in range(3):
+        if not direction[i].is_zero():
+            param = rhs[i] / direction[i]
+            break
+    if param is None:
+        if not all(r.is_zero() for r in rhs):
+            return None
+        param = ER(0)
+    if not all((p0[i] + param * direction[i]) == target[i] for i in range(3)):
+        return None
+    return p0[3] + param * direction[3]
+
+
+def _literals(value):
+    if isinstance(value, ExactReal):
+        return value.literal()
+    if isinstance(value, (tuple, list)):
+        return [_literals(v) for v in value]
+    return value
+
+
+def _entry(rng):
+    # Rationals, zeros (for singular and rank-deficient cases) and a tower element.
+    pick = rng.random()
+    q = Fr(rng.randint(-4, 4), rng.randint(1, 3))
+    return ER(0) if pick < 0.25 else ER(q) * sqrt(2) if pick < 0.4 else ER(q)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_elimination_matches_the_two_reference_loops(seed):
+    rng = random.Random(seed)
+    singular = 0
+    for n in (1, 2, 3, 4):
+        for _ in range(6):
+            a = tuple(tuple(_entry(rng) for _ in range(n)) for _ in range(n))
+            try:
+                expected = _literals(_reference_mat_inverse(a))
+            except ValueError:
+                singular += 1
+                with pytest.raises(ValueError, match="singular matrix"):
+                    linalg.mat_inverse(a)
+                continue
+            assert _literals(linalg.mat_inverse(a)) == expected
+    with pytest.raises(ValueError, match="singular matrix"):
+        linalg.mat_inverse(((ER(1), ER(2)), (ER(2), ER(4))))
+    for rows in (1, 2, 3):
+        for cols in (1, 2, 3, 4):
+            a = tuple(tuple(_entry(rng) for _ in range(cols)) for _ in range(rows))
+            b = tuple(_entry(rng) for _ in range(rows))
+            assert _literals(linalg.solve_linear(a, b)) == _literals(_reference_solve_linear(a, b))
+    assert singular > 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_line_param_matches_the_two_reference_solves(seed):
+    rng = random.Random(seed)
+    small = lambda: ER(Fr(rng.randint(-3, 3), rng.randint(1, 2)))
+    for _ in range(40):
+        p0 = tuple(small() for _ in range(4))
+        kind = rng.choice(("any", "static", "frozen"))
+        spatial = (ER(0),) * 3 if kind != "any" else tuple(small() for _ in range(3))
+        direction = spatial + ((ER(0),) if kind == "frozen" else (ER(rng.randint(1, 2)),))
+        s = small()
+        on_line = tuple(p + s * d for p, d in zip(p0, direction))
+        for event in (on_line, tuple(small() for _ in range(4)), p0):
+            assert (kinematics._line_param(p0, direction, event) is not None) == \
+                _reference_line_contains(p0, direction, event)
+            param = kinematics._line_param(p0, direction, event[:3])
+            reached = None if param is None else p0[3] + param * direction[3]
+            assert _literals(reached) == _literals(_reference_line_reaches(p0, direction, event[:3]))

@@ -4,9 +4,12 @@
   from the accelerated-observer layer.
 - Only the chart layer (`axrel.genrel`) imports numpy, and it loads on
   first use, so the exact commands never pay for numpy.
+- No module imports a name it never uses, and every function the
+  benchmark's tracer wraps still exists.
 """
 
 import ast
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -73,3 +76,75 @@ def test_rejected_chart_commands_load_without_numpy(tmp_path):
 def test_chart_names_still_import_from_the_package(tmp_path):
     body = "from axrel import rindler_chart, geodesic\nassert geodesic.__module__ == 'axrel.genrel'"
     assert _loaded_after(body, tmp_path) == "['axrel.genrel', 'numpy']"
+
+
+def _annotation_names(node):
+    # Names in an annotation, including one written as a quoted string.
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                quoted = ast.parse(sub.value, mode="eval")
+            except SyntaxError:
+                continue
+            yield from (n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+
+
+def _unused_imports(path):
+    tree = ast.parse(Path(path).read_text(encoding="utf-8"))
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            used.update(_annotation_names(node.annotation))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            used.update(_annotation_names(node.returns))
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {str(path.relative_to(SRC)): _unused_imports(path)
+              for path in sorted((SRC / "axrel").rglob("*.py")) if path.name != "__init__.py"}
+    assert {module: names for module, names in unused.items() if names} == {}
+
+
+def test_unused_import_check_sees_quoted_annotations(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text("from a import B, C, D\nimport e.f\n\n"
+                      "def g(x: 'B') -> 'list[C]':\n    return e.f\n")
+    assert _unused_imports(module) == [(1, "D")]
+
+
+def _tracer():
+    path = SRC.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_resolves():
+    # The tracer replaces owner.__dict__[name], so a name inherited or
+    # missing from its owner would stop a traced benchmark run.
+    tracer = _tracer()
+    missing = []
+    for layer, targets in tracer.LAYERS.items():
+        for module, path in targets:
+            try:
+                owner, attr = tracer._resolve(module, path)
+            except (ImportError, AttributeError):
+                missing.append((layer, module, path))
+                continue
+            if attr not in vars(owner):
+                missing.append((layer, module, path))
+    assert missing == []

@@ -366,7 +366,8 @@ def test_axsymd_unordered_pairs_match_the_ordered_reference(kind, seed):
 
 
 def _reference_term_to_poly_env(term, env, var_polys):
-    # The guided-sampling term walker that term_to_poly replaced.
+    # The guided-sampling term walker that term_to_poly replaced, and
+    # term_to_poly's own walk before fold_term.
     from axrel.field import ExactReal
     from axrel.intervals import Poly
     from axrel.syntax.ast import Add, Mul, OneC, Sub, Var, ZeroC
@@ -425,7 +426,9 @@ def test_term_to_poly_matches_the_guided_sampling_walker(seed, minkowski):
             with pytest.raises(UnsupportedDefinableSet):
                 term_to_poly(term, polys, _num_env(env))
         else:
-            assert term_to_poly(term, polys, _num_env(env)).coeffs == expected.coeffs
+            got = term_to_poly(term, polys, _num_env(env)).coeffs
+            assert got == expected.coeffs
+            assert [c.literal() for c in got] == [c.literal() for c in expected.coeffs]
             checked += 1
     assert checked >= 10
 
@@ -440,3 +443,182 @@ def test_term_to_poly_rejects_body_and_unbound_variables(name, minkowski):
     term = Add(Var("x", Sort.QUANTITY), Var(name, Sort.QUANTITY))
     with pytest.raises(UnsupportedDefinableSet):
         term_to_poly(term, {"x": Poly([0, 1])}, _num_env(env))
+
+
+def _reference_term_to_linform(term, env, binding):
+    # The affine-form walker that fold_term replaced, over (coeffs, const) pairs.
+    from axrel.syntax.ast import Add, Mul, OneC, Sub, Var, ZeroC
+
+    def add(a, b, sign):
+        out = dict(a[0])
+        for k, v in b[0].items():
+            out[k] = out.get(k, ER(0)) + (v if sign > 0 else -v)
+        return out, a[1] + (b[1] if sign > 0 else -b[1])
+
+    def scale(a, c):
+        return {k: c * v for k, v in a[0].items()}, c * a[1]
+
+    def constant(a):
+        return all(v.is_zero() for v in a[0].values())
+
+    if isinstance(term, Var):
+        if term.name in binding:
+            return binding[term.name]
+        if term.name in env:
+            v = env[term.name]
+            return ({}, v) if isinstance(v, ExactReal) else None
+        return None
+    if isinstance(term, ZeroC):
+        return {}, ER(0)
+    if isinstance(term, OneC):
+        return {}, ER(1)
+    left = _reference_term_to_linform(term.left, env, binding)
+    right = _reference_term_to_linform(term.right, env, binding)
+    if left is None or right is None:
+        return None
+    if isinstance(term, Add):
+        return add(left, right, 1)
+    if isinstance(term, Sub):
+        return add(left, right, -1)
+    if constant(left):
+        return scale(right, left[1])
+    if constant(right):
+        return scale(left, right[1])
+    return None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_term_to_linform_matches_the_reference_walker(seed, minkowski):
+    from axrel.semantics import _LinForm, _term_to_linform
+
+    rng = random.Random(seed)
+    binding = {"x": _LinForm.var("x"),
+               "y": _LinForm({"x": ER(Fr(2, 3)), "z": sqrt(2)}, ER(Fr(-1, 2)))}
+    env = {"a": ER(Fr(5, 7)) + sqrt(3), "x": ER(9), "b": minkowski.bodies["rest"]}
+    ref_binding = {n: (form.coeffs, form.const) for n, form in binding.items()}
+    affine = 0
+    for _ in range(80):
+        term = _random_term(rng, 3, ("x", "y", "a", "b", "u"))
+        expected = _reference_term_to_linform(term, env, ref_binding)
+        got = _term_to_linform(term, env, binding)
+        assert (got is None) == (expected is None), term
+        if got is not None:
+            affine += 1
+            assert {k: v.literal() for k, v in got.coeffs.items()} == \
+                {k: v.literal() for k, v in expected[0].items()}
+            assert got.const.literal() == expected[1].literal()
+    assert affine >= 10
+
+
+def _reference_merge(verdicts):
+    # genrel's former combiner.
+    for v in verdicts:
+        if v.is_fails:
+            return v
+    for v in verdicts:
+        if v.outcome == "Unknown":
+            return v
+    if not verdicts:
+        return Verdict.unknown()
+    tol = max((v.tolerance or 0.0) for v in verdicts) or None
+    return Verdict.holds(method="sampled", tolerance=tol)
+
+
+def _reference_combine(verdicts):
+    # semantics' former combiner, which only ever saw non-empty lists.
+    for v in verdicts:
+        if v.is_fails:
+            return v
+    for v in verdicts:
+        if v.outcome == "Unknown":
+            return v
+    method = "certified" if all(v.method == "certified" for v in verdicts) else "sampled"
+    budget = verdicts[0].budget_report if verdicts else {}
+    return Verdict.holds(method=method, budget=budget)
+
+
+def _chart_verdicts(rng):
+    # Verdicts as the GenRel chart checks return them.
+    tol = rng.choice((1e-9, 1e-6, 1e-3, None))
+    return rng.choice((
+        lambda: Verdict.holds(method="sampled", evidence={"k": rng.random()}, tolerance=tol),
+        lambda: Verdict.fails(evidence={"k": rng.random()}, method="sampled", tolerance=tol),
+        lambda: Verdict.unknown(evidence={"note": "declared order"}),
+    ))()
+
+
+def _sentence_verdicts(rng):
+    # Verdicts as evaluate returns them for the sentences of one group.
+    budget = {"samples": rng.randint(0, 9), "solver_calls": 0, "seed": 1}
+    return rng.choice((
+        lambda: Verdict.holds(method="certified", budget=budget),
+        lambda: Verdict.holds(method="sampled", budget=budget),
+        lambda: Verdict.fails(evidence={"x": ER(rng.randint(0, 3))}, budget=budget),
+        lambda: Verdict.unknown(evidence={"note": "budget"}, budget=budget),
+    ))()
+
+
+@pytest.mark.parametrize("reference, make, smallest", [
+    (_reference_merge, _chart_verdicts, 0),
+    (_reference_combine, _sentence_verdicts, 1),
+], ids=["genrel-merge", "semantics-combine"])
+def test_combine_verdicts_matches_both_reference_combiners(reference, make, smallest):
+    from axrel.semantics import combine_verdicts
+
+    rng = random.Random(5)
+    for _ in range(200):
+        verdicts = [make(rng) for _ in range(rng.randint(smallest, 4))]
+        got, want = combine_verdicts(verdicts), reference(verdicts)
+        assert got.to_json_dict() == want.to_json_dict()
+        if verdicts and not got.is_holds:
+            assert got is want
+
+
+def _reference_witness_refs(refs, photon):
+    # witness_photon_refs and witness_inertial_refs before they shared a builder.
+    from axrel.kinematics import mu
+
+    if len(refs) == 1 or all((a - b).is_zero() for a, b in zip(refs[0], refs[-1])):
+        if photon:
+            return PhotonLine(refs[0], (ER(1), ER(0), ER(0)))
+        return InertialLine(refs[0], (ER(0), ER(0), ER(0)))
+    x, y = refs[0], refs[1]
+    if photon and not mu(x, y).is_zero():
+        return None
+    if not photon and mu(x, y).sign() >= 0:
+        return None
+    dt = y[3] - x[3]
+    if dt.is_zero():
+        return None
+    vector = tuple((y[i] - x[i]) / dt for i in range(3))
+    return PhotonLine(x, vector) if photon else InertialLine(x, vector)
+
+
+@pytest.mark.parametrize("pair", ["one", "equal", "lightlike", "timelike", "spacelike"])
+def test_witness_refs_match_the_reference_builders(pair):
+    from axrel.semantics import witness_inertial_refs, witness_photon_refs
+
+    rng = random.Random(pair)
+    for _ in range(12):
+        x = tuple(ER(Fr(rng.randint(-4, 4), rng.randint(1, 3))) for _ in range(4))
+        t = ER(rng.choice((1, -1, Fr(1, 2), 3)))
+        step = {
+            "one": None, "equal": (ER(0), ER(0), ER(0), ER(0)),
+            "lightlike": (ER(Fr(3, 5)) * t, ER(Fr(4, 5)) * t, ER(0), t),
+            "timelike": (ER(Fr(1, 3)) * t, ER(0), ER(Fr(-1, 2)) * t, t),
+            "spacelike": (2 * t, ER(1), ER(0), t),
+        }[pair]
+        refs = [x] if step is None else [x, tuple(a + b for a, b in zip(x, step))]
+        for photon, build in ((True, witness_photon_refs), (False, witness_inertial_refs)):
+            expected, body = _reference_witness_refs(refs, photon), build(refs)
+            assert (body is None) == (expected is None)
+            if body is None:
+                continue
+            assert (body.is_photon, body.is_inertial) == (photon, not photon)
+            assert body.id.startswith("photon#" if photon else "inertial#")
+            line = body.worldline
+            assert type(line) is type(expected)
+            vector = line.direction if photon else line.velocity
+            want = expected.direction if photon else expected.velocity
+            assert [c.literal() for c in line.point + vector] == \
+                [c.literal() for c in expected.point + want]

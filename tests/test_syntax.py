@@ -296,3 +296,19 @@ def test_theory_blocks_return_unparsed_texts():
                                          ("theorem", "b", "& not a formula")]
     with pytest.raises(FormulaSyntaxError):
         parse_theory_file(text)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_axdiff_bounds_are_forward_differences(k):
+    # With y_jc = (j+1)^k the forward k-th difference is k!, and with
+    # a_kc * l^k = 1 every residual of the k-th bound vanishes.
+    from axrel.field import ER
+    from axrel.semantics import eval_term
+    from axrel.syntax.ast import mentions
+
+    (_, sentence), = axiom_corpus("GenRel(3)").group("AxDiff_3").sentences
+    residual = next(g.left for g in subformulas(sentence)
+                    if isinstance(g, Less) and mentions(g.left, "a%d1" % k))
+    env = {"y%d%d" % (j, c): ER((j + 1) ** k) for j in range(4) for c in range(1, 5)}
+    env.update({"a%d%d" % (k, c): ER(1) for c in range(1, 5)}, l=ER(1))
+    assert eval_term(residual, env) == ER(0)
