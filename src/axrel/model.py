@@ -462,6 +462,7 @@ def parse_model(text: str) -> Structure:
     families_seen = False
     observers: list = []
     bodies: list = []
+    ids: set = set()
 
     for head, args, numbered in declaration_lines(text):
         with numbered:
@@ -483,14 +484,22 @@ def parse_model(text: str) -> Structure:
                             raise ValueError("unknown family %r" % w)
             elif head == "observer":
                 observers.append(_parse_observer(args))
+                _claim_id(ids, observers[-1].name)
             elif head == "body":
                 bodies.append(_parse_body(args))
+                _claim_id(ids, bodies[-1].id)
             else:
                 raise ValueError("unknown declaration %r" % head)
     if not families_seen:
         photon_family = inertial_family = True
 
     return _structure(observers, bodies, photon_family, inertial_family, name)
+
+
+def _claim_id(ids: set, name: str):
+    if name in ids:
+        raise ValueError("duplicate body id %r" % name)
+    ids.add(name)
 
 
 def declaration_lines(text: str):

@@ -48,7 +48,7 @@ from .model import (
 from .syntax.ast import (
     And, EqB, EqQ, Exists, Forall, Formula, IBAtom, IObAtom, Iff, Implies,
     Less, Not, ObAtom, OneC, Or, PhAtom, Sort, Sub, Term, Theory, Var,
-    WAtom, fold_term, mentions,
+    WAtom, _formula_terms, fold_term, mentions, subformulas,
 )
 from .syntax.corpus import (
     IndInstance, contract_definitions, ind_battery, instantiate_ind,
@@ -527,7 +527,8 @@ def _family_witness(var: str, conjuncts: list, env, ctx: _Ctx):
     if not watoms or len(watoms) > 2:
         return None
     # all other conjuncts must not mention the variable
-    if any(mentions(t, var) for g in others for t in _formula_terms_deep(g)):
+    if any(mentions(t, var) for g in others for sub in subformulas(g)
+           for t in _formula_terms(sub)):
         return None
     try:
         obs = eval_term(watoms[0].observer, env)
@@ -549,13 +550,6 @@ def _family_witness(var: str, conjuncts: list, env, ctx: _Ctx):
     if body is None:
         return False, None, {"reason": "no family body through the given events"}
     return True, body, {}
-
-
-def _formula_terms_deep(g: Formula):
-    from .syntax.ast import _formula_terms
-    from .syntax.ast import subformulas
-    for sub in subformulas(g):
-        yield from _formula_terms(sub)
 
 
 _synth_counter = itertools.count(1)
@@ -847,8 +841,6 @@ def _collect_equations(matrix, limit: int = 4) -> list:
     """EqQ subformulas of the matrix, used to steer samples onto the
     algebraic surfaces where one side of an equivalence can flip."""
     out = []
-    from .syntax.ast import subformulas
-
     for sub in subformulas(matrix):
         if isinstance(sub, EqQ):
             out.append(sub)
@@ -1128,6 +1120,21 @@ def _fixed_null_vectors():
     return _FIXED_NULL
 
 
+# The coordinate names of the points in the SpecRel axioms' evidence.
+_X = ("x1", "x2", "x3", "x4")
+_X_PRIME = ("x1'", "x2'", "x3'", "x4'")
+_Y = ("y1", "y2", "y3", "y4")
+_Y_PRIME = ("y1'", "y2'", "y3'", "y4'")
+
+
+def _evidence(head: dict, *points) -> dict:
+    """head, then each (names, coordinates) point's coordinates by name."""
+    out = dict(head)
+    for names, values in points:
+        out.update(zip(names, values))
+    return out
+
+
 def _certify_axph(s: Structure, budget: Budget) -> Optional[Verdict]:
     if not s.photon_family:
         return None
@@ -1154,13 +1161,8 @@ def _certify_axph(s: Structure, budget: Budget) -> Optional[Verdict]:
             q = sum((z[i] * sum((a[i][j] * z[j] for j in range(4)), ER(0))
                      for i in range(4)), ER(0))
             if not q.is_zero():
-                zero = (ER(0),) * 4
-                evidence = {"o": o.id}
-                for i, nm in enumerate(("x1", "x2", "x3", "x4")):
-                    evidence[nm] = zero[i]
-                for i, nm in enumerate(("x1'", "x2'", "x3'", "x4'")):
-                    evidence[nm] = z[i]
-                return Verdict.fails(evidence=evidence)
+                return Verdict.fails(evidence=_evidence(
+                    {"o": o.id}, (_X, (ER(0),) * 4), (_X_PRIME, z)))
         return None  # could not certify either way; fall back
     return Verdict.holds()
 
@@ -1177,10 +1179,7 @@ def _certify_axev(s: Structure) -> Verdict:
             w = s.chart_of(o2).compose(s.chart_of(o).inverse())
             probe = _domain_escape_point(s, o, o2, w)
             if probe is not None:
-                evidence = {"o": o.id, "o'": o2.id}
-                for i, nm in enumerate(("x1", "x2", "x3", "x4")):
-                    evidence[nm] = probe[i]
-                return Verdict.fails(evidence=evidence)
+                return Verdict.fails(evidence=_evidence({"o": o.id, "o'": o2.id}, (_X, probe)))
             undecided = True
     if undecided:
         return Verdict.unknown(evidence={"note": "restricted domains; no certified decision"})
@@ -1226,18 +1225,9 @@ def _certify_axsymd(s: Structure) -> Optional[Verdict]:
             bad = _symd_violation(lin, basis)
             if bad is not None:
                 zero4 = (ER(0),) * 4
-                img = w.apply(bad)
-                img0 = w.apply(zero4)
-                ev = {"o": o.id, "o'": o2.id}
-                for nm, val in zip(("x1", "x2", "x3", "x4"), bad):
-                    ev[nm] = val
-                for nm, val in zip(("y1", "y2", "y3", "y4"), zero4):
-                    ev[nm] = val
-                for nm, val in zip(("x1'", "x2'", "x3'", "x4'"), img):
-                    ev[nm] = val
-                for nm, val in zip(("y1'", "y2'", "y3'", "y4'"), img0):
-                    ev[nm] = val
-                return Verdict.fails(evidence=ev)
+                return Verdict.fails(evidence=_evidence(
+                    {"o": o.id, "o'": o2.id}, (_X, bad), (_Y, zero4),
+                    (_X_PRIME, w.apply(bad)), (_Y_PRIME, w.apply(zero4))))
     return Verdict.holds()
 
 

@@ -33,7 +33,8 @@ __all__ = [
     "EqQ", "EqB", "Less", "Not", "And", "Or", "Implies", "Iff",
     "Forall", "Exists", "Theory", "AxiomGroup", "SortError",
     "free_vars", "subterms", "subformulas", "alpha_equal", "is_sentence",
-    "exists_many", "substitute_term", "fold_term", "mentions",
+    "exists_many", "substitute_term", "fold_term", "mentions", "rebuild",
+    "map_terms", "fresh_name", "rename_bound",
 ]
 
 
@@ -321,17 +322,26 @@ class Theory:
 
 
 # ---------------------------------------------------------------------------
-# Traversals and utilities.
+# Traversals and utilities.  Each transformation below spells out only its
+# own cases and hands the rest to three shared walks: ``rebuild`` (one
+# formula node from its transformed children), ``map_terms`` (a top-down
+# rebuild of a term or of an atom's terms) and ``fresh_name``.
+
+_TERM_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+_BINARY = (And, Or, Implies, Iff)
+_BODY_ATOMS = (IBAtom, PhAtom, ObAtom, IObAtom)
+_RELATIONS = (EqQ, EqB, Less)
 
 
 def subterms(t: Term) -> Iterator[Term]:
-    yield t
-    if isinstance(t, (Add, Mul, Sub)):
-        yield from subterms(t.left)
-        yield from subterms(t.right)
-
-
-_TERM_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+    """t and every operand below it, pre-order, left before right."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        if type(t) in _TERM_OPS:
+            stack.append(t.right)
+            stack.append(t.left)
 
 
 def fold_term(term: Term, leaf):
@@ -349,61 +359,119 @@ def mentions(t: Term, var: str) -> bool:
     return any(isinstance(x, Var) and x.name == var for x in subterms(t))
 
 
-def _formula_terms(f: Formula) -> Iterator[Term]:
-    if isinstance(f, (IBAtom, PhAtom, ObAtom, IObAtom)):
-        yield f.body
-    elif isinstance(f, WAtom):
-        yield f.observer
-        yield f.body
-        yield from f.coords
-    elif isinstance(f, (EqQ, EqB, Less)):
-        yield f.left
-        yield f.right
+def _formula_terms(f: Formula) -> tuple:
+    """The terms of an atom, left to right; () for any other formula."""
+    cls = type(f)
+    if cls in _BODY_ATOMS:
+        return (f.body,)
+    if cls is WAtom:
+        return (f.observer, f.body) + f.coords
+    if cls in _RELATIONS:
+        return (f.left, f.right)
+    return ()
+
+
+def _children(f: Formula) -> tuple:
+    """The immediate subformulas of f, left to right."""
+    cls = type(f)
+    if cls is Not:
+        return (f.arg,)
+    if cls in _BINARY:
+        return (f.left, f.right)
+    if cls is Forall or cls is Exists:
+        return (f.body,)
+    return ()
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
-    yield f
-    if isinstance(f, Not):
-        yield from subformulas(f.arg)
-    elif isinstance(f, (And, Or, Implies, Iff)):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-    elif isinstance(f, (Forall, Exists)):
-        yield from subformulas(f.body)
+    """f and every subformula below it, pre-order, left before right."""
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        yield f
+        stack.extend(reversed(_children(f)))
+
+
+def rebuild(f: Formula, visit, atom=None) -> Formula:
+    """f with each immediate subformula g replaced by visit(g), left to
+    right; f itself when nothing changed.  An atom is returned as it is, or
+    as atom(f) when atom is given."""
+    cls = type(f)
+    if cls is Not:
+        arg = visit(f.arg)
+        return f if arg is f.arg else Not(arg)
+    if cls in _BINARY:
+        left, right = visit(f.left), visit(f.right)
+        return f if left is f.left and right is f.right else cls(left, right)
+    if cls is Forall or cls is Exists:
+        body = visit(f.body)
+        return f if body is f.body else cls(f.var, f.var_sort, body)
+    return f if atom is None else atom(f)
+
+
+def map_terms(node, fn):
+    """Top-down rebuild of a term, or of each term of an atom, left to
+    right.  fn(t) returns a replacement for the term t, which ends the
+    descent there, or None to keep t over its rebuilt operands.  A node
+    none of whose terms changed is returned as it is."""
+    if isinstance(node, Term):
+        new = fn(node)
+        if new is not None:
+            return new
+        cls = type(node)
+        if cls not in _TERM_OPS:
+            return node
+        left, right = map_terms(node.left, fn), map_terms(node.right, fn)
+        return node if left is node.left and right is node.right else cls(left, right)
+    terms = _formula_terms(node)
+    new_terms = [map_terms(t, fn) for t in terms]
+    if all(new is old for new, old in zip(new_terms, terms)):
+        return node
+    return type(node)(*new_terms)  # every atom takes its terms in this order
+
+
+def fresh_name(base: str, used: set) -> str:
+    """The first of base, base_2, base_3, ... not in used, which it joins.
+    A numeral goes before the trailing primes (u' gives u_2'), so the name
+    reads back as one identifier."""
+    stem = base.rstrip("'")
+    name, n = base, 1
+    while name in used:
+        n += 1
+        name = "%s_%d%s" % (stem, n, base[len(stem):])
+    used.add(name)
+    return name
 
 
 def free_vars(f: Formula) -> dict:
-    """Free variables with their sorts; raises SortError on inconsistent use."""
+    """Free variables with their sorts, in order of first occurrence;
+    raises SortError on inconsistent use."""
     out: dict = {}
-
-    def visit(node: Formula, bound: dict):
-        if isinstance(node, (Forall, Exists)):
-            visit(node.body, {**bound, node.var: node.var_sort})
-            return
-        if isinstance(node, Not):
-            visit(node.arg, bound)
-            return
-        if isinstance(node, (And, Or, Implies, Iff)):
-            visit(node.left, bound)
-            visit(node.right, bound)
-            return
+    stack = [(f, {})]
+    while stack:
+        node, bound = stack.pop()
+        children = _children(node)
+        if children:
+            if type(node) is Forall or type(node) is Exists:
+                bound = {**bound, node.var: node.var_sort}
+            stack.extend([(child, bound) for child in reversed(children)])
+            continue
         for t in _formula_terms(node):
             for sub in subterms(t):
-                if isinstance(sub, Var):
-                    expected = bound.get(sub.name)
-                    if expected is not None:
-                        if expected is not sub.sort:
-                            raise SortError("variable %s bound as %s, used as %s"
-                                            % (sub.name, expected, sub.sort),
-                                            pos=sub.pos, expected=expected, found=sub.sort)
-                    else:
-                        prior = out.get(sub.name)
-                        if prior is not None and prior is not sub.sort:
-                            raise SortError("variable %s used at two sorts" % sub.name,
-                                            pos=sub.pos, expected=prior, found=sub.sort)
-                        out[sub.name] = sub.sort
-
-    visit(f, {})
+                if type(sub) is not Var:
+                    continue
+                expected = bound.get(sub.name)
+                if expected is not None:
+                    if expected is not sub.sort:
+                        raise SortError("variable %s bound as %s, used as %s"
+                                        % (sub.name, expected, sub.sort),
+                                        pos=sub.pos, expected=expected, found=sub.sort)
+                else:
+                    prior = out.get(sub.name)
+                    if prior is not None and prior is not sub.sort:
+                        raise SortError("variable %s used at two sorts" % sub.name,
+                                        pos=sub.pos, expected=prior, found=sub.sort)
+                    out[sub.name] = sub.sort
     return out
 
 
@@ -420,90 +488,63 @@ def exists_many(names, sort: Sort, body: Formula) -> Formula:
 
 def substitute_term(f: Formula, name: str, replacement: Term) -> Formula:
     """Capture-avoiding substitution of a term for a free variable."""
-    repl_frees = {v.name for t in [replacement] for v in subterms(t) if isinstance(v, Var)}
+    repl_frees = {v.name for v in subterms(replacement) if isinstance(v, Var)}
 
-    def sub_term(t: Term) -> Term:
-        if isinstance(t, Var):
+    def swap(t: Term):
+        if type(t) is Var:
             return replacement if t.name == name else t
-        if isinstance(t, (Add, Mul, Sub)):
-            return type(t)(sub_term(t.left), sub_term(t.right))
-        return t
+        return None
 
-    def fresh(base: str, avoid: set) -> str:
-        ticks = len(base) - len(base.rstrip("'"))
-        stem = base.rstrip("'")
-        candidate = base
-        n = 1
-        while candidate in avoid:
-            n += 1
-            candidate = "%s_%d%s" % (stem, n, "'" * ticks)
-        return candidate
+    def swap_atom(atom: Formula) -> Formula:
+        return map_terms(atom, swap)
 
     def visit(node: Formula) -> Formula:
-        if isinstance(node, (Forall, Exists)):
+        cls = type(node)
+        if cls is Forall or cls is Exists:
             if node.var == name:
                 return node
             if node.var in repl_frees:
-                new_name = fresh(node.var, repl_frees | set(free_vars(node.body)) | {name})
+                new_name = fresh_name(node.var, repl_frees | set(free_vars(node.body)) | {name})
                 renamed = substitute_term(node.body, node.var, Var(new_name, node.var_sort))
-                return type(node)(new_name, node.var_sort, visit(renamed))
-            return type(node)(node.var, node.var_sort, visit(node.body))
-        if isinstance(node, Not):
-            return Not(visit(node.arg))
-        if isinstance(node, (And, Or, Implies, Iff)):
-            return type(node)(visit(node.left), visit(node.right))
-        if isinstance(node, (IBAtom, PhAtom, ObAtom, IObAtom)):
-            return type(node)(sub_term(node.body))
-        if isinstance(node, WAtom):
-            return WAtom(sub_term(node.observer), sub_term(node.body),
-                         *(sub_term(c) for c in node.coords))
-        if isinstance(node, (EqQ, EqB, Less)):
-            return type(node)(sub_term(node.left), sub_term(node.right))
-        return node
+                return cls(new_name, node.var_sort, visit(renamed))
+        return rebuild(node, visit, swap_atom)
 
     return visit(f)
 
 
+def rename_bound(f: Formula, choose) -> Formula:
+    """f with each binder's variable renamed to choose(var, depth), where
+    depth counts the binders above it, and its bound occurrences renamed
+    to match.  Binders are renamed in pre-order."""
+
+    def scope(ren: dict, depth: int):
+        def rename(t: Term):
+            if type(t) is Var and t.name in ren:
+                return Var(ren[t.name], t.var_sort)
+            return None
+
+        def atom(node: Formula) -> Formula:
+            return map_terms(node, rename)
+
+        def visit(node: Formula) -> Formula:
+            cls = type(node)
+            if cls is Forall or cls is Exists:
+                new = choose(node.var, depth)
+                inner = scope({**ren, node.var: new}, depth + 1)
+                return cls(new, node.var_sort, inner(node.body))
+            return rebuild(node, visit, atom)
+
+        return visit
+
+    return scope({}, 0)(f)
+
+
 def alpha_equal(f: Formula, g: Formula) -> bool:
-    """Structural equality up to bound-variable renaming (pos ignored)."""
+    """Structural equality up to bound-variable renaming (pos ignored): the
+    formulas are compared with each bound variable renamed to its binder
+    depth, a name no parsed variable can have."""
 
-    def walk(a, b, env_a: dict, env_b: dict, depth: int) -> bool:
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, (Forall, Exists)):
-            if a.var_sort is not b.var_sort:
-                return False
-            return walk(a.body, b.body,
-                        {**env_a, a.var: depth}, {**env_b, b.var: depth}, depth + 1)
-        if isinstance(a, Not):
-            return walk(a.arg, b.arg, env_a, env_b, depth)
-        if isinstance(a, (And, Or, Implies, Iff)):
-            return (walk(a.left, b.left, env_a, env_b, depth)
-                    and walk(a.right, b.right, env_a, env_b, depth))
-        if isinstance(a, (IBAtom, PhAtom, ObAtom, IObAtom)):
-            return term_eq(a.body, b.body, env_a, env_b)
-        if isinstance(a, WAtom):
-            return all(term_eq(x, y, env_a, env_b)
-                       for x, y in zip((a.observer, a.body) + a.coords,
-                                       (b.observer, b.body) + b.coords))
-        if isinstance(a, (EqQ, EqB, Less)):
-            return (term_eq(a.left, b.left, env_a, env_b)
-                    and term_eq(a.right, b.right, env_a, env_b))
-        return a == b
+    def by_depth(h: Formula) -> Formula:
+        return rename_bound(h, lambda var, depth: "#%d" % depth)
 
-    def term_eq(s, t, env_a, env_b) -> bool:
-        if type(s) is not type(t):
-            return False
-        if isinstance(s, Var):
-            if s.sort is not t.sort:
-                return False
-            da, db = env_a.get(s.name), env_b.get(t.name)
-            if da is None and db is None:
-                return s.name == t.name
-            return da == db
-        if isinstance(s, (Add, Mul, Sub)):
-            return (term_eq(s.left, t.left, env_a, env_b)
-                    and term_eq(s.right, t.right, env_a, env_b))
-        return True  # ZeroC/OneC
-
-    return walk(f, g, {}, {}, 0)
+    return by_depth(f) == by_depth(g)

@@ -25,6 +25,7 @@ Sibling binders keep their names (two ``A b:B`` in one conjunction):
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -32,8 +33,9 @@ from typing import Optional
 
 from .ast import (
     Add, And, AxiomGroup, EqQ, Exists, Forall, Formula, IBAtom, IObAtom,
-    Iff, Implies, Less, Mul, Not, ObAtom, OneC, Or, Sort, Sub, Term,
-    Theory, Var, WAtom, ZeroC, exists_many, free_vars, mentions,
+    Implies, Less, Mul, ObAtom, OneC, Or, Sort, Sub, Term, Theory, Var, WAtom,
+    ZeroC, exists_many, free_vars, fresh_name, map_terms, mentions, rebuild,
+    substitute_term,
 )
 from .parser import theory_blocks
 
@@ -191,7 +193,11 @@ _GENREL = ("AxField", "AxSelf-", "AxPh-", "AxEv-", "AxSymt-")
 @functools.cache
 def _ax_diff(n: int) -> AxiomGroup:
     def num(k: int) -> str:
-        return "1" if k == 1 else "(%s)" % " + ".join(["1"] * k)
+        # Up to 6 a sum of ones; past that Horner form in base 1 + 1, so the
+        # text grows like log k.
+        if k <= 6:
+            return "1" if k == 1 else "(%s)" % " + ".join(["1"] * k)
+        return "((1 + 1) * %s%s)" % (num(k // 2), " + 1" if k % 2 else "")
 
     def lam_pow(k: int) -> str:
         return "l" if k == 1 else "(%s)" % " * ".join(["l"] * k)
@@ -283,31 +289,33 @@ def expand_definitions(f: Formula) -> Formula:
     The result contains only primitive symbols; expansion is idempotent
     and deterministic (fresh variables are numbered in traversal order).
     """
-    counter = [0]
+    counter = itertools.count(1)
 
     def fresh(prefix: str) -> str:
-        counter[0] += 1
-        return "_%s%d" % (prefix, counter[0])
+        return "_%s%d" % (prefix, next(counter))
 
     def expand_atom_terms(node: Formula) -> Formula:
-        # Eliminate the leftmost-innermost sugar term, then recurse.
-        target = _first_sugar_term(node)
-        if target is None:
-            return node
-        name = fresh("q")
-        v = Var(name, Sort.QUANTITY)
-        replaced = _replace_term_once(node, target, v)
-        if isinstance(target, ZeroC):
-            w = fresh("w")
-            guard = Forall(w, Sort.QUANTITY,
-                           EqQ(Add(v, Var(w, Sort.QUANTITY)), Var(w, Sort.QUANTITY)))
-        elif isinstance(target, OneC):
-            w = fresh("w")
-            guard = Forall(w, Sort.QUANTITY,
-                           EqQ(Mul(v, Var(w, Sort.QUANTITY)), Var(w, Sort.QUANTITY)))
-        else:  # Sub: v is the unique u with right + u = left
-            guard = EqQ(Add(target.right, v), target.left)
-        return Exists(name, Sort.QUANTITY, And(guard, expand_atom_terms(replaced)))
+        # Each 0, 1 and subtraction becomes a fresh variable v pinned by a
+        # guard, innermost first and left to right.
+        pinned = []
+
+        def pin(t: Term):
+            if isinstance(t, Sub):  # v is the unique u with right + u = left
+                left, right = map_terms(t.left, pin), map_terms(t.right, pin)
+                v = Var(fresh("q"), Sort.QUANTITY)
+                pinned.append((v, EqQ(Add(right, v), left)))
+                return v
+            if isinstance(t, (ZeroC, OneC)):  # v is the neutral element of + or *
+                v, w = Var(fresh("q"), Sort.QUANTITY), Var(fresh("w"), Sort.QUANTITY)
+                op = Add if isinstance(t, ZeroC) else Mul
+                pinned.append((v, Forall(w.name, Sort.QUANTITY, EqQ(op(v, w), w))))
+                return v
+            return None
+
+        out = map_terms(node, pin)
+        for v, guard in reversed(pinned):
+            out = Exists(v.name, Sort.QUANTITY, And(guard, out))
+        return out
 
     def visit(node: Formula) -> Formula:
         if isinstance(node, ObAtom):
@@ -317,13 +325,7 @@ def expand_definitions(f: Formula) -> Formula:
             return Exists(b, Sort.BODY, exists_many(names, Sort.QUANTITY, w))
         if isinstance(node, IObAtom):
             return And(IBAtom(node.body), visit(ObAtom(node.body)))
-        if isinstance(node, Not):
-            return Not(visit(node.arg))
-        if isinstance(node, (And, Or, Implies, Iff)):
-            return type(node)(visit(node.left), visit(node.right))
-        if isinstance(node, (Forall, Exists)):
-            return type(node)(node.var, node.var_sort, visit(node.body))
-        return expand_atom_terms(node)
+        return rebuild(node, visit, expand_atom_terms)
 
     return visit(f)
 
@@ -338,7 +340,6 @@ def contract_definitions(f: Formula) -> Formula:
     applies this before quantifier processing so expanded formulas are
     decided exactly like their sugared originals.
     """
-    from .ast import substitute_term
 
     def pin_of(var: str, guard: Formula) -> Optional[Term]:
         if isinstance(guard, Forall) and guard.var_sort is Sort.QUANTITY:
@@ -360,61 +361,12 @@ def contract_definitions(f: Formula) -> Formula:
     def visit(node: Formula) -> Formula:
         if isinstance(node, Exists) and node.var_sort is Sort.QUANTITY \
                 and isinstance(node.body, And):
-            guard, rest = node.body.left, node.body.right
-            pin = pin_of(node.var, guard)
+            pin = pin_of(node.var, node.body.left)
             if pin is not None:
-                return visit(substitute_term(rest, node.var, pin))
-        if isinstance(node, Not):
-            return Not(visit(node.arg))
-        if isinstance(node, (And, Or, Implies, Iff)):
-            return type(node)(visit(node.left), visit(node.right))
-        if isinstance(node, (Forall, Exists)):
-            return type(node)(node.var, node.var_sort, visit(node.body))
-        return node
+                return visit(substitute_term(node.body.right, node.var, pin))
+        return rebuild(node, visit)
 
     return visit(f)
-
-
-def _first_sugar_term(atom: Formula) -> Optional[Term]:
-    def scan(t: Term) -> Optional[Term]:
-        if isinstance(t, (Add, Mul, Sub)):
-            hit = scan(t.left) or scan(t.right)
-            if hit is not None:
-                return hit
-            return t if isinstance(t, Sub) else None
-        if isinstance(t, (ZeroC, OneC)):
-            return t
-        return None
-
-    from .ast import _formula_terms
-
-    for term in _formula_terms(atom):
-        hit = scan(term)
-        if hit is not None:
-            return hit
-    return None
-
-
-def _replace_term_once(atom: Formula, target: Term, replacement: Term) -> Formula:
-    done = [False]
-
-    def rt(t: Term) -> Term:
-        if done[0]:
-            return t
-        if t is target:
-            done[0] = True
-            return replacement
-        if isinstance(t, (Add, Mul, Sub)):
-            left = rt(t.left)
-            right = rt(t.right)
-            return type(t)(left, right)
-        return t
-
-    if isinstance(atom, (EqQ, Less)):
-        return type(atom)(rt(atom.left), rt(atom.right))
-    if isinstance(atom, WAtom):
-        return WAtom(atom.observer, atom.body, *(rt(c) for c in atom.coords))
-    return atom
 
 
 # ---------------------------------------------------------------------------
@@ -438,19 +390,9 @@ def instantiate_ind(phi: Formula, var: str = "t") -> Formula:
         raise NotQuantityVariable("%r is not quantity-sorted" % var)
     params = sorted(n for n in frees if n != var)
     used = set(frees)
-
-    def fresh(base: str) -> str:
-        name = base
-        n = 1
-        while name in used:
-            n += 1
-            name = "%s_%d" % (base, n)
-        used.add(name)
-        return name
-
-    ub_name = fresh("u")
-    sup_name = fresh("s")
-    other_ub = fresh("u'")
+    ub_name = fresh_name("u", used)
+    sup_name = fresh_name("s", used)
+    other_ub = fresh_name("u'", used)
 
     def le(a: str, b: str) -> Formula:
         a, b = Var(a, Sort.QUANTITY), Var(b, Sort.QUANTITY)

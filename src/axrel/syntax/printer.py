@@ -9,7 +9,7 @@ from __future__ import annotations
 from .ast import (
     Add, And, EqB, EqQ, Exists, Forall, Formula, IBAtom, IObAtom, Iff, Implies,
     Less, Mul, Not, ObAtom, OneC, Or, PhAtom, Sub, Term, Var, WAtom,
-    ZeroC, free_vars,
+    ZeroC, free_vars, fresh_name, rename_bound,
 )
 
 __all__ = ["print_formula"]
@@ -88,42 +88,4 @@ def _term(t: Term, ctx: int) -> str:
 def _rename_apart(f: Formula) -> Formula:
     """Rename bound variables so no binder shadows an outer binding or a free variable."""
     used = set(free_vars(f))
-
-    def fresh(base: str) -> str:
-        # Keep primes trailing so renamed variables stay single tokens.
-        ticks = len(base) - len(base.rstrip("'"))
-        stem = base.rstrip("'")
-        candidate = base
-        n = 1
-        while candidate in used:
-            n += 1
-            candidate = "%s_%d%s" % (stem, n, "'" * ticks)
-        used.add(candidate)
-        return candidate
-
-    def visit(node: Formula, ren: dict) -> Formula:
-        if isinstance(node, (Forall, Exists)):
-            new_name = fresh(node.var)
-            body = visit(node.body, {**ren, node.var: new_name})
-            return type(node)(new_name, node.var_sort, body)
-        if isinstance(node, Not):
-            return Not(visit(node.arg, ren))
-        if isinstance(node, (And, Or, Implies, Iff)):
-            return type(node)(visit(node.left, ren), visit(node.right, ren))
-        if isinstance(node, (IBAtom, PhAtom, ObAtom, IObAtom)):
-            return type(node)(rt(node.body, ren))
-        if isinstance(node, WAtom):
-            return WAtom(rt(node.observer, ren), rt(node.body, ren),
-                         *(rt(c, ren) for c in node.coords))
-        if isinstance(node, (EqQ, EqB, Less)):
-            return type(node)(rt(node.left, ren), rt(node.right, ren))
-        return node
-
-    def rt(t: Term, ren: dict) -> Term:
-        if isinstance(t, Var):
-            return Var(ren.get(t.name, t.name), t.var_sort)
-        if isinstance(t, (Add, Mul, Sub)):
-            return type(t)(rt(t.left, ren), rt(t.right, ren))
-        return t
-
-    return visit(f, {})
+    return rename_bound(f, lambda var, depth: fresh_name(var, used))

@@ -341,10 +341,13 @@ def test_division_by_zero_in_model_is_data_error(tmp_path, capsys):
     ("families photons bosons", "unknown family 'bosons'"),
     ("widget 1", "unknown declaration 'widget'"),
     ("observer rest velocity 1/2 0 zz", "unknown name 'zz'"),
+    ("observer a", "duplicate body id 'a'"),
+    ("body a photon through 0 0 0 0 direction 1 0 0", "duplicate body id 'a'"),
 ])
 def test_malformed_model_line_is_data_error(tmp_path, capsys, line, message):
     model = tmp_path / "broken.model"
-    model.write_text("structure broken\n# the next declaration is malformed\n%s\n" % line)
+    model.write_text("structure broken\nobserver a  # the next declaration is malformed\n%s\n"
+                     % line)
     code, out, err = run_cli(["check", "SpecRel", str(model)], capsys)
     _one_line_error(code, err)
     assert err == "axrel: line 3: %s in %r\n" % (message, line) and out == ""
