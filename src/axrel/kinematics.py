@@ -244,7 +244,7 @@ def worldview_transform(s: "Structure", o: "Body", o2: "Body") -> AffineMap:
             raise NotInertialObserver("%s is not an inertial observer" % obs.id)
         if not getattr(obs, "is_inertial", False):
             raise NotInertialObserver("%s is not inertial" % obs.id)
-    return s.chart_of(o2).compose(s.chart_of(o).inverse())
+    return s.transition(o, o2)
 
 
 def relative_velocity(s: "Structure", o: "Body", o2: "Body") -> tuple:

@@ -247,7 +247,13 @@ class DifferentiableChart:
 
 
 class Structure:
-    """A model of the language: bodies, family flags, observer charts."""
+    """A model of the language: bodies, family flags, observer charts.
+
+    Bodies, charts, domains, family flags and constants are fixed after
+    construction; nothing may rebind or mutate them.  So the structure
+    keeps each worldview transformation that :meth:`transition` builds,
+    at most (observers)^2 maps.
+    """
 
     def __init__(self, bodies: Sequence[Body], charts: dict,
                  photon_family: bool = True, inertial_family: bool = True,
@@ -266,6 +272,7 @@ class Structure:
         for oid in self.charts:
             if oid not in self.bodies:
                 raise ValueError("chart for unknown body %r" % oid)
+        self._transitions = {}  # (o id, o2 id) -> AffineMap
 
     # -- observers ---------------------------------------------------------
 
@@ -286,6 +293,17 @@ class Structure:
 
     def all_domains_full(self) -> bool:
         return all(self.domain_of(self.bodies[oid]).is_full() for oid in self.charts)
+
+    def transition(self, o: Body, o2: Body) -> AffineMap:
+        """The worldview transformation chart(o2) o chart(o)^-1, from o's
+        coordinates to o2's, for two observers with affine charts.  Built
+        on the first call for the pair and kept; two threads may both
+        build it, and they store equal maps."""
+        key = (o.id, o2.id)
+        w = self._transitions.get(key)
+        if w is None:
+            w = self._transitions[key] = self.chart_of(o2).compose(self.chart_of(o).inverse())
+        return w
 
     # -- the worldview relation ---------------------------------------------
 
@@ -323,8 +341,7 @@ class Structure:
                 raise NotAnObserver(obs.id)
         c1, c2 = self.chart_of(o), self.chart_of(o2)
         if isinstance(c1, AffineMap) and isinstance(c2, AffineMap):
-            x = tuple(ER(c) for c in x)
-            return c2.apply(c1.inverse().apply(x))
+            return self.transition(o, o2).apply(tuple(ER(c) for c in x))
         xf = tuple(float(c) for c in x)
         fwd = c2.forward if isinstance(c2, DifferentiableChart) else (
             lambda p: tuple(float(v) for v in c2.apply(coord4(*p))))

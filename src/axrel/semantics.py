@@ -37,6 +37,7 @@ import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .field import ER, ExactReal
@@ -147,6 +148,16 @@ class _Ctx:
         self.budget = budget
         self.samples_used = 0
         self.solver_calls = 0
+
+    @cached_property
+    def corners(self) -> list:
+        """Sampling corners: {0, +-1, +-1/2}, then each structure constant
+        not already among them."""
+        corners = [ER(0), ER(1), ER(-1), ER(Fraction(1, 2)), ER(Fraction(-1, 2))]
+        for c in self.s.constants:
+            if all((c - x).sign() != 0 for x in corners):
+                corners.append(c)
+        return corners
 
     def bump_solver(self):
         self.solver_calls += 1
@@ -377,11 +388,10 @@ def _event_contents_equal(s: Structure, o: Body, x, o2: Body, y) -> Optional[boo
         named1 = s.event_at(o, x).named if in1 else frozenset()
         named2 = s.event_at(o2, y).named if in2 else frozenset()
         return named1 == named2
-    p1 = s.reference_point(o, x)
-    p2 = s.reference_point(o2, y)
     if s.photon_family or s.inertial_family:
-        # family contents are injective in the reference point
-        return all((a - b).is_zero() for a, b in zip(p1, p2))
+        # Family contents are injective in the event, and charts are
+        # bijections: the events are equal iff w(x) = y.
+        return all((a - b).is_zero() for a, b in zip(s.transition(o, o2).apply(x), y))
     return s.event_at(o, x).named == s.event_at(o2, y).named
 
 
@@ -718,14 +728,14 @@ def _pin_with_constraints(names, conjuncts, env, ctx: _Ctx):
                 except UnboundVariable:
                     remaining.append(g)
                     continue
-                c1, c2 = ctx.s.chart_of(o), ctx.s.chart_of(o2)
-                if not (isinstance(c1, AffineMap) and isinstance(c2, AffineMap)):
+                if not (isinstance(ctx.s.chart_of(o), AffineMap)
+                        and isinstance(ctx.s.chart_of(o2), AffineMap)):
                     continue  # cannot pin; conjunct still checked per sample
                 xs_forms = [_term_to_linform(t, env, binding) for t in xs_t]
                 if any(fm is None for fm in xs_forms):
                     remaining.append(g)
                     continue
-                ys_forms = _map_forms(c2.compose(c1.inverse()), xs_forms, _LinForm.constant)
+                ys_forms = _map_forms(ctx.s.transition(o, o2), xs_forms, _LinForm.constant)
                 targets = [t.name if isinstance(t, Var) and t.name in binding else None
                            for t in ys_t]
                 if all(targets):
@@ -804,17 +814,9 @@ def _solve_equations(params, equations):
     return particular, basis
 
 
-def _corner_values(ctx: _Ctx) -> list:
-    corners = [ER(0), ER(1), ER(-1), ER(Fraction(1, 2)), ER(Fraction(-1, 2))]
-    for c in ctx.s.constants:
-        if all((c - x).sign() != 0 for x in corners):
-            corners.append(c)
-    return corners
-
-
 def _sample_tuples(ctx: _Ctx, path: str, dims: int, limit: int):
     """Deterministic tuple stream: corners, then seeded rationals."""
-    corners = _corner_values(ctx)
+    corners = ctx.corners
     yielded = 0
     if dims == 0:
         yield ()
@@ -860,15 +862,21 @@ def _eval_quantity_forall(names, matrix, env, ctx: _Ctx, path: str):
     dims = len(basis)
     guide_eqs = _collect_equations(matrix) if dims else []
     num_env = _num_env(env) if guide_eqs else {}
+    # Only the block variables that the guide equations read need guide
+    # polynomials.
+    guided = [n for n in names
+              if any(mentions(eq.left, n) or mentions(eq.right, n) for eq in guide_eqs)]
     saw_unknown = False
     sample_no = 0
 
     def param_values(tup):
-        values = {p: particular[p] for p in params}
+        """The parameters at basis coefficients tup, and their partial sums
+        before the last basis direction."""
+        values = partial = {p: particular[p] for p in params}
         for coeff, direction in zip(tup, basis):
-            for p in params:
-                values[p] = values[p] + coeff * direction[p]
-        return values
+            partial = values
+            values = {p: values[p] + coeff * direction[p] for p in params}
+        return values, partial
 
     def run_sample(values, tag):
         nonlocal saw_unknown
@@ -884,23 +892,19 @@ def _eval_quantity_forall(names, matrix, env, ctx: _Ctx, path: str):
             return FAILS, sampled, {**ev, **{n: env2[n] for n in names}}
         return None
 
-    def coeff_polys(tup, k):
-        # Block variables as polynomials in the k-th basis coefficient,
-        # all other coefficients frozen to the sampled tuple: stays on the
+    def guide_polys(partial):
+        # The guided variables as polynomials in the last basis coefficient,
+        # the others frozen at the sample's partial sums: stays on the
         # solution manifold of the pinned linear equations.
         param_poly = {}
-        for p in params:
-            fixed = particular[p]
-            for j in range(dims):
-                if j != k:
-                    fixed = fixed + tup[j] * basis[j][p]
-            param_poly[p] = Poly([fixed, basis[k][p]])
         out = {}
-        for n in names:
+        for n in guided:
             form = binding[n]
             acc = Poly([form.const])
             for p, c in form.coeffs.items():
                 if not c.is_zero():
+                    if p not in param_poly:
+                        param_poly[p] = Poly([partial[p], basis[-1][p]])
                     acc = acc + param_poly[p].scale(c)
             out[n] = acc
         return out
@@ -909,12 +913,12 @@ def _eval_quantity_forall(names, matrix, env, ctx: _Ctx, path: str):
         if sample_no >= ctx.budget.samples:
             break
         sample_no += 1
-        hit = run_sample(param_values(tup), str(i))
+        values, partial = param_values(tup)
+        hit = run_sample(values, str(i))
         if hit is not None:
             return hit
-        if dims and guide_eqs:
-            k = dims - 1
-            var_polys = coeff_polys(tup, k)
+        if guide_eqs:
+            var_polys = guide_polys(partial)
             for eq_i, eq in enumerate(guide_eqs):
                 if sample_no >= ctx.budget.samples:
                     break
@@ -928,8 +932,8 @@ def _eval_quantity_forall(names, matrix, env, ctx: _Ctx, path: str):
                     if sample_no >= ctx.budget.samples:
                         break
                     sample_no += 1
-                    guided_tup = tuple(root if j == k else tup[j] for j in range(dims))
-                    hit = run_sample(param_values(guided_tup), "%dg%d.%d" % (i, eq_i, r_i))
+                    guided_values = {p: partial[p] + root * basis[-1][p] for p in params}
+                    hit = run_sample(guided_values, "%dg%d.%d" % (i, eq_i, r_i))
                     if hit is not None:
                         return hit
     if saw_unknown:
@@ -1176,8 +1180,7 @@ def _certify_axev(s: Structure) -> Verdict:
         for o2 in observers:
             if s.domain_of(o2).is_full() and s.domain_of(o).is_full():
                 continue
-            w = s.chart_of(o2).compose(s.chart_of(o).inverse())
-            probe = _domain_escape_point(s, o, o2, w)
+            probe = _domain_escape_point(s, o, o2, s.transition(o, o2))
             if probe is not None:
                 return Verdict.fails(evidence=_evidence({"o": o.id, "o'": o2.id}, (_X, probe)))
             undecided = True
@@ -1215,7 +1218,7 @@ def _certify_axsymd(s: Structure) -> Optional[Verdict]:
     observers = s.observers()
     for i, o in enumerate(observers):
         for o2 in observers[i + 1:]:
-            w = s.chart_of(o2).compose(s.chart_of(o).inverse())
+            w = s.transition(o, o2)
             lin = w.linear
             rows = (
                 (ER(0), ER(0), ER(0), ER(1)),            # u4 = 0
