@@ -57,6 +57,7 @@ __all__ = [
     "ER",
     "sqrt",
     "parse_exact",
+    "as_rationals",
 ]
 
 
@@ -307,9 +308,8 @@ class ExactReal:
 
     @staticmethod
     def from_rational(value: Rational, den: int | None = None) -> "ExactReal":
-        if den is not None:
-            value = Fraction(value, den)
-        return ExactReal((), Fraction(value), _normalize=False)
+        value = Fraction(value) if den is None else Fraction(value, den)
+        return ExactReal((), value, _normalize=False)
 
     # -- structure ---------------------------------------------------------
 
@@ -670,6 +670,21 @@ def sqrt(value) -> ExactReal:
         raise TypeError("sqrt expects an ExactReal or rational")
     tower, rep = ExactReal._sqrt_rep(value._rep, value._tower)
     return ExactReal(tower, rep)
+
+
+def as_rationals(values) -> list | None:
+    """The values (ExactReal, int or Fraction) as ints and Fractions when
+    every one is rational, else None."""
+    out = []
+    for v in values:
+        if isinstance(v, ExactReal):
+            if v._tower:
+                return None
+            v = v._rep
+        elif not isinstance(v, (int, Fraction)):
+            return None
+        out.append(v)
+    return out
 
 
 def ER(value) -> ExactReal:

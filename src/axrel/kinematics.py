@@ -19,9 +19,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import lcm
+from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
-from .field import ER, ExactReal, sqrt
+from .field import ER, ExactReal, as_rationals, sqrt
 from . import linalg
 from .linalg import Mat, mat_mul, mat_vec, mat_inverse, vec_add, vec_sub
 
@@ -75,14 +78,39 @@ class AffineMap:
     Maps are immutable after construction, so each computes its inverse
     once, on the first :meth:`inverse` call, and keeps it.  The kept
     inverse does not point back: ``m.inverse().inverse()`` is a fresh map.
+
+    For the same reason each map builds an integer form on its first
+    :meth:`apply` and keeps it: a common denominator D with the integer
+    rows of D*L and the integer column D*c, or an empty marker when an
+    entry of L or c is irrational.  A map that is never applied never
+    builds it.  When the form exists and every coordinate of the point is
+    rational (ExactReal, int or Fraction), ``apply`` brings the point to
+    one denominator E, takes one integer dot product per row and returns
+    ``Fraction(row . (E*x) + E*(D*c_i), D*E)`` for each coordinate; any
+    other map or point takes ``vec_add(mat_vec(L, x), c)``.  Both paths
+    give the same rational value, and a rational prints as its reduced
+    fraction, so no printed value depends on the path taken.  Two threads
+    may both build the form; they store equal ones.
     """
 
     def __init__(self, linear: Mat, translation: Coord4 = None):
         self.linear = linalg.matrix(linear)
         self.translation = tuple(ER(t) for t in (translation or (0, 0, 0, 0)))
         self._inverse = None
+        self._integer_form = None
 
     def apply(self, x: Coord4) -> Coord4:
+        form = self._integer_form
+        if form is None:
+            form = self._integer_form = _integer_form(self.linear, self.translation)
+        if form:
+            den, rows, column = form
+            point = as_rationals(x)
+            if point is not None and len(point) == len(rows[0]):
+                e = lcm(*(q.denominator for q in point))
+                nums = [q.numerator * (e // q.denominator) for q in point]
+                return tuple(ExactReal.from_rational(sum(map(mul, row, nums)) + c * e, den * e)
+                             for row, c in zip(rows, column))
         return vec_add(mat_vec(self.linear, x), self.translation)
 
     __call__ = apply
@@ -133,6 +161,19 @@ class AffineMap:
             [[str(e) for e in row] for row in self.linear],
             [str(t) for t in self.translation],
         )
+
+
+def _integer_form(linear: Mat, translation: Coord4) -> tuple:
+    """(D, rows of D*L, column D*c) over the ints, with D the least common
+    denominator of every entry; () when an entry is irrational."""
+    entries = as_rationals(chain(*linear, translation))
+    if entries is None:
+        return ()
+    den = lcm(*(q.denominator for q in entries))
+    ints = [q.numerator * (den // q.denominator) for q in entries]
+    n = len(linear[0])
+    rows = tuple(tuple(ints[i * n:(i + 1) * n]) for i in range(len(linear)))
+    return den, rows, tuple(ints[len(linear) * n:])
 
 
 class PoincareMap(AffineMap):

@@ -313,20 +313,32 @@ class Structure:
         if chart is None:
             return False  # non-observers coordinatize nothing
         if isinstance(chart, AffineMap):
-            x = tuple(ER(c) for c in x)
-            if not self.domain_of(o).contains(x):
-                return False
-            ref = chart.inverse().apply(x)
-            return b.worldline.contains(ref)
+            ref = self._affine_reference(o, chart, x)
+            return ref is not None and b.worldline.contains(ref)
         # numeric chart: float path at declared tolerance
         ref = chart.inverse(tuple(float(c) for c in x))
         return b.worldline.contains(tuple(ref))
+
+    def _affine_reference(self, o: Body, chart: AffineMap, x: Coord4) -> Optional[Coord4]:
+        """o's coordinates x in the reference chart, or None when x is
+        outside o's chart domain."""
+        x = tuple(ER(c) for c in x)
+        if not self.domain_of(o).contains(x):
+            return None
+        return chart.inverse().apply(x)
 
     def event_at(self, o: Body, x: Coord4) -> "EventContent":
         """Named bodies present at o's coordinates x, plus family descriptors."""
         if not self.is_observer(o):
             raise NotAnObserver(o.id)
-        named = {b.id for b in self.bodies.values() if self.holds_W(o, b, x)}
+        chart = self.chart_of(o)
+        if isinstance(chart, AffineMap):
+            # holds_W for every body, with x mapped to the reference chart once.
+            ref = self._affine_reference(o, chart, x)
+            named = set() if ref is None else {
+                b.id for b in self.bodies.values() if b.worldline.contains(ref)}
+        else:
+            named = {b.id for b in self.bodies.values() if self.holds_W(o, b, x)}
         descriptors = []
         if self.photon_family:
             descriptors.append("photons through this event in every null direction")

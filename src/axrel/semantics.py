@@ -875,7 +875,13 @@ def _eval_quantity_forall(names, matrix, env, ctx: _Ctx, path: str):
         values = partial = {p: particular[p] for p in params}
         for coeff, direction in zip(tup, basis):
             partial = values
-            values = {p: values[p] + coeff * direction[p] for p in params}
+            if coeff.is_zero():
+                continue
+            # v + 0*d and v + c*0 are v, over v's own tower (a zero product
+            # is rational 0, and adding a rational keeps the tower), so an
+            # exactly zero term is skipped, not added.
+            values = {p: values[p] if direction[p].is_zero() else values[p] + coeff * direction[p]
+                      for p in params}
         return values, partial
 
     def run_sample(values, tag):

@@ -33,8 +33,8 @@ __all__ = [
     "EqQ", "EqB", "Less", "Not", "And", "Or", "Implies", "Iff",
     "Forall", "Exists", "Theory", "AxiomGroup", "SortError",
     "free_vars", "subterms", "subformulas", "alpha_equal", "is_sentence",
-    "exists_many", "substitute_term", "fold_term", "mentions", "rebuild",
-    "map_terms", "fresh_name", "rename_bound",
+    "exists_many", "substitute_term", "Substitution",
+    "fold_term", "mentions", "rebuild", "map_terms", "fresh_name", "rename_bound",
 ]
 
 
@@ -486,30 +486,98 @@ def exists_many(names, sort: Sort, body: Formula) -> Formula:
     return out
 
 
+class Substitution:
+    """Capture-avoiding substitutions of terms for free variables, applied
+    one after another: ``Substitution().then(x, s).then(y, t)`` acts as
+    substituting s for x and then t for y in the result.
+
+    A substitution that reaches a binder of its own variable stops there.
+    One that reaches a binder whose variable its term mentions renames the
+    binder first, to the first fresh name (see :func:`fresh_name`) not free
+    in the term or in the body as it is at that point and not the
+    substituted variable, whether or not the variable occurs in the body.
+    :meth:`binder` takes a binder through every step in order, so the names
+    are those that substituting step by step would choose.  Terms have no
+    binders, so the steps act on a term as one map from variable names to
+    terms, composed as they are added.
+    """
+
+    __slots__ = ("steps", "terms", "frees")
+
+    def __init__(self, steps: tuple = (), terms: dict = None, frees: dict = None):
+        self.steps = steps  # ((name, term, names free in term), ...)
+        self.terms = {} if terms is None else terms  # name -> term, all steps composed
+        self.frees = {} if frees is None else frees  # name -> names free in its term
+
+    def then(self, name: str, term: Term) -> "Substitution":
+        """This substitution followed by term for name."""
+        names = frozenset(v.name for v in subterms(term) if type(v) is Var)
+
+        def swap(t: Term):
+            return term if type(t) is Var and t.name == name else None
+
+        terms, frees = dict(self.terms), dict(self.frees)
+        for k, k_frees in self.frees.items():
+            if name in k_frees:
+                terms[k] = map_terms(terms[k], swap)
+                frees[k] = (k_frees - {name}) | names
+        if name not in terms:
+            terms[name], frees[name] = term, names
+        return Substitution(self.steps + ((name, term, names),), terms, frees)
+
+    def atom(self, f: Formula) -> Formula:
+        return map_terms(f, lambda u: self.terms.get(u.name) if type(u) is Var else None)
+
+    def binder(self, var: str, sort: Sort, body: Formula) -> tuple:
+        """The binder's name after every step, and the steps that go on
+        into its body (a rename of the binder included)."""
+        steps, name, frees_in_body, changed = [], var, None, False
+        for step in self.steps:
+            target, term, frees = step
+            if name == target:
+                changed = True
+                continue
+            if name in frees:
+                if frees_in_body is None:
+                    frees_in_body = set(free_vars(body))
+                    for s in steps:
+                        _substituted_frees(frees_in_body, s)
+                new = fresh_name(name, {target, *frees, *frees_in_body})
+                rename = (name, Var(new, sort), frozenset((new,)))
+                steps.append(rename)
+                _substituted_frees(frees_in_body, rename)
+                name, changed = new, True
+            steps.append(step)
+            if frees_in_body is not None:
+                _substituted_frees(frees_in_body, step)
+        if not changed:
+            return var, self
+        inner = Substitution()
+        for target, term, _ in steps:
+            inner = inner.then(target, term)
+        return name, inner
+
+
+def _substituted_frees(frees: set, step: tuple):
+    """Update the free names of a formula, in place, for one step."""
+    target, _, term_frees = step
+    if target in frees:
+        frees.discard(target)
+        frees |= term_frees
+
+
 def substitute_term(f: Formula, name: str, replacement: Term) -> Formula:
     """Capture-avoiding substitution of a term for a free variable."""
-    repl_frees = {v.name for v in subterms(replacement) if isinstance(v, Var)}
 
-    def swap(t: Term):
-        if type(t) is Var:
-            return replacement if t.name == name else t
-        return None
-
-    def swap_atom(atom: Formula) -> Formula:
-        return map_terms(atom, swap)
-
-    def visit(node: Formula) -> Formula:
+    def visit(node: Formula, subst: Substitution) -> Formula:
         cls = type(node)
         if cls is Forall or cls is Exists:
-            if node.var == name:
-                return node
-            if node.var in repl_frees:
-                new_name = fresh_name(node.var, repl_frees | set(free_vars(node.body)) | {name})
-                renamed = substitute_term(node.body, node.var, Var(new_name, node.var_sort))
-                return cls(new_name, node.var_sort, visit(renamed))
-        return rebuild(node, visit, swap_atom)
+            var, inner = subst.binder(node.var, node.var_sort, node.body)
+            body = visit(node.body, inner) if inner.steps else node.body
+            return node if var == node.var and body is node.body else cls(var, node.var_sort, body)
+        return rebuild(node, lambda g: visit(g, subst), subst.atom)
 
-    return visit(f)
+    return visit(f, Substitution().then(name, replacement))
 
 
 def rename_bound(f: Formula, choose) -> Formula:

@@ -34,8 +34,8 @@ from typing import Optional
 from .ast import (
     Add, And, AxiomGroup, EqQ, Exists, Forall, Formula, IBAtom, IObAtom,
     Implies, Less, Mul, ObAtom, OneC, Or, Sort, Sub, Term, Theory, Var, WAtom,
-    ZeroC, exists_many, free_vars, fresh_name, map_terms, mentions, rebuild,
-    substitute_term,
+    Substitution, ZeroC, exists_many, free_vars, fresh_name, map_terms, mentions,
+    rebuild,
 )
 from .parser import theory_blocks
 
@@ -358,15 +358,26 @@ def contract_definitions(f: Formula) -> Formula:
                 return Sub(guard.right, t)
         return None
 
-    def visit(node: Formula) -> Formula:
-        if isinstance(node, Exists) and node.var_sort is Sort.QUANTITY \
-                and isinstance(node.body, And):
-            pin = pin_of(node.var, node.body.left)
+    def visit(node: Formula, subst: Substitution) -> Formula:
+        # node under subst, contracted: the pins found above node are the
+        # last steps of subst, each pin's term already under the pins
+        # above it.  A guard pin_of can match (an equation, or a universal
+        # over one) holds no existential, so visiting it only substitutes.
+        cls = type(node)
+        if cls is not Forall and cls is not Exists:
+            return rebuild(node, lambda g: visit(g, subst), subst.atom)
+        var, inner = subst.binder(node.var, node.var_sort, node.body)
+        body = node.body
+        if cls is Exists and node.var_sort is Sort.QUANTITY and isinstance(body, And) and (
+                isinstance(body.left, EqQ)
+                or isinstance(body.left, Forall) and isinstance(body.left.body, EqQ)):
+            pin = pin_of(var, visit(body.left, inner))
             if pin is not None:
-                return visit(substitute_term(node.body.right, node.var, pin))
-        return rebuild(node, visit)
+                return visit(body.right, inner.then(var, pin))
+        new_body = visit(body, inner)
+        return node if var == node.var and new_body is body else cls(var, node.var_sort, new_body)
 
-    return visit(f)
+    return visit(f, Substitution())
 
 
 # ---------------------------------------------------------------------------

@@ -452,3 +452,98 @@ def test_line_param_matches_the_two_reference_solves(seed):
             param = kinematics._line_param(p0, direction, event[:3])
             reached = None if param is None else p0[3] + param * direction[3]
             assert _literals(reached) == _literals(_reference_line_reaches(p0, direction, event[:3]))
+
+
+def _map_entry(rng, kind):
+    q = Fr(rng.randint(-9, 9), rng.randint(1, 12))
+    if kind == "rational" or (kind == "mixed" and rng.random() < 0.8):
+        return q
+    return ER(q) * sqrt(2)
+
+
+def _point(rng, kind):
+    q = lambda: Fr(rng.randint(-7, 7), rng.randint(1, 9))
+    coords = []
+    for _ in range(4):
+        pick = kind if kind != "mixed" else rng.choice(("rational", "irrational", "int", "fraction"))
+        coords.append(ER(q()) if pick == "rational" else ER(q()) * sqrt(7) if pick == "irrational"
+                      else rng.randint(-4, 4) if pick == "int" else q())
+    return tuple(coords)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_apply_matches_mat_vec_on_rational_irrational_and_mixed_maps(seed):
+    # The integer path against the path every map took before it, on maps
+    # whose entries are all rational, partly or wholly irrational, and on
+    # their compositions and inverses, at rational, irrational, mixed and
+    # plain int or Fraction points.
+    rng = random.Random(seed)
+    rotation = plane_rotation(1, 2, Fr(3, 5), Fr(4, 5))
+    maps = [boost((Fr(3, 5), 0, 0)), rotation.compose(boost((0, Fr(5, 13), 0))),
+            boost((sqrt(ER(Fr(1, 3))), 0, 0)),  # speed 1/sqrt(3): gamma = sqrt(3/2)
+            boost((Fr(1, 2), Fr(1, 3), 0))]     # gamma = sqrt(36/23)
+    for kind in ("rational", "irrational", "mixed"):
+        rows = tuple(tuple(_map_entry(rng, kind) for _ in range(4)) for _ in range(4))
+        maps.append(AffineMap(rows, tuple(_map_entry(rng, kind) for _ in range(4))))
+    maps += [maps[0].compose(maps[1]), maps[1].compose(maps[2]), maps[4].compose(maps[0]),
+             maps[1].inverse(), maps[2].inverse(), maps[3].compose(maps[0]).inverse()]
+    rational_maps = 0
+    for m in maps:
+        rational_maps += all(e.is_rational() for e in sum(m.linear, m.translation))
+        for kind in ("rational", "irrational", "mixed", "int", "fraction"):
+            for _ in range(4):
+                x = _point(rng, kind)
+                got = m.apply(x)
+                want = linalg.vec_add(linalg.mat_vec(m.linear, x), m.translation)
+                assert all(type(g) is ExactReal for g in got)
+                assert [g.literal() for g in got] == [w.literal() for w in want]
+                assert [g.is_rational() for g in got] == [w.is_rational() for w in want]
+                assert got == want
+                assert m(x) == got
+    assert rational_maps == 6
+
+
+def test_integer_form_is_built_on_first_apply_and_kept():
+    m = boost((Fr(3, 5), 0, 0)).compose(kinematics.translation((1, Fr(1, 2), 0, 0)))
+    assert m._integer_form is None  # composing builds none
+    m.apply(coord4(1, 2, 3, 4))
+    form = m._integer_form
+    assert form[0] == 4  # entries 5/4, 3/4, 1/2 and integers
+    m.apply(coord4(5, 6, 7, 8))
+    assert m._integer_form is form
+    irrational = boost((sqrt(ER(Fr(1, 3))), 0, 0))
+    irrational.apply(coord4(1, 2, 3, 4))
+    assert irrational._integer_form == ()
+
+
+def test_sampled_specrel_on_a_rational_model_applies_without_mat_vec(monkeypatch):
+    # Counts calls: on rational charts every sampled point is rational, so
+    # no apply falls back to the ExactReal matrix product.
+    applies, fallbacks, inside = [0], [0], [0]
+    real_apply, real_mat_vec = AffineMap.apply, kinematics.mat_vec
+
+    def flagged_apply(self, x):
+        applies[0] += 1
+        inside[0] += 1
+        try:
+            return real_apply(self, x)
+        finally:
+            inside[0] -= 1
+
+    def counting_mat_vec(a, v):
+        fallbacks[0] += bool(inside[0])
+        return real_mat_vec(a, v)
+
+    monkeypatch.setattr(AffineMap, "apply", flagged_apply)
+    monkeypatch.setattr(kinematics, "mat_vec", counting_mat_vec)
+    s = standard_minkowski([
+        ObserverSpec("rest"),
+        ObserverSpec("boosted", velocity=(Fr(3, 5), 0, 0)),
+        ObserverSpec("skew", velocity=(0, Fr(4, 5), 0),
+                     rotations=((1, 2, Fr(3, 5), Fr(4, 5)),), translation=(1, 0, 0, 2)),
+    ])
+    for name in ("AxSelf", "AxPh", "AxEv", "AxSymd"):
+        for sentence in (named_axiom(name), expand_definitions(named_axiom(name))):
+            assert evaluate(s, sentence, None, Budget(samples=4, seed=11)).is_holds
+    assert applies[0] > 100
+    assert fallbacks[0] == 0

@@ -3,7 +3,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from axrel.field import ER, sqrt
-from axrel.kinematics import SuperluminalVelocity, coord4, mu, worldview_transform
+from axrel.kinematics import AffineMap, SuperluminalVelocity, coord4, mu, worldview_transform
 from axrel.model import (
     Body, ChartDomain, InertialLine, NotAnObserver, ObserverSpec, PhotonLine,
     PiecewiseInertial, cloud, galilean_structure, parse_model, serialize_model,
@@ -57,6 +57,35 @@ def test_event_at_empty(minkowski):
     rest = minkowski.bodies["rest"]
     content = minkowski.event_at(rest, coord4(50, 60, 70, 0))
     assert content.named == frozenset()
+
+
+def test_event_at_maps_each_event_once_and_agrees_with_holds_w(monkeypatch):
+    capped = ChartDomain(((None, None), (None, None), (None, None), (None, ER(10))))
+    s = standard_minkowski([
+        ObserverSpec("rest"),
+        ObserverSpec("capped", velocity=(Fr(3, 5), 0, 0), translation=(1, 0, 0, 2), domain=capped),
+    ])
+    a = Body("a", True, False, InertialLine(coord4(0, 0, 0, 0), (ER(Fr(1, 2)), ER(0), ER(0))))
+    b = Body("b", True, False, InertialLine(coord4(2, 0, 0, 0), (ER(Fr(-1, 2)), ER(0), ER(0))))
+    s = s.with_extra_bodies([a, b])
+    applies, real_apply = [0], AffineMap.apply
+
+    def counting_apply(self, x):
+        applies[0] += 1
+        return real_apply(self, x)
+
+    events = [(1, 0, 0, 2), (Fr(1, 2), 0, 0, 1), (0, 0, 0, 0), (3, 1, 0, 12), (50, 60, 70, 0)]
+    for o in (s.bodies["rest"], s.bodies["capped"]):
+        for raw in events:
+            x = s.event_correspondence(s.bodies["rest"], o, raw)
+            expected = {c.id for c in s.bodies.values() if s.holds_W(o, c, x)}
+            monkeypatch.setattr(AffineMap, "apply", counting_apply)
+            applies[0] = 0
+            assert s.event_at(o, x).named == expected
+            assert applies[0] == (1 if s.domain_of(o).contains(x) else 0)
+            monkeypatch.undo()
+    assert s.event_at(s.bodies["rest"], (1, 0, 0, 2)).named >= {"a", "b"}
+    assert s.event_at(s.bodies["capped"], coord4(0, 0, 0, 11)).named == frozenset()
 
 
 def test_event_at_requires_observer(minkowski):
