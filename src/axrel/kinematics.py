@@ -119,15 +119,17 @@ class AffineMap:
         # self after other: x -> self(other(x))
         lin = mat_mul(self.linear, other.linear)
         tr = vec_add(mat_vec(self.linear, other.translation), self.translation)
-        cls = PoincareMap if isinstance(self, PoincareMap) and isinstance(other, PoincareMap) else AffineMap
-        return cls(lin, tr)
+        make = (PoincareMap._lorentz if isinstance(self, PoincareMap) and isinstance(other, PoincareMap)
+                else AffineMap)
+        return make(lin, tr)
 
     def inverse(self) -> "AffineMap":
         # Two threads may both compute it; they store equal maps.
         if self._inverse is None:
             inv = mat_inverse(self.linear)
             tr = tuple(-t for t in mat_vec(inv, self.translation))
-            self._inverse = type(self)(inv, tr)
+            make = PoincareMap._lorentz if isinstance(self, PoincareMap) else AffineMap
+            self._inverse = make(inv, tr)
         return self._inverse
 
     def is_lorentz(self) -> bool:
@@ -177,13 +179,35 @@ def _integer_form(linear: Mat, translation: Coord4) -> tuple:
 
 
 class PoincareMap(AffineMap):
-    """An AffineMap whose linear part satisfies L^T eta L = eta, verified exactly."""
+    """An AffineMap whose linear part satisfies L^T eta L = eta exactly.
+
+    The property is established once, where a matrix enters the program:
+
+    * rows from outside, ``PoincareMap(rows)``, pass the exact Gram check
+      of :meth:`is_lorentz` or raise ValueError;
+    * :func:`boost`, :func:`plane_rotation` (after its exact test of
+      cos^2 + sin^2 = 1) and :func:`translation` build Lorentz matrices by
+      construction;
+    * the composition of two Poincare maps and the inverse of one are
+      Poincare maps, because Lorentz matrices form a group.
+
+    The last two build their maps through :meth:`_lorentz`, which skips the
+    check; ``is_lorentz()`` still holds on every map it returns.
+    """
 
     def __init__(self, linear: Mat, translation: Coord4 = None):
         super().__init__(linear, translation)
         if not self.is_lorentz():
             raise ValueError("linear part is not a Lorentz matrix")
         self.orthochronous = self.linear[3][3] > 0
+
+    @classmethod
+    def _lorentz(cls, linear: Mat, translation: Coord4 = None) -> "PoincareMap":
+        # For a linear part that is Lorentz by construction or by closure.
+        m = cls.__new__(cls)
+        AffineMap.__init__(m, linear, translation)
+        m.orthochronous = m.linear[3][3] > 0
+        return m
 
 
 def boost(v: Sequence) -> PoincareMap:
@@ -196,7 +220,7 @@ def boost(v: Sequence) -> PoincareMap:
     if v2.compare(1) >= 0:
         raise SuperluminalVelocity("boost velocity |v|^2 = %s >= 1" % v2)
     if v2.is_zero():
-        return PoincareMap(linalg.identity(4))
+        return PoincareMap._lorentz(linalg.identity(4))
     g = 1 / sqrt(1 - v2)
     rows = []
     for i in range(3):
@@ -204,7 +228,7 @@ def boost(v: Sequence) -> PoincareMap:
         row.append(-g * v[i])
         rows.append(row)
     rows.append([-g * v[0], -g * v[1], -g * v[2], g])
-    return PoincareMap(tuple(tuple(r) for r in rows))
+    return PoincareMap._lorentz(tuple(tuple(r) for r in rows))
 
 
 def plane_rotation(i: int, j: int, cos, sin) -> PoincareMap:
@@ -218,11 +242,11 @@ def plane_rotation(i: int, j: int, cos, sin) -> PoincareMap:
     a, b = i - 1, j - 1
     m[a][a], m[a][b] = c, -s
     m[b][a], m[b][b] = s, c
-    return PoincareMap(tuple(tuple(r) for r in m))
+    return PoincareMap._lorentz(tuple(tuple(r) for r in m))
 
 
 def translation(c: Coord4) -> PoincareMap:
-    return PoincareMap(linalg.identity(4), tuple(ER(x) for x in c))
+    return PoincareMap._lorentz(linalg.identity(4), tuple(ER(x) for x in c))
 
 
 def velocity_addition(u, v) -> ExactReal:
@@ -424,4 +448,4 @@ def random_poincare_map(rng: random.Random) -> PoincareMap:
     if rng.random() < 0.7:
         m = m.compose(boost(random_subluminal_velocity(rng)))
     tr = tuple(ER(_rational(rng)) for _ in range(4))
-    return PoincareMap(m.linear, tr)
+    return PoincareMap._lorentz(m.linear, tr)

@@ -480,6 +480,8 @@ def parse_model(text: str) -> Structure:
     observer NAME [velocity V1 V2 V3] [galilean V1 V2 V3]
         [rotate I J COS SIN] [translate C1 C2 C3 C4]
         [domain AXIS LO HI [closed]]          # LO/HI may be `-inf` / `inf`
+        # one velocity or galilean, one translate, one domain per axis;
+        # rotate may repeat
     body NAME photon through X1 X2 X3 X4 direction D1 D2 D3
     body NAME inertial through X1 X2 X3 X4 velocity V1 V2 V3
     body NAME piecewise knots X1 X2 X3 X4 , Y1 Y2 Y3 Y4 [, ...]
@@ -568,6 +570,13 @@ def _parse_observer(words) -> ObserverSpec:
     closed = False
     galilean = False
     has_domain = False
+    given: set = set()  # single-valued parts already read; `rotate` may repeat
+
+    def once(part):
+        if part in given:
+            raise ValueError("observer %s given twice" % part)
+        given.add(part)
+
     while i < len(words):
         key = words[i]
         arity = _OBSERVER_ARITY.get(key)
@@ -578,6 +587,7 @@ def _parse_observer(words) -> ObserverSpec:
             raise ValueError("observer field %r needs %d values" % (key, arity))
         i += 1 + arity
         if key in ("velocity", "galilean"):
+            once("velocity")
             galilean = key == "galilean"
             velocity = tuple(ER(w) for w in args)
             if speed_squared(velocity).compare(1) >= 0:
@@ -591,12 +601,14 @@ def _parse_observer(words) -> ObserverSpec:
                 raise ValueError("rotation needs COS^2 + SIN^2 = 1 exactly")
             rotations.append((a, b, c, sn))
         elif key == "translate":
+            once("translation")
             trans = tuple(ER(w) for w in args)
         else:  # domain
             has_domain = True
             axis = _integer(args[0]) - 1
             if not 0 <= axis < 4:
                 raise ValueError("domain axis must be 1 to 4")
+            once("domain axis %d" % (axis + 1))
             domain_bounds[axis] = (_domain_bound(args[1], "lower", "-inf"),
                                    _domain_bound(args[2], "upper", "inf"))
             if i < len(words) and words[i] == "closed":
@@ -688,22 +700,18 @@ def serialize_model(s: Structure) -> str:
 
 def _recover_observer_spec(s: Structure, oid: str, chart: AffineMap) -> str:
     # Observers serialize as velocity (from the worldline) + the residual
-    # linear map (must be a pure rotation or galilean shear) + translation.
+    # linear map after the boost or Galilean shear of that velocity (a pure
+    # rotation) + translation.
     body = s.bodies[oid]
     v = body.worldline.velocity
-    parts = ["observer %s" % oid]
-    base = _observer_chart(ObserverSpec(oid, v))
-    residual = chart.compose(base.inverse())
-    lin = residual.linear
     is_gal = not chart.is_lorentz()
-    if is_gal:
-        parts.append("galilean %s %s %s" % tuple(c.literal().replace(" ", "") for c in v))
-    else:
-        parts.append("velocity %s %s %s" % tuple(c.literal().replace(" ", "") for c in v))
-        rot = _extract_plane_rotations(lin)
-        for (i, j, c, sn) in rot:
-            parts.append("rotate %d %d %s %s" % (i, j, c.literal().replace(" ", ""),
-                                                 sn.literal().replace(" ", "")))
+    parts = ["observer %s" % oid, "%s %s %s %s" % (("galilean" if is_gal else "velocity",)
+                                                   + tuple(c.literal().replace(" ", "") for c in v))]
+    base = _observer_chart(ObserverSpec(oid, v, galilean=is_gal))
+    residual = chart.compose(base.inverse())
+    for (i, j, c, sn) in _extract_plane_rotations(residual.linear):
+        parts.append("rotate %d %d %s %s" % (i, j, c.literal().replace(" ", ""),
+                                             sn.literal().replace(" ", "")))
     tr = residual.translation
     if any(not c.is_zero() for c in tr):
         parts.append("translate %s" % " ".join(c.literal().replace(" ", "") for c in tr))

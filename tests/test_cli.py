@@ -328,6 +328,30 @@ def test_bad_domain_bound_is_data_error(tmp_path, capsys, bounds, needle):
     assert needle in err
 
 
+@pytest.mark.parametrize("fields, message", [
+    ("velocity 3/5 0 0 velocity 1/2 0 0", "observer velocity given twice"),
+    ("velocity 3/5 0 0 galilean 1/2 0 0", "observer velocity given twice"),
+    ("galilean 1/2 0 0 velocity 3/5 0 0", "observer velocity given twice"),
+    ("translate 1 0 0 2 rotate 1 2 0 1 translate 0 0 0 1", "observer translation given twice"),
+    ("domain 4 -inf 10 domain 1 0 1 domain 4 0 inf", "observer domain axis 4 given twice"),
+])
+def test_repeated_observer_field_is_data_error(tmp_path, capsys, fields, message):
+    line = "observer a %s" % fields
+    model = tmp_path / "repeated.model"
+    model.write_text("structure broken\n%s\n" % line)
+    code, out, err = run_cli(["check", "SpecRel", str(model)], capsys)
+    _one_line_error(code, err)
+    assert err == "axrel: line 2: %s in %r\n" % (message, line) and out == ""
+
+
+def test_repeated_rotations_are_allowed(tmp_path, capsys):
+    model = tmp_path / "turns.model"
+    model.write_text("structure turns\nobserver rest\n"
+                     "observer a rotate 1 2 0 1 rotate 1 2 0 1 domain 1 -1 1 domain 2 -1 1\n")
+    code, _, err = run_cli(["check", "SpecRel", str(model)], capsys)
+    assert code in (0, 1) and err == ""
+
+
 def test_division_by_zero_in_model_is_data_error(tmp_path, capsys):
     model = tmp_path / "divzero.model"
     model.write_text("structure broken\nobserver a velocity 1/0 0 0\n")

@@ -13,7 +13,7 @@ from axrel.kinematics import (
 )
 from axrel.linalg import mat_eq, mat_mul, transpose
 from axrel.model import (
-    Body, InertialLine, ObserverSpec, PhotonLine, standard_minkowski,
+    Body, InertialLine, ObserverSpec, PhotonLine, load_model, standard_minkowski,
     unsafe_inertial_line,
 )
 from axrel.semantics import Budget, evaluate
@@ -283,6 +283,79 @@ def test_gram_lorentz_check_matches_full_product():
             assert not bent.is_lorentz()
             with pytest.raises(ValueError, match="not a Lorentz matrix"):
                 PoincareMap(bent.linear)
+
+
+def _pythagorean_velocity(rng):
+    # Speed 2a/(1+a^2) along a rational unit direction: gamma = (1+a^2)/(1-a^2).
+    a = Fr(rng.randint(1, 8), 9)
+    speed = 2 * a / (1 + a * a)
+    return tuple(ER(speed) * c for c in kinematics.random_null_direction(rng))
+
+
+def _rational_coord(rng):
+    return Fr(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+def _pythagorean_rotation(rng):
+    a = _rational_coord(rng)
+    i = rng.randint(1, 2)
+    return plane_rotation(i, rng.randint(i + 1, 3), (1 - a * a) / (1 + a * a), 2 * a / (1 + a * a))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_maps_lorentz_by_construction_or_closure_pass_both_checks(seed):
+    # Boosts, rotations and translations skip the check by construction, and
+    # compositions and inverses of Poincare maps by group closure; the exact
+    # check and the full product still hold on every one of them.
+    rng = random.Random(seed)
+    half = sqrt(ER(Fr(1, 2)))
+    pythagorean = [boost(_pythagorean_velocity(rng)), _pythagorean_rotation(rng),
+                   kinematics.translation([_rational_coord(rng) for _ in range(4)])]
+    irrational = [boost(kinematics.random_subluminal_velocity(rng)),
+                  boost((sqrt(ER(Fr(1, 3))), 0, 0)), plane_rotation(1, 3, half, -half),
+                  kinematics.translation((sqrt(ER(2)), 0, _rational_coord(rng), 1))]
+    level_two = [boost((Fr(1, 2), 0, 0)).compose(boost((0, Fr(1, 3), 0))),
+                 plane_rotation(2, 3, half, half).compose(boost((0, 0, sqrt(ER(Fr(1, 5))))))]
+    maps = pythagorean + irrational + level_two
+    for _ in range(8):
+        a, b = rng.choice(maps), rng.choice(maps)
+        maps += [a.compose(b), a.inverse(), a.compose(b).inverse()]
+    maps.append(random_poincare_map(rng))
+    assert all(e.is_rational() for m in pythagorean for row in m.linear for e in row)
+    assert any(not e.is_rational() for row in irrational[0].linear for e in row)
+    assert all(max(e.level for row in m.linear for e in row) == 2 for m in level_two)
+    for m in maps:
+        assert isinstance(m, PoincareMap)
+        assert m.is_lorentz() and _old_is_lorentz(m)
+
+
+def test_model_load_and_transitions_check_lorentz_zero_times(monkeypatch, tmp_path):
+    # Counts calls: when boosts, rotations, translations, compositions and
+    # inverses each checked the Lorentz property, this took 25 checks (13
+    # building the charts, 3 inverting them, 9 composing the transitions).
+    checks = [0]
+    real_is_lorentz = AffineMap.is_lorentz
+
+    def counting(self):
+        checks[0] += 1
+        return real_is_lorentz(self)
+
+    monkeypatch.setattr(AffineMap, "is_lorentz", counting)
+    path = tmp_path / "three.model"
+    path.write_text("structure three\n"
+                    "observer rest\n"
+                    "observer boosted velocity 3/5 0 0 rotate 1 2 3/5 4/5 translate 1 0 0 2\n"
+                    "observer skew velocity 0 1/2 0 rotate 1 3 5/13 12/13 rotate 2 3 0 1 "
+                    "translate 0 1/2 0 -1\n")
+    s = load_model(path)
+    observers = s.observers()
+    for o in observers:
+        for o2 in observers:
+            w = s.transition(o, o2)
+            assert isinstance(w, PoincareMap)
+    assert checks[0] == 0
+    PoincareMap(w.linear, w.translation)  # rows from outside are checked once
+    assert checks[0] == 1
 
 
 def test_irrational_mu_invariance_adjoins_each_root_once(monkeypatch):

@@ -174,6 +174,19 @@ def test_model_file_round_trip(minkowski):
         s2.event_correspondence(rest, s2.bodies["skew"], x)
 
 
+def test_rotated_galilean_observer_round_trips():
+    # One rotation prints back as given; two come back as an equal product.
+    one = "observer a galilean 1/2 0 0 rotate 1 2 3/5 4/5 translate 1 0 0 2"
+    s = parse_model("structure g\n%s\nobserver b galilean 0 1/3 0 rotate 1 2 3/5 4/5 "
+                    "rotate 2 3 5/13 12/13\n" % one)
+    text = serialize_model(s)
+    assert one in text.splitlines()
+    s2 = parse_model(text)
+    assert serialize_model(s2) == text
+    for oid in ("a", "b"):
+        assert s2.charts[oid] == s.charts[oid]
+
+
 def test_galilean_structure_charts_not_lorentz(galilean):
     train = galilean.bodies["train"]
     assert not galilean.chart_of(train).is_lorentz()
