@@ -27,6 +27,18 @@ promoted to a tree: a product scales every leaf of the other operand's
 tree, a sum or difference changes its constant leaf only.  The result
 keeps the tower operand's tower object and has the same leaves, and the
 same normalization (a zero scale gives rational 0), as the tree path.
+A rational operand that is exactly 0 returns at once: the tower operand
+for +, rational 0 for *.
+
+Exact zeros and rational radicands cost no arithmetic in the tree
+routines.  A leaf product with a zero factor is 0 and a leaf sum with a
+zero term is the other term, with no ``Fraction`` operation.  A rational
+radicand d_k scales the leaves of the tree it multiplies (or divides, in
+a square root) and encloses as (d_k, d_k); only a radicand with a tower
+of its own is promoted to a level-k tree.  Every shortcut yields the same
+``Fraction`` at every leaf as the full operation (x + 0 = x and x * 0 = 0
+exactly, and multiplying by the promoted tree of q scales each leaf by
+q), so trees, towers, literals and every printed byte are unchanged.
 
 Adjoining the square root of a radicand while unifying two towers is
 memoized.  ``_sqrt_rep(rep, tower)`` depends only on the tower's radicands
@@ -97,7 +109,9 @@ def _tree_is_zero(t, level: int) -> bool:
 
 def _tree_add(x, y, level: int):
     if level == 0:
-        return x + y
+        if not x:
+            return y
+        return x + y if y else x
     k = level - 1
     return (_tree_add(x[0], y[0], k), _tree_add(x[1], y[1], k))
 
@@ -111,7 +125,7 @@ def _tree_add_const(t, q: Fraction, level: int):
 
 def _tree_scale(t, q: Fraction, level: int):
     if level == 0:
-        return t * q
+        return t * q if t else _ZERO
     k = level - 1
     return (_tree_scale(t[0], q, k), _tree_scale(t[1], q, k))
 
@@ -121,6 +135,14 @@ def _rad(tower, k: int):
     # the prefix they sit over), so promote the rep tree to level k.
     r = tower[k]
     return _tree_promote(r._rep, len(r._tower), k)
+
+
+def _tree_mul_rad(t, tower, k: int):
+    # t * d_k at level k; a rational radicand scales the leaves.
+    r = tower[k]
+    if not r._tower:
+        return _tree_scale(t, r._rep, k)
+    return _tree_mul(t, _rad(tower, k), tower, k)
 
 
 def _tree_neg(x, level: int):
@@ -136,14 +158,13 @@ def _tree_sub(x, y, level: int):
 
 def _tree_mul(x, y, tower, level: int):
     if level == 0:
-        return x * y
+        return x * y if x and y else _ZERO
     k = level - 1
     a, b = x
     c, d = y
-    rad = _rad(tower, k)
     ac = _tree_mul(a, c, tower, k)
     bd = _tree_mul(b, d, tower, k)
-    low = _tree_add(ac, _tree_mul(bd, rad, tower, k), k)
+    low = _tree_add(ac, _tree_mul_rad(bd, tower, k), k)
     high = _tree_add(_tree_mul(a, d, tower, k), _tree_mul(b, c, tower, k), k)
     return (low, high)
 
@@ -156,8 +177,7 @@ def _tree_inv(x, tower, level: int):
         return 1 / x
     k = level - 1
     a, b = x
-    rad = _rad(tower, k)
-    den = _tree_sub(_tree_mul(a, a, tower, k), _tree_mul(_tree_mul(b, b, tower, k), rad, tower, k), k)
+    den = _tree_sub(_tree_mul(a, a, tower, k), _tree_mul_rad(_tree_mul(b, b, tower, k), tower, k), k)
     inv_den = _tree_inv(den, tower, k)
     return (_tree_mul(a, inv_den, tower, k), _tree_neg(_tree_mul(b, inv_den, tower, k), k))
 
@@ -200,7 +220,8 @@ def _tree_interval(t, tower, level: int, bits: int):
     a, b = t
     ia = _tree_interval(a, tower, k, bits)
     ib = _tree_interval(b, tower, k, bits)
-    id_ = _tree_interval(_rad(tower, k), tower, k, bits)
+    r = tower[k]
+    id_ = _tree_interval(r._rep, r._tower, len(r._tower), bits) if r._tower else (r._rep, r._rep)
     lo = max(id_[0], _ZERO)
     isq = (_frac_sqrt_bounds(lo, bits)[0], _frac_sqrt_bounds(id_[1], bits)[1])
     return _iv_add(ia, _iv_mul(ib, isq))
@@ -240,21 +261,23 @@ def _tree_sqrt(t, tower, level: int):
         return _frac_sqrt_exact(t)
     k = level - 1
     a, b = t
-    rad = _rad(tower, k)
     if _tree_is_zero(b, k):
         s = _tree_sqrt(a, tower, k)
         if s is not None:
             return (s, _tree_const(_ZERO, k))
         # a might be t^2 * d, i.e. sqrt(a) = t*sqrt(d).
         if not _tree_is_zero(a, k):
-            s = _tree_sqrt(_tree_mul(a, _tree_inv(rad, tower, k), tower, k), tower, k)
+            r = tower[k]
+            a_over_d = (_tree_mul(a, _tree_inv(_rad(tower, k), tower, k), tower, k) if r._tower
+                        else _tree_scale(a, 1 / r._rep, k))
+            s = _tree_sqrt(a_over_d, tower, k)
             if s is not None:
                 cand = (_tree_const(_ZERO, k), s)
                 return cand if _tree_sign(cand, tower, level) >= 0 else _tree_neg(cand, level)
         return None
     # sqrt(a + b*sqrt(d)) = x + y*sqrt(d) requires n = sqrt(a^2 - b^2 d)
     # in the field below, with x^2 in {(a+n)/2, (a-n)/2} and y = b/(2x).
-    n2 = _tree_sub(_tree_mul(a, a, tower, k), _tree_mul(_tree_mul(b, b, tower, k), rad, tower, k), k)
+    n2 = _tree_sub(_tree_mul(a, a, tower, k), _tree_mul_rad(_tree_mul(b, b, tower, k), tower, k), k)
     n = _tree_sqrt(n2, tower, k)
     if n is None:
         return None
@@ -444,8 +467,12 @@ class ExactReal:
         if not other._tower:
             if not self._tower:
                 return ExactReal((), self._rep + other._rep, _normalize=False)
+            if not other._rep:
+                return self
             return ExactReal(self._tower, _tree_add_const(self._rep, other._rep, self.level))
         if not self._tower:
+            if not self._rep:
+                return other
             return ExactReal(other._tower, _tree_add_const(other._rep, self._rep, other.level))
         tower, a, b = self._unified(other)
         return ExactReal(tower, _tree_add(a, b, len(tower)))
@@ -476,8 +503,12 @@ class ExactReal:
         if not other._tower:
             if not self._tower:
                 return ExactReal((), self._rep * other._rep, _normalize=False)
+            if not other._rep:
+                return other
             return ExactReal(self._tower, _tree_scale(self._rep, other._rep, self.level))
         if not self._tower:
+            if not self._rep:
+                return self
             return ExactReal(other._tower, _tree_scale(other._rep, self._rep, other.level))
         tower, a, b = self._unified(other)
         return ExactReal(tower, _tree_mul(a, b, tower, len(tower)))

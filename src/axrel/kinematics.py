@@ -199,14 +199,12 @@ class PoincareMap(AffineMap):
         super().__init__(linear, translation)
         if not self.is_lorentz():
             raise ValueError("linear part is not a Lorentz matrix")
-        self.orthochronous = self.linear[3][3] > 0
 
     @classmethod
     def _lorentz(cls, linear: Mat, translation: Coord4 = None) -> "PoincareMap":
         # For a linear part that is Lorentz by construction or by closure.
         m = cls.__new__(cls)
         AffineMap.__init__(m, linear, translation)
-        m.orthochronous = m.linear[3][3] > 0
         return m
 
 
@@ -276,13 +274,13 @@ def effects(v, ship_length=1) -> EffectReport:
     v, ship_length = ER(v), ER(ship_length)
     if v.sign() < 0 or v.compare(1) >= 0:
         raise SuperluminalVelocity("effects requires 0 <= v < 1")
-    b = boost((v, 0, 0)).inverse()  # ship frame -> rest frame
+    fwd = boost((v, 0, 0))  # rest frame -> ship frame
+    b = fwd.inverse()  # ship frame -> rest frame
     # One tick of the moving clock: ship-frame (0,0,0,1) in rest coordinates.
     tick = b.apply(coord4(0, 0, 0, 1))
     dilation = 1 / tick[3]
     # Rest-frame snapshot at t=0 of the ship occupying [0, L] in its own frame:
     # rear at ship-x 0, nose at ship-x L; solve for ship-time making rest-time 0.
-    fwd = b.inverse()
     nose_event = _simultaneous_image(b, ship_x=ship_length)
     rear_event = _simultaneous_image(b, ship_x=ER(0))
     contraction = (nose_event[0] - rear_event[0]) / ship_length

@@ -898,21 +898,29 @@ def _eval_quantity_forall(names, matrix, env, ctx: _Ctx, path: str):
             return FAILS, sampled, {**ev, **{n: env2[n] for n in names}}
         return None
 
+    slopes = {}
+
     def guide_polys(partial):
         # The guided variables as polynomials in the last basis coefficient,
         # the others frozen at the sample's partial sums: stays on the
-        # solution manifold of the pinned linear equations.
-        param_poly = {}
+        # solution manifold of the pinned linear equations.  Only the
+        # constant term depends on the sample; the slope sum_p c_p *
+        # basis[-1][p] is built once per block, with the same additions.
+        if not slopes:
+            for n in guided:
+                slope = ER(0)
+                for p, c in binding[n].coeffs.items():
+                    if not c.is_zero():
+                        slope = slope + c * basis[-1][p]
+                slopes[n] = slope
         out = {}
         for n in guided:
             form = binding[n]
-            acc = Poly([form.const])
+            const = form.const
             for p, c in form.coeffs.items():
                 if not c.is_zero():
-                    if p not in param_poly:
-                        param_poly[p] = Poly([partial[p], basis[-1][p]])
-                    acc = acc + param_poly[p].scale(c)
-            out[n] = acc
+                    const = const + c * partial[p]
+            out[n] = Poly([const, slopes[n]])
         return out
 
     for i, tup in enumerate(_sample_tuples(ctx, path, dims, ctx.budget.samples)):
@@ -923,7 +931,7 @@ def _eval_quantity_forall(names, matrix, env, ctx: _Ctx, path: str):
         hit = run_sample(values, str(i))
         if hit is not None:
             return hit
-        if guide_eqs:
+        if guide_eqs and sample_no < ctx.budget.samples:
             var_polys = guide_polys(partial)
             for eq_i, eq in enumerate(guide_eqs):
                 if sample_no >= ctx.budget.samples:
