@@ -20,7 +20,6 @@ boost come from `axrel.numeric`, shared with the chart layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -33,6 +32,7 @@ from .model import (
 from .numeric import (
     NotDifferentiable, apply4, float_boost, one_sided_jump, richardson_derivative, velocity_at,
 )
+from .record import Record, set_field
 from .semantics import Verdict
 
 __all__ = [
@@ -239,21 +239,22 @@ def check_axcmv(s: Structure, o: Body, t, ladder: Sequence[float] = DEFAULT_LADD
 # Twin paradox.
 
 
-@dataclass(frozen=True)
-class AcceleratedScenario:
+class AcceleratedScenario(Record):
     """A home observer, a traveler, and their two meeting events
     (reference-chart coordinates)."""
 
-    name: str
-    home: Body
-    traveler: Body
-    departure: Coord4
-    reunion: Coord4
-    extra_bodies: tuple = ()
+    __slots__ = _fields = ("name", "home", "traveler", "departure", "reunion", "extra_bodies")
 
-    def __post_init__(self):
-        if not isinstance(self.home.worldline, InertialLine):
+    def __init__(self, name: str, home: Body, traveler: Body, departure: Coord4,
+                 reunion: Coord4, extra_bodies: tuple = ()):
+        if not isinstance(home.worldline, InertialLine):
             raise InvalidConfig("home twin must be inertial")
+        set_field(self, "name", name)
+        set_field(self, "home", home)
+        set_field(self, "traveler", traveler)
+        set_field(self, "departure", departure)
+        set_field(self, "reunion", reunion)
+        set_field(self, "extra_bodies", extra_bodies)
 
 
 def twin_paradox(sc: AcceleratedScenario):
@@ -322,24 +323,23 @@ def galaxy_trip(distance, subjective_years_each_way=1):
 # Gravitational time dilation on the Rindler ship.
 
 
-@dataclass(frozen=True)
-class ShipConfig:
+class ShipConfig(Record):
     """Uniformly accelerated ship: rear proper acceleration g (1/s, c=1)
     and proper length h (light-seconds).  The rear rides the hyperbola at
     Rindler coordinate 1/g; any h > 0 keeps the nose inside the wedge, so
     no additional horizon bound applies in this parameterization.
     """
 
-    g: ExactReal
-    h: ExactReal
+    __slots__ = _fields = ("g", "h")
 
-    def __post_init__(self):
-        object.__setattr__(self, "g", ER(self.g))
-        object.__setattr__(self, "h", ER(self.h))
-        if self.g.sign() < 0:
+    def __init__(self, g: ExactReal, h: ExactReal):
+        g, h = ER(g), ER(h)
+        if g.sign() < 0:
             raise InvalidConfig("proper acceleration must be nonnegative")
-        if self.h.sign() <= 0:
+        if h.sign() <= 0:
             raise InvalidConfig("proper length must be positive")
+        set_field(self, "g", g)
+        set_field(self, "h", h)
 
 
 def gtd_clock_ratio(cfg: ShipConfig) -> ExactReal:

@@ -16,11 +16,11 @@ Decimal literals are exact (``0.25`` is 1/4).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .field import ExactReal, ExactRealSyntaxError, ER, sqrt as exact_sqrt
+from .record import Record, set_field
 
 __all__ = [
     "Expr", "Num", "Ref", "BinOp", "Sqrt",
@@ -28,31 +28,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Expr:
-    pass
+class Expr(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Num(Expr):
-    value: Fraction
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Fraction):
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Ref(Expr):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
 class BinOp(Expr):
-    op: str  # one of + - * / ^
-    left: Expr
-    right: Expr
+    __slots__ = _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        set_field(self, "op", op)  # one of + - * / ^
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Sqrt(Expr):
-    arg: Expr
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: Expr):
+        set_field(self, "arg", arg)
 
 
 _TOKEN = re.compile(r"\s*(\d+\.\d+|\d+|[A-Za-z_][A-Za-z0-9_]*|\*|\+|-|/|\^|\(|\))")

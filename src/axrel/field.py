@@ -147,7 +147,7 @@ def _tree_mul_rad(t, tower, k: int):
 
 def _tree_neg(x, level: int):
     if level == 0:
-        return -x
+        return -x if x else x
     k = level - 1
     return (_tree_neg(x[0], k), _tree_neg(x[1], k))
 

@@ -25,7 +25,6 @@ is one stack over all of its points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -36,6 +35,7 @@ from .model import DifferentiableChart, SmoothNumeric, _integer, declaration_lin
 from .numeric import (
     central_difference, one_sided_jump, require_positive_finite, velocity_at,
 )
+from .record import MutableRecord, Record, set_field
 from .semantics import Verdict, combine_verdicts
 
 __all__ = [
@@ -65,14 +65,17 @@ class LeftDomain(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FloatBox:
+class FloatBox(Record):
     """Axis-aligned float box; +-inf for unbounded axes.  closed_faces
     marks faces whose boundary points are (wrongly, for AxEv-) included."""
 
-    lo: tuple = (-math.inf,) * 4
-    hi: tuple = (math.inf,) * 4
-    closed_faces: tuple = ()  # e.g. ((axis, "hi"), ...)
+    __slots__ = _fields = ("lo", "hi", "closed_faces")
+
+    def __init__(self, lo: tuple = (-math.inf,) * 4, hi: tuple = (math.inf,) * 4,
+                 closed_faces: tuple = ()):
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+        set_field(self, "closed_faces", closed_faces)  # e.g. ((axis, "hi"), ...)
 
     def contains(self, p, strict: bool = True) -> bool:
         for i in range(4):
@@ -113,18 +116,21 @@ def _symmetric(m: np.ndarray) -> bool:
     return bool(np.allclose(m, mt, atol=1e-12))
 
 
-@dataclass
-class MetricChart:
+class MetricChart(MutableRecord):
     """g: Coord4 floats -> 4x4 numpy array, symmetric, signature (+,+,+,-).
 
     metrics_at evaluates g at a sequence of points and checks shape and
     symmetry once for the whole stack; metric_at is its one-point case."""
 
-    g: Callable
-    domain: FloatBox = FloatBox()
-    order: int = 3
-    name: str = "chart"
-    dg: Optional[Callable] = None  # optional analytic (axis -> d g / d x_axis)
+    __slots__ = _fields = ("g", "domain", "order", "name", "dg")
+
+    def __init__(self, g: Callable, domain: FloatBox = FloatBox(), order: int = 3,
+                 name: str = "chart", dg: Optional[Callable] = None):
+        self.g = g
+        self.domain = domain
+        self.order = order
+        self.name = name
+        self.dg = dg  # optional analytic (axis -> d g / d x_axis)
 
     def metrics_at(self, points) -> np.ndarray:
         values = [self.g(tuple(p)) for p in points]
@@ -418,23 +424,28 @@ def check_axdiff(transform: Callable, n: int, probe_points: Sequence,
 # Geodesics.
 
 
-@dataclass
-class GeodesicResult:
+class GeodesicResult(MutableRecord):
     """Sampled geodesic with conservation diagnostics.
 
     drift_flagged is set when the g(u,u) drift exceeded the configured
     tolerance; consumers must not treat such a curve as trustworthy.
     """
 
-    lambdas: np.ndarray
-    points: np.ndarray          # shape (n, 4)
-    tangents: np.ndarray        # shape (n, 4)
-    conservation_drift: float
-    drift_tolerance: float
-    drift_flagged: bool
-    step: float
-    truncated: bool
-    worldline: Optional[SmoothNumeric] = None
+    __slots__ = _fields = ("lambdas", "points", "tangents", "conservation_drift",
+                           "drift_tolerance", "drift_flagged", "step", "truncated", "worldline")
+
+    def __init__(self, lambdas: np.ndarray, points: np.ndarray, tangents: np.ndarray,
+                 conservation_drift: float, drift_tolerance: float, drift_flagged: bool,
+                 step: float, truncated: bool, worldline: Optional[SmoothNumeric] = None):
+        self.lambdas = lambdas
+        self.points = points  # shape (n, 4)
+        self.tangents = tangents  # shape (n, 4)
+        self.conservation_drift = conservation_drift
+        self.drift_tolerance = drift_tolerance
+        self.drift_flagged = drift_flagged
+        self.step = step
+        self.truncated = truncated
+        self.worldline = worldline
 
 
 def _christoffels(chart: MetricChart, x, h: float) -> np.ndarray:
@@ -543,12 +554,14 @@ def geodesic_csv(result: GeodesicResult) -> str:
 # Chart files and the chart-level theory suite.
 
 
-@dataclass
-class ChartSuiteConfig:
-    chart: MetricChart
-    observers: dict            # name -> static position (3 floats)
-    meets: list                # (name_a, name_b, point4)
-    order: int = 3
+class ChartSuiteConfig(MutableRecord):
+    __slots__ = _fields = ("chart", "observers", "meets", "order")
+
+    def __init__(self, chart: MetricChart, observers: dict, meets: list, order: int = 3):
+        self.chart = chart
+        self.observers = observers  # name -> static position (3 floats)
+        self.meets = meets  # (name_a, name_b, point4)
+        self.order = order
 
 
 # Number of words that follow each fixed-arity chart keyword.

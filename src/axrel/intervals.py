@@ -12,10 +12,10 @@ and the caller falls back to sampling (honest Unknown).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .field import ER, ExactReal, sqrt
+from .record import Record, set_field
 
 __all__ = [
     "Poly", "IntervalSet", "Interval", "UnsupportedDefinableSet",
@@ -118,14 +118,17 @@ def term_to_poly(term, polys: dict, env: dict) -> Poly:
 # Interval sets.
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """lo/hi None mean unbounded; *_open marks an excluded finite endpoint."""
 
-    lo: Optional[ExactReal]
-    hi: Optional[ExactReal]
-    lo_open: bool = True
-    hi_open: bool = True
+    __slots__ = _fields = ("lo", "hi", "lo_open", "hi_open")
+
+    def __init__(self, lo: Optional[ExactReal], hi: Optional[ExactReal],
+                 lo_open: bool = True, hi_open: bool = True):
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+        set_field(self, "lo_open", lo_open)
+        set_field(self, "hi_open", hi_open)
 
     def is_empty(self) -> bool:
         if self.lo is None or self.hi is None:

@@ -17,7 +17,6 @@ composition, never hard-coded per scenario.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -27,6 +26,7 @@ from typing import TYPE_CHECKING, Sequence
 from .field import ER, ExactReal, as_rationals, sqrt
 from . import linalg
 from .linalg import Mat, mat_mul, mat_vec, mat_inverse, vec_add, vec_sub
+from .record import Record, set_field
 
 if TYPE_CHECKING:
     from .model import Body, Structure
@@ -253,14 +253,17 @@ def velocity_addition(u, v) -> ExactReal:
     return (u + v) / (1 + u * v)
 
 
-@dataclass(frozen=True)
-class EffectReport:
+class EffectReport(Record):
     """The three paradigmatic quantities for relative speed v and a given ship length."""
 
-    v: ExactReal
-    time_dilation: ExactReal
-    length_contraction: ExactReal
-    clock_asynchrony: ExactReal
+    __slots__ = _fields = ("v", "time_dilation", "length_contraction", "clock_asynchrony")
+
+    def __init__(self, v: ExactReal, time_dilation: ExactReal,
+                 length_contraction: ExactReal, clock_asynchrony: ExactReal):
+        set_field(self, "v", v)
+        set_field(self, "time_dilation", time_dilation)
+        set_field(self, "length_contraction", length_contraction)
+        set_field(self, "clock_asynchrony", clock_asynchrony)
 
 
 def effects(v, ship_length=1) -> EffectReport:

@@ -19,7 +19,6 @@ Model description files round-trip losslessly; see ``parse_model`` /
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from .field import ER, ExactReal, ExactRealSyntaxError, sqrt
@@ -27,6 +26,7 @@ from .kinematics import (
     AffineMap, Coord4, SuperluminalVelocity, boost, coord4, plane_rotation,
     speed_squared, translation,
 )
+from .record import Record, set_field
 
 __all__ = [
     "InertialLine", "PhotonLine", "PiecewiseInertial", "SmoothNumeric",
@@ -45,16 +45,16 @@ class NotAnObserver(ValueError):
 # Worldlines (in the reference chart).
 
 
-@dataclass(frozen=True)
-class InertialLine:
+class InertialLine(Record):
     """Straight sub-light worldline through `point` with 3-velocity `velocity`."""
 
-    point: Coord4
-    velocity: tuple  # 3-vector of ExactReal, |v| < 1
+    __slots__ = _fields = ("point", "velocity")
 
-    def __post_init__(self):
-        if speed_squared(self.velocity).compare(1) >= 0 and not getattr(self, "_unchecked", False):
+    def __init__(self, point: Coord4, velocity: tuple):
+        if speed_squared(velocity).compare(1) >= 0:
             raise SuperluminalVelocity("inertial line requires |v| < 1")
+        set_field(self, "point", point)
+        set_field(self, "velocity", velocity)  # 3-vector of ExactReal, |v| < 1
 
     def point_at(self, t: ExactReal) -> Coord4:
         dt = ER(t) - self.point[3]
@@ -72,21 +72,21 @@ def unsafe_inertial_line(point, velocity) -> InertialLine:
     exercised; never used by production constructors.
     """
     line = object.__new__(InertialLine)
-    object.__setattr__(line, "point", tuple(ER(c) for c in point))
-    object.__setattr__(line, "velocity", tuple(ER(c) for c in velocity))
+    set_field(line, "point", tuple(ER(c) for c in point))
+    set_field(line, "velocity", tuple(ER(c) for c in velocity))
     return line
 
 
-@dataclass(frozen=True)
-class PhotonLine:
+class PhotonLine(Record):
     """Unit-speed line through `point` along the exact unit vector `direction`."""
 
-    point: Coord4
-    direction: tuple  # exact unit 3-vector
+    __slots__ = _fields = ("point", "direction")
 
-    def __post_init__(self):
-        if not (speed_squared(self.direction) == 1):
+    def __init__(self, point: Coord4, direction: tuple):
+        if not (speed_squared(direction) == 1):
             raise ValueError("photon direction must be an exact unit vector")
+        set_field(self, "point", point)
+        set_field(self, "direction", direction)  # exact unit 3-vector
 
     def point_at(self, t: ExactReal) -> Coord4:
         dt = ER(t) - self.point[3]
@@ -97,26 +97,26 @@ class PhotonLine:
         return all(x[i] == self.point[i] + self.direction[i] * dt for i in range(3))
 
 
-@dataclass(frozen=True)
-class PiecewiseInertial:
+class PiecewiseInertial(Record):
     """Continuous chain of inertial segments given by (x1,x2,x3,x4) knots.
 
     Knot times must increase strictly; each segment must be sub-light.
     The domain is the knot time span.
     """
 
-    knots: tuple  # of Coord4, strictly increasing in x4
+    __slots__ = _fields = ("knots",)
 
-    def __post_init__(self):
-        if len(self.knots) < 2:
+    def __init__(self, knots: tuple):
+        if len(knots) < 2:
             raise ValueError("need at least two knots")
-        for a, b in zip(self.knots, self.knots[1:]):
+        for a, b in zip(knots, knots[1:]):
             dt = b[3] - a[3]
             if dt.sign() <= 0:
                 raise ValueError("knot times must increase strictly")
             seg2 = sum(((b[i] - a[i]) ** 2 for i in range(3)), ER(0))
             if (seg2 - dt * dt).sign() >= 0:
                 raise SuperluminalVelocity("piecewise segment at or above light speed")
+        set_field(self, "knots", knots)  # of Coord4, strictly increasing in x4
 
     @property
     def t_min(self) -> ExactReal:
@@ -152,20 +152,23 @@ class PiecewiseInertial:
         return all(p[i] == x[i] for i in range(3))
 
 
-@dataclass(frozen=True)
-class SmoothNumeric:
+class SmoothNumeric(Record):
     """Numeric worldline: float position callable of time, declared order n.
 
     Membership tests are interval tests at the declared tolerance; exact
     queries are answered three-valued by the evaluation layer.
     """
 
-    position: Callable  # t -> (x1, x2, x3) floats
-    order: int
-    t_min: float
-    t_max: float
-    velocity: Optional[Callable] = None  # optional analytic derivative
-    tolerance: float = 1e-9
+    __slots__ = _fields = ("position", "order", "t_min", "t_max", "velocity", "tolerance")
+
+    def __init__(self, position: Callable, order: int, t_min: float, t_max: float,
+                 velocity: Optional[Callable] = None, tolerance: float = 1e-9):
+        set_field(self, "position", position)  # t -> (x1, x2, x3) floats
+        set_field(self, "order", order)
+        set_field(self, "t_min", t_min)
+        set_field(self, "t_max", t_max)
+        set_field(self, "velocity", velocity)  # optional analytic derivative
+        set_field(self, "tolerance", tolerance)
 
     def point_at(self, t):
         tf = float(t)
@@ -194,27 +197,29 @@ def cloud(line: InertialLine, offsets: Sequence) -> list:
 # Bodies and charts.
 
 
-@dataclass(frozen=True)
-class Body:
-    id: str
-    is_inertial: bool
-    is_photon: bool
-    worldline: object
+class Body(Record):
+    __slots__ = _fields = ("id", "is_inertial", "is_photon", "worldline")
 
-    def __post_init__(self):
-        if self.is_photon and not isinstance(self.worldline, PhotonLine):
+    def __init__(self, id: str, is_inertial: bool, is_photon: bool, worldline: object):
+        if is_photon and not isinstance(worldline, PhotonLine):
             raise ValueError("photons must ride photon lines")
-        if self.is_inertial and not isinstance(self.worldline, InertialLine):
+        if is_inertial and not isinstance(worldline, InertialLine):
             raise ValueError("inertial bodies must ride inertial lines")
+        set_field(self, "id", id)
+        set_field(self, "is_inertial", is_inertial)
+        set_field(self, "is_photon", is_photon)
+        set_field(self, "worldline", worldline)
 
 
-@dataclass(frozen=True)
-class ChartDomain:
+class ChartDomain(Record):
     """Axis-aligned box; bounds None mean unbounded. closed=True includes
     the finite endpoints (used to build deliberately non-open domains)."""
 
-    bounds: tuple = ((None, None),) * 4  # ((lo, hi), ...) of optional ExactReal
-    closed: bool = False
+    __slots__ = _fields = ("bounds", "closed")
+
+    def __init__(self, bounds: tuple = ((None, None),) * 4, closed: bool = False):
+        set_field(self, "bounds", bounds)  # ((lo, hi), ...) of optional ExactReal
+        set_field(self, "closed", closed)
 
     def is_full(self) -> bool:
         return all(lo is None and hi is None for lo, hi in self.bounds)
@@ -232,18 +237,21 @@ class ChartDomain:
         return True
 
 
-@dataclass(frozen=True)
-class DifferentiableChart:
+class DifferentiableChart(Record):
     """Invertible numeric chart for an accelerated observer.
 
     `forward` maps reference coordinates to observer coordinates (floats),
     `inverse` the other way; `order` is the declared differentiability.
     """
 
-    forward: Callable
-    inverse: Callable
-    order: int
-    domain: ChartDomain = ChartDomain()
+    __slots__ = _fields = ("forward", "inverse", "order", "domain")
+
+    def __init__(self, forward: Callable, inverse: Callable, order: int,
+                 domain: ChartDomain = ChartDomain()):
+        set_field(self, "forward", forward)
+        set_field(self, "inverse", inverse)
+        set_field(self, "order", order)
+        set_field(self, "domain", domain)
 
 
 class Structure:
@@ -376,28 +384,34 @@ class Structure:
                          self.constants)
 
 
-@dataclass(frozen=True)
-class EventContent:
-    named: frozenset
-    family_descriptors: tuple = ()
+class EventContent(Record):
+    __slots__ = _fields = ("named", "family_descriptors")
+
+    def __init__(self, named: frozenset, family_descriptors: tuple = ()):
+        set_field(self, "named", named)
+        set_field(self, "family_descriptors", family_descriptors)
 
 
 # ---------------------------------------------------------------------------
 # Standard structures.
 
 
-@dataclass(frozen=True)
-class ObserverSpec:
+class ObserverSpec(Record):
     """Parameters for one inertial observer chart: chart = translate o
     rotate o boost(velocity); the observer's worldline is the preimage of
     the time axis."""
 
-    name: str
-    velocity: tuple = (0, 0, 0)
-    rotations: tuple = ()  # ((i, j, cos, sin), ...)
-    translation: tuple = (0, 0, 0, 0)
-    domain: ChartDomain = ChartDomain()
-    galilean: bool = False
+    __slots__ = _fields = ("name", "velocity", "rotations", "translation", "domain", "galilean")
+
+    def __init__(self, name: str, velocity: tuple = (0, 0, 0), rotations: tuple = (),
+                 translation: tuple = (0, 0, 0, 0), domain: ChartDomain = ChartDomain(),
+                 galilean: bool = False):
+        set_field(self, "name", name)
+        set_field(self, "velocity", velocity)
+        set_field(self, "rotations", rotations)  # ((i, j, cos, sin), ...)
+        set_field(self, "translation", translation)
+        set_field(self, "domain", domain)
+        set_field(self, "galilean", galilean)
 
 
 def _observer_chart(spec: ObserverSpec) -> AffineMap:
@@ -464,8 +478,9 @@ def galilean_structure(observers: Sequence[ObserverSpec],
     The negative control for AxPh: Galilean maps do not preserve the
     lightlike equation.
     """
-    return _structure([replace(spec, galilean=True) for spec in observers],
-                      extra_bodies, True, True, name)
+    specs = [ObserverSpec(spec.name, spec.velocity, spec.rotations, spec.translation,
+                          spec.domain, galilean=True) for spec in observers]
+    return _structure(specs, extra_bodies, True, True, name)
 
 
 # ---------------------------------------------------------------------------

@@ -32,13 +32,14 @@ come back as concrete counterexample assignments.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import random
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
+
+# hashlib.blake2b is this function; importing hashlib would also load OpenSSL.
+from _blake2 import blake2b
 
 from .field import ER, ExactReal
 from . import linalg
@@ -46,6 +47,7 @@ from .kinematics import AffineMap, ETA, mu
 from .model import (
     Body, InertialLine, PhotonLine, NotAnObserver, SmoothNumeric, Structure,
 )
+from .record import MutableRecord, Record, set_field
 from .syntax.ast import (
     And, EqB, EqQ, Exists, Forall, Formula, IBAtom, IObAtom, Iff, Implies,
     Less, Not, ObAtom, OneC, Or, PhAtom, Sort, Sub, Term, Theory, Var,
@@ -77,25 +79,30 @@ class UnboundVariable(NameError):
     pass
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(Record):
     """Sampling budget; the seed makes every verdict deterministic."""
 
-    samples: int = 48
-    solver_iterations: int = 2000
-    seed: int = 0
+    __slots__ = _fields = ("samples", "solver_iterations", "seed")
+
+    def __init__(self, samples: int = 48, solver_iterations: int = 2000, seed: int = 0):
+        set_field(self, "samples", samples)
+        set_field(self, "solver_iterations", solver_iterations)
+        set_field(self, "seed", seed)
 
 
 Assignment = dict  # variable name -> Body | ExactReal
 
 
-@dataclass
-class Verdict:
-    outcome: str
-    method: str = "certified"           # "certified" | "sampled"
-    evidence: dict = dc_field(default_factory=dict)
-    budget_report: dict = dc_field(default_factory=dict)
-    tolerance: Optional[float] = None
+class Verdict(MutableRecord):
+    __slots__ = _fields = ("outcome", "method", "evidence", "budget_report", "tolerance")
+
+    def __init__(self, outcome: str, method: str = "certified", evidence: Optional[dict] = None,
+                 budget_report: Optional[dict] = None, tolerance: Optional[float] = None):
+        self.outcome = outcome
+        self.method = method  # "certified" | "sampled"
+        self.evidence = {} if evidence is None else evidence
+        self.budget_report = {} if budget_report is None else budget_report
+        self.tolerance = tolerance
 
     @staticmethod
     def holds(method="certified", evidence=None, budget=None, tolerance=None):
@@ -166,7 +173,7 @@ class _Ctx:
 
     def rng(self, path: str) -> random.Random:
         # Stable across processes: never trust hash() of strings.
-        digest = hashlib.blake2b(path.encode(), digest_size=8).digest()
+        digest = blake2b(path.encode(), digest_size=8).digest()
         return random.Random(int.from_bytes(digest, "big") ^ self.budget.seed)
 
     def report(self) -> dict:

@@ -6,8 +6,9 @@ sugar.  Formulas carry the defined atoms Ob and IOb as nodes so the
 axioms read the way they are written; ``expand_definitions`` eliminates
 every piece of sugar down to the primitive signature.
 
-Nodes are frozen dataclasses; the optional ``pos`` field records the
-source offset for parser diagnostics and never takes part in equality.
+Nodes are frozen records (:mod:`axrel.record`); the optional ``pos``
+attribute records the source offset for parser diagnostics and never
+takes part in equality, hashing or repr.
 
 ``fold_term`` is the one walker that computes the value of a quantity
 term: evaluation to field values, affine forms and polynomials each
@@ -20,8 +21,9 @@ import enum
 import functools
 import operator
 import sys
-from dataclasses import dataclass, field
 from typing import Iterator
+
+from ..record import Record, set_field
 
 # Expanded corpus formulas (AxDiff_n after definitional expansion) nest
 # thousands of levels deep; the recursive traversals here need headroom.
@@ -54,41 +56,48 @@ class SortError(TypeError):
         self.found = found
 
 
-@dataclass(frozen=True)
-class Term:
-    pos: int = field(default=-1, compare=False, repr=False, kw_only=True)
+class Term(Record):
+    __slots__ = ("pos",)
 
     @property
     def sort(self) -> Sort:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    name: str
-    var_sort: Sort
+    __slots__ = _fields = ("name", "var_sort")
+
+    def __init__(self, name: str, var_sort: Sort, *, pos: int = -1):
+        set_field(self, "name", name)
+        set_field(self, "var_sort", var_sort)
+        set_field(self, "pos", pos)
 
     @property
     def sort(self) -> Sort:
         return self.var_sort
 
 
-@dataclass(frozen=True)
-class ZeroC(Term):
+class _Constant(Term):
+    __slots__ = ()
+
+    def __init__(self, *, pos: int = -1):
+        set_field(self, "pos", pos)
+
+    @property
+    def sort(self) -> Sort:
+        return Sort.QUANTITY
+
+
+class ZeroC(_Constant):
     """Definitional constant 0 (the additive neutral element)."""
 
-    @property
-    def sort(self) -> Sort:
-        return Sort.QUANTITY
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OneC(Term):
+class OneC(_Constant):
     """Definitional constant 1 (the multiplicative neutral element)."""
 
-    @property
-    def sort(self) -> Sort:
-        return Sort.QUANTITY
+    __slots__ = ()
 
 
 def _require_quantity(t: Term, what: str):
@@ -97,53 +106,43 @@ def _require_quantity(t: Term, what: str):
                         pos=t.pos, expected=Sort.QUANTITY, found=t.sort)
 
 
-@dataclass(frozen=True)
-class Add(Term):
-    left: Term
-    right: Term
+class _Operation(Term):
+    """A quantity operation, written _symbol, on two quantity terms."""
 
-    def __post_init__(self):
-        _require_quantity(self.left, "+")
-        _require_quantity(self.right, "+")
+    __slots__ = _fields = ("left", "right")
+    _symbol = ""
 
-    @property
-    def sort(self) -> Sort:
-        return Sort.QUANTITY
-
-
-@dataclass(frozen=True)
-class Mul(Term):
-    left: Term
-    right: Term
-
-    def __post_init__(self):
-        _require_quantity(self.left, "*")
-        _require_quantity(self.right, "*")
+    def __init__(self, left: Term, right: Term, *, pos: int = -1):
+        _require_quantity(left, self._symbol)
+        _require_quantity(right, self._symbol)
+        set_field(self, "left", left)
+        set_field(self, "right", right)
+        set_field(self, "pos", pos)
 
     @property
     def sort(self) -> Sort:
         return Sort.QUANTITY
 
 
-@dataclass(frozen=True)
-class Sub(Term):
+class Add(_Operation):
+    __slots__ = ()
+    _symbol = "+"
+
+
+class Mul(_Operation):
+    __slots__ = ()
+    _symbol = "*"
+
+
+class Sub(_Operation):
     """Subtraction sugar; expand_definitions removes it."""
 
-    left: Term
-    right: Term
-
-    def __post_init__(self):
-        _require_quantity(self.left, "-")
-        _require_quantity(self.right, "-")
-
-    @property
-    def sort(self) -> Sort:
-        return Sort.QUANTITY
+    __slots__ = ()
+    _symbol = "-"
 
 
-@dataclass(frozen=True)
-class Formula:
-    pos: int = field(default=-1, compare=False, repr=False, kw_only=True)
+class Formula(Record):
+    __slots__ = ("pos",)
 
 
 def _require_body(t: Term, what: str):
@@ -152,150 +151,166 @@ def _require_body(t: Term, what: str):
                         pos=t.pos, expected=Sort.BODY, found=t.sort)
 
 
-@dataclass(frozen=True)
-class IBAtom(Formula):
-    body: Term
+class _BodyAtom(Formula):
+    """A unary predicate, named _symbol, of one body term."""
 
-    def __post_init__(self):
-        _require_body(self.body, "IB")
+    __slots__ = _fields = ("body",)
+    _symbol = ""
 
-
-@dataclass(frozen=True)
-class PhAtom(Formula):
-    body: Term
-
-    def __post_init__(self):
-        _require_body(self.body, "Ph")
+    def __init__(self, body: Term, *, pos: int = -1):
+        _require_body(body, self._symbol)
+        set_field(self, "body", body)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class ObAtom(Formula):
+class IBAtom(_BodyAtom):
+    __slots__ = ()
+    _symbol = "IB"
+
+
+class PhAtom(_BodyAtom):
+    __slots__ = ()
+    _symbol = "Ph"
+
+
+class ObAtom(_BodyAtom):
     """Defined: Ob(o) iff o coordinatizes some body somewhere."""
 
-    body: Term
-
-    def __post_init__(self):
-        _require_body(self.body, "Ob")
+    __slots__ = ()
+    _symbol = "Ob"
 
 
-@dataclass(frozen=True)
-class IObAtom(Formula):
+class IObAtom(_BodyAtom):
     """Defined: IOb(o) iff IB(o) and Ob(o)."""
 
-    body: Term
-
-    def __post_init__(self):
-        _require_body(self.body, "IOb")
+    __slots__ = ()
+    _symbol = "IOb"
 
 
-@dataclass(frozen=True)
 class WAtom(Formula):
-    observer: Term
-    body: Term
-    x1: Term
-    x2: Term
-    x3: Term
-    x4: Term
+    __slots__ = _fields = ("observer", "body", "x1", "x2", "x3", "x4")
 
-    def __post_init__(self):
-        _require_body(self.observer, "W")
-        _require_body(self.body, "W")
-        for t in (self.x1, self.x2, self.x3, self.x4):
+    def __init__(self, observer: Term, body: Term, x1: Term, x2: Term, x3: Term, x4: Term,
+                 *, pos: int = -1):
+        _require_body(observer, "W")
+        _require_body(body, "W")
+        for t in (x1, x2, x3, x4):
             _require_quantity(t, "W")
+        set_field(self, "observer", observer)
+        set_field(self, "body", body)
+        set_field(self, "x1", x1)
+        set_field(self, "x2", x2)
+        set_field(self, "x3", x3)
+        set_field(self, "x4", x4)
+        set_field(self, "pos", pos)
 
     @property
     def coords(self) -> tuple:
         return (self.x1, self.x2, self.x3, self.x4)
 
 
-@dataclass(frozen=True)
-class EqQ(Formula):
-    left: Term
-    right: Term
+class _Relation(Formula):
+    """A relation, written _symbol, between two terms that _require accepts."""
 
-    def __post_init__(self):
-        _require_quantity(self.left, "=")
-        _require_quantity(self.right, "=")
+    __slots__ = _fields = ("left", "right")
+    _symbol = ""
+    _require = staticmethod(_require_quantity)
 
-
-@dataclass(frozen=True)
-class EqB(Formula):
-    left: Term
-    right: Term
-
-    def __post_init__(self):
-        _require_body(self.left, "=")
-        _require_body(self.right, "=")
+    def __init__(self, left: Term, right: Term, *, pos: int = -1):
+        self._require(left, self._symbol)
+        self._require(right, self._symbol)
+        set_field(self, "left", left)
+        set_field(self, "right", right)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Less(Formula):
-    left: Term
-    right: Term
-
-    def __post_init__(self):
-        _require_quantity(self.left, "<")
-        _require_quantity(self.right, "<")
+class EqQ(_Relation):
+    __slots__ = ()
+    _symbol = "="
 
 
-@dataclass(frozen=True)
+class EqB(_Relation):
+    __slots__ = ()
+    _symbol = "="
+    _require = staticmethod(_require_body)
+
+
+class Less(_Relation):
+    __slots__ = ()
+    _symbol = "<"
+
+
 class Not(Formula):
-    arg: Formula
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: Formula, *, pos: int = -1):
+        set_field(self, "arg", arg)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Connective(Formula):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula, *, pos: int = -1):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Connective):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Or(_Connective):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Implies(_Connective):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Forall(Formula):
-    var: str
-    var_sort: Sort
-    body: Formula
+class Iff(_Connective):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Exists(Formula):
-    var: str
-    var_sort: Sort
-    body: Formula
+class _Quantifier(Formula):
+    __slots__ = _fields = ("var", "var_sort", "body")
+
+    def __init__(self, var: str, var_sort: Sort, body: Formula, *, pos: int = -1):
+        set_field(self, "var", var)
+        set_field(self, "var_sort", var_sort)
+        set_field(self, "body", body)
+        set_field(self, "pos", pos)
+
+
+class Forall(_Quantifier):
+    __slots__ = ()
+
+
+class Exists(_Quantifier):
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
 # Theories.
 
 
-@dataclass(frozen=True)
-class AxiomGroup:
+class AxiomGroup(Record):
     """A named axiom: one sentence, or a finite list (AxField).
 
     The sentences are held as formula text and parsed on first access to
     ``sentences``, so naming, counting and certified checks parse nothing.
+    ``reconstruction`` marks a FOL shape reconstructed, not displayed in
+    the sources.
     """
 
-    name: str
-    texts: tuple  # of (sub_name, sentence text)
-    reconstruction: bool = False  # FOL shape reconstructed, not displayed in sources
+    # No __slots__: the cached ``sentences`` lives in the instance __dict__.
+    _fields = ("name", "texts", "reconstruction")
+
+    def __init__(self, name: str, texts: tuple, reconstruction: bool = False):
+        set_field(self, "name", name)
+        set_field(self, "texts", texts)  # of (sub_name, sentence text)
+        set_field(self, "reconstruction", reconstruction)
 
     @functools.cached_property
     def sentences(self) -> tuple:
@@ -305,11 +320,13 @@ class AxiomGroup:
         return tuple((sub, parse(text)) for sub, text in self.texts)
 
 
-@dataclass(frozen=True)
-class Theory:
-    name: str
-    groups: tuple  # of AxiomGroup
-    has_ind_schema: bool = False
+class Theory(Record):
+    __slots__ = _fields = ("name", "groups", "has_ind_schema")
+
+    def __init__(self, name: str, groups: tuple, has_ind_schema: bool = False):
+        set_field(self, "name", name)
+        set_field(self, "groups", groups)  # of AxiomGroup
+        set_field(self, "has_ind_schema", has_ind_schema)
 
     def group(self, name: str) -> AxiomGroup:
         for g in self.groups:

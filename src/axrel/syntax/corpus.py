@@ -28,7 +28,6 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from .ast import (
@@ -38,6 +37,7 @@ from .ast import (
     rebuild,
 )
 from .parser import theory_blocks
+from ..record import Record, set_field
 
 __all__ = [
     "axiom_corpus", "named_axiom", "all_named_axioms", "UnknownTheory",
@@ -427,14 +427,18 @@ def instantiate_ind(phi: Formula, var: str = "t") -> Formula:
 # The configured IND battery (interval-definable sets, exact suprema).
 
 
-@dataclass(frozen=True)
-class IndInstance:
-    name: str
-    formula: Formula          # free in `var` (+ possibly parameters)
-    var: str
-    field_language: bool      # True if no W/body symbols occur
-    expected_sup: Optional[str] = None   # literal, None for empty sets
-    param_values: tuple = ()  # ((name, literal-or-body), ...) fixed bindings
+class IndInstance(Record):
+    __slots__ = _fields = ("name", "formula", "var", "field_language", "expected_sup",
+                           "param_values")
+
+    def __init__(self, name: str, formula: Formula, var: str, field_language: bool,
+                 expected_sup: Optional[str] = None, param_values: tuple = ()):
+        set_field(self, "name", name)
+        set_field(self, "formula", formula)  # free in `var` (+ possibly parameters)
+        set_field(self, "var", var)
+        set_field(self, "field_language", field_language)  # True if no W/body symbols occur
+        set_field(self, "expected_sup", expected_sup)  # literal, None for empty sets
+        set_field(self, "param_values", param_values)  # ((name, literal-or-body), ...) fixed bindings
 
 
 def ind_battery() -> list:

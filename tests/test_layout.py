@@ -4,6 +4,9 @@
   from the accelerated-observer layer.
 - Only the chart layer (`axrel.genrel`) imports numpy, and it loads on
   first use, so the exact commands never pay for numpy.
+- No module imports `dataclasses`, and the entry points load neither it
+  nor `inspect` nor OpenSSL's `_hashlib`: each costs every fresh
+  interpreter milliseconds of import.
 - No module imports a name it never uses, and every function the
   benchmark's tracer wraps still exists.
 """
@@ -38,23 +41,33 @@ def test_genrel_imports_nothing_from_accel():
     assert ".numeric" in imported
 
 
-def test_only_genrel_imports_numpy():
-    importers = sorted(
+def _importers(module):
+    return sorted(
         str(path.relative_to(SRC)) for path in (SRC / "axrel").rglob("*.py")
-        if any(m == "numpy" or m.startswith("numpy.") for m in _imported_modules(path)))
-    assert importers == ["axrel/genrel.py"]
+        if any(m == module or m.startswith(module + ".") for m in _imported_modules(path)))
 
 
+def test_only_genrel_imports_numpy():
+    assert _importers("numpy") == ["axrel/genrel.py"]
+
+
+def test_no_module_imports_dataclasses():
+    assert _importers("dataclasses") == []
+
+
+# Modules the interpreter loaded before the body ran (site hooks) do not count.
 _PROBE = """
 import sys
+before = set(sys.modules)
 sys.path.insert(0, {src!r})
 {body}
-print(sorted(m for m in ("numpy", "axrel.genrel") if m in sys.modules))
+print(sorted(m for m in {watched!r} if m in sys.modules and m not in before))
 """
 
 
-def _loaded_after(body, tmp_path):
-    out = subprocess.run([sys.executable, "-c", _PROBE.format(src=str(SRC), body=body)],
+def _loaded_after(body, tmp_path, watched=("numpy", "axrel.genrel")):
+    code = _PROBE.format(src=str(SRC), body=body, watched=watched)
+    out = subprocess.run([sys.executable, "-c", code],
                          capture_output=True, text=True, check=True, cwd=tmp_path).stdout
     return out.strip().splitlines()[-1]
 
@@ -62,6 +75,14 @@ def _loaded_after(body, tmp_path):
 def test_exact_layers_load_without_numpy(tmp_path):
     for module in ("axrel", "axrel.cli", "axrel.accel"):
         assert _loaded_after("import " + module, tmp_path) == "[]", module
+
+
+def test_entry_points_load_no_dataclasses_inspect_or_openssl(tmp_path):
+    for module in ("axrel", "axrel.cli", "axrel.accel"):
+        loaded = _loaded_after("import " + module, tmp_path, ("dataclasses", "inspect", "_hashlib"))
+        assert loaded == "[]", module
+    # numpy itself imports inspect, so only the other two are watched here.
+    assert _loaded_after("import axrel.genrel", tmp_path, ("dataclasses", "_hashlib")) == "[]"
 
 
 def test_rejected_chart_commands_load_without_numpy(tmp_path):

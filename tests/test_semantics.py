@@ -16,7 +16,7 @@ from axrel.model import (
     parse_model, standard_minkowski,
 )
 from axrel.semantics import (
-    Budget, UnknownAxiom, Verdict, _certify_axsymd, _event_contents_equal, _symd_violation,
+    Budget, UnknownAxiom, Verdict, _Ctx, _certify_axsymd, _event_contents_equal, _symd_violation,
     check_axiom,
     check_ind_instance, check_theory, evaluate, recheck_counterexample,
     witness_inertial, witness_photon,
@@ -123,6 +123,16 @@ def test_determinism_same_seed_same_verdict(two_observer):
     b = evaluate(two_observer, named_axiom("AxEv"), None, Budget(samples=9, seed=42))
     assert a.outcome == b.outcome
     assert a.to_json_dict() == b.to_json_dict()
+
+
+def test_sample_seeds_match_hashlib_blake2b(two_observer):
+    # The sampler takes blake2b from _blake2, not hashlib; the seeds must not move.
+    for seed in (0, 11, 2**40 + 3):
+        ctx = _Ctx(two_observer, Budget(seed=seed))
+        for path in ("", "l", "rab", "nlrlab", "AxEv/0.1", "\u00e9"):
+            digest = hashlib.blake2b(path.encode(), digest_size=8).digest()
+            expected = random.Random(int.from_bytes(digest, "big") ^ seed)
+            assert ctx.rng(path).getstate() == expected.getstate(), (seed, path)
 
 
 def test_budget_monotonicity(minkowski, galilean):
