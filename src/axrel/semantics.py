@@ -38,8 +38,12 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-# hashlib.blake2b is this function; importing hashlib would also load OpenSSL.
-from _blake2 import blake2b
+# hashlib.blake2b is this function; importing hashlib would also load
+# OpenSSL.  A build without CPython's own blake2 has only hashlib's.
+try:
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 from .field import ER, ExactReal
 from . import linalg

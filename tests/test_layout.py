@@ -55,13 +55,11 @@ def test_no_module_imports_dataclasses():
     assert _importers("dataclasses") == []
 
 
-# Modules the interpreter loaded before the body ran (site hooks) do not count.
 _PROBE = """
 import sys
-before = set(sys.modules)
 sys.path.insert(0, {src!r})
 {body}
-print(sorted(m for m in {watched!r} if m in sys.modules and m not in before))
+print(sorted(m for m in {watched!r} if m in sys.modules))
 """
 
 

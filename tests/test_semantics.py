@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction as Fr
 from math import isqrt
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from axrel import linalg
+from axrel import semantics as semantics_module
 from axrel.field import ER, ExactReal, sqrt
 from axrel.kinematics import AffineMap, coord4
 from axrel.linalg import identity
@@ -133,6 +136,22 @@ def test_sample_seeds_match_hashlib_blake2b(two_observer):
             digest = hashlib.blake2b(path.encode(), digest_size=8).digest()
             expected = random.Random(int.from_bytes(digest, "big") ^ seed)
             assert ctx.rng(path).getstate() == expected.getstate(), (seed, path)
+
+
+def test_sampler_falls_back_to_hashlib_without_builtin_blake2(tmp_path):
+    # A build without CPython's own _blake2 module: semantics must take
+    # hashlib's blake2b (here a stand-in module holding the same function).
+    src = Path(semantics_module.__file__).resolve().parent.parent
+    code = ("import sys, types, _blake2\n"
+            "hashlib = types.ModuleType('hashlib'); hashlib.blake2b = _blake2.blake2b\n"
+            "sys.modules.update(_blake2=None, hashlib=hashlib)\n"
+            "sys.path.insert(0, %r)\n"
+            "import axrel.semantics as s\n"
+            "assert s.blake2b is hashlib.blake2b\n"
+            "print(s.blake2b(b'AxEv/0.1', digest_size=8).hexdigest())" % str(src))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=tmp_path).stdout.split()
+    assert out == [hashlib.blake2b(b"AxEv/0.1", digest_size=8).hexdigest()]
 
 
 def test_budget_monotonicity(minkowski, galilean):
