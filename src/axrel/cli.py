@@ -8,7 +8,8 @@ internal error (a bug, reported in one line, never as a verdict).
 Output is byte-identical for identical inputs, flags and seed; exact
 values print as field literals with a 12-digit decimal after them.
 Environment variables AXREL_SAMPLES and AXREL_SEED supply default
-budgets; flags override.
+budgets; flags override.  A flag or variable value out of range is a
+usage error.
 """
 
 from __future__ import annotations
@@ -40,15 +41,42 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, "%s: error: %s\n" % (self.prog, message))
 
 
+class _UsageError(Exception):
+    """A flag or environment value out of range (exit 64)."""
+
+
+def _positive_int(text: str) -> int:
+    # argparse names the flag in front of the message.
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
+def _env_int(name: str, default: int, minimum: int | None = None) -> int:
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        value = int(text)
+    except ValueError:
+        raise _UsageError("%s must be an integer, got %r" % (name, text)) from None
+    if minimum is not None and value < minimum:
+        raise _UsageError("%s must be at least %d, got %d" % (name, minimum, value))
+    return value
+
+
 def _fmt_value(v: ExactReal) -> str:
     return "%s (~ %s)" % (v.literal(), v.decimal_str())
 
 
 def _budget(args) -> Budget:
     samples = args.samples if args.samples is not None else \
-        int(os.environ.get("AXREL_SAMPLES", "48"))
-    seed = args.seed if args.seed is not None else \
-        int(os.environ.get("AXREL_SEED", "0"))
+        _env_int("AXREL_SAMPLES", 48, minimum=1)
+    seed = args.seed if args.seed is not None else _env_int("AXREL_SEED", 0)
     return Budget(samples=samples, seed=seed)
 
 
@@ -78,7 +106,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("check", help="check a theory against a model file")
     p.add_argument("theory")
     p.add_argument("model_file")
-    p.add_argument("--samples", type=int)
+    p.add_argument("--samples", type=_positive_int)
     p.add_argument("--seed", type=int)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--output")
@@ -87,7 +115,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("effects", help="time dilation, contraction, asynchrony")
     p.add_argument("--v", required=True, help="relative speed, field literal")
     p.add_argument("--length", default="1", help="ship proper length")
-    p.add_argument("--sweep", type=int, metavar="N",
+    p.add_argument("--sweep", type=_positive_int, metavar="N",
                    help="CSV sweep over v = k/N, k = 0..N-1")
     p.add_argument("--svg", metavar="FILE", help="write the two-panel figure")
     p.add_argument("--output")
@@ -118,7 +146,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("report", help="machine-readable verification report")
     p.add_argument("model_file")
     p.add_argument("--theory", default="AccRel")
-    p.add_argument("--samples", type=int)
+    p.add_argument("--samples", type=_positive_int)
     p.add_argument("--seed", type=int)
     p.add_argument("--output")
     p.set_defaults(func=cmd_report)
@@ -126,6 +154,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        sys.stderr.write("axrel: %s\n" % exc)
+        return EX_USAGE
     except (FormulaSyntaxError, SortError, ExactRealSyntaxError, UnknownTheory,
             OSError, ValueError, ZeroDivisionError) as exc:
         # ZeroDivisionError covers field.DivisionByZero, e.g. `velocity 1/0 0 0`.
@@ -208,7 +239,7 @@ def cmd_effects(args) -> int:
         "clock asynchrony      = %s" % _fmt_value(rep.clock_asynchrony),
     ]
     out = "\n".join(lines) + "\n"
-    if args.sweep:
+    if args.sweep is not None:
         rows = ["v,dilation,contraction,asynchrony"]
         for k in range(args.sweep):
             r = effects(ER(Fraction(k, args.sweep)), length)

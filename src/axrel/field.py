@@ -51,13 +51,28 @@ keeps its tower so those identities stay valid.  A hit returns the same
 ``_ROOT_MEMO_CAP`` entries and is emptied when full.  Two threads may both
 miss and store equal entries; either one serves later lookups.
 
+Leaf arithmetic runs on integer pairs.  A ``Fraction`` is always in lowest
+terms with a positive denominator, so a leaf is its ``(numerator,
+denominator)`` pair and nothing else.  ``_q_add``, ``_q_sub``, ``_q_mul``
+and ``_q_div`` compute that pair with the integer algorithms of
+``Fraction``'s own ``_add``, ``_sub``, ``_mul`` and ``_div``, and ``_q``
+stores it in a new ``Fraction``'s ``_numerator``/``_denominator`` slots
+without running ``Fraction.__new__``; ``_q`` is only ever given a pair
+already in lowest terms with a positive denominator.  Zero tests, signs
+and rational comparisons read the slots directly (two rationals compare
+by integer cross-multiplication).  The pair a helper returns is the pair
+the ``Fraction`` operator returns, so every leaf, tree, tower, literal,
+verdict and digest is unchanged.  The slots are the same in every Python
+this package supports (3.10 and later), so there is no fallback path;
+``tests/test_field.py`` pins each helper against ``Fraction``'s operators.
+
 Values are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Union
 
 __all__ = [
@@ -92,6 +107,77 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+# ---------------------------------------------------------------------------
+# Rational kernel (module docstring): Fraction results from integer pairs.
+
+def _q(n: int, d: int) -> Fraction:
+    # n/d must already be in lowest terms with d > 0.
+    q = object.__new__(Fraction)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
+def _q_add(a: Fraction, b: Fraction) -> Fraction:
+    na, da = a._numerator, a._denominator
+    nb, db = b._numerator, b._denominator
+    g = gcd(da, db)
+    if g == 1:
+        return _q(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _q(t, s * db)
+    return _q(t // g2, s * (db // g2))
+
+
+def _q_sub(a: Fraction, b: Fraction) -> Fraction:
+    na, da = a._numerator, a._denominator
+    nb, db = b._numerator, b._denominator
+    g = gcd(da, db)
+    if g == 1:
+        return _q(na * db - da * nb, da * db)
+    s = da // g
+    t = na * (db // g) - nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _q(t, s * db)
+    return _q(t // g2, s * (db // g2))
+
+
+def _q_mul(a: Fraction, b: Fraction) -> Fraction:
+    na, da = a._numerator, a._denominator
+    nb, db = b._numerator, b._denominator
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _q(na * nb, db * da)
+
+
+def _q_div(a: Fraction, b: Fraction) -> Fraction:
+    # b != 0
+    na, da = a._numerator, a._denominator
+    nb, db = b._numerator, b._denominator
+    g1 = gcd(na, nb)
+    if g1 > 1:
+        na //= g1
+        nb //= g1
+    g2 = gcd(db, da)
+    if g2 > 1:
+        da //= g2
+        db //= g2
+    n, d = na * db, nb * da
+    if d < 0:
+        return _q(-n, -d)
+    return _q(n, d)
+
+
 def _tree_const(q: Fraction, level: int):
     t = q
     z = _ZERO
@@ -103,15 +189,15 @@ def _tree_const(q: Fraction, level: int):
 
 def _tree_is_zero(t, level: int) -> bool:
     if level == 0:
-        return t == 0
+        return not t._numerator
     return _tree_is_zero(t[0], level - 1) and _tree_is_zero(t[1], level - 1)
 
 
 def _tree_add(x, y, level: int):
     if level == 0:
-        if not x:
+        if not x._numerator:
             return y
-        return x + y if y else x
+        return _q_add(x, y) if y._numerator else x
     k = level - 1
     return (_tree_add(x[0], y[0], k), _tree_add(x[1], y[1], k))
 
@@ -119,13 +205,13 @@ def _tree_add(x, y, level: int):
 def _tree_add_const(t, q: Fraction, level: int):
     # t + q for a rational q: only the constant leaf changes.
     if level == 0:
-        return t + q
+        return _q_add(t, q)
     return (_tree_add_const(t[0], q, level - 1), t[1])
 
 
 def _tree_scale(t, q: Fraction, level: int):
     if level == 0:
-        return t * q if t else _ZERO
+        return _q_mul(t, q) if t._numerator else _ZERO
     k = level - 1
     return (_tree_scale(t[0], q, k), _tree_scale(t[1], q, k))
 
@@ -147,7 +233,7 @@ def _tree_mul_rad(t, tower, k: int):
 
 def _tree_neg(x, level: int):
     if level == 0:
-        return -x if x else x
+        return _q(-x._numerator, x._denominator) if x._numerator else x
     k = level - 1
     return (_tree_neg(x[0], k), _tree_neg(x[1], k))
 
@@ -158,7 +244,7 @@ def _tree_sub(x, y, level: int):
 
 def _tree_mul(x, y, tower, level: int):
     if level == 0:
-        return x * y if x and y else _ZERO
+        return _q_mul(x, y) if x._numerator and y._numerator else _ZERO
     k = level - 1
     a, b = x
     c, d = y
@@ -174,7 +260,8 @@ def _tree_inv(x, tower, level: int):
     # (a-b*sqrt(d))/(a^2-b^2 d); the denominator is nonzero because
     # sqrt(d) is not in the field below (canonical tower).
     if level == 0:
-        return 1 / x
+        n, d = x._denominator, x._numerator
+        return _q(n, d) if d > 0 else _q(-n, -d)
     k = level - 1
     a, b = x
     den = _tree_sub(_tree_mul(a, a, tower, k), _tree_mul_rad(_tree_mul(b, b, tower, k), tower, k), k)
@@ -193,7 +280,7 @@ def _tree_promote(t, from_level: int, to_level: int):
 
 def _frac_sqrt_bounds(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     # q >= 0; enclosure of sqrt(q) with width <= 2^-bits (plus rounding slack).
-    if q == 0:
+    if not q._numerator:
         return (_ZERO, _ZERO)
     p, d = q.numerator, q.denominator
     scale = 1 << bits
@@ -233,9 +320,9 @@ def _tree_sign(t, tower, level: int) -> int:
     bits = 32
     while True:
         lo, hi = _tree_interval(t, tower, level, bits)
-        if lo > 0:
+        if lo._numerator > 0:
             return 1
-        if hi < 0:
+        if hi._numerator < 0:
             return -1
         # Width 2^-128 reached and still straddling: the exact zero test
         # above already ruled zero out, so keep refining; termination is
@@ -244,11 +331,12 @@ def _tree_sign(t, tower, level: int) -> int:
 
 
 def _frac_sqrt_exact(q: Fraction):
-    if q < 0:
+    n, d = q._numerator, q._denominator
+    if n < 0:
         return None
-    sp, sq = isqrt(q.numerator), isqrt(q.denominator)
-    if sp * sp == q.numerator and sq * sq == q.denominator:
-        return Fraction(sp, sq)
+    sp, sq = isqrt(n), isqrt(d)
+    if sp * sp == n and sq * sq == d:
+        return _q(sp, sq)  # n/d in lowest terms, so sp/sq is too
     return None
 
 
@@ -331,7 +419,16 @@ class ExactReal:
 
     @staticmethod
     def from_rational(value: Rational, den: int | None = None) -> "ExactReal":
-        value = Fraction(value) if den is None else Fraction(value, den)
+        if den is None:
+            if type(value) is int:
+                value = _q(value, 1)
+            elif type(value) is not Fraction:
+                value = Fraction(value)
+        elif type(value) is int and type(den) is int and den:
+            g = gcd(value, den) if den > 0 else -gcd(value, den)
+            value = _q(value // g, den // g)
+        else:
+            value = Fraction(value, den)
         return ExactReal((), value, _normalize=False)
 
     # -- structure ---------------------------------------------------------
@@ -454,6 +551,13 @@ class ExactReal:
 
     @staticmethod
     def _coerce(value) -> "ExactReal":
+        t = type(value)
+        if t is ExactReal:
+            return value
+        if t is int:
+            return ExactReal((), _q(value, 1), _normalize=False)
+        if t is Fraction:
+            return ExactReal((), value, _normalize=False)
         if isinstance(value, ExactReal):
             return value
         if isinstance(value, (int, Fraction)):
@@ -466,12 +570,12 @@ class ExactReal:
             return NotImplemented
         if not other._tower:
             if not self._tower:
-                return ExactReal((), self._rep + other._rep, _normalize=False)
-            if not other._rep:
+                return ExactReal((), _q_add(self._rep, other._rep), _normalize=False)
+            if not other._rep._numerator:
                 return self
             return ExactReal(self._tower, _tree_add_const(self._rep, other._rep, self.level))
         if not self._tower:
-            if not self._rep:
+            if not self._rep._numerator:
                 return other
             return ExactReal(other._tower, _tree_add_const(other._rep, self._rep, other.level))
         tower, a, b = self._unified(other)
@@ -487,7 +591,7 @@ class ExactReal:
         if other is NotImplemented:
             return NotImplemented
         if not (self._tower or other._tower):
-            return ExactReal((), self._rep - other._rep, _normalize=False)
+            return ExactReal((), _q_sub(self._rep, other._rep), _normalize=False)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -502,12 +606,12 @@ class ExactReal:
             return NotImplemented
         if not other._tower:
             if not self._tower:
-                return ExactReal((), self._rep * other._rep, _normalize=False)
-            if not other._rep:
+                return ExactReal((), _q_mul(self._rep, other._rep), _normalize=False)
+            if not other._rep._numerator:
                 return other
             return ExactReal(self._tower, _tree_scale(self._rep, other._rep, self.level))
         if not self._tower:
-            if not self._rep:
+            if not self._rep._numerator:
                 return self
             return ExactReal(other._tower, _tree_scale(other._rep, self._rep, other.level))
         tower, a, b = self._unified(other)
@@ -522,7 +626,7 @@ class ExactReal:
         if other.is_zero():
             raise DivisionByZero("division by exact zero")
         if not (self._tower or other._tower):
-            return ExactReal((), self._rep / other._rep, _normalize=False)
+            return ExactReal((), _q_div(self._rep, other._rep), _normalize=False)
         tower, a, b = self._unified(other)
         return ExactReal(tower, _tree_mul(a, _tree_inv(b, tower, len(tower)), tower, len(tower)))
 
@@ -553,18 +657,23 @@ class ExactReal:
     # -- predicates and order ------------------------------------------------
 
     def is_zero(self) -> bool:
+        if not self._tower:
+            return not self._rep._numerator
         return _tree_is_zero(self._rep, self.level)
 
     def sign(self) -> int:
         if not self._tower:
-            return (self._rep > 0) - (self._rep < 0)
+            n = self._rep._numerator
+            return (n > 0) - (n < 0)
         return _tree_sign(self._rep, self._tower, self.level)
 
     def compare(self, other) -> int:
         """-1, 0 or 1 as self <, ==, > other; exact."""
         other = ExactReal._coerce(other)
         if other is not NotImplemented and not (self._tower or other._tower):
-            return (self._rep > other._rep) - (self._rep < other._rep)
+            a, b = self._rep, other._rep
+            lhs, rhs = a._numerator * b._denominator, b._numerator * a._denominator
+            return (lhs > rhs) - (lhs < rhs)
         return (self - other).sign()
 
     def __eq__(self, other):
@@ -720,10 +829,9 @@ def as_rationals(values) -> list | None:
 
 def ER(value) -> ExactReal:
     """Convenience converter: int, Fraction, 'p/q' strings and literals."""
-    if isinstance(value, ExactReal):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return ExactReal.from_rational(value)
+    coerced = ExactReal._coerce(value)
+    if coerced is not NotImplemented:
+        return coerced
     if isinstance(value, str):
         return parse_exact(value)
     raise TypeError("cannot convert %r to ExactReal" % (value,))

@@ -108,6 +108,27 @@ def test_effects_sweep_csv(capsys):
     assert len(rows) == 11
 
 
+def _argparse_exit(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("sweep", ["0", "-3"])
+def test_effects_sweep_below_one_is_usage_error(capsys, sweep):
+    code, out, err = _argparse_exit(["effects", "--v", "0", "--sweep", sweep], capsys)
+    _one_line_error(code, err, (64,))
+    assert "--sweep" in err and out == ""
+
+
+def test_effects_sweep_of_one_is_a_single_row(capsys):
+    code, out, _ = run_cli(["effects", "--v", "0", "--sweep", "1"], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "v,dilation,contraction,asynchrony"
+    assert len(out.splitlines()) == 2
+
+
 def test_effects_svg_from_computed_values(tmp_path, capsys):
     svg = tmp_path / "fig.svg"
     code, _, _ = run_cli(["effects", "--v", "3/5", "--svg", str(svg)], capsys)
@@ -207,6 +228,37 @@ def test_usage_error_is_64():
     with pytest.raises(SystemExit) as exc:
         main(["check"])
     assert exc.value.code == 64
+
+
+BUDGET_COMMANDS = [["check", "SpecRel", "mink.model"], ["report", "mink.model"]]
+
+
+@pytest.mark.parametrize("command", BUDGET_COMMANDS)
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_samples_below_one_is_usage_error(files, capsys, command, samples):
+    argv = [files.get(a, a) for a in command] + ["--samples", samples]
+    code, out, err = _argparse_exit(argv, capsys)
+    _one_line_error(code, err, (64,))
+    assert "--samples" in err and out == ""
+
+
+@pytest.mark.parametrize("command", BUDGET_COMMANDS)
+@pytest.mark.parametrize("name, value", [("AXREL_SAMPLES", "abc"), ("AXREL_SAMPLES", "0"),
+                                         ("AXREL_SAMPLES", "-5"), ("AXREL_SEED", "abc"),
+                                         ("AXREL_SEED", "1.5")])
+def test_bad_budget_variable_is_usage_error(files, capsys, monkeypatch, command, name, value):
+    monkeypatch.setenv(name, value)
+    code, out, err = run_cli([files.get(a, a) for a in command], capsys)
+    _one_line_error(code, err, (64,))
+    assert err.startswith("axrel: %s " % name) and out == ""
+
+
+def test_budget_flags_override_bad_variables(files, capsys, monkeypatch):
+    monkeypatch.setenv("AXREL_SAMPLES", "abc")
+    monkeypatch.setenv("AXREL_SEED", "abc")
+    code, _, err = run_cli(["check", "SpecRel", files["mink.model"],
+                            "--samples", "4", "--seed", "3"], capsys)
+    assert code == 0 and err == ""
 
 
 def test_report_command(files, capsys):

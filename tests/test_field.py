@@ -295,3 +295,72 @@ def test_radicand_root_memo_is_capped(monkeypatch):
     for n in range(3, 10):
         ExactReal._memo_sqrt_rep((ER(n) + sqrt(ER(2)))._rep, tower)
         assert 1 <= len(field._ROOT_MEMO) <= 3
+
+
+# The rational kernel against Fraction's own operators.  Numerators reach
+# 0 and both signs, denominators both signs, and both go past 2**64.
+kernel_ints = st.one_of(
+    st.integers(-50, 50),
+    st.integers(-2 ** 80, 2 ** 80),
+    st.sampled_from([2 ** 64, -2 ** 64, 2 ** 64 + 1, 3 ** 41, -(2 ** 127 - 1)]),
+)
+kernel_fractions = st.builds(Fr, kernel_ints, kernel_ints.filter(bool))
+
+
+def _same_fraction(got, want):
+    assert type(got) is Fr
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert type(got.numerator) is int and type(got.denominator) is int
+    assert hash(got) == hash(want)
+    assert str(got) == str(want)
+    assert got == want
+
+
+@given(kernel_fractions, kernel_fractions)
+@settings(max_examples=300, deadline=None)
+def test_rational_kernel_matches_fraction_operators(a, b):
+    _same_fraction(field._q(a.numerator, a.denominator), a)
+    _same_fraction(field._q_add(a, b), a + b)
+    _same_fraction(field._q_sub(a, b), a - b)
+    _same_fraction(field._q_mul(a, b), a * b)
+    if b:
+        _same_fraction(field._q_div(a, b), a / b)
+    # The level-0 leaves of the tree routines and the rational fast paths.
+    _same_fraction(field._tree_neg(a, 0), -a)
+    if a:
+        _same_fraction(field._tree_inv(a, (), 0), 1 / a)
+    _same_fraction(field._tree_add(a, b, 0), a + b)
+    _same_fraction(field._tree_add_const(a, b, 0), a + b)
+    _same_fraction(field._tree_scale(a, b, 0), a * b)
+    _same_fraction(field._tree_mul(a, b, (), 0), a * b)
+    assert field._tree_is_zero(a, 0) == (a == 0)
+    x, y = ER(a), ER(b)
+    for got, want in ((x + y, a + b), (x - y, a - b), (x * y, a * b)):
+        _same_fraction(got.as_fraction(), want)
+    if b:
+        _same_fraction((x / y).as_fraction(), a / b)
+    assert x.is_zero() == (a == 0)
+    assert x.sign() == (a > 0) - (a < 0)
+    assert x.compare(y) == (a > b) - (a < b)
+
+
+@given(kernel_ints, kernel_ints.filter(bool))
+@settings(max_examples=200, deadline=None)
+def test_from_rational_pair_matches_fraction(n, d):
+    _same_fraction(ExactReal.from_rational(n, d).as_fraction(), Fr(n, d))
+    _same_fraction(ER(n).as_fraction(), Fr(n))
+
+
+def test_rational_constructors_keep_their_values():
+    half = Fr(6, 4)
+    for value, pair in ((ER(True), (1, 1)), (ER(3), (3, 1)), (ER(half), (3, 2)),
+                        (ExactReal.from_rational(3, 6), (1, 2)),
+                        (ExactReal.from_rational(3, -6), (-1, 2)),
+                        (ExactReal.from_rational(0, -5), (0, 1)),
+                        (ExactReal.from_rational("3/5"), (3, 5))):
+        rep = value.as_fraction()
+        assert type(rep) is Fr and (rep.numerator, rep.denominator) == pair
+        assert type(rep.numerator) is int
+    assert ER(half).as_fraction() is half  # a Fraction is immutable: kept as it is
+    with pytest.raises(ZeroDivisionError):
+        ExactReal.from_rational(1, 0)

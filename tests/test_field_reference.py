@@ -313,27 +313,32 @@ def test_mixed_sum_and_product_with_rational_zero(name):
 
 
 def test_irrational_mu_invariance_does_no_zero_leaf_work(monkeypatch):
-    # Counts leaf Fraction operations with an exactly zero operand inside
-    # _tree_mul, _tree_scale and _tree_add.  When those routines did every
-    # leaf operation and promoted every radicand, this instance did 646
-    # such multiplications and 506 such additions.
+    # Counts the leaf operations of _tree_mul, _tree_scale and _tree_add,
+    # which run through the rational kernel's _q_mul and _q_add, and those
+    # with an exactly zero operand.  When those routines did every leaf
+    # operation and promoted every radicand, this instance did 646 such
+    # multiplications and 506 such additions.
     m = plane_rotation(1, 2, Fr(3, 5), Fr(4, 5)).compose(boost((Fr(1, 2), 0, 0))) \
         .compose(boost((0, Fr(1, 3), 0)))
     assert m.linear[3][3].level == 2
     x = coord4(Fr(1, 2), -3, Fr(5, 4), 2)
     y = coord4(-1, Fr(2, 3), 0, Fr(-7, 6))
     m.apply(x)  # builds the map's integer-form marker outside the count
-    counts = {"mul": 0, "add": 0}
+    leaf_ops = {"mul": 0, "add": 0}
+    zero_ops = {"mul": 0, "add": 0}
     leaf_routines = {"mul": ("_tree_mul", "_tree_scale"), "add": ("_tree_add",)}
 
     def counting(kind, real):
         def op(a, b):
-            if (not a or not b) and sys._getframe(1).f_code.co_name in leaf_routines[kind]:
-                counts[kind] += 1
+            if sys._getframe(1).f_code.co_name in leaf_routines[kind]:
+                leaf_ops[kind] += 1
+                if not a or not b:
+                    zero_ops[kind] += 1
             return real(a, b)
         return op
 
-    monkeypatch.setattr(Fr, "__mul__", counting("mul", Fr.__mul__))
-    monkeypatch.setattr(Fr, "__add__", counting("add", Fr.__add__))
+    monkeypatch.setattr(field, "_q_mul", counting("mul", field._q_mul))
+    monkeypatch.setattr(field, "_q_add", counting("add", field._q_add))
     assert check_mu_invariance(m, x, y)
-    assert counts == {"mul": 0, "add": 0}
+    assert leaf_ops["mul"] > 0 and leaf_ops["add"] > 0  # the count saw the leaves
+    assert zero_ops == {"mul": 0, "add": 0}
