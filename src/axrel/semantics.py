@@ -13,7 +13,14 @@ is exhaustive because only charted bodies observe anything); existential
 patterns over the intensional families (photon through two points,
 inertial body through two timelike points) are solved exactly.  The
 event-correspondence pattern  A b . W(o,b,x) <-> W(o',b,y)  is decided
-exactly on affine structures.
+exactly on affine structures.  So is the expansion of Ob(o),
+E b . E q1..q4 . W(o, b, q1, ..., q4): with a family on it holds iff o is
+an observer whose chart domain is not empty, since a family body passes
+through every event; without families, iff some named inertial, photon or
+piecewise-inertial line meets o's domain box, a linear feasibility problem
+in the line's parameter.  It declines, and the block is sampled, on a
+non-affine chart and, without families, on a numeric worldline.  So an
+expanded sentence draws exactly the samples of its sugared form.
 
 Quantity-sort quantifiers are sampled per *block* of like quantifiers:
 linear equality conjuncts and correspondence conjuncts in hypothesis
@@ -24,6 +31,14 @@ applies the decision is exact; otherwise a passed universal is labelled
 "sampled".  Enlarging the budget only extends the sample prefix, so a
 Fails can never revert to Holds.
 
+Each evaluation plans every formula node it visits once, keyed by node
+identity on the evaluation's context: the quantifier block and its
+matrix, correspondence matches, guards and body candidates, the pinning
+conjuncts, the guide equations and their left - right terms, compiled
+term evaluators and the And/Not rewrite of Or and Implies.  A later visit
+does only the work that depends on the assignment, with the same
+arithmetic in the same order and the same seed paths.
+
 Certified verifiers replace sampling entirely for the SpecRel axioms on
 affine-chart structures with full domains: each axiom reduces to an
 exact matrix identity or an exact subspace computation, and violations
@@ -32,6 +47,7 @@ come back as concrete counterexample assignments.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -49,19 +65,20 @@ from .field import ER, ExactReal
 from . import linalg
 from .kinematics import AffineMap, ETA, mu
 from .model import (
-    Body, InertialLine, PhotonLine, NotAnObserver, SmoothNumeric, Structure,
+    Body, InertialLine, PhotonLine, PiecewiseInertial, NotAnObserver, SmoothNumeric,
+    Structure,
 )
 from .record import MutableRecord, Record, set_field
 from .syntax.ast import (
-    And, EqB, EqQ, Exists, Forall, Formula, IBAtom, IObAtom, Iff, Implies,
-    Less, Not, ObAtom, OneC, Or, PhAtom, Sort, Sub, Term, Theory, Var,
+    Add, And, EqB, EqQ, Exists, Forall, Formula, IBAtom, IObAtom, Iff, Implies,
+    Less, Mul, Not, ObAtom, OneC, Or, PhAtom, Sort, Sub, Term, Theory, Var,
     WAtom, _formula_terms, fold_term, mentions, subformulas,
 )
 from .syntax.corpus import (
     IndInstance, contract_definitions, ind_battery, instantiate_ind,
 )
 from .intervals import (
-    IntervalSet, Poly, UnsupportedDefinableSet, poly_eq_zero, poly_less_zero,
+    Interval, IntervalSet, Poly, UnsupportedDefinableSet, poly_eq_zero, poly_less_zero,
     term_to_poly,
 )
 
@@ -84,11 +101,17 @@ class UnboundVariable(NameError):
 
 
 class Budget(Record):
-    """Sampling budget; the seed makes every verdict deterministic."""
+    """Sampling budget; the seed makes every verdict deterministic.  With
+    no samples a universal over quantities would pass unsampled, so
+    samples must be at least 1; solver_iterations must be at least 0."""
 
     __slots__ = _fields = ("samples", "solver_iterations", "seed")
 
     def __init__(self, samples: int = 48, solver_iterations: int = 2000, seed: int = 0):
+        if samples < 1:
+            raise ValueError("samples must be at least 1, got %r" % (samples,))
+        if solver_iterations < 0:
+            raise ValueError("solver_iterations must be at least 0, got %r" % (solver_iterations,))
         set_field(self, "samples", samples)
         set_field(self, "solver_iterations", solver_iterations)
         set_field(self, "seed", seed)
@@ -159,6 +182,9 @@ class _Ctx:
         self.budget = budget
         self.samples_used = 0
         self.solver_calls = 0
+        # id(formula node) -> the node's plan (see _plan); nodes stay alive
+        # for the whole evaluation, so their ids are not reused.
+        self.plans = {}
 
     @cached_property
     def corners(self) -> list:
@@ -200,8 +226,36 @@ def eval_term(term: Term, env: Assignment):
     return fold_term(term, leaf)
 
 
+def _value_of(term: Term):
+    """eval_term(term, env) as a function of env, compiled once: +, - and *
+    combine the values of the two operands, the left one computed first,
+    as in fold_term."""
+    cls = type(term)
+    if cls is Add or cls is Sub or cls is Mul:
+        left, right = _value_of(term.left), _value_of(term.right)
+        if cls is Add:
+            return lambda env: left(env) + right(env)
+        if cls is Sub:
+            return lambda env: left(env) - right(env)
+        return lambda env: left(env) * right(env)
+    if cls is Var:
+        name = term.name
+
+        def var(env):
+            try:
+                return env[name]
+            except KeyError:
+                raise UnboundVariable(name) from None
+
+        return var
+    value = ER(1) if cls is OneC else ER(0)
+    return lambda env: value
+
+
 # ---------------------------------------------------------------------------
-# Core evaluator.  Internal results are (state, sampled, evidence).
+# Core evaluator.  Internal results are (state, sampled, evidence).  _plan
+# looks at one node, not its subformulas, once per evaluation; the function
+# it returns does the work that depends on the assignment.
 
 
 def evaluate(s: Structure, f: Formula, assignment: Optional[Assignment] = None,
@@ -223,73 +277,123 @@ def evaluate(s: Structure, f: Formula, assignment: Optional[Assignment] = None,
 
 
 def _eval(f: Formula, env: Assignment, ctx: _Ctx, path: str):
-    if isinstance(f, (IBAtom, PhAtom, ObAtom, IObAtom)):
-        body = eval_term(f.body, env)
-        if isinstance(f, IBAtom):
-            truth = body.is_inertial
-        elif isinstance(f, PhAtom):
-            truth = body.is_photon
-        elif isinstance(f, ObAtom):
-            truth = ctx.s.is_observer(body)
-        else:
-            truth = body.is_inertial and ctx.s.is_observer(body)
-        return (HOLDS if truth else FAILS), False, {}
-    if isinstance(f, WAtom):
-        obs = eval_term(f.observer, env)
-        body = eval_term(f.body, env)
-        coords = tuple(eval_term(c, env) for c in f.coords)
-        truth = _holds_w3(ctx.s, obs, body, coords)
-        if truth is None:
-            return UNKNOWN, True, {}
-        return (HOLDS if truth else FAILS), False, {}
-    if isinstance(f, EqQ):
-        truth = eval_term(f.left, env) == eval_term(f.right, env)
-        return (HOLDS if truth else FAILS), False, {}
-    if isinstance(f, Less):
-        truth = eval_term(f.left, env) < eval_term(f.right, env)
-        return (HOLDS if truth else FAILS), False, {}
-    if isinstance(f, EqB):
-        truth = eval_term(f.left, env).id == eval_term(f.right, env).id
-        return (HOLDS if truth else FAILS), False, {}
-    if isinstance(f, Not):
-        state, sampled, ev = _eval(f.arg, env, ctx, path + "n")
-        return _neg(state), sampled, ev
-    if isinstance(f, And):
-        return _eval_and(f, env, ctx, path)
-    if isinstance(f, Or):
-        state, sampled, ev = _eval_and(
-            And(Not(f.left), Not(f.right)), env, ctx, path)
-        return _neg(state), sampled, ev
-    if isinstance(f, Implies):
-        state, sampled, ev = _eval_and(
-            And(f.left, Not(f.right)), env, ctx, path)
-        return _neg(state), sampled, ev
-    if isinstance(f, Iff):
-        s1, p1, e1 = _eval(f.left, env, ctx, path + "l")
-        s2, p2, e2 = _eval(f.right, env, ctx, path + "r")
-        if UNKNOWN in (s1, s2):
-            return UNKNOWN, p1 or p2, {}
-        agree = (s1 == s2)
-        return (HOLDS if agree else FAILS), p1 or p2, {**e1, **e2}
-    if isinstance(f, (Forall, Exists)):
-        return _eval_quantifier(f, env, ctx, path)
-    raise TypeError(f)
+    run = ctx.plans.get(id(f))
+    if run is None:
+        run = ctx.plans[id(f)] = _plan(f, ctx.s)
+    return run(env, ctx, path)
+
+
+def _plan(f: Formula, s: Structure):
+    """The plan of one node in s: run(env, ctx, path) -> (state, sampled,
+    evidence).  Plans take ctx as an argument and keep no reference to it,
+    so a context and its plans need no cycle collection to be freed."""
+    planner = _PLANNERS.get(type(f))
+    if planner is None:
+        raise TypeError(f)
+    return planner(f, s)
 
 
 def _neg(state: str) -> str:
     return {HOLDS: FAILS, FAILS: HOLDS, UNKNOWN: UNKNOWN}[state]
 
 
-def _eval_and(f: And, env: Assignment, ctx: _Ctx, path: str):
-    state1, sampled1, ev1 = _eval(f.left, env, ctx, path + "a")
-    if state1 == FAILS:
-        return FAILS, sampled1, ev1
-    state2, sampled2, ev2 = _eval(f.right, env, ctx, path + "b")
-    if state2 == FAILS:
-        return FAILS, sampled2, ev2
-    if UNKNOWN in (state1, state2):
-        return UNKNOWN, sampled1 or sampled2, {}
-    return HOLDS, sampled1 or sampled2, {**ev1, **ev2}
+def _plan_body_atom(f, s: Structure):
+    body_of = _value_of(f.body)
+    truth_of = {
+        IBAtom: lambda b: b.is_inertial,
+        PhAtom: lambda b: b.is_photon,
+        ObAtom: s.is_observer,
+        IObAtom: lambda b: b.is_inertial and s.is_observer(b),
+    }[type(f)]
+
+    def run(env, ctx, path):
+        return (HOLDS if truth_of(body_of(env)) else FAILS), False, {}
+
+    return run
+
+
+def _plan_w(f: WAtom, s: Structure):
+    obs_of, body_of = _value_of(f.observer), _value_of(f.body)
+    c1, c2, c3, c4 = (_value_of(c) for c in f.coords)
+
+    def run(env, ctx, path):
+        truth = _holds_w3(s, obs_of(env), body_of(env), (c1(env), c2(env), c3(env), c4(env)))
+        if truth is None:
+            return UNKNOWN, True, {}
+        return (HOLDS if truth else FAILS), False, {}
+
+    return run
+
+
+def _plan_relation(f, s: Structure):
+    left, right, cls = _value_of(f.left), _value_of(f.right), type(f)
+
+    def run(env, ctx, path):
+        if cls is EqQ:
+            truth = left(env) == right(env)
+        elif cls is Less:
+            truth = left(env) < right(env)
+        else:
+            truth = left(env).id == right(env).id
+        return (HOLDS if truth else FAILS), False, {}
+
+    return run
+
+
+def _plan_not(f: Not, s: Structure):
+    arg = f.arg
+
+    def run(env, ctx, path):
+        state, sampled, ev = _eval(arg, env, ctx, path + "n")
+        return _neg(state), sampled, ev
+
+    return run
+
+
+def _plan_and(f: And, s: Structure):
+    left, right = f.left, f.right
+
+    def run(env, ctx, path):
+        state1, sampled1, ev1 = _eval(left, env, ctx, path + "a")
+        if state1 == FAILS:
+            return FAILS, sampled1, ev1
+        state2, sampled2, ev2 = _eval(right, env, ctx, path + "b")
+        if state2 == FAILS:
+            return FAILS, sampled2, ev2
+        if UNKNOWN in (state1, state2):
+            return UNKNOWN, sampled1 or sampled2, {}
+        return HOLDS, sampled1 or sampled2, {**ev1, **ev2}
+
+    return run
+
+
+def _plan_negated_and(f, s: Structure):
+    """Or and Implies as the negation of a conjunction, built once here."""
+    if isinstance(f, Or):
+        rewrite = And(Not(f.left), Not(f.right))
+    else:
+        rewrite = And(f.left, Not(f.right))
+    conjunction = _plan_and(rewrite, s)
+
+    def run(env, ctx, path):
+        state, sampled, ev = conjunction(env, ctx, path)
+        return _neg(state), sampled, ev
+
+    return run
+
+
+def _plan_iff(f: Iff, s: Structure):
+    left, right = f.left, f.right
+
+    def run(env, ctx, path):
+        s1, p1, e1 = _eval(left, env, ctx, path + "l")
+        s2, p2, e2 = _eval(right, env, ctx, path + "r")
+        if UNKNOWN in (s1, s2):
+            return UNKNOWN, p1 or p2, {}
+        agree = (s1 == s2)
+        return (HOLDS if agree else FAILS), p1 or p2, {**e1, **e2}
+
+    return run
 
 
 def _holds_w3(s: Structure, obs: Body, body: Body, coords) -> Optional[bool]:
@@ -406,31 +510,35 @@ def _event_contents_equal(s: Structure, o: Body, x, o2: Body, y) -> Optional[boo
     return s.event_at(o, x).named == s.event_at(o2, y).named
 
 
-def _eval_quantifier(f, env, ctx: _Ctx, path: str):
+def _plan_quantifier(f, s: Structure):
     kind = type(f)
-    corr = _match_corr(f)
-    if corr is not None:
-        o_t, o2_t, xs_t, ys_t = corr
-        try:
-            o = eval_term(o_t, env)
-            o2 = eval_term(o2_t, env)
-            xs = tuple(eval_term(c, env) for c in xs_t)
-            ys = tuple(eval_term(c, env) for c in ys_t)
-        except UnboundVariable:
-            o = None
-        if o is not None:
-            ctx.bump_solver()
-            result = _event_contents_equal(ctx.s, o, xs, o2, ys)
-            if result is not None:
-                return (HOLDS if result else FAILS), False, {}
     names, matrix = _collect_block(f, kind, f.var_sort)
     if f.var_sort is Sort.BODY:
-        if kind is Forall:
-            return _eval_body_forall(names, matrix, env, ctx, path)
-        return _eval_body_exists(names, matrix, env, ctx, path)
-    if kind is Forall:
-        return _eval_quantity_forall(names, matrix, env, ctx, path)
-    return _eval_quantity_exists(names, matrix, env, ctx, path)
+        planner = _plan_body_forall if kind is Forall else _plan_body_exists
+    else:
+        planner = _plan_quantity_forall if kind is Forall else _plan_quantity_exists
+    block = planner(names, matrix, s)
+    corr = _match_corr(f)
+    if corr is None:
+        return block
+    o_of, o2_of = _value_of(corr[0]), _value_of(corr[1])
+    xs_of, ys_of = [_value_of(c) for c in corr[2]], [_value_of(c) for c in corr[3]]
+
+    def run(env, ctx, path):
+        try:
+            o = o_of(env)
+            o2 = o2_of(env)
+            xs = tuple(c(env) for c in xs_of)
+            ys = tuple(c(env) for c in ys_of)
+        except UnboundVariable:
+            return block(env, ctx, path)
+        ctx.bump_solver()
+        result = _event_contents_equal(s, o, xs, o2, ys)
+        if result is not None:
+            return (HOLDS if result else FAILS), False, {}
+        return block(env, ctx, path)
+
+    return run
 
 
 # -- body sort ---------------------------------------------------------------
@@ -488,32 +596,43 @@ def _body_block_guards(matrix) -> list:
         return guards
 
 
-def _eval_body_forall(names, matrix, env, ctx: _Ctx, path: str):
-    candidate_lists, exhaustive = _body_candidates(ctx.s, names, _body_block_guards(matrix))
-    sampled_any = False
-    for i, combo in enumerate(itertools.product(*candidate_lists)):
-        env2 = {**env, **dict(zip(names, combo))}
-        state, sampled, ev = _eval(matrix, env2, ctx, "%s.f%d" % (path, i))
-        sampled_any = sampled_any or sampled
-        if state == FAILS:
-            return FAILS, sampled, {**ev, **{n: b for n, b in zip(names, combo)}}
-        if state == UNKNOWN:
+def _plan_body_forall(names, matrix, s: Structure):
+    candidate_lists, exhaustive = _body_candidates(s, names, _body_block_guards(matrix))
+
+    def run(env, ctx, path):
+        sampled_any = False
+        for i, combo in enumerate(itertools.product(*candidate_lists)):
+            env2 = {**env, **dict(zip(names, combo))}
+            state, sampled, ev = _eval(matrix, env2, ctx, "%s.f%d" % (path, i))
+            sampled_any = sampled_any or sampled
+            if state == FAILS:
+                return FAILS, sampled, {**ev, **{n: b for n, b in zip(names, combo)}}
+            if state == UNKNOWN:
+                return UNKNOWN, True, {}
+        if not exhaustive:
             return UNKNOWN, True, {}
-    if not exhaustive:
-        return UNKNOWN, True, {}
-    return HOLDS, sampled_any, {}
+        return HOLDS, sampled_any, {}
+
+    return run
 
 
-def _eval_body_exists(names, matrix, env, ctx: _Ctx, path: str):
+def _plan_body_exists(names, matrix, s: Structure):
     conjuncts = _flatten_and(matrix)
-    candidate_lists, exhaustive = _body_candidates(ctx.s, names, conjuncts)
-    for i, combo in enumerate(itertools.product(*candidate_lists)):
-        env2 = {**env, **dict(zip(names, combo))}
-        state, sampled, ev = _eval(matrix, env2, ctx, "%s.e%d" % (path, i))
-        if state == HOLDS:
-            return HOLDS, sampled, {**ev, **{n: b for n, b in zip(names, combo)}}
-    if len(names) == 1:
-        solved = _family_witness(names[0], conjuncts, env, ctx)
+    candidate_lists, exhaustive = _body_candidates(s, names, conjuncts)
+    sees = _plan_sees_a_body(names, matrix, s)
+    family = _plan_family_witness(names[0], conjuncts, s) if len(names) == 1 else None
+
+    def run(env, ctx, path):
+        if sees is not None:
+            decided = sees(env)
+            if decided is not None:
+                return decided
+        for i, combo in enumerate(itertools.product(*candidate_lists)):
+            env2 = {**env, **dict(zip(names, combo))}
+            state, sampled, ev = _eval(matrix, env2, ctx, "%s.e%d" % (path, i))
+            if state == HOLDS:
+                return HOLDS, sampled, {**ev, **{n: b for n, b in zip(names, combo)}}
+        solved = family(env, ctx) if family is not None else None
         if solved is not None:
             found, witness, extra = solved
             if found:
@@ -525,17 +644,136 @@ def _eval_body_exists(names, matrix, env, ctx: _Ctx, path: str):
                     return FAILS, False, {}
                 return UNKNOWN, True, {}
             return FAILS, False, extra
-    if not exhaustive:
-        return UNKNOWN, True, {}
-    return FAILS, False, {}
+        if not exhaustive:
+            return UNKNOWN, True, {}
+        return FAILS, False, {}
+
+    return run
 
 
-def _family_witness(var: str, conjuncts: list, env, ctx: _Ctx):
-    """Solve  E var . Ph/IB(var) & W(o,var,c1) [& W(o,var,c2)]  exactly.
+def _plan_sees_a_body(names, matrix, s: Structure):
+    """The exact strategy for  E b . E q1 q2 q3 q4 . W(o, b, q1, ..., q4),
+    the expansion of Ob(o): the q's are the four quantity variables of the
+    inner block, in any order, and neither b nor a q is o.  Returns None
+    for any other block, else sees(env) -> None (undecided: sample) or an
+    internal result."""
+    if len(names) != 1 or not isinstance(matrix, Exists):
+        return None
+    qs, w = _collect_block(matrix, Exists, Sort.QUANTITY)
+    if not (_about(w, names[0], WAtom) and isinstance(w.observer, Var)):
+        return None
+    coords = [c.name if isinstance(c, Var) else None for c in w.coords]
+    o_name = w.observer.name
+    if len(set(qs)) != 4 or set(coords) != set(qs) or o_name in qs or o_name == names[0]:
+        return None
+    axis_of = [coords.index(q) for q in qs]
+    decided = {}  # observer id -> _sees_a_body's answer, within this evaluation
 
-    Returns None if the pattern does not apply; else (found, body, info).
+    def sees(env):
+        o = env.get(o_name)
+        if o is None:
+            return None  # unbound: the candidate loop reports it
+        if o.id not in decided:
+            decided[o.id] = _sees_a_body(s, o)
+        found = decided[o.id]
+        if found is None:
+            return None
+        holds, witness = found
+        if not holds:
+            return FAILS, False, {}
+        if witness is None:
+            return HOLDS, False, {}
+        body, x = witness
+        evidence = {q: x[i] for q, i in zip(qs, axis_of)}
+        evidence[names[0]] = body
+        return HOLDS, False, evidence
+
+    return sees
+
+
+def _sees_a_body(s: Structure, o: Body):
+    """Exact decision of  E b x . W(o, b, x).  None when it cannot decide
+    (a non-affine chart; or, without families, a numeric worldline and no
+    straight one in the box); else (holds, witness), witness None or
+    (body, x).  The witness is the first named body, in declaration order,
+    through o's origin when dom(o) holds the origin (the sampler's first
+    probe); else the first whose straight or piecewise-straight worldline
+    meets dom(o), at the o-event _line_in_box picks.  With a family on,
+    every event of dom(o) holds a family body, so the existential holds
+    iff dom(o) is not empty."""
+    chart = s.chart_of(o)
+    if chart is None:
+        return False, None  # a non-observer coordinatizes nothing
+    if not isinstance(chart, AffineMap):
+        return None
+    dom, bodies = s.domain_of(o), list(s.bodies.values())
+    origin = (ER(0),) * 4
+    if dom.contains(origin):
+        ref = s.reference_point(o, origin)
+        for b in bodies:
+            if not isinstance(b.worldline, SmoothNumeric) and b.worldline.contains(ref):
+                return True, (b, origin)
+    numeric = False
+    for b in bodies:
+        pieces = _straight_pieces(b.worldline)
+        if pieces is None:
+            numeric = True
+            continue
+        for piece in pieces:
+            x = _line_in_box(s, o, chart, *piece)
+            if x is not None:
+                return True, (b, x)
+    if s.photon_family or s.inertial_family:
+        closed = dom.closed
+        return not any(Interval(lo, hi, not closed, not closed).is_empty()
+                       for lo, hi in dom.bounds), None
+    return None if numeric else (False, None)
+
+
+def _straight_pieces(w) -> Optional[list]:
+    """The worldline as (point, direction, length) pieces: the reference
+    events point + t*direction, direction = (velocity, 1), for 0 <= t <=
+    length, or for every t when length is None.  None for a numeric
+    worldline."""
+    if isinstance(w, (InertialLine, PhotonLine)):
+        v = w.velocity if isinstance(w, InertialLine) else w.direction
+        return [(w.point, tuple(v) + (ER(1),), None)]
+    if isinstance(w, PiecewiseInertial):
+        return [(a, v + (ER(1),), b[3] - a[3])
+                for a, b, v in zip(w.knots, w.knots[1:], w.segment_velocities())]
+    return None
+
+
+def _line_in_box(s: Structure, o: Body, chart: AffineMap, point, direction, length):
+    """An o-event of the piece inside dom(o), or None when they do not
+    meet.  o sees the piece at a + t*d, a = chart(point), d = L direction:
+    the allowed t are an interval.  The event is at t = 0 when allowed,
+    else at the middle of the interval, or one past its only finite end."""
+    a = chart.apply(point)
+    if s.domain_of(o).is_full():
+        return a
+    d = linalg.mat_vec(chart.linear, direction)
+    allowed = _domain_set(s, o, [Poly([a[i], d[i]]) for i in range(4)])
+    if length is not None:
+        allowed = allowed.intersect(IntervalSet((Interval(ER(0), length, False, False),)))
+    if allowed.is_empty():
+        return None
+    iv = allowed.intervals[0]  # the box and the piece are convex
+    if iv.contains(ER(0)):
+        return a
+    if iv.lo is not None and iv.hi is not None:
+        t = (iv.lo + iv.hi) / 2
+    else:
+        t = iv.lo + 1 if iv.lo is not None else iv.hi - 1
+    return tuple(a[i] + t * d[i] for i in range(4))
+
+
+def _plan_family_witness(var: str, conjuncts: list, s: Structure):
+    """Plan the exact solution of  E var . Ph/IB(var) & W(o,var,c1) [& W(o,var,c2)].
+
+    None when the pattern does not apply; else solve(env) -> None (does not
+    apply under env) or (found, body, info).
     """
-    s = ctx.s
     kinds, watoms, others = _split_conjuncts(conjuncts, var)
     is_ph, is_ib = PhAtom in kinds, IBAtom in kinds
     if (is_ph and not s.photon_family) or (is_ib and not s.inertial_family):
@@ -551,26 +789,33 @@ def _family_witness(var: str, conjuncts: list, env, ctx: _Ctx):
     if any(mentions(t, var) for g in others for sub in subformulas(g)
            for t in _formula_terms(sub)):
         return None
-    try:
-        obs = eval_term(watoms[0].observer, env)
-        points = [tuple(eval_term(c, env) for c in w.coords) for w in watoms]
-    except UnboundVariable:
-        return None
-    chart = s.chart_of(obs)
-    if chart is None:
-        return False, None, {"reason": "observer has no chart"}
-    if not isinstance(chart, AffineMap):
-        return None
-    if len(watoms) == 2 and eval_term(watoms[1].observer, env).id != obs.id:
-        return None
-    ctx.bump_solver()
-    refs = _observed_refs(s, obs, True, *points)
-    if refs is None:
-        return False, None, {"reason": "event outside the observer's chart domain"}
-    body = witness_photon_refs(refs) if is_ph else witness_inertial_refs(refs)
-    if body is None:
-        return False, None, {"reason": "no family body through the given events"}
-    return True, body, {}
+    obs_of = _value_of(watoms[0].observer)
+    points_of = [[_value_of(c) for c in w.coords] for w in watoms]
+    obs2_of = _value_of(watoms[1].observer) if len(watoms) == 2 else None
+
+    def solve(env, ctx):
+        try:
+            obs = obs_of(env)
+            points = [tuple(c(env) for c in point) for point in points_of]
+        except UnboundVariable:
+            return None
+        chart = s.chart_of(obs)
+        if chart is None:
+            return False, None, {"reason": "observer has no chart"}
+        if not isinstance(chart, AffineMap):
+            return None
+        if obs2_of is not None and obs2_of(env).id != obs.id:
+            return None
+        ctx.bump_solver()
+        refs = _observed_refs(s, obs, True, *points)
+        if refs is None:
+            return False, None, {"reason": "event outside the observer's chart domain"}
+        body = witness_photon_refs(refs) if is_ph else witness_inertial_refs(refs)
+        if body is None:
+            return False, None, {"reason": "no family body through the given events"}
+        return True, body, {}
+
+    return solve
 
 
 _synth_counter = itertools.count(1)
@@ -714,7 +959,26 @@ def _map_forms(w: AffineMap, forms, constant) -> list:
     return out
 
 
-def _pin_with_constraints(names, conjuncts, env, ctx: _Ctx):
+def _plan_pins(names, conjuncts) -> list:
+    """The hypothesis conjuncts that can pin block variables, in order, as
+    (o, o2, xs, ys, targets): a correspondence, with o and o2 compiled as
+    values, its coordinate terms xs and ys, and the block variable each y
+    is (or None); or a linear equation (None, None, None, (left, right),
+    None).  Other conjuncts only filter samples."""
+    pins = []
+    for g in conjuncts:
+        corr = _match_corr(g)
+        if corr is not None:
+            o_t, o2_t, xs_t, ys_t = corr
+            targets = [t.name if isinstance(t, Var) and t.name in names else None
+                       for t in ys_t]
+            pins.append((_value_of(o_t), _value_of(o2_t), xs_t, ys_t, targets))
+        elif isinstance(g, EqQ):
+            pins.append((None, None, None, (g.left, g.right), None))
+    return pins
+
+
+def _pin_with_constraints(names, pins, env, ctx: _Ctx):
     """Pin block variables from corr conjuncts and linear equalities.
 
     Returns (binding, params, equations) where binding maps each block
@@ -724,59 +988,54 @@ def _pin_with_constraints(names, conjuncts, env, ctx: _Ctx):
     binding = {n: _LinForm.var(n) for n in names}
     params = list(names)
     equations: list = []
-    pending = list(conjuncts)
+    pending = list(pins)
     progress = True
     while progress:
         progress = False
         remaining = []
-        for g in pending:
-            corr = _match_corr(g)
-            if corr is not None:
-                o_t, o2_t, xs_t, ys_t = corr
-                try:
-                    o = eval_term(o_t, env)
-                    o2 = eval_term(o2_t, env)
-                except UnboundVariable:
-                    remaining.append(g)
-                    continue
-                if not (isinstance(ctx.s.chart_of(o), AffineMap)
-                        and isinstance(ctx.s.chart_of(o2), AffineMap)):
-                    continue  # cannot pin; conjunct still checked per sample
-                xs_forms = [_term_to_linform(t, env, binding) for t in xs_t]
-                if any(fm is None for fm in xs_forms):
-                    remaining.append(g)
-                    continue
-                ys_forms = _map_forms(ctx.s.transition(o, o2), xs_forms, _LinForm.constant)
-                targets = [t.name if isinstance(t, Var) and t.name in binding else None
-                           for t in ys_t]
-                if all(targets):
-                    unpinned = [n for n in targets
-                                if n in params and _is_identity(binding[n], n)]
-                    if len(unpinned) == 4 and len(set(targets)) == 4:
-                        for n, fm in zip(targets, ys_forms):
-                            binding[n] = fm
-                            params.remove(n)
-                        _substitute_pins(binding, equations, targets)
-                        ctx.bump_solver()
-                        progress = True
-                        continue
-                # already pinned (or not plain vars): contribute equations
-                ys_actual = [_term_to_linform(t, env, binding) for t in ys_t]
-                if all(fm is not None for fm in ys_actual):
-                    for have, want in zip(ys_actual, ys_forms):
-                        equations.append(have - want)
-                    progress = True
-                    continue
-                remaining.append(g)
-            elif isinstance(g, EqQ):
-                l = _term_to_linform(g.left, env, binding)
-                r = _term_to_linform(g.right, env, binding)
+        for pin in pending:
+            o_of, o2_of, xs_t, ys_t, targets = pin
+            if o_of is None:
+                l, r = (_term_to_linform(t, env, binding) for t in ys_t)
                 if l is not None and r is not None:
                     equations.append(l - r)
                     progress = True
                 else:
-                    remaining.append(g)
-            # other conjunct kinds only filter samples
+                    remaining.append(pin)
+                continue
+            try:
+                o = o_of(env)
+                o2 = o2_of(env)
+            except UnboundVariable:
+                remaining.append(pin)
+                continue
+            if not (isinstance(ctx.s.chart_of(o), AffineMap)
+                    and isinstance(ctx.s.chart_of(o2), AffineMap)):
+                continue  # cannot pin; conjunct still checked per sample
+            xs_forms = [_term_to_linform(t, env, binding) for t in xs_t]
+            if any(fm is None for fm in xs_forms):
+                remaining.append(pin)
+                continue
+            ys_forms = _map_forms(ctx.s.transition(o, o2), xs_forms, _LinForm.constant)
+            if all(targets):
+                unpinned = [n for n in targets
+                            if n in params and _is_identity(binding[n], n)]
+                if len(unpinned) == 4 and len(set(targets)) == 4:
+                    for n, fm in zip(targets, ys_forms):
+                        binding[n] = fm
+                        params.remove(n)
+                    _substitute_pins(binding, equations, targets)
+                    ctx.bump_solver()
+                    progress = True
+                    continue
+            # already pinned (or not plain vars): contribute equations
+            ys_actual = [_term_to_linform(t, env, binding) for t in ys_t]
+            if all(fm is not None for fm in ys_actual):
+                for have, want in zip(ys_actual, ys_forms):
+                    equations.append(have - want)
+                progress = True
+                continue
+            remaining.append(pin)
         pending = remaining
     return binding, params, equations
 
@@ -862,21 +1121,26 @@ def _collect_equations(matrix, limit: int = 4) -> list:
     return out
 
 
-def _eval_quantity_forall(names, matrix, env, ctx: _Ctx, path: str):
-    conjuncts = _flatten_and(matrix.left) if isinstance(matrix, Implies) else []
-    binding, params, equations = _pin_with_constraints(names, conjuncts, env, ctx)
+def _plan_quantity_forall(names, matrix, s: Structure):
+    pins = _plan_pins(names, _flatten_and(matrix.left) if isinstance(matrix, Implies) else [])
+    guide_eqs = _collect_equations(matrix)
+    guide_diffs = [Sub(eq.left, eq.right) for eq in guide_eqs]
+    # Only the block variables that the guide equations read need guide
+    # polynomials.
+    guided = [n for n in names
+              if any(mentions(eq.left, n) or mentions(eq.right, n) for eq in guide_eqs)]
+    return functools.partial(_eval_quantity_forall, names, matrix, pins, guide_diffs, guided)
+
+
+def _eval_quantity_forall(names, matrix, pins, guide_diffs, guided, env, ctx: _Ctx, path: str):
+    binding, params, equations = _pin_with_constraints(names, pins, env, ctx)
     solved = _solve_equations(params, equations)
     if solved is None:
         # The linear part of the hypothesis is exactly unsatisfiable.
         return HOLDS, False, {}
     particular, basis = solved
-    dims = len(basis)
-    guide_eqs = _collect_equations(matrix) if dims else []
-    num_env = _num_env(env) if guide_eqs else {}
-    # Only the block variables that the guide equations read need guide
-    # polynomials.
-    guided = [n for n in names
-              if any(mentions(eq.left, n) or mentions(eq.right, n) for eq in guide_eqs)]
+    guides = guide_diffs if basis else []
+    num_env = _num_env(env) if guides else {}
     saw_unknown = False
     sample_no = 0
 
@@ -934,7 +1198,7 @@ def _eval_quantity_forall(names, matrix, env, ctx: _Ctx, path: str):
             out[n] = Poly([const, slopes[n]])
         return out
 
-    for i, tup in enumerate(_sample_tuples(ctx, path, dims, ctx.budget.samples)):
+    for i, tup in enumerate(_sample_tuples(ctx, path, len(basis), ctx.budget.samples)):
         if sample_no >= ctx.budget.samples:
             break
         sample_no += 1
@@ -942,13 +1206,13 @@ def _eval_quantity_forall(names, matrix, env, ctx: _Ctx, path: str):
         hit = run_sample(values, str(i))
         if hit is not None:
             return hit
-        if guide_eqs and sample_no < ctx.budget.samples:
+        if guides and sample_no < ctx.budget.samples:
             var_polys = guide_polys(partial)
-            for eq_i, eq in enumerate(guide_eqs):
+            for eq_i, diff in enumerate(guides):
                 if sample_no >= ctx.budget.samples:
                     break
                 try:
-                    lhs = term_to_poly(Sub(eq.left, eq.right), var_polys, num_env)
+                    lhs = term_to_poly(diff, var_polys, num_env)
                 except UnsupportedDefinableSet:
                     continue
                 if lhs.degree < 1 or lhs.degree > 2:
@@ -966,9 +1230,10 @@ def _eval_quantity_forall(names, matrix, env, ctx: _Ctx, path: str):
     return HOLDS, True, {}
 
 
-def _eval_quantity_exists(names, matrix, env, ctx: _Ctx, path: str):
+def _plan_quantity_exists(names, matrix, s: Structure):
     conjuncts = _flatten_and(matrix)
-    # 1. Correspondence witness: the block is exactly the target of a corr.
+    # Correspondence conjuncts whose target is exactly the block.
+    correspondences = []
     for g in conjuncts:
         corr = _match_corr(g)
         if corr is None:
@@ -977,17 +1242,31 @@ def _eval_quantity_exists(names, matrix, env, ctx: _Ctx, path: str):
         targets = [t.name if isinstance(t, Var) else None for t in ys_t]
         if set(filter(None, targets)) != set(names) or len(names) != 4:
             continue
+        correspondences.append((_value_of(o_t), _value_of(o2_t),
+                                [_value_of(c) for c in xs_t], targets))
+    # Single-variable polynomial conjuncts: (is an equation, left - right).
+    polynomial = []
+    if len(names) == 1:
+        polynomial = [(isinstance(g, EqQ), Sub(g.left, g.right))
+                      for g in conjuncts if isinstance(g, (EqQ, Less))]
+    return functools.partial(_eval_quantity_exists, names, matrix, correspondences, polynomial)
+
+
+def _eval_quantity_exists(names, matrix, correspondences, polynomial, env, ctx: _Ctx, path: str):
+    s = ctx.s
+    # 1. Correspondence witness: the block is exactly the target of a corr.
+    for o_of, o2_of, xs_of, targets in correspondences:
         try:
-            o = eval_term(o_t, env)
-            o2 = eval_term(o2_t, env)
-            xs = tuple(eval_term(c, env) for c in xs_t)
+            o = o_of(env)
+            o2 = o2_of(env)
+            xs = tuple(c(env) for c in xs_of)
         except UnboundVariable:
             continue
-        c1, c2 = ctx.s.chart_of(o), ctx.s.chart_of(o2)
+        c1, c2 = s.chart_of(o), s.chart_of(o2)
         if not (isinstance(c1, AffineMap) and isinstance(c2, AffineMap)):
             continue
         ctx.bump_solver()
-        ys = ctx.s.event_correspondence(o, o2, xs)
+        ys = s.event_correspondence(o, o2, xs)
         env2 = {**env, **dict(zip(targets, ys))}
         state, sampled, ev = _eval(matrix, env2, ctx, path + ".cw")
         if state == HOLDS:
@@ -995,28 +1274,28 @@ def _eval_quantity_exists(names, matrix, env, ctx: _Ctx, path: str):
         # The computed correspondence point is the only candidate that can
         # match family contents; if contents are injective, its failure
         # refutes the existential exactly.
-        if (ctx.s.photon_family or ctx.s.inertial_family) and state == FAILS and not sampled:
+        if (s.photon_family or s.inertial_family) and state == FAILS and not sampled:
             return FAILS, False, {}
     # 2. Root candidates from single-variable polynomial conjuncts.  An
     # equality conjunct of degree 1 or 2 pins every witness to its roots:
     # if the body fails exactly at each root, the existential fails exactly.
     candidates: list = []
-    if len(names) == 1:
+    if polynomial:
         var = names[0]
         pinning_roots = None
-        for g in conjuncts:
-            if isinstance(g, (EqQ, Less)):
-                try:
-                    p = term_to_poly(Sub(g.left, g.right), {var: Poly([0, 1])}, env)
-                except UnsupportedDefinableSet:
-                    continue
-                if 1 <= p.degree <= 2:
-                    roots = p.roots()
-                    candidates.extend(roots)
-                    if isinstance(g, EqQ) and pinning_roots is None:
-                        pinning_roots = roots
-                elif isinstance(g, EqQ) and p.degree == 0 and not p.is_zero():
-                    return FAILS, False, {}  # unsatisfiable equality conjunct
+        var_poly = {var: Poly([0, 1])}
+        for is_eq, diff in polynomial:
+            try:
+                p = term_to_poly(diff, var_poly, env)
+            except UnsupportedDefinableSet:
+                continue
+            if 1 <= p.degree <= 2:
+                roots = p.roots()
+                candidates.extend(roots)
+                if is_eq and pinning_roots is None:
+                    pinning_roots = roots
+            elif is_eq and p.degree == 0 and not p.is_zero():
+                return FAILS, False, {}  # unsatisfiable equality conjunct
         if pinning_roots is not None:
             all_exact_fails = True
             for i, root in enumerate(pinning_roots):
@@ -1048,6 +1327,15 @@ def _candidate_stream(roots, names, ctx: _Ctx, path: str):
         for r in roots:
             yield (r,)
     yield from _sample_tuples(ctx, path + ".cand", len(names), ctx.budget.samples)
+
+
+_PLANNERS = {
+    IBAtom: _plan_body_atom, PhAtom: _plan_body_atom, ObAtom: _plan_body_atom,
+    IObAtom: _plan_body_atom, WAtom: _plan_w, EqQ: _plan_relation, Less: _plan_relation,
+    EqB: _plan_relation, Not: _plan_not, And: _plan_and, Or: _plan_negated_and,
+    Implies: _plan_negated_and, Iff: _plan_iff, Forall: _plan_quantifier,
+    Exists: _plan_quantifier,
+}
 
 
 # ---------------------------------------------------------------------------

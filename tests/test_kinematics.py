@@ -226,7 +226,10 @@ def test_inverse_composes_to_identity_exactly():
 def test_sampled_evaluation_inverts_each_map_once(monkeypatch):
     # Counts calls, not time: reference_point inverts observer charts once
     # per sample, so without the kept inverse this is thousands of
-    # eliminations for three charts.
+    # eliminations for three charts.  AxPh solves its photon existential
+    # through reference points at every sample; AxSymd decides its
+    # correspondences on the kept transitions and its expanded Ob guards
+    # without sampling, so it inverts too little to show the point.
     inversions, inverse_calls, inverted = [0], [0], {}
     real_mat_inverse, real_inverse = kinematics.mat_inverse, AffineMap.inverse
 
@@ -247,7 +250,7 @@ def test_sampled_evaluation_inverts_each_map_once(monkeypatch):
         ObserverSpec("skew", velocity=(0, Fr(4, 5), 0),
                      rotations=((1, 2, Fr(3, 5), Fr(4, 5)),), translation=(1, 0, 0, 2)),
     ])
-    v = evaluate(s, expand_definitions(named_axiom("AxSymd")), None, Budget(samples=12, seed=3))
+    v = evaluate(s, expand_definitions(named_axiom("AxPh")), None, Budget(samples=12, seed=3))
     assert v.is_holds
     assert inverse_calls[0] > 10 * len(inverted)
     assert inversions[0] <= len(inverted)

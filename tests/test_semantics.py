@@ -318,7 +318,9 @@ def test_sampled_and_certified_agree_on_irrational_structures(seed):
     # The irrational structure, then the Lorentz, Galilean and mixed
     # structures of _symd_structure; each axiom sugared and expanded.  A
     # capped sampled Holds against a certified AxEv Fails is not asserted:
-    # the sampling corners never leave the cap (ROADMAP item 1).
+    # the sampling corners never leave the cap (ROADMAP item 1).  Every
+    # structure has families, so the expanded Ob guards are decided
+    # exactly, as the sugared atoms are, and draw no sample.
     irrational = _irrational_structure(seed)
     assert not irrational.chart_of(irrational.bodies["m0"]).linear[3][3].is_rational()
     budget = Budget(samples=4, seed=seed)
@@ -334,12 +336,15 @@ def test_sampled_and_certified_agree_on_irrational_structures(seed):
             reference = certified[name]
             if reference.is_fails:
                 assert recheck_counterexample(s, named_axiom(name), reference.evidence), (kind, name)
+            forms = []
             for sentence in (named_axiom(name), expand_definitions(named_axiom(name))):
                 sampled = evaluate(s, sentence, None, budget)
                 assert not (reference.is_holds and reference.method == "certified"
                             and sampled.is_fails), (kind, name, sentence)
                 if sampled.is_fails:
                     assert recheck_counterexample(s, sentence, sampled.evidence), (kind, name)
+                forms.append((sampled.outcome, sampled.method, sampled.budget_report["samples"]))
+            assert forms[0] == forms[1], (kind, name)
 
 
 def _symd_structure(kind, seed):
@@ -812,3 +817,214 @@ def test_witness_refs_match_the_reference_builders(pair):
             want = expected.direction if photon else expected.velocity
             assert [c.literal() for c in line.point + vector] == \
                 [c.literal() for c in expected.point + want]
+
+
+# -- plans and the exact strategy for the expanded Ob ------------------------
+
+
+BOXES_MODEL = """structure boxes
+families none
+observer rest
+observer far domain 1 10 11 domain 4 0 1
+observer crossed domain 1 10 11 domain 4 19 23
+observer edge domain 1 10 11 domain 4 22 23
+observer edge_closed domain 1 10 11 domain 4 22 23 closed
+observer segment domain 1 34 35 domain 4 0 30
+observer beyond domain 1 59/2 61/2 domain 4 40 50
+body walker inertial through 0 0 0 0 velocity 1/2 0 0
+body flash photon through 1 0 0 0 direction 0 1 0
+body hopper piecewise knots 30 0 0 0 , 30 0 0 2 , 40 0 0 22
+"""
+
+EXPANDED_OB = expand_definitions(parse("Ob(o)", {"o": Sort.BODY}))
+
+
+def _expanded_ob(s, name):
+    return evaluate(s, EXPANDED_OB, {"o": s.bodies[name]}, BUDGET)
+
+
+@pytest.mark.parametrize("name, witness", [
+    ("rest", ("rest", (0, 0, 0, 0))),            # o's origin, on its own worldline
+    ("far", None),                               # every line misses the box
+    ("crossed", ("walker", (Fr(21, 2), 0, 0, 21))),
+    ("edge", None),                              # walker only touches the open box
+    ("edge_closed", ("walker", (11, 0, 0, 22))),
+    ("segment", ("hopper", (Fr(69, 2), 0, 0, 11))),  # the second leg of hopper
+    ("beyond", None),                            # only hopper's first leg, extended
+    ("walker", None),                            # not an observer
+])
+def test_expanded_ob_is_decided_exactly_without_families(name, witness):
+    s = parse_model(BOXES_MODEL)
+    v = _expanded_ob(s, name)
+    assert (v.method, v.budget_report["samples"]) == ("certified", 0)
+    if witness is None:
+        assert v.is_fails and v.evidence == {}
+        return
+    assert v.is_holds
+    x = tuple(v.evidence[q] for q in ("_q2", "_q3", "_q4", "_q5"))
+    assert (v.evidence["_b1"].id, x) == (witness[0], tuple(ER(c) for c in witness[1]))
+    assert s.holds_W(s.bodies[name], v.evidence["_b1"], x)
+
+
+def test_ob_strategy_reads_permuted_coordinates_and_skips_other_blocks():
+    s = parse_model(BOXES_MODEL)
+    decls = {"o": Sort.BODY}
+    crossed = {"o": s.bodies["crossed"]}
+    permuted = parse("E b:B . E x:Q y:Q z:Q t:Q . W(o, b, t, z, y, x)", decls)
+    v = evaluate(s, permuted, crossed, BUDGET)
+    assert (v.outcome, v.budget_report["samples"]) == ("Holds", 0)
+    assert [v.evidence[n] for n in ("x", "y", "z", "t", "b")] == \
+        [ER(21), ER(0), ER(0), ER(Fr(21, 2)), s.bodies["walker"]]
+    # A repeated coordinate is not the Ob pattern: the block is sampled.
+    repeated = parse("E b:B . E x:Q y:Q z:Q t:Q . W(o, b, x, x, z, t)", decls)
+    v = evaluate(s, repeated, {"o": s.bodies["rest"]}, BUDGET)
+    assert v.is_holds and v.budget_report["samples"] > 0
+
+
+def test_expanded_ob_declines_on_a_numeric_worldline():
+    from axrel.model import SmoothNumeric
+
+    base = parse_model(BOXES_MODEL)
+    wiggle = Body("wiggle", False, False, SmoothNumeric(lambda t: (10.5, 0.0, 0.0), 2, 0.0, 30.0))
+    s = base.with_extra_bodies([wiggle])
+    # No straight line meets far's box and wiggle's may: the strategy
+    # declines and the block is sampled.
+    assert semantics_module._sees_a_body(s, s.bodies["far"]) is None
+    assert _expanded_ob(s, "far").budget_report["samples"] > 0
+    # A straight line in the box decides it, the numeric body aside.
+    assert _expanded_ob(s, "crossed").budget_report["samples"] == 0
+    # With a family, every event of a nonempty box holds a body.
+    families = Structure(list(s.bodies.values()), s.charts, photon_family=True,
+                         inertial_family=False, chart_domains=s.chart_domains)
+    v = _expanded_ob(families, "far")
+    assert (v.outcome, v.method, v.budget_report["samples"]) == ("Holds", "certified", 0)
+
+
+def test_expanded_ob_with_families_fails_only_on_an_empty_domain():
+    s = parse_model("structure e\nobserver rest\nobserver empty domain 2 1 1\n"
+                    "observer point domain 2 1 1 closed\nbody walker inertial through "
+                    "0 0 0 0 velocity 1/2 0 0\n")
+    assert _expanded_ob(s, "empty").is_fails
+    for name in ("rest", "point"):
+        assert _expanded_ob(s, name).is_holds
+    assert _expanded_ob(s, "walker").is_fails
+    for name in ("rest", "empty", "point", "walker"):
+        assert _expanded_ob(s, name).budget_report["samples"] == 0
+
+
+def _reference_meets_box(s, o, body):
+    """Whether body's straight worldline meets dom(o), by interval sets over
+    the reference time t: o sees the line at chart(r(t)), affine in t."""
+    from axrel.intervals import IntervalSet, Poly, poly_eq_zero, poly_less_zero
+
+    chart, dom, line = s.chart_of(o), s.domain_of(o), body.worldline
+    vel = line.velocity if body.is_inertial else line.direction
+
+    def at(t):
+        return chart.apply(tuple(line.point[i] + (t - line.point[3]) * vel[i] for i in range(3))
+                           + (ER(t),))
+
+    a, b = at(ER(0)), at(ER(1))
+    out = IntervalSet.all()
+    for i, (lo, hi) in enumerate(dom.bounds):
+        x = Poly([a[i], b[i] - a[i]])
+        for below, above in ((Poly([lo]) if lo is not None else None, x),
+                             (x, Poly([hi]) if hi is not None else None)):
+            if below is None or above is None:
+                continue
+            cond = poly_less_zero(below - above)
+            if dom.closed:
+                cond = cond.union(poly_eq_zero(below - above))
+            out = out.intersect(cond)
+    return not out.is_empty()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_expanded_ob_matches_interval_sets_on_seeded_boxes(seed):
+    rng = random.Random(seed)
+    outcomes = set()
+    for _ in range(12):
+        bounds = []
+        for _axis in range(4):
+            if rng.random() < 0.4:
+                bounds.append((None, None))
+                continue
+            lo = ER(Fr(rng.randint(-6, 6), rng.randint(1, 2)))
+            hi = lo + ER(rng.choice((0, Fr(1, 3), 1, 2)))
+            bounds.append((lo, hi) if rng.random() < 0.7 else
+                          rng.choice(((lo, None), (None, hi))))
+        spec = ObserverSpec("o", velocity=(rng.choice((0, Fr(3, 5), Fr(-1, 2))), 0, 0),
+                            translation=tuple(rng.randint(-2, 2) for _ in range(4)),
+                            domain=ChartDomain(tuple(bounds), rng.random() < 0.5))
+        point = coord4(*(Fr(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(4)))
+        velocity = [ER(0)] * 3
+        velocity[rng.randrange(3)] = ER(Fr(rng.randint(-3, 3), 4))
+        direction = rng.choice(((1, 0, 0), (0, -1, 0), (Fr(3, 5), Fr(4, 5), 0)))
+        bodies = [Body("b", True, False, InertialLine(point, tuple(velocity))),
+                  Body("p", False, True, PhotonLine(point, tuple(ER(c) for c in direction)))]
+        lorentz = standard_minkowski([spec], extra_bodies=bodies)
+        s = Structure(list(lorentz.bodies.values()), lorentz.charts, photon_family=False,
+                      inertial_family=False, chart_domains=lorentz.chart_domains)
+        o = s.bodies["o"]
+        expected = any(_reference_meets_box(s, o, b) for b in s.bodies.values())
+        v = _expanded_ob(s, "o")
+        assert (v.outcome, v.method) == ("Holds" if expected else "Fails", "certified")
+        if v.is_holds:
+            x = tuple(v.evidence[q] for q in ("_q2", "_q3", "_q4", "_q5"))
+            assert s.holds_W(o, v.evidence["_b1"], x)
+        outcomes.add(v.outcome)
+    assert outcomes == {"Holds", "Fails"}
+
+
+def test_each_node_is_planned_once_per_evaluation(monkeypatch, two_observer):
+    from axrel.syntax.ast import And, Exists, Implies, Not, Or
+
+    planned, built, decided = [], [], []
+    real_plan, real_sees = semantics_module._plan, semantics_module._sees_a_body
+
+    def counting_plan(node, s):
+        planned.append((id(node), type(node)))
+        return real_plan(node, s)
+
+    def counting_sees(s, o):
+        decided.append(o.id)
+        return real_sees(s, o)
+
+    for cls in (And, Not):
+        def counting_init(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
+            built.append(_cls)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    monkeypatch.setattr(semantics_module, "_plan", counting_plan)
+    monkeypatch.setattr(semantics_module, "_sees_a_body", counting_sees)
+    sentences = [expand_definitions(named_axiom(n)) for n in ("AxPh", "AxSymd")]
+    sentences.append(named_axiom("less_total"))
+    for sentence in sentences:
+        sentence = semantics_module.contract_definitions(sentence)
+        counts = []
+        for samples in (4, 12):
+            planned.clear()
+            built.clear()
+            decided.clear()
+            evaluate(two_observer, sentence, None, Budget(samples=samples, seed=3))
+            assert len(set(planned)) == len(planned)  # no node planned twice
+            kinds = [cls for _, cls in planned]
+            # Each planned Ob existential decides each observer once.
+            assert len(decided) <= kinds.count(Exists) * len(two_observer.observers())
+            # Each Or builds And(Not, Not) and each Implies And(_, Not) once,
+            # when planned; evaluating builds no formula node.
+            assert built.count(And) == kinds.count(Or) + kinds.count(Implies)
+            assert built.count(Not) == 2 * kinds.count(Or) + kinds.count(Implies)
+            counts.append((len(planned), len(decided)))
+        assert counts[0] == counts[1]
+
+
+def test_budget_rejects_no_samples_and_negative_solver_iterations():
+    capped = parse_model(CAPPED_MODEL)
+    for bad in (dict(samples=0), dict(samples=-3), dict(solver_iterations=-1)):
+        with pytest.raises(ValueError):
+            Budget(**bad)
+    # So no theory check can answer Holds on no sample at all.
+    with pytest.raises(ValueError):
+        check_theory(capped, axiom_corpus("AccRel"), Budget(samples=0))
+    assert Budget(samples=1, solver_iterations=0).samples == 1
