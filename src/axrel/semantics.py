@@ -216,14 +216,8 @@ class _Ctx:
 
 
 def eval_term(term: Term, env: Assignment):
-    def leaf(t: Term):
-        if isinstance(t, Var):
-            if t.name not in env:
-                raise UnboundVariable(t.name)
-            return env[t.name]
-        return ER(1) if isinstance(t, OneC) else ER(0)
-
-    return fold_term(term, leaf)
+    """The value of a term under env; UnboundVariable names a missing variable."""
+    return _value_of(term)(env)
 
 
 def _value_of(term: Term):
