@@ -40,15 +40,24 @@ of its own is promoted to a level-k tree.  Every shortcut yields the same
 exactly, and multiplying by the promoted tree of q scales each leaf by
 q), so trees, towers, literals and every printed byte are unchanged.
 
-Adjoining the square root of a radicand while unifying two towers is
-memoized.  ``_sqrt_rep(rep, tower)`` depends only on the tower's radicands
-and on ``rep``, so the memo is keyed on the identities of the radicand
-objects and the rep tree (nested ``Fraction`` tuples hash), and each entry
-keeps its tower so those identities stay valid.  A hit returns the same
-``(tower', root)``: lifts of one value share one new radicand object, and
-``_same_tower`` more often finds the same tower object.  Failures
-(``NegativeRadicand``) are not stored.  The memo holds at most
-``_ROOT_MEMO_CAP`` entries and is emptied when full.  Two threads may both
+Tower-pair plans.  Unifying two towers is decided once per pair:
+``_PLAN_MEMO`` maps the ids of the target's and the source's radicand
+objects to a plan and keeps both towers, so the ids stay valid.  A plan
+holds the unified tower and, unless one tower is a prefix of the other
+(then the longer one is it and a value is only promoted), the image in it
+of each basis monomial of the source tower, as (leaf position, rational)
+pairs.  A value is re-expressed by its leaves, each scaled into its
+image's positions: a leaf permutation with rational scales when, as for
+rational radicands, each image is one monomial.  A miss takes each source
+root once, through ``_ROOT_MEMO``, in the order of the recursive lift that
+plans replaced (last radicand first, each after the roots it is written
+in), and multiplies the roots into the monomial images.  No byte changes:
+the unified tower is the recursion's and depends only on the radicands,
+not on leaf values; lifting is Q-linear; trees over a fixed tower are
+canonical.  ``_ROOT_MEMO`` is keyed on a tower's radicand ids and a rep
+tree, so plans adjoining one root share its new radicand object;
+``NegativeRadicand`` is not stored.  Each memo is emptied when it reaches
+its cap (``_PLAN_MEMO_CAP``, ``_ROOT_MEMO_CAP``).  Two threads may both
 miss and store equal entries; either one serves later lookups.
 
 Leaf arithmetic runs on integer pairs.  A ``Fraction`` is always in lowest
@@ -275,6 +284,20 @@ def _tree_promote(t, from_level: int, to_level: int):
     return t
 
 
+def _tree_leaves(t, level: int) -> list:
+    # Leaf i is the coefficient of the product of sqrt(d_j) over the set bits j of i.
+    if level == 0:
+        return [t]
+    return _tree_leaves(t[0], level - 1) + _tree_leaves(t[1], level - 1)
+
+
+def _tree_from_leaves(leaves, level: int):
+    for _ in range(level):
+        it = iter(leaves)
+        leaves = list(zip(it, it))
+    return leaves[0]
+
+
 # ---------------------------------------------------------------------------
 # Rational interval helpers for sign determination.
 
@@ -315,8 +338,11 @@ def _tree_interval(t, tower, level: int, bits: int):
 
 
 def _tree_sign(t, tower, level: int) -> int:
-    if _tree_is_zero(t, level):
-        return 0
+    while level and _tree_is_zero(t[1], level - 1):
+        t, level = t[0], level - 1  # the same value over the field below
+    if not level:
+        n = t._numerator
+        return (n > 0) - (n < 0)
     bits = 32
     while True:
         lo, hi = _tree_interval(t, tower, level, bits)
@@ -324,9 +350,8 @@ def _tree_sign(t, tower, level: int) -> int:
             return 1
         if hi._numerator < 0:
             return -1
-        # Width 2^-128 reached and still straddling: the exact zero test
-        # above already ruled zero out, so keep refining; termination is
-        # guaranteed for nonzero values.
+        # Still straddling: t is not zero (its top coefficient is not), so
+        # keep refining; termination is guaranteed for nonzero values.
         bits *= 2
 
 
@@ -360,8 +385,8 @@ def _tree_sqrt(t, tower, level: int):
                         else _tree_scale(a, 1 / r._rep, k))
             s = _tree_sqrt(a_over_d, tower, k)
             if s is not None:
-                cand = (_tree_const(_ZERO, k), s)
-                return cand if _tree_sign(cand, tower, level) >= 0 else _tree_neg(cand, level)
+                cand = (_tree_const(_ZERO, k), s)  # sqrt(d_k) > 0: cand has the sign of s
+                return cand if _tree_sign(s, tower, k) >= 0 else _tree_neg(cand, level)
         return None
     # sqrt(a + b*sqrt(d)) = x + y*sqrt(d) requires n = sqrt(a^2 - b^2 d)
     # in the field below, with x^2 in {(a+n)/2, (a-n)/2} and y = b/(2x).
@@ -393,6 +418,10 @@ def _tree_structural_eq(x, y, level: int) -> bool:
 # Radicand-root memo: (radicand ids, rep) -> (tower, (tower', root)).
 _ROOT_MEMO: dict = {}
 _ROOT_MEMO_CAP = 256
+
+# Tower-pair plans: (target ids, source ids) -> (target, source, (tower', images)).
+_PLAN_MEMO: dict = {}
+_PLAN_MEMO_CAP = 256
 
 
 class ExactReal:
@@ -459,44 +488,52 @@ class ExactReal:
             return False
         return _tree_structural_eq(a._rep, b._rep, len(a._tower))
 
-    def _same_tower(self, other: "ExactReal") -> bool:
-        if self._tower is other._tower:
-            return True
-        if len(self._tower) != len(other._tower):
-            return False
-        return all(
-            ExactReal._radicands_eq(a, b)
-            for a, b in zip(self._tower, other._tower)
-        )
-
-    def _tower_prefix_of(self, other: "ExactReal") -> bool:
-        if len(self._tower) > len(other._tower):
-            return False
-        return all(
-            ExactReal._radicands_eq(a, b)
-            for a, b in zip(self._tower, other._tower)
-        )
+    @staticmethod
+    def _prefix(short: tuple, tower: tuple) -> bool:
+        return len(short) <= len(tower) and all(map(ExactReal._radicands_eq, short, tower))
 
     @staticmethod
-    def _lift(value: "ExactReal", tower: tuple) -> tuple:
-        """Re-express value over (an extension of) the given tower.
+    def _plan(source: tuple, target: tuple) -> tuple:
+        """(tower', images) that lift values over source into target."""
+        key = (tuple(map(id, target)), tuple(map(id, source)))
+        hit = _PLAN_MEMO.get(key)
+        if hit is not None:
+            return hit[2]
+        tower, roots = target, {}
 
-        Returns (tower', rep) where tower' extends tower.
-        """
-        if value.is_rational():
-            return tower, _tree_const(value._rep, len(tower))
-        sub = ExactReal(value._tower[:-1], value._rep[0], _normalize=False)
-        rad = value._tower[-1]
-        coeff = ExactReal(value._tower[:-1], value._rep[1], _normalize=False)
-        tower, rad_rep = ExactReal._lift(rad, tower)
-        tower, root_rep = ExactReal._memo_sqrt_rep(rad_rep, tower)
-        tower, sub_rep = ExactReal._lift(sub, tower)
-        tower, coeff_rep = ExactReal._lift(coeff, tower)
-        level = len(tower)
-        root_rep = _tree_promote(root_rep, ExactReal._rep_level(root_rep), level)
-        sub_rep = _tree_promote(sub_rep, ExactReal._rep_level(sub_rep), level)
-        coeff_rep = _tree_promote(coeff_rep, ExactReal._rep_level(coeff_rep), level)
-        return tower, _tree_add(sub_rep, _tree_mul(coeff_rep, root_rep, tower, level), level)
+        def over(rep, k):
+            # A tree over source[:k] as a tree over tower, by the roots so far.
+            level = len(tower)
+            if k == 0:
+                return _tree_const(rep, level)
+            root = _tree_promote(roots[k - 1], ExactReal._rep_level(roots[k - 1]), level)
+            return _tree_add(over(rep[0], k - 1), _tree_mul(over(rep[1], k - 1), root, tower, level), level)
+
+        def adjoin(j):
+            # The roots of source[:j], last first, each after the roots its
+            # radicand is written in: the order of the recursive lift.
+            nonlocal tower
+            for i in range(j - 1, -1, -1):
+                if i not in roots:
+                    rad = source[i]
+                    adjoin(len(rad._tower))
+                    tower, roots[i] = ExactReal._memo_sqrt_rep(over(rad._rep, len(rad._tower)), tower)
+
+        if ExactReal._prefix(source, target) or ExactReal._prefix(target, source):
+            plan = max(target, source, key=len), None  # values are only promoted
+        else:
+            adjoin(len(source))
+            level = len(tower)
+            images = [_tree_const(_ONE, level)]
+            for i in range(len(source)):
+                root = _tree_promote(roots[i], ExactReal._rep_level(roots[i]), level)
+                images += [_tree_mul(x, root, tower, level) for x in images]
+            plan = tower, tuple(tuple((pos, _ONE if c == 1 else c) for pos, c in enumerate(_tree_leaves(x, level))
+                                      if c._numerator) for x in images)
+        if len(_PLAN_MEMO) >= _PLAN_MEMO_CAP:
+            _PLAN_MEMO.clear()
+        _PLAN_MEMO[key] = (target, source, plan)
+        return plan
 
     @staticmethod
     def _rep_level(rep) -> int:
@@ -537,15 +574,23 @@ class ExactReal:
         return result
 
     def _unified(self, other: "ExactReal") -> tuple:
-        if self._same_tower(other):
+        """(tower, self's rep, other's rep) over the tower that unifies both
+        towers, by the pair's plan (module docstring)."""
+        if self._tower is other._tower:
             return self._tower, self._rep, other._rep
-        if other._tower_prefix_of(self):
-            return self._tower, self._rep, _tree_promote(other._rep, other.level, self.level)
-        if self._tower_prefix_of(other):
-            return other._tower, _tree_promote(self._rep, self.level, other.level), other._rep
-        tower, orep = ExactReal._lift(other, self._tower)
-        srep = _tree_promote(self._rep, self.level, len(tower))
-        return tower, srep, orep
+        tower, images = ExactReal._plan(other._tower, self._tower)
+        level = len(tower)
+        srep = _tree_promote(self._rep, self.level, level)
+        if images is None:
+            return tower, srep, _tree_promote(other._rep, other.level, level)
+        out = [_ZERO] * (1 << level)
+        for leaf, image in zip(_tree_leaves(other._rep, other.level), images):
+            if leaf._numerator:
+                for pos, c in image:
+                    t = leaf if c is _ONE else _q_mul(leaf, c)
+                    prev = out[pos]
+                    out[pos] = _q_add(prev, t) if prev._numerator else t
+        return tower, srep, _tree_from_leaves(out, level)
 
     # -- arithmetic ----------------------------------------------------------
 

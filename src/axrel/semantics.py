@@ -621,11 +621,15 @@ def _plan_body_exists(names, matrix, s: Structure):
             decided = sees(env)
             if decided is not None:
                 return decided
+        # Fails is certified only when every candidate's matrix Fails certified.
+        undecided = sampled_any = False
         for i, combo in enumerate(itertools.product(*candidate_lists)):
             env2 = {**env, **dict(zip(names, combo))}
             state, sampled, ev = _eval(matrix, env2, ctx, "%s.e%d" % (path, i))
             if state == HOLDS:
                 return HOLDS, sampled, {**ev, **{n: b for n, b in zip(names, combo)}}
+            undecided = undecided or state == UNKNOWN
+            sampled_any = sampled_any or sampled
         solved = family(env, ctx) if family is not None else None
         if solved is not None:
             found, witness, extra = solved
@@ -637,10 +641,10 @@ def _plan_body_exists(names, matrix, s: Structure):
                 if state == FAILS and not sampled:
                     return FAILS, False, {}
                 return UNKNOWN, True, {}
-            return FAILS, False, extra
-        if not exhaustive:
+            return (UNKNOWN, True, {}) if undecided else (FAILS, sampled_any, extra)
+        if undecided or not exhaustive:
             return UNKNOWN, True, {}
-        return FAILS, False, {}
+        return FAILS, sampled_any, {}
 
     return run
 

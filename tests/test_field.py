@@ -297,6 +297,45 @@ def test_radicand_root_memo_is_capped(monkeypatch):
         assert 1 <= len(field._ROOT_MEMO) <= 3
 
 
+def _lift_plans():
+    return sum(plan[1] is not None for _, _, plan in field._PLAN_MEMO.values())
+
+
+def test_two_boost_map_plans_each_tower_pair_once(monkeypatch):
+    # Counts plans, not time.  The map's entries lie over (3/4, 8/9) and
+    # (8/9, 3/4); its first apply, at a point with no zero coordinate, meets
+    # every pair of their towers.  Later points and the mu checks only find
+    # those plans; the recursive lift they replaced ran again for each
+    # unification (about 2100 calls a round of the exact-sweeps benchmark).
+    from axrel.kinematics import PoincareMap, boost, check_mu_invariance, coord4, plane_rotation
+
+    monkeypatch.setattr(field, "_PLAN_MEMO", {})
+    m = plane_rotation(1, 2, Fr(3, 5), Fr(4, 5)).compose(boost((Fr(1, 2), 0, 0))) \
+        .compose(boost((0, Fr(1, 3), 0)))
+    w = PoincareMap(m.linear, (ER(1), ER(Fr(-2, 3)), ER(0), ER(Fr(5, 2))))
+    towers = {tuple(r.literal() for r in e.tower) for row in w.linear for e in row}
+    assert {("3/4", "8/9"), ("8/9", "3/4")} <= towers
+    first = coord4(Fr(1, 2), -3, Fr(5, 4), 2)
+    w.apply(first)
+    planned = _lift_plans()
+    assert planned > 0
+    rng = random.Random(17)
+    for _ in range(8):
+        x = coord4(*[Fr(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(4)])
+        w.apply(x)
+        assert check_mu_invariance(w, first, x)
+    assert _lift_plans() == planned
+
+
+def test_tower_pair_plan_memo_is_capped(monkeypatch):
+    monkeypatch.setattr(field, "_PLAN_MEMO", {})
+    monkeypatch.setattr(field, "_PLAN_MEMO_CAP", 3)
+    base = sqrt(ER(2))
+    for n in range(3, 10):
+        assert (base + sqrt(ER(n))) * sqrt(ER(n)) == sqrt(ER(2 * n)) + n
+        assert 1 <= len(field._PLAN_MEMO) <= 3
+
+
 # The rational kernel against Fraction's own operators.  Numerators reach
 # 0 and both signs, denominators both signs, and both go past 2**64.
 kernel_ints = st.one_of(

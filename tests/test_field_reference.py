@@ -18,6 +18,7 @@ import sys
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from axrel import field
 from axrel.field import (
@@ -342,3 +343,106 @@ def test_irrational_mu_invariance_does_no_zero_leaf_work(monkeypatch):
     assert check_mu_invariance(m, x, y)
     assert leaf_ops["mul"] > 0 and leaf_ops["add"] > 0  # the count saw the leaves
     assert zero_ops == {"mul": 0, "add": 0}
+
+
+# ---------------------------------------------------------------------------
+# Tower unification against the recursive lift that tower-pair plans replaced.
+
+
+def _ref_lift(value, tower):
+    if value.is_rational():
+        return tower, _tree_const(value._rep, len(tower))
+    sub = ExactReal(value._tower[:-1], value._rep[0], _normalize=False)
+    rad = value._tower[-1]
+    coeff = ExactReal(value._tower[:-1], value._rep[1], _normalize=False)
+    tower, rad_rep = _ref_lift(rad, tower)
+    tower, root_rep = ExactReal._memo_sqrt_rep(rad_rep, tower)
+    tower, sub_rep = _ref_lift(sub, tower)
+    tower, coeff_rep = _ref_lift(coeff, tower)
+    level = len(tower)
+    root_rep = _tree_promote(root_rep, ExactReal._rep_level(root_rep), level)
+    sub_rep = _tree_promote(sub_rep, ExactReal._rep_level(sub_rep), level)
+    coeff_rep = _tree_promote(coeff_rep, ExactReal._rep_level(coeff_rep), level)
+    return tower, field._tree_add(sub_rep, field._tree_mul(coeff_rep, root_rep, tower, level), level)
+
+
+def _ref_prefix(short, tower):
+    return len(short) <= len(tower) and all(ExactReal._radicands_eq(a, b) for a, b in zip(short, tower))
+
+
+def _ref_unified(x, y):
+    if x._tower is y._tower or (len(x._tower) == len(y._tower) and _ref_prefix(x._tower, y._tower)):
+        return x._tower, x._rep, y._rep
+    if _ref_prefix(y._tower, x._tower):
+        return x._tower, x._rep, _tree_promote(y._rep, y.level, x.level)
+    if _ref_prefix(x._tower, y._tower):
+        return y._tower, _tree_promote(x._rep, x.level, y.level), y._rep
+    tower, yrep = _ref_lift(y, x._tower)
+    return tower, _tree_promote(x._rep, x.level, len(tower)), yrep
+
+
+def _lift_towers():
+    """Towers at levels 1-3: radicands 2, 3, 6 and 8, where a new radicand
+    is a product of earlier ones times a square; 3/4 and 21/25 in both
+    orders; and the nested radicands 1 + sqrt(2) and 7 + 5*sqrt(2) =
+    (1 + sqrt(2))^3, whose roots lift into each other's towers as sums."""
+    r = {q: sqrt(ER(q)) for q in (2, 3, 6, 8, Fr(3, 4), Fr(21, 25))}
+    nested, cubed = sqrt(1 + r[2]), sqrt(7 + 5 * r[2])
+    values = {
+        "2": r[2], "3": r[3], "6": r[6], "8": r[8], "3/4": r[Fr(3, 4)],
+        "2,3": r[2] + r[3], "3,2": r[3] + r[2], "6,2": r[6] + r[2], "8,3": r[8] + r[3],
+        "6,3": r[6] + r[3], "3/4,21/25": r[Fr(3, 4)] + r[Fr(21, 25)],
+        "21/25,3/4": r[Fr(21, 25)] + r[Fr(3, 4)], "2,3,21/25": r[2] + r[3] + r[Fr(21, 25)],
+        "21/25,3/4,2": r[Fr(21, 25)] + r[Fr(3, 4)] + r[2],
+        "2,1+sqrt2": nested, "2,7+5sqrt2": cubed, "2,1+sqrt2,3": nested + r[3],
+    }
+    for name, value in values.items():
+        assert value.level == name.count(",") + 1, name
+    return {name: value.tower for name, value in values.items()}
+
+
+LIFT_TOWERS = _lift_towers()
+_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+def _tree_of(leaves):
+    # Leaf i is the coefficient of the product of the roots at the set bits of i.
+    while len(leaves) > 1:
+        leaves = [(leaves[i], leaves[i + 1]) for i in range(0, len(leaves), 2)]
+    return leaves[0]
+
+
+@settings(derandomize=True, max_examples=10, deadline=None, phases=(Phase.explicit, Phase.generate))
+@given(st.data())
+def test_plan_lifts_match_the_recursive_lift(data):
+    # One value per tower, each with a nonzero top leaf so that it keeps its
+    # whole tower, then every ordered pair: lifts, prefixes and equal towers.
+    values = []
+    for tower in LIFT_TOWERS.values():
+        leaves = data.draw(st.lists(_fractions, min_size=(1 << len(tower)) - 1,
+                                    max_size=(1 << len(tower)) - 1))
+        values.append(ExactReal(tower, _tree_of(leaves + [data.draw(_fractions.filter(bool))])))
+    for x in values:
+        for y in values:
+            tower, xrep, yrep = x._unified(y)
+            ref_tower, ref_x, ref_y = _ref_unified(x, y)
+            assert [r.literal() for r in tower] == [r.literal() for r in ref_tower]
+            assert all(map(ExactReal._radicands_eq, tower, ref_tower))
+            level = len(tower)
+            _assert_same_tree(xrep, ref_x, level)
+            _assert_same_tree(yrep, ref_y, level)
+            _assert_same_value(x + y, ExactReal(ref_tower, field._tree_add(ref_x, ref_y, level)))
+            _assert_same_value(x * y, ExactReal(ref_tower, field._tree_mul(ref_x, ref_y, ref_tower, level)))
+
+
+def test_a_nested_root_lifts_as_a_linear_combination():
+    # sqrt(7 + 5*sqrt(2)) = (1 + sqrt(2))*sqrt(1 + sqrt(2)): two leaves.
+    target, source = LIFT_TOWERS["2,1+sqrt2"], LIFT_TOWERS["2,7+5sqrt2"]
+    for s, t in ((source, target), (target, source)):
+        tower, images = ExactReal._plan(s, t)
+        assert len(tower) == 2 and max(map(len, images)) == 2
+    x = ExactReal(source, ((Fr(1), Fr(-2)), (Fr(3, 2), Fr(1, 3))))
+    y = ExactReal(target, ((Fr(0), Fr(1)), (Fr(-1), Fr(5))))
+    for p, q in ((x, y), (y, x)):
+        tower, prep, qrep = _ref_unified(p, q)
+        _assert_same_value(p + q, ExactReal(tower, field._tree_add(prep, qrep, len(tower))))

@@ -881,6 +881,20 @@ def test_ob_strategy_reads_permuted_coordinates_and_skips_other_blocks():
     assert v.is_holds and v.budget_report["samples"] > 0
 
 
+def test_body_existential_fails_certified_only_when_every_candidate_does():
+    # Without families the candidates are the named bodies.  The extra
+    # conjunct takes the block off the Ob strategy, sampling finds no
+    # witness for any candidate, and walker is one at (21/2, 0, 0, 21):
+    # the answer is Unknown, not a certified Fails.
+    s = parse_model(BOXES_MODEL)
+    f = parse("E b:B . E x:Q y:Q z:Q t:Q . W(o, b, x, y, z, t) & 0 < t", {"o": Sort.BODY})
+    crossed = s.bodies["crossed"]
+    assert s.holds_W(crossed, s.bodies["walker"], tuple(ER(c) for c in (Fr(21, 2), 0, 0, 21)))
+    v = evaluate(s, f, {"o": crossed}, BUDGET)
+    assert (v.outcome, v.method) == ("Unknown", "sampled")
+    assert v.budget_report["samples"] > 0
+
+
 def test_expanded_ob_declines_on_a_numeric_worldline():
     from axrel.model import SmoothNumeric
 
