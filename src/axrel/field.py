@@ -40,25 +40,22 @@ of its own is promoted to a level-k tree.  Every shortcut yields the same
 exactly, and multiplying by the promoted tree of q scales each leaf by
 q), so trees, towers, literals and every printed byte are unchanged.
 
-Tower-pair plans.  Unifying two towers is decided once per pair:
-``_PLAN_MEMO`` maps the ids of the target's and the source's radicand
-objects to a plan and keeps both towers, so the ids stay valid.  A plan
-holds the unified tower and, unless one tower is a prefix of the other
-(then the longer one is it and a value is only promoted), the image in it
-of each basis monomial of the source tower, as (leaf position, rational)
-pairs.  A value is re-expressed by its leaves, each scaled into its
-image's positions: a leaf permutation with rational scales when, as for
-rational radicands, each image is one monomial.  A miss takes each source
-root once, through ``_ROOT_MEMO``, in the order of the recursive lift that
-plans replaced (last radicand first, each after the roots it is written
-in), and multiplies the roots into the monomial images.  No byte changes:
-the unified tower is the recursion's and depends only on the radicands,
-not on leaf values; lifting is Q-linear; trees over a fixed tower are
-canonical.  ``_ROOT_MEMO`` is keyed on a tower's radicand ids and a rep
-tree, so plans adjoining one root share its new radicand object;
-``NegativeRadicand`` is not stored.  Each memo is emptied when it reaches
-its cap (``_PLAN_MEMO_CAP``, ``_ROOT_MEMO_CAP``).  Two threads may both
-miss and store equal entries; either one serves later lookups.
+Tower-pair plans.  When neither of two towers is a prefix of the other,
+``_unified`` lifts the second value into the first tower by the pair's
+plan, built once: ``_PLAN_MEMO`` maps the ids of the target's and the
+source's radicands to the plan and keeps both towers, so the ids stay
+valid.  A plan is the unified tower and the image in it of each basis
+monomial of the source tower, as (leaf position, rational) pairs; a value
+is lifted by scaling its leaves into those positions, a leaf permutation
+when every image is one monomial, as for rational radicands.  Building a
+plan takes each source root once through ``_ROOT_MEMO`` (keyed on the
+tower's radicand ids and the rep, so plans adjoining one root share its
+new radicand object; failures are not stored), in the order of the
+recursive lift it replaced.  Bytes are unchanged: that unified tower
+depends only on the radicands, not on leaf values, lifting is Q-linear,
+and trees over a fixed tower are canonical.  Both memos are emptied when
+full (``_PLAN_MEMO_CAP``, ``_ROOT_MEMO_CAP``).  Two threads may both miss
+and store equal entries; either one serves later lookups.
 
 Leaf arithmetic runs on integer pairs.  A ``Fraction`` is always in lowest
 terms with a positive denominator, so a leaf is its ``(numerator,
@@ -519,17 +516,14 @@ class ExactReal:
                     adjoin(len(rad._tower))
                     tower, roots[i] = ExactReal._memo_sqrt_rep(over(rad._rep, len(rad._tower)), tower)
 
-        if ExactReal._prefix(source, target) or ExactReal._prefix(target, source):
-            plan = max(target, source, key=len), None  # values are only promoted
-        else:
-            adjoin(len(source))
-            level = len(tower)
-            images = [_tree_const(_ONE, level)]
-            for i in range(len(source)):
-                root = _tree_promote(roots[i], ExactReal._rep_level(roots[i]), level)
-                images += [_tree_mul(x, root, tower, level) for x in images]
-            plan = tower, tuple(tuple((pos, _ONE if c == 1 else c) for pos, c in enumerate(_tree_leaves(x, level))
-                                      if c._numerator) for x in images)
+        adjoin(len(source))
+        level = len(tower)
+        images = [_tree_const(_ONE, level)]
+        for i in range(len(source)):
+            root = _tree_promote(roots[i], ExactReal._rep_level(roots[i]), level)
+            images += [_tree_mul(x, root, tower, level) for x in images]
+        plan = tower, tuple(tuple((pos, _ONE if c == 1 else c) for pos, c in enumerate(_tree_leaves(x, level))
+                                  if c._numerator) for x in images)
         if len(_PLAN_MEMO) >= _PLAN_MEMO_CAP:
             _PLAN_MEMO.clear()
         _PLAN_MEMO[key] = (target, source, plan)
@@ -574,23 +568,23 @@ class ExactReal:
         return result
 
     def _unified(self, other: "ExactReal") -> tuple:
-        """(tower, self's rep, other's rep) over the tower that unifies both
-        towers, by the pair's plan (module docstring)."""
+        """(tower, self's rep, other's rep) over one tower: the longer one
+        when a tower is a prefix of the other, else by the pair's plan."""
         if self._tower is other._tower:
             return self._tower, self._rep, other._rep
+        if ExactReal._prefix(other._tower, self._tower):
+            return self._tower, self._rep, _tree_promote(other._rep, other.level, self.level)
+        if ExactReal._prefix(self._tower, other._tower):
+            return other._tower, _tree_promote(self._rep, self.level, other.level), other._rep
         tower, images = ExactReal._plan(other._tower, self._tower)
         level = len(tower)
-        srep = _tree_promote(self._rep, self.level, level)
-        if images is None:
-            return tower, srep, _tree_promote(other._rep, other.level, level)
         out = [_ZERO] * (1 << level)
         for leaf, image in zip(_tree_leaves(other._rep, other.level), images):
             if leaf._numerator:
                 for pos, c in image:
                     t = leaf if c is _ONE else _q_mul(leaf, c)
-                    prev = out[pos]
-                    out[pos] = _q_add(prev, t) if prev._numerator else t
-        return tower, srep, _tree_from_leaves(out, level)
+                    out[pos] = _q_add(out[pos], t) if out[pos]._numerator else t
+        return tower, _tree_promote(self._rep, self.level, level), _tree_from_leaves(out, level)
 
     # -- arithmetic ----------------------------------------------------------
 

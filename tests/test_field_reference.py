@@ -11,6 +11,11 @@ promoted every radicand; each rewritten routine must give the same tree
 (the same ``Fraction`` leaves), and each value the same tower and the
 same ``literal()``, on rational radicands at levels 1-3, nested radicands,
 zero and sparse operands and operands promoted from a lower level.
+
+``ExactReal._unified`` now lifts through tower-pair plans; ``_ref_lift``
+and ``_ref_unified`` are the recursive lift and the same/prefix checks
+they replaced, and every pair of towers must unify to the same tower (in
+the same order), the same trees and the same literals.
 """
 
 import random
