@@ -22,9 +22,10 @@ of the difference is determined; for nonzero values this terminates.
 Rational values (empty tower) take a fast path: when both operands of
 +, -, *, / or a comparison are rational, the operation works on the
 ``Fraction`` reps directly and builds the same value the tree path would.
-When exactly one operand of +, - or * is rational, the rational is not
-promoted to a tree: a product scales every leaf of the other operand's
-tree, a sum or difference changes its constant leaf only.  The result
+When exactly one operand of +, -, * or / is rational, the rational is
+not promoted to a tree: a product scales every leaf of the other
+operand's tree, a sum or difference changes its constant leaf only, x / q
+scales x by 1/q and q / x scales x's inverse by q.  The result
 keeps the tower operand's tower object and has the same leaves, and the
 same normalization (a zero scale gives rational 0), as the tree path.
 A rational operand that is exactly 0 returns at once: the tower operand
@@ -664,8 +665,13 @@ class ExactReal:
             return NotImplemented
         if other.is_zero():
             raise DivisionByZero("division by exact zero")
-        if not (self._tower or other._tower):
-            return ExactReal((), _q_div(self._rep, other._rep), _normalize=False)
+        if not other._tower:
+            if not self._tower:
+                return ExactReal((), _q_div(self._rep, other._rep), _normalize=False)
+            return ExactReal(self._tower, _tree_scale(self._rep, _q_div(_ONE, other._rep), self.level))
+        if not self._tower:
+            inv = _tree_inv(other._rep, other._tower, other.level)
+            return ExactReal(other._tower, _tree_scale(inv, self._rep, other.level))
         tower, a, b = self._unified(other)
         return ExactReal(tower, _tree_mul(a, _tree_inv(b, tower, len(tower)), tower, len(tower)))
 

@@ -1,13 +1,16 @@
-"""Exact one-variable definable sets: polynomials, interval sets, suprema.
+"""Exact polynomials and one-variable definable sets.
 
-The IND schema checker reduces a formula with one distinguished quantity
-variable to a finite union of intervals with tower-field endpoints, by
-recursing over the boolean structure and solving the sign conditions of
-polynomials of degree <= 2 exactly (quadratic roots live in the tower).
-W-atoms over affine charts and straight worldlines contribute linear
-equations; the photon-existence pattern contributes the lightlike
-quadratic.  Anything outside this fragment raises UnsupportedDefinableSet
-and the caller falls back to sampling (honest Unknown).
+``Poly`` is the checker's one polynomial type, built from quantity terms
+by ``term_to_poly`` alone: affine ones pin quantity blocks, and ones in a
+single variable give guide roots and IND sets.  The IND schema checker
+reduces a formula with one distinguished quantity variable to a finite
+union of intervals with tower-field endpoints, by recursing over the
+boolean structure and solving the sign conditions of polynomials of
+degree <= 2 exactly (quadratic roots live in the tower).  W-atoms over
+affine charts and straight worldlines contribute linear equations; the
+photon-existence pattern contributes the lightlike quadratic.  Anything
+outside this fragment raises UnsupportedDefinableSet and the caller falls
+back to sampling (honest Unknown).
 """
 
 from __future__ import annotations
@@ -16,11 +19,14 @@ from typing import Optional, Sequence
 
 from .field import ER, ExactReal, sqrt
 from .record import Record, set_field
+from .syntax.ast import OneC, Var, fold_term
 
 __all__ = [
     "Poly", "IntervalSet", "Interval", "UnsupportedDefinableSet",
     "term_to_poly", "poly_less_zero", "poly_eq_zero",
 ]
+
+_ZERO, _ONE = ER(0), ER(1)
 
 
 class UnsupportedDefinableSet(ValueError):
@@ -28,62 +34,138 @@ class UnsupportedDefinableSet(ValueError):
 
 
 class Poly:
-    """Dense univariate polynomial over the tower field."""
+    """Sparse polynomial over the tower field: ``terms`` maps monomials,
+    sorted tuples of variable names with one entry per power (``()`` is
+    the constant, ``('x', 'x', 'y')`` is x^2 y), to coefficients.
 
-    def __init__(self, coeffs: Sequence):
-        cs = [ER(c) for c in coeffs] or [ER(0)]
-        while len(cs) > 1 and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs = tuple(cs)
+    Tower literals depend on the order of field operations (ROADMAP item
+    3), so terms keep insertion order and zero entries, a sum adds the
+    right operand's terms into the left's, a coefficient product has the
+    left factor's coefficient on the left, and ``eval`` and ``substitute``
+    take the constant first.  No operation changes its operands.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = terms
+
+    @staticmethod
+    def const(c) -> "Poly":
+        return Poly({(): ER(c)})
+
+    @staticmethod
+    def var(name: str) -> "Poly":
+        # The zero constant makes every univariate polynomial list its
+        # powers in increasing order, so products add in that order.
+        return Poly({(): _ZERO, (name,): _ONE})
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        """The total degree of the nonzero terms (0 for a constant)."""
+        d = 0
+        for m, c in self.terms.items():
+            if len(m) > d and not c.is_zero():
+                d = len(m)
+        return d
+
+    def degree_in(self, v: str) -> int:
+        d = 0
+        for m, c in self.terms.items():
+            if m.count(v) > d and not c.is_zero():
+                d = m.count(v)
+        return d
 
     def is_zero(self) -> bool:
-        return self.degree == 0 and self.coeffs[0].is_zero()
+        return all(c.is_zero() for c in self.terms.values())
+
+    def coeffs_in(self, v: str) -> list:
+        """[p_0, ..., p_d], d = degree_in(v): self = sum of p_k * v^k, each
+        p_k a polynomial in the other variables."""
+        out = [{} for _ in range(self.degree_in(v) + 1)]
+        for m, c in self.terms.items():
+            k = m.count(v)
+            if k < len(out):
+                out[k][tuple(x for x in m if x != v)] = c
+        return [Poly(t) for t in out]
 
     def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([
-            (self.coeffs[i] if i < len(self.coeffs) else ER(0))
-            + (other.coeffs[i] if i < len(other.coeffs) else ER(0))
-            for i in range(n)
-        ])
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out[m] + c if m in out else c
+        return Poly(out)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out[m] - c if m in out else -c
+        return Poly(out)
+
+    def __neg__(self) -> "Poly":
+        return Poly({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
-        out = [ER(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
+        a, b = self.terms, other.terms
+        if len(a) == 1 and () in a:
+            return other.scale(a[()])
+        if len(b) == 1 and () in b:
+            c = b[()]
+            return Poly({m: x * c for m, x in a.items()})
+        out: dict = {}
+        for m, x in a.items():
+            for n, y in b.items():
+                k = tuple(sorted(m + n)) if m and n else m or n
+                xy = x * y
+                out[k] = out[k] + xy if k in out else xy
         return Poly(out)
 
     def scale(self, c) -> "Poly":
         c = ER(c)
-        return Poly([c * a for a in self.coeffs])
+        return Poly({m: c * x for m, x in self.terms.items()})
 
-    def eval(self, x) -> ExactReal:
-        x = ER(x)
-        acc = ER(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
+    def eval(self, values: dict) -> ExactReal:
+        """The value with each variable at values[name]: the constant
+        first, then each nonzero term in order."""
+        terms = self.terms
+        acc = terms.get((), _ZERO)
+        for m, c in terms.items():
+            if m and not c.is_zero():
+                for v in m:
+                    c = c * values[v]
+                acc = acc + c
         return acc
 
+    def substitute(self, polys: dict) -> "Poly":
+        """Each variable named in polys replaced by that polynomial, the
+        others kept: the constant first, then each term in order."""
+        out = Poly({(): self.terms.get((), _ZERO)})
+        for m, c in self.terms.items():
+            if m:
+                term = Poly({(): c})
+                for v in m:
+                    term = term * (polys[v] if v in polys else Poly.var(v))
+                out = out + term
+        return out
+
+    def _coeffs(self) -> list:
+        # [c_0, ..., c_degree] of a polynomial in one variable.
+        out = [_ZERO] * (self.degree + 1)
+        for m, c in self.terms.items():
+            if len(m) < len(out):
+                out[len(m)] = c
+        return out
+
     def roots(self) -> list:
-        """Exact real roots for degree <= 2; raises above that."""
-        if self.degree == 0:
+        """Exact real roots of a polynomial in one variable of degree <= 2,
+        in increasing order; raises above that."""
+        cs = self._coeffs()
+        if len(cs) == 1:
             return []  # nonzero constant; the zero poly is handled by callers
-        if self.degree == 1:
-            b, a = self.coeffs[0], self.coeffs[1]
+        if len(cs) == 2:
+            b, a = cs
             return [-b / a]
-        if self.degree == 2:
-            c, b, a = self.coeffs[0], self.coeffs[1], self.coeffs[2]
+        if len(cs) == 3:
+            c, b, a = cs
             disc = b * b - 4 * a * c
             sign = disc.sign()
             if sign < 0:
@@ -94,22 +176,23 @@ class Poly:
             r1 = (-b - r) / (2 * a)
             r2 = (-b + r) / (2 * a)
             return [r1, r2] if (r2 - r1).sign() > 0 else [r2, r1]
-        raise UnsupportedDefinableSet("degree %d polynomial" % self.degree)
+        raise UnsupportedDefinableSet("degree %d polynomial" % (len(cs) - 1))
 
 
 def term_to_poly(term, polys: dict, env: dict) -> Poly:
     """Quantity term -> polynomial: variables named in `polys` are those
-    polynomials, other variables constants from env."""
-    from .syntax.ast import OneC, Var, fold_term
+    polynomials, variables with an ExactReal value in env are constants;
+    any other variable raises UnsupportedDefinableSet."""
 
     def leaf(t) -> Poly:
         if isinstance(t, Var):
             if t.name in polys:
                 return polys[t.name]
-            if t.name not in env:
-                raise UnsupportedDefinableSet("unbound variable %s" % t.name)
-            return Poly([env[t.name]])
-        return Poly([1 if isinstance(t, OneC) else 0])
+            value = env.get(t.name)
+            if isinstance(value, ExactReal):
+                return Poly({(): value})
+            raise UnsupportedDefinableSet("variable %s has no quantity value" % t.name)
+        return Poly.const(1 if isinstance(t, OneC) else 0)
 
     return fold_term(term, leaf)
 
@@ -318,18 +401,18 @@ class IntervalSet:
 
 
 def poly_less_zero(p: Poly) -> IntervalSet:
-    """{t : p(t) < 0} as an exact interval set (degree <= 2)."""
-    if p.is_zero():
-        return IntervalSet.empty()
-    if p.degree == 0:
-        return IntervalSet.all() if p.coeffs[0].sign() < 0 else IntervalSet.empty()
-    if p.degree == 1:
+    """{t : p(t) < 0} for p in one variable t, as an exact interval set
+    (degree <= 2)."""
+    cs = p._coeffs()
+    if len(cs) == 1:
+        return IntervalSet.all() if cs[0].sign() < 0 else IntervalSet.empty()
+    if len(cs) == 2:
         r = p.roots()[0]
-        if p.coeffs[1].sign() > 0:
+        if cs[1].sign() > 0:
             return IntervalSet((Interval(None, r),))
         return IntervalSet((Interval(r, None),))
-    if p.degree == 2:
-        a = p.coeffs[2]
+    if len(cs) == 3:
+        a = cs[2]
         rs = p.roots()
         if not rs:
             return IntervalSet.all() if a.sign() < 0 else IntervalSet.empty()
@@ -342,11 +425,12 @@ def poly_less_zero(p: Poly) -> IntervalSet:
         if a.sign() > 0:
             return IntervalSet((Interval(r1, r2),))
         return IntervalSet((Interval(None, r1), Interval(r2, None)))
-    raise UnsupportedDefinableSet("degree %d sign condition" % p.degree)
+    raise UnsupportedDefinableSet("degree %d sign condition" % (len(cs) - 1))
 
 
 def poly_eq_zero(p: Poly) -> IntervalSet:
-    """{t : p(t) = 0} as an exact interval set (degree <= 2)."""
+    """{t : p(t) = 0} for p in one variable t, as an exact interval set
+    (degree <= 2)."""
     if p.is_zero():
         return IntervalSet.all()
     if p.degree == 0:

@@ -22,14 +22,17 @@ in the line's parameter.  It declines, and the block is sampled, on a
 non-affine chart and, without families, on a numeric worldline.  So an
 expanded sentence draws exactly the samples of its sugared form.
 
-Quantity-sort quantifiers are sampled per *block* of like quantifiers:
-linear equality conjuncts and correspondence conjuncts in hypothesis
-position pin variables exactly (Gaussian elimination over the field),
-the remaining degrees of freedom take corner values {0, +-1, +-1/2},
-scenario constants, and seeded rationals.  Where a pattern solver
-applies the decision is exact; otherwise a passed universal is labelled
-"sampled".  Enlarging the budget only extends the sample prefix, so a
-Fails can never revert to Holds.
+Quantity-sort quantifiers are sampled per *block* of like quantifiers.
+Their terms become ``intervals.Poly`` polynomials over the block through
+``term_to_poly``: linear equality conjuncts and correspondence conjuncts
+in hypothesis position whose polynomials are affine pin variables exactly
+(Gaussian elimination over the field), the remaining degrees of freedom
+take corner values {0, +-1, +-1/2}, scenario constants, and seeded
+rationals, and the roots of the guide equations' polynomials along the
+last free direction.  Where a pattern solver applies the decision is
+exact; otherwise a passed universal is labelled "sampled".  Enlarging the
+budget only extends the sample prefix, so a Fails can never revert to
+Holds.
 
 Each evaluation plans every formula node it visits once, keyed by node
 identity on the evaluation's context: the quantifier block and its
@@ -72,7 +75,7 @@ from .record import MutableRecord, Record, set_field
 from .syntax.ast import (
     Add, And, EqB, EqQ, Exists, Forall, Formula, IBAtom, IObAtom, Iff, Implies,
     Less, Mul, Not, ObAtom, OneC, Or, PhAtom, Sort, Sub, Term, Theory, Var,
-    WAtom, _formula_terms, fold_term, mentions, subformulas,
+    WAtom, _formula_terms, mentions, subformulas,
 )
 from .syntax.corpus import (
     IndInstance, contract_definitions, ind_battery, instantiate_ind,
@@ -751,7 +754,7 @@ def _line_in_box(s: Structure, o: Body, chart: AffineMap, point, direction, leng
     if s.domain_of(o).is_full():
         return a
     d = linalg.mat_vec(chart.linear, direction)
-    allowed = _domain_set(s, o, [Poly([a[i], d[i]]) for i in range(4)])
+    allowed = _domain_set(s, o, [Poly({(): a[i], ("t",): d[i]}) for i in range(4)])
     if length is not None:
         allowed = allowed.intersect(IntervalSet((Interval(ER(0), length, False, False),)))
     if allowed.is_empty():
@@ -869,88 +872,25 @@ def _observed_refs(s: Structure, o: Body, family: bool, *events) -> Optional[lis
     return [s.reference_point(o, p) for p in points]
 
 
-# -- quantity sort: linear-form pinning and sampling -------------------------
+# -- quantity sort: linear pinning and sampling --------------------------------
 
 
-class _NotLinear(Exception):
-    pass
-
-
-class _LinForm:
-    """Affine form: sum of coeff*param + const over the exact field.
-
-    ``*`` raises _NotLinear on a product of two non-constant forms."""
-
-    __slots__ = ("coeffs", "const")
-
-    def __init__(self, coeffs=None, const=None):
-        self.coeffs = dict(coeffs or {})
-        self.const = const if const is not None else ER(0)
-
-    @staticmethod
-    def var(name):
-        return _LinForm({name: ER(1)})
-
-    @staticmethod
-    def constant(v):
-        return _LinForm({}, ER(v))
-
-    def is_constant(self):
-        return all(c.is_zero() for c in self.coeffs.values())
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, ER(0)) + v
-        return _LinForm(out, self.const + other.const)
-
-    def __sub__(self, other):
-        return self + _LinForm({k: -v for k, v in other.coeffs.items()}, -other.const)
-
-    def __mul__(self, other):
-        if self.is_constant():
-            return other.scale(self.const)
-        if other.is_constant():
-            return self.scale(other.const)
-        raise _NotLinear()
-
-    def scale(self, c):
-        c = ER(c)
-        return _LinForm({k: c * v for k, v in self.coeffs.items()}, c * self.const)
-
-    def value(self, values: dict) -> ExactReal:
-        acc = self.const
-        for k, v in self.coeffs.items():
-            if not v.is_zero():
-                acc = acc + v * values[k]
-        return acc
-
-
-def _term_to_linform(term: Term, env, binding: dict) -> Optional[_LinForm]:
-    """The term as an affine form over the block parameters, or None when
-    it is not affine in them or reads a variable with no quantity value."""
-
-    def leaf(t: Term) -> _LinForm:
-        if isinstance(t, Var):
-            if t.name in binding:
-                return binding[t.name]
-            if isinstance(env.get(t.name), ExactReal):
-                return _LinForm.constant(env[t.name])
-            raise _NotLinear()
-        return _LinForm.constant(1 if isinstance(t, OneC) else 0)
-
+def _affine(term: Term, env, binding: dict) -> Optional[Poly]:
+    """The term as a polynomial over the block parameters, or None when it
+    is not affine in them or reads a variable with no quantity value."""
     try:
-        return fold_term(term, leaf)
-    except _NotLinear:
+        p = term_to_poly(term, binding, env)
+    except UnsupportedDefinableSet:
         return None
+    return p if p.degree <= 1 else None
 
 
-def _map_forms(w: AffineMap, forms, constant) -> list:
-    """w applied to four affine forms or polynomials: component i is
-    constant(c_i) + sum over j of forms[j] scaled by L_ij."""
+def _map_forms(w: AffineMap, forms) -> list:
+    """w applied to four polynomials: component i is the constant c_i plus
+    the sum over j of forms[j] scaled by L_ij."""
     out = []
     for i in range(4):
-        acc = constant(w.translation[i])
+        acc = Poly.const(w.translation[i])
         for j in range(4):
             acc = acc + forms[j].scale(w.linear[i][j])
         out.append(acc)
@@ -980,10 +920,11 @@ def _pin_with_constraints(names, pins, env, ctx: _Ctx):
     """Pin block variables from corr conjuncts and linear equalities.
 
     Returns (binding, params, equations) where binding maps each block
-    var to a _LinForm over params, and equations is a list of _LinForms
-    required to vanish.  Returns None on inconsistency discovered later.
+    var to an affine polynomial over params, and equations is a list of
+    affine polynomials required to vanish.  Inconsistent equations are
+    left to the caller's solve.
     """
-    binding = {n: _LinForm.var(n) for n in names}
+    binding = {n: Poly.var(n) for n in names}
     params = list(names)
     equations: list = []
     pending = list(pins)
@@ -994,7 +935,7 @@ def _pin_with_constraints(names, pins, env, ctx: _Ctx):
         for pin in pending:
             o_of, o2_of, xs_t, ys_t, targets = pin
             if o_of is None:
-                l, r = (_term_to_linform(t, env, binding) for t in ys_t)
+                l, r = (_affine(t, env, binding) for t in ys_t)
                 if l is not None and r is not None:
                     equations.append(l - r)
                     progress = True
@@ -1010,24 +951,29 @@ def _pin_with_constraints(names, pins, env, ctx: _Ctx):
             if not (isinstance(ctx.s.chart_of(o), AffineMap)
                     and isinstance(ctx.s.chart_of(o2), AffineMap)):
                 continue  # cannot pin; conjunct still checked per sample
-            xs_forms = [_term_to_linform(t, env, binding) for t in xs_t]
+            xs_forms = [_affine(t, env, binding) for t in xs_t]
             if any(fm is None for fm in xs_forms):
                 remaining.append(pin)
                 continue
-            ys_forms = _map_forms(ctx.s.transition(o, o2), xs_forms, _LinForm.constant)
+            ys_forms = _map_forms(ctx.s.transition(o, o2), xs_forms)
             if all(targets):
-                unpinned = [n for n in targets
-                            if n in params and _is_identity(binding[n], n)]
+                unpinned = [n for n in targets if n in params]
                 if len(unpinned) == 4 and len(set(targets)) == 4:
-                    for n, fm in zip(targets, ys_forms):
-                        binding[n] = fm
-                        params.remove(n)
-                    _substitute_pins(binding, equations, targets)
+                    pinned = dict(zip(targets, ys_forms))
+                    params[:] = [p for p in params if p not in pinned]
+                    # Earlier pins and equations still read the new pins'
+                    # names as parameters: substitute the new pins into them.
+                    for n in binding:
+                        if n in pinned:
+                            binding[n] = pinned[n]
+                        elif n not in params:
+                            binding[n] = binding[n].substitute(pinned)
+                    equations[:] = [eq.substitute(pinned) for eq in equations]
                     ctx.bump_solver()
                     progress = True
                     continue
             # already pinned (or not plain vars): contribute equations
-            ys_actual = [_term_to_linform(t, env, binding) for t in ys_t]
+            ys_actual = [_affine(t, env, binding) for t in ys_t]
             if all(fm is not None for fm in ys_actual):
                 for have, want in zip(ys_actual, ys_forms):
                     equations.append(have - want)
@@ -1038,31 +984,6 @@ def _pin_with_constraints(names, pins, env, ctx: _Ctx):
     return binding, params, equations
 
 
-def _is_identity(form: _LinForm, name: str) -> bool:
-    return form.const.is_zero() and all(
-        (k == name and v == 1) or (k != name and v.is_zero())
-        for k, v in form.coeffs.items()) and name in form.coeffs
-
-
-def _substitute_pins(binding: dict, equations: list, pinned: list):
-    """Rewrite forms that still reference freshly pinned names as parameters."""
-
-    def rewrite(form: _LinForm) -> _LinForm:
-        out = _LinForm({}, form.const)
-        for k, v in form.coeffs.items():
-            if k in pinned and not _is_identity(binding[k], k):
-                out = out + binding[k].scale(v)
-            else:
-                out.coeffs[k] = out.coeffs.get(k, ER(0)) + v
-        return out
-
-    for name in list(binding):
-        if name not in pinned:
-            binding[name] = rewrite(binding[name])
-    for i, eq in enumerate(equations):
-        equations[i] = rewrite(eq)
-
-
 def _solve_equations(params, equations):
     """Gaussian solve; returns (particular, basis) as dicts over params,
     or None if exactly inconsistent."""
@@ -1071,8 +992,8 @@ def _solve_equations(params, equations):
         for p in params:
             basis.append({q: ER(1 if q == p else 0) for q in params})
         return {p: ER(0) for p in params}, basis
-    a = tuple(tuple(eq.coeffs.get(p, ER(0)) for p in params) for eq in equations)
-    b = tuple(-eq.const for eq in equations)
+    a = tuple(tuple(eq.terms.get((p,), ER(0)) for p in params) for eq in equations)
+    b = tuple(-eq.terms.get((), ER(0)) for eq in equations)
     res = linalg.solve_linear(a, b)
     if res is None:
         return None
@@ -1138,7 +1059,6 @@ def _eval_quantity_forall(names, matrix, pins, guide_diffs, guided, env, ctx: _C
         return HOLDS, False, {}
     particular, basis = solved
     guides = guide_diffs if basis else []
-    num_env = _num_env(env) if guides else {}
     saw_unknown = False
     sample_no = 0
 
@@ -1162,7 +1082,7 @@ def _eval_quantity_forall(names, matrix, pins, guide_diffs, guided, env, ctx: _C
         ctx.samples_used += 1
         env2 = dict(env)
         for n in names:
-            env2[n] = binding[n].value(values)
+            env2[n] = binding[n].eval(values)
         state, sampled, ev = _eval(matrix, env2, ctx, "%s.q%s" % (path, tag))
         if state == UNKNOWN:
             saw_unknown = True
@@ -1174,27 +1094,18 @@ def _eval_quantity_forall(names, matrix, pins, guide_diffs, guided, env, ctx: _C
     slopes = {}
 
     def guide_polys(partial):
-        # The guided variables as polynomials in the last basis coefficient,
-        # the others frozen at the sample's partial sums: stays on the
-        # solution manifold of the pinned linear equations.  Only the
-        # constant term depends on the sample; the slope sum_p c_p *
-        # basis[-1][p] is built once per block, with the same additions.
+        # The guided variables as polynomials in the last basis coefficient
+        # (the variable "step"), the others frozen at the sample's partial
+        # sums: stays on the solution manifold of the pinned linear
+        # equations.  Only the constant term depends on the sample; the
+        # slopes are built once per block.  A zero slope leaves a bare
+        # constant, whose products take Poly's fast paths.
         if not slopes:
+            direction = {p: Poly({("step",): basis[-1][p]}) for p in params}
             for n in guided:
-                slope = ER(0)
-                for p, c in binding[n].coeffs.items():
-                    if not c.is_zero():
-                        slope = slope + c * basis[-1][p]
-                slopes[n] = slope
-        out = {}
-        for n in guided:
-            form = binding[n]
-            const = form.const
-            for p, c in form.coeffs.items():
-                if not c.is_zero():
-                    const = const + c * partial[p]
-            out[n] = Poly([const, slopes[n]])
-        return out
+                slope = binding[n].substitute(direction).terms.get(("step",), ER(0))
+                slopes[n] = {} if slope.is_zero() else {("step",): slope}
+        return {n: Poly({(): binding[n].eval(partial), **slopes[n]}) for n in guided}
 
     for i, tup in enumerate(_sample_tuples(ctx, path, len(basis), ctx.budget.samples)):
         if sample_no >= ctx.budget.samples:
@@ -1210,10 +1121,10 @@ def _eval_quantity_forall(names, matrix, pins, guide_diffs, guided, env, ctx: _C
                 if sample_no >= ctx.budget.samples:
                     break
                 try:
-                    lhs = term_to_poly(diff, var_polys, num_env)
+                    lhs = term_to_poly(diff, var_polys, env)
                 except UnsupportedDefinableSet:
                     continue
-                if lhs.degree < 1 or lhs.degree > 2:
+                if not 1 <= lhs.degree <= 2:
                     continue
                 for r_i, root in enumerate(lhs.roots()):
                     if sample_no >= ctx.budget.samples:
@@ -1281,7 +1192,7 @@ def _eval_quantity_exists(names, matrix, correspondences, polynomial, env, ctx: 
     if polynomial:
         var = names[0]
         pinning_roots = None
-        var_poly = {var: Poly([0, 1])}
+        var_poly = {var: Poly.var(var)}
         for is_eq, diff in polynomial:
             try:
                 p = term_to_poly(diff, var_poly, env)
@@ -1585,7 +1496,7 @@ def recheck_counterexample(s: Structure, sentence: Formula, evidence: dict,
 def definable_set(s: Structure, phi: Formula, var: str, env: Assignment) -> IntervalSet:
     """The subset of the quantity sort defined by phi(var), exactly."""
     if isinstance(phi, (Less, EqQ)):
-        p = term_to_poly(Sub(phi.left, phi.right), {var: Poly([0, 1])}, _num_env(env))
+        p = term_to_poly(Sub(phi.left, phi.right), {var: Poly.var(var)}, env)
         return poly_less_zero(p) if isinstance(phi, Less) else poly_eq_zero(p)
     if isinstance(phi, Not):
         return definable_set(s, phi.arg, var, env).complement()
@@ -1612,18 +1523,14 @@ def definable_set(s: Structure, phi: Formula, var: str, env: Assignment) -> Inte
     raise UnsupportedDefinableSet("formula outside the solvable fragment: %r" % type(phi).__name__)
 
 
-def _num_env(env: Assignment) -> dict:
-    return {k: v for k, v in env.items() if isinstance(v, ExactReal)}
-
-
 def _coord_polys(s: Structure, obs: Body, coords, var, env):
-    polys = [term_to_poly(c, {var: Poly([0, 1])}, _num_env(env)) for c in coords]
-    if any(p.degree > 1 for p in polys):
+    polys = [term_to_poly(c, {var: Poly.var(var)}, env) for c in coords]
+    if any(p.degree_in(var) > 1 for p in polys):
         raise UnsupportedDefinableSet("nonlinear coordinate in W")
     chart = s.chart_of(obs)
     if not isinstance(chart, AffineMap):
         raise UnsupportedDefinableSet("non-affine chart")
-    return polys, _map_forms(chart.inverse(), polys, lambda c: Poly([c]))
+    return polys, _map_forms(chart.inverse(), polys)
 
 
 def _domain_set(s: Structure, obs: Body, coord_polys) -> IntervalSet:
@@ -1631,14 +1538,14 @@ def _domain_set(s: Structure, obs: Body, coord_polys) -> IntervalSet:
     dom = s.domain_of(obs)
     for i, (lo, hi) in enumerate(dom.bounds):
         if lo is not None:
-            cond = poly_less_zero(Poly([lo]) - coord_polys[i])
+            cond = poly_less_zero(Poly.const(lo) - coord_polys[i])
             if dom.closed:
-                cond = cond.union(poly_eq_zero(Poly([lo]) - coord_polys[i]))
+                cond = cond.union(poly_eq_zero(Poly.const(lo) - coord_polys[i]))
             out = out.intersect(cond)
         if hi is not None:
-            cond = poly_less_zero(coord_polys[i] - Poly([hi]))
+            cond = poly_less_zero(coord_polys[i] - Poly.const(hi))
             if dom.closed:
-                cond = cond.union(poly_eq_zero(coord_polys[i] - Poly([hi])))
+                cond = cond.union(poly_eq_zero(coord_polys[i] - Poly.const(hi)))
             out = out.intersect(cond)
     return out
 
@@ -1654,7 +1561,7 @@ def _watom_set(s: Structure, phi: WAtom, var, env) -> IntervalSet:
     if isinstance(w, (InertialLine, PhotonLine)):
         vel = w.velocity if isinstance(w, InertialLine) else w.direction
         for i in range(3):
-            lhs = ref[i] - Poly([w.point[i]]) - (ref[3] - Poly([w.point[3]])).scale(vel[i])
+            lhs = ref[i] - Poly.const(w.point[i]) - (ref[3] - Poly.const(w.point[3])).scale(vel[i])
             out = out.intersect(poly_eq_zero(lhs))
         return out
     raise UnsupportedDefinableSet("W over a non-straight worldline")

@@ -318,6 +318,43 @@ def test_mixed_sum_and_product_with_rational_zero(name):
     assert (x * zero).is_rational() and (x * zero).is_zero()
 
 
+def _ref_truediv(x, y):
+    # The tree path of ExactReal.__truediv__: both operands over one tower,
+    # then a product with the inverse tree.
+    tower, a, b = x._unified(y)
+    level = len(tower)
+    return ExactReal(tower, field._tree_mul(a, field._tree_inv(b, tower, level), tower, level))
+
+
+@pytest.mark.parametrize("name", sorted(TOWERS))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_division_with_a_rational_operand_matches_the_tree_path(name, seed):
+    tower = TOWERS[name]
+    rng = random.Random("div/%s/%d" % (name, seed))
+    for _ in range(12):
+        x = ExactReal(tower, _operand(rng, len(tower)))
+        q = ER(Fr(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7)))
+        _assert_same_value(x / q, _ref_truediv(x, q))
+        if not x.is_zero():
+            for r in (q, ER(0)):
+                _assert_same_value(r / x, _ref_truediv(r, x))
+
+
+def test_division_by_a_rational_inverts_no_tree(monkeypatch):
+    # x / q scales x's leaves by 1/q; q / x inverts x once.
+    calls = []
+    inv = field._tree_inv
+    monkeypatch.setattr(field, "_tree_inv", lambda *args: calls.append(args) or inv(*args))
+    for tower in TOWERS.values():
+        x = ExactReal(tower, _rand_tree(random.Random(len(tower)), len(tower), 1.0))
+        assert x.level == len(tower)
+        x / ER(Fr(-3, 7))
+        assert calls == []
+        ER(Fr(-3, 7)) / x
+        assert len(calls) > 0
+        calls.clear()
+
+
 def test_irrational_mu_invariance_does_no_zero_leaf_work(monkeypatch):
     # Counts the leaf operations of _tree_mul, _tree_scale and _tree_add,
     # which run through the rational kernel's _q_mul and _q_add, and those

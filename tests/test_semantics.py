@@ -562,21 +562,22 @@ def test_event_contents_equal_matches_the_reference_points(name):
 
 def _reference_term_to_poly_env(term, env, var_polys):
     # The guided-sampling term walker that term_to_poly replaced, and
-    # term_to_poly's own walk before fold_term.
+    # term_to_poly's own walk before fold_term, over the dense polynomials
+    # that intervals.Poly was.
     from axrel.field import ExactReal
-    from axrel.intervals import Poly
     from axrel.syntax.ast import Add, Mul, OneC, Sub, Var, ZeroC
+    from test_poly_reference import _RefPoly
 
     if isinstance(term, Var):
         if term.name in var_polys:
             return var_polys[term.name]
         if term.name in env and isinstance(env[term.name], ExactReal):
-            return Poly([env[term.name]])
+            return _RefPoly([env[term.name]])
         return None
     if isinstance(term, ZeroC):
-        return Poly([0])
+        return _RefPoly([0])
     if isinstance(term, OneC):
-        return Poly([1])
+        return _RefPoly([1])
     left = _reference_term_to_poly_env(term.left, env, var_polys)
     right = _reference_term_to_poly_env(term.right, env, var_polys)
     if left is None or right is None:
@@ -607,22 +608,24 @@ def _random_term(rng, depth, names):
 @pytest.mark.parametrize("seed", range(4))
 def test_term_to_poly_matches_the_guided_sampling_walker(seed, minkowski):
     from axrel.intervals import Poly, UnsupportedDefinableSet, term_to_poly
-    from axrel.semantics import _num_env
+    from test_poly_reference import _RefPoly
 
     rng = random.Random(seed)
-    polys = {"x": Poly([Fr(1, 3), 2]), "y": Poly([ER(-1), Fr(1, 2)])}
+    coeffs = {"x": (ER(Fr(1, 3)), ER(2)), "y": (ER(-1), ER(Fr(1, 2)))}
+    polys = {n: Poly({(): a, ("s",): b}) for n, (a, b) in coeffs.items()}
+    ref_polys = {n: _RefPoly(cs) for n, cs in coeffs.items()}
     env = {"a": ER(Fr(5, 7)), "x": ER(9), "b": minkowski.bodies["rest"]}
     names = ("x", "y", "a", "b", "u")
     checked = 0
     for _ in range(60):
         term = _random_term(rng, 3, names)
-        expected = _reference_term_to_poly_env(term, env, polys)
+        expected = _reference_term_to_poly_env(term, env, ref_polys)
         if expected is None:
             with pytest.raises(UnsupportedDefinableSet):
-                term_to_poly(term, polys, _num_env(env))
+                term_to_poly(term, polys, env)
         else:
-            got = term_to_poly(term, polys, _num_env(env)).coeffs
-            assert got == expected.coeffs
+            got = [c.eval({}) for c in term_to_poly(term, polys, env).coeffs_in("s")]
+            assert got == list(expected.coeffs)
             assert [c.literal() for c in got] == [c.literal() for c in expected.coeffs]
             checked += 1
     assert checked >= 10
@@ -631,13 +634,12 @@ def test_term_to_poly_matches_the_guided_sampling_walker(seed, minkowski):
 @pytest.mark.parametrize("name", ["b", "u"])
 def test_term_to_poly_rejects_body_and_unbound_variables(name, minkowski):
     from axrel.intervals import Poly, UnsupportedDefinableSet, term_to_poly
-    from axrel.semantics import _num_env
     from axrel.syntax.ast import Add, Var
 
     env = {"b": minkowski.bodies["rest"]}
     term = Add(Var("x", Sort.QUANTITY), Var(name, Sort.QUANTITY))
     with pytest.raises(UnsupportedDefinableSet):
-        term_to_poly(term, {"x": Poly([0, 1])}, _num_env(env))
+        term_to_poly(term, {"x": Poly.var("x")}, env)
 
 
 def _reference_term_to_linform(term, env, binding):
@@ -684,24 +686,30 @@ def _reference_term_to_linform(term, env, binding):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_term_to_linform_matches_the_reference_walker(seed, minkowski):
-    from axrel.semantics import _LinForm, _term_to_linform
+    # The pinning builder is term_to_poly with a degree check (_affine).
+    from axrel.intervals import Poly
+    from axrel.semantics import _affine
 
     rng = random.Random(seed)
-    binding = {"x": _LinForm.var("x"),
-               "y": _LinForm({"x": ER(Fr(2, 3)), "z": sqrt(2)}, ER(Fr(-1, 2)))}
+    ref_binding = {"x": ({"x": ER(1)}, ER(0)),
+                   "y": ({"x": ER(Fr(2, 3)), "z": sqrt(2)}, ER(Fr(-1, 2)))}
+    binding = {"x": Poly.var("x"),
+               "y": Poly({("x",): ER(Fr(2, 3)), ("z",): sqrt(2), (): ER(Fr(-1, 2))})}
     env = {"a": ER(Fr(5, 7)) + sqrt(3), "x": ER(9), "b": minkowski.bodies["rest"]}
-    ref_binding = {n: (form.coeffs, form.const) for n, form in binding.items()}
     affine = 0
     for _ in range(80):
         term = _random_term(rng, 3, ("x", "y", "a", "b", "u"))
         expected = _reference_term_to_linform(term, env, ref_binding)
-        got = _term_to_linform(term, env, binding)
-        assert (got is None) == (expected is None), term
-        if got is not None:
-            affine += 1
-            assert {k: v.literal() for k, v in got.coeffs.items()} == \
-                {k: v.literal() for k, v in expected[0].items()}
-            assert got.const.literal() == expected[1].literal()
+        got = _affine(term, env, binding)
+        if expected is None:
+            # _LinForm gave up on every product of two non-constant forms;
+            # the degree check also keeps one whose nonlinear terms cancel.
+            continue
+        assert got is not None, term
+        affine += 1
+        assert {m[0]: v.literal() for m, v in got.terms.items() if len(m) == 1} == \
+            {k: v.literal() for k, v in expected[0].items()}
+        assert got.terms.get((), ER(0)).literal() == expected[1].literal()
     assert affine >= 10
 
 
@@ -941,9 +949,9 @@ def _reference_meets_box(s, o, body):
     a, b = at(ER(0)), at(ER(1))
     out = IntervalSet.all()
     for i, (lo, hi) in enumerate(dom.bounds):
-        x = Poly([a[i], b[i] - a[i]])
-        for below, above in ((Poly([lo]) if lo is not None else None, x),
-                             (x, Poly([hi]) if hi is not None else None)):
+        x = Poly({(): a[i], ("t",): b[i] - a[i]})
+        for below, above in ((Poly.const(lo) if lo is not None else None, x),
+                             (x, Poly.const(hi) if hi is not None else None)):
             if below is None or above is None:
                 continue
             cond = poly_less_zero(below - above)
