@@ -270,6 +270,8 @@ def test_univariate_arithmetic_matches_the_dense_reference(data):
     _assert_same_dense(-p, -rp)
     _assert_same_dense(p.scale(c), rp.scale(c))
     _assert_same_dense(p * q, rp * rq)
+    # eval adds the terms, constant first, where the dense type used
+    # Horner's rule (nothing printed its values): equal values only.
     x = _value(data)
     assert p.eval({"t": x}) == rp.eval(x)
     if 1 <= rp.degree <= 2:
@@ -290,8 +292,8 @@ def test_affine_arithmetic_matches_the_linform_reference(data):
     k, rk = Poly.const(c), _RefLinForm.constant(c)
     _assert_same_form(k * f, rk * rf)
     # _RefLinForm put a constant factor on the left; Poly keeps the left
-    # factor on the left, as the dense type did.  No affine form of the
-    # sampled evaluator is a product, so only the value is pinned here.
+    # factor on the left, as the dense type did.  No pinning term of the
+    # tests or of the benchmark inputs multiplies, so only values here.
     _assert_equal_form(f * k, rf * rk)
     if rf.is_constant() or rg.is_constant():
         _assert_equal_form(f * g, rf * rg)
