@@ -670,6 +670,8 @@ class ExactReal:
                 return ExactReal((), _q_div(self._rep, other._rep), _normalize=False)
             return ExactReal(self._tower, _tree_scale(self._rep, _q_div(_ONE, other._rep), self.level))
         if not self._tower:
+            if not self._rep._numerator:
+                return self
             inv = _tree_inv(other._rep, other._tower, other.level)
             return ExactReal(other._tower, _tree_scale(inv, self._rep, other.level))
         tower, a, b = self._unified(other)

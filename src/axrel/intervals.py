@@ -96,10 +96,7 @@ class Poly:
         return Poly(out)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out[m] - c if m in out else -c
-        return Poly(out)
+        return self + (-other)
 
     def __neg__(self) -> "Poly":
         return Poly({m: -c for m, c in self.terms.items()})
@@ -141,9 +138,10 @@ class Poly:
         out = Poly({(): self.terms.get((), _ZERO)})
         for m, c in self.terms.items():
             if m:
-                term = Poly({(): c})
+                term = Poly({tuple(v for v in m if v not in polys): c})
                 for v in m:
-                    term = term * (polys[v] if v in polys else Poly.var(v))
+                    if v in polys:
+                        term = term * polys[v]
                 out = out + term
         return out
 

@@ -687,8 +687,9 @@ def _reference_term_to_linform(term, env, binding):
 @pytest.mark.parametrize("seed", range(4))
 def test_term_to_linform_matches_the_reference_walker(seed, minkowski):
     # The pinning builder is term_to_poly with a degree check (_affine).
-    from axrel.intervals import Poly
+    from axrel.intervals import Poly, term_to_poly
     from axrel.semantics import _affine
+    from axrel.syntax.ast import Var, subterms
 
     rng = random.Random(seed)
     ref_binding = {"x": ({"x": ER(1)}, ER(0)),
@@ -702,14 +703,22 @@ def test_term_to_linform_matches_the_reference_walker(seed, minkowski):
         expected = _reference_term_to_linform(term, env, ref_binding)
         got = _affine(term, env, binding)
         if expected is None:
+            names = {t.name for t in subterms(term) if isinstance(t, Var)}
+            if names & {"b", "u"}:
+                assert got is None, term
+                continue
             # _LinForm gave up on every product of two non-constant forms;
-            # the degree check also keeps one whose nonlinear terms cancel.
+            # the degree check keeps only one whose nonlinear terms cancel.
+            full = term_to_poly(term, binding, env)
+            cancels = all(c.is_zero() for m, c in full.terms.items() if len(m) > 1)
+            assert (got is not None) == cancels, term
             continue
         assert got is not None, term
         affine += 1
         assert {m[0]: v.literal() for m, v in got.terms.items() if len(m) == 1} == \
             {k: v.literal() for k, v in expected[0].items()}
         assert got.terms.get((), ER(0)).literal() == expected[1].literal()
+        assert all(c.is_zero() for m, c in got.terms.items() if len(m) > 1), term
     assert affine >= 10
 
 
