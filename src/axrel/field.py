@@ -29,7 +29,7 @@ scales x by 1/q and q / x scales x's inverse by q.  The result
 keeps the tower operand's tower object and has the same leaves, and the
 same normalization (a zero scale gives rational 0), as the tree path.
 A rational operand that is exactly 0 returns at once: the tower operand
-for +, rational 0 for *.
+for +, rational 0 for * and for 0 / x.
 
 Exact zeros and rational radicands cost no arithmetic in the tree
 routines.  A leaf product with a zero factor is 0 and a leaf sum with a
