@@ -49,14 +49,12 @@ valid.  A plan is the unified tower and the image in it of each basis
 monomial of the source tower, as (leaf position, rational) pairs; a value
 is lifted by scaling its leaves into those positions, a leaf permutation
 when every image is one monomial, as for rational radicands.  Building a
-plan takes each source root once through ``_ROOT_MEMO`` (keyed on the
-tower's radicand ids and the rep, so plans adjoining one root share its
-new radicand object; failures are not stored), in the order of the
-recursive lift it replaced.  Bytes are unchanged: that unified tower
-depends only on the radicands, not on leaf values, lifting is Q-linear,
-and trees over a fixed tower are canonical.  Both memos are emptied when
-full (``_PLAN_MEMO_CAP``, ``_ROOT_MEMO_CAP``).  Two threads may both miss
-and store equal entries; either one serves later lookups.
+plan takes each source root once, in the order of the recursive lift it
+replaced.  Bytes are unchanged: that unified tower depends only on the
+radicands, not on leaf values, lifting is Q-linear, and trees over a
+fixed tower are canonical.  The memo is emptied when full
+(``_PLAN_MEMO_CAP``).  Two threads may both miss and store equal
+entries; either one serves later lookups.
 
 Leaf arithmetic runs on integer pairs.  A ``Fraction`` is always in lowest
 terms with a positive denominator, so a leaf is its ``(numerator,
@@ -413,10 +411,6 @@ def _tree_structural_eq(x, y, level: int) -> bool:
     return _tree_structural_eq(x[0], y[0], k) and _tree_structural_eq(x[1], y[1], k)
 
 
-# Radicand-root memo: (radicand ids, rep) -> (tower, (tower', root)).
-_ROOT_MEMO: dict = {}
-_ROOT_MEMO_CAP = 256
-
 # Tower-pair plans: (target ids, source ids) -> (target, source, (tower', images)).
 _PLAN_MEMO: dict = {}
 _PLAN_MEMO_CAP = 256
@@ -515,7 +509,7 @@ class ExactReal:
                 if i not in roots:
                     rad = source[i]
                     adjoin(len(rad._tower))
-                    tower, roots[i] = ExactReal._memo_sqrt_rep(over(rad._rep, len(rad._tower)), tower)
+                    tower, roots[i] = ExactReal._sqrt_rep(over(rad._rep, len(rad._tower)), tower)
 
         adjoin(len(source))
         level = len(tower)
@@ -554,19 +548,6 @@ class ExactReal:
         radicand = ExactReal(tower, rep)
         new_tower = tower + (radicand,)
         return new_tower, (_tree_const(_ZERO, level), _tree_const(_ONE, level))
-
-    @staticmethod
-    def _memo_sqrt_rep(rep, tower) -> tuple:
-        """:meth:`_sqrt_rep` through the radicand-root memo (module docstring)."""
-        key = (tuple(map(id, tower)), rep)
-        hit = _ROOT_MEMO.get(key)
-        if hit is not None:
-            return hit[1]
-        result = ExactReal._sqrt_rep(rep, tower)
-        if len(_ROOT_MEMO) >= _ROOT_MEMO_CAP:
-            _ROOT_MEMO.clear()
-        _ROOT_MEMO[key] = (tower, result)
-        return result
 
     def _unified(self, other: "ExactReal") -> tuple:
         """(tower, self's rep, other's rep) over one tower: the longer one

@@ -5,7 +5,12 @@ per-observer chart maps (Poincare or general affine maps for inertial
 observers, differentiable numeric charts for accelerated ones) translate
 reference coordinates into the observer's own.  The worldview relation
 W(o, b, x) is derived, never stored pointwise: it holds iff the
-preimage of x under o's chart lies on b's worldline.
+preimage of x under o's chart lies on b's worldline.  ``Structure.holds_W``
+is the one W: ``Structure.reference_point`` is the one map from an
+observer's coordinates to the reference chart (None outside the chart's
+domain), and ``event_at`` and the evaluator in `semantics` answer W
+through these two, three-valued where a numeric worldline is too close
+to call.
 
 Existential body quantifiers over "all photons" / "all inertial bodies"
 are answered by intensional family flags rather than by materializing
@@ -19,6 +24,7 @@ Model description files round-trip losslessly; see ``parse_model`` /
 from __future__ import annotations
 
 import contextlib
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .field import ER, ExactReal, ExactRealSyntaxError, sqrt
@@ -237,21 +243,23 @@ class ChartDomain(Record):
         return True
 
 
+_FULL_DOMAIN = ChartDomain()
+
+
 class DifferentiableChart(Record):
     """Invertible numeric chart for an accelerated observer.
 
     `forward` maps reference coordinates to observer coordinates (floats),
     `inverse` the other way; `order` is the declared differentiability.
+    Its domain, like an affine chart's, is the structure's ``domain_of``.
     """
 
-    __slots__ = _fields = ("forward", "inverse", "order", "domain")
+    __slots__ = _fields = ("forward", "inverse", "order")
 
-    def __init__(self, forward: Callable, inverse: Callable, order: int,
-                 domain: ChartDomain = ChartDomain()):
+    def __init__(self, forward: Callable, inverse: Callable, order: int):
         set_field(self, "forward", forward)
         set_field(self, "inverse", inverse)
         set_field(self, "order", order)
-        set_field(self, "domain", domain)
 
 
 class Structure:
@@ -294,7 +302,7 @@ class Structure:
         return self.charts.get(body.id)
 
     def domain_of(self, body: Body) -> ChartDomain:
-        return self.chart_domains.get(body.id, ChartDomain())
+        return self.chart_domains.get(body.id, _FULL_DOMAIN)
 
     def all_charts_affine(self) -> bool:
         return all(isinstance(c, AffineMap) for c in self.charts.values())
@@ -315,67 +323,57 @@ class Structure:
 
     # -- the worldview relation ---------------------------------------------
 
-    def holds_W(self, o: Body, b: Body, x: Coord4) -> bool:
-        """W(o, b, x): o coordinatizes b at x.  Exact for exact worldlines."""
+    def reference_point(self, o: Body, x: Coord4) -> Optional[Coord4]:
+        """o's coordinates x in the reference chart, or None when x is
+        outside o's chart domain or o's numeric chart cannot map it."""
         chart = self.chart_of(o)
         if chart is None:
-            return False  # non-observers coordinatize nothing
-        if isinstance(chart, AffineMap):
-            ref = self._affine_reference(o, chart, x)
-            return ref is not None and b.worldline.contains(ref)
-        # numeric chart: float path at declared tolerance
-        ref = chart.inverse(tuple(float(c) for c in x))
-        return b.worldline.contains(tuple(ref))
-
-    def _affine_reference(self, o: Body, chart: AffineMap, x: Coord4) -> Optional[Coord4]:
-        """o's coordinates x in the reference chart, or None when x is
-        outside o's chart domain."""
+            raise NotAnObserver(o.id)
         x = tuple(ER(c) for c in x)
         if not self.domain_of(o).contains(x):
             return None
-        return chart.inverse().apply(x)
+        if isinstance(chart, AffineMap):
+            return chart.inverse().apply(x)
+        try:
+            return tuple(chart.inverse(tuple(float(c) for c in x)))
+        except (ValueError, ArithmeticError):
+            return None
+
+    def holds_W(self, o: Body, b: Body, x: Coord4) -> Optional[bool]:
+        """W(o, b, x): o coordinatizes b at x.  Exact for exact worldlines;
+        None when a numeric worldline is too close to x to call."""
+        if not self.is_observer(o):
+            return False  # non-observers coordinatize nothing
+        ref = self.reference_point(o, x)
+        return ref is not None and _on_worldline(b.worldline, ref)
 
     def event_at(self, o: Body, x: Coord4) -> "EventContent":
         """Named bodies present at o's coordinates x, plus family descriptors."""
         if not self.is_observer(o):
             raise NotAnObserver(o.id)
-        chart = self.chart_of(o)
-        if isinstance(chart, AffineMap):
-            # holds_W for every body, with x mapped to the reference chart once.
-            ref = self._affine_reference(o, chart, x)
-            named = set() if ref is None else {
-                b.id for b in self.bodies.values() if b.worldline.contains(ref)}
-        else:
-            named = {b.id for b in self.bodies.values() if self.holds_W(o, b, x)}
+        # holds_W for every body, with x mapped to the reference chart once.
+        ref = self.reference_point(o, x)
+        named = frozenset() if ref is None else frozenset(
+            b.id for b in self.bodies.values() if _on_worldline(b.worldline, ref))
         descriptors = []
         if self.photon_family:
             descriptors.append("photons through this event in every null direction")
         if self.inertial_family:
             descriptors.append("inertial bodies through this event at every sub-light velocity")
-        return EventContent(frozenset(named), tuple(descriptors))
+        return EventContent(named, tuple(descriptors))
 
     def event_correspondence(self, o: Body, o2: Body, x: Coord4) -> Coord4:
-        """The o2-coordinates of the event at o's x (composition of charts)."""
+        """The o2-coordinates of the event at o's x (composition of charts):
+        exact for two affine charts, floats when either chart is numeric."""
         for obs in (o, o2):
             if not self.is_observer(obs):
                 raise NotAnObserver(obs.id)
         c1, c2 = self.chart_of(o), self.chart_of(o2)
         if isinstance(c1, AffineMap) and isinstance(c2, AffineMap):
             return self.transition(o, o2).apply(tuple(ER(c) for c in x))
-        xf = tuple(float(c) for c in x)
-        fwd = c2.forward if isinstance(c2, DifferentiableChart) else (
-            lambda p: tuple(float(v) for v in c2.apply(coord4(*p))))
-        inv = c1.inverse if isinstance(c1, DifferentiableChart) else (
-            lambda p: tuple(float(v) for v in c1.inverse().apply(coord4(*p))))
-        return tuple(fwd(tuple(inv(xf))))
-
-    def reference_point(self, o: Body, x: Coord4) -> Coord4:
-        chart = self.chart_of(o)
-        if chart is None:
-            raise NotAnObserver(o.id)
-        if isinstance(chart, AffineMap):
-            return chart.inverse().apply(tuple(ER(c) for c in x))
-        return chart.inverse(tuple(float(c) for c in x))
+        inv = c1.inverse if isinstance(c1, DifferentiableChart) else _float_map(c1.inverse())
+        fwd = c2.forward if isinstance(c2, DifferentiableChart) else _float_map(c2)
+        return tuple(fwd(tuple(inv(tuple(float(c) for c in x)))))
 
     def with_extra_bodies(self, extra: Sequence[Body]) -> "Structure":
         bodies = list(self.bodies.values()) + list(extra)
@@ -390,6 +388,31 @@ class EventContent(Record):
     def __init__(self, named: frozenset, family_descriptors: tuple = ()):
         set_field(self, "named", named)
         set_field(self, "family_descriptors", family_descriptors)
+
+
+def _on_worldline(w, ref) -> Optional[bool]:
+    """Whether the reference event ref lies on worldline w.  A numeric
+    worldline is tested at its tolerance: True within it, False from ten
+    times it (or outside its time range), None in between.  A float ref,
+    from a numeric chart, is read as the nearest rational of denominator
+    at most 10**12."""
+    if isinstance(w, SmoothNumeric):
+        tf = float(ref[3])
+        if not (w.t_min <= tf <= w.t_max):
+            return False
+        p = w.position(tf)
+        dist = max(abs(float(ref[i]) - p[i]) for i in range(3))
+        if dist <= w.tolerance:
+            return True
+        return False if dist >= 10 * w.tolerance else None
+    if not isinstance(ref[0], ExactReal):
+        ref = tuple(ER(Fraction(float(c)).limit_denominator(10**12)) for c in ref)
+    return w.contains(ref)
+
+
+def _float_map(chart: AffineMap) -> Callable:
+    """chart as a map of float points: each float is read exactly."""
+    return lambda p: tuple(float(v) for v in chart.apply(tuple(ER(Fraction(c)) for c in p)))
 
 
 # ---------------------------------------------------------------------------

@@ -263,40 +263,6 @@ def test_zero_scale_normalizes_to_rational_zero():
         assert value.literal() == "0"
 
 
-def test_radicand_root_memo_hit_matches_uncached(monkeypatch):
-    monkeypatch.setattr(field, "_ROOT_MEMO", {})
-    base = sqrt(ER(2)) + sqrt(ER(3))
-    tower = base.tower
-    level = len(tower)
-    square = (base * base)._rep                      # a square in the tower: no new radicand
-    fresh = (base + 7)._rep                          # not a square: adjoins sqrt(base + 7)
-    stored = len(field._ROOT_MEMO)                   # base's own lift of sqrt(3)
-    for rep in (square, fresh):
-        first = ExactReal._memo_sqrt_rep(rep, tower)
-        hit = ExactReal._memo_sqrt_rep(rep, tower)
-        assert hit is first
-        uncached_tower, uncached_root = ExactReal._sqrt_rep(rep, tower)
-        hit_tower, hit_root = hit
-        assert len(hit_tower) == len(uncached_tower)
-        assert all(a is b for a, b in zip(hit_tower[:level], tower))
-        assert all(ExactReal._radicands_eq(a, b) for a, b in zip(hit_tower, uncached_tower))
-        assert hit_root == uncached_root
-    assert ExactReal(*ExactReal._memo_sqrt_rep(square, tower)) == base
-    assert len(field._ROOT_MEMO) == stored + 2
-    with pytest.raises(NegativeRadicand):
-        ExactReal._memo_sqrt_rep((-base)._rep, tower)
-    assert len(field._ROOT_MEMO) == stored + 2  # failures are not stored
-
-
-def test_radicand_root_memo_is_capped(monkeypatch):
-    monkeypatch.setattr(field, "_ROOT_MEMO", {})
-    monkeypatch.setattr(field, "_ROOT_MEMO_CAP", 3)
-    tower = sqrt(ER(2)).tower
-    for n in range(3, 10):
-        ExactReal._memo_sqrt_rep((ER(n) + sqrt(ER(2)))._rep, tower)
-        assert 1 <= len(field._ROOT_MEMO) <= 3
-
-
 def test_two_boost_map_plans_each_tower_pair_once(monkeypatch):
     # Counts plans, not time.  The map's entries lie over (3/4, 8/9) and
     # (8/9, 3/4); its first apply, at a point with no zero coordinate, meets

@@ -276,7 +276,6 @@ def test_values_match_the_reference(seed, monkeypatch):
     pairs = [(rng.choice(values), rng.choice(values)) for _ in range(30)]
 
     def run():
-        monkeypatch.setattr(field, "_ROOT_MEMO", {})
         out = []
         for x, y in pairs:
             out += [x + y, y + x, x * y, y * x, x - y, x * x + y]
@@ -398,7 +397,7 @@ def _ref_lift(value, tower):
     rad = value._tower[-1]
     coeff = ExactReal(value._tower[:-1], value._rep[1], _normalize=False)
     tower, rad_rep = _ref_lift(rad, tower)
-    tower, root_rep = ExactReal._memo_sqrt_rep(rad_rep, tower)
+    tower, root_rep = ExactReal._sqrt_rep(rad_rep, tower)
     tower, sub_rep = _ref_lift(sub, tower)
     tower, coeff_rep = _ref_lift(coeff, tower)
     level = len(tower)

@@ -3,7 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from axrel import field, kinematics, linalg
+from axrel import kinematics, linalg
 from axrel.field import ER, ExactReal, sqrt
 from axrel.kinematics import (
     ETA, AffineMap, ConfigurationUnrealizable, EffectReport, PoincareMap,
@@ -365,7 +365,7 @@ def test_irrational_mu_invariance_adjoins_each_root_once(monkeypatch):
     # Counts calls, not time.  Computing each radicand's square root again
     # on every tower unification took 135 calls for this map and these four
     # pairs before the Gram-form Lorentz check and the mixed rational/tower
-    # path, and still takes 125 with them; the radicand-root memo leaves 10.
+    # path, and still takes 125 with them; tower-pair plans leave 11.
     calls = [0]
     uncached = ExactReal._sqrt_rep
 
@@ -373,7 +373,6 @@ def test_irrational_mu_invariance_adjoins_each_root_once(monkeypatch):
         calls[0] += 1
         return uncached(rep, tower)
 
-    monkeypatch.setattr(field, "_ROOT_MEMO", {})
     monkeypatch.setattr(ExactReal, "_sqrt_rep", staticmethod(counting))
     m = plane_rotation(1, 2, Fr(3, 5), Fr(4, 5)).compose(boost((Fr(1, 2), 0, 0))) \
         .compose(boost((0, Fr(1, 3), 0)))

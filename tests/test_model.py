@@ -6,7 +6,7 @@ from axrel.field import ER, sqrt
 from axrel.kinematics import AffineMap, SuperluminalVelocity, coord4, mu, worldview_transform
 from axrel.model import (
     Body, ChartDomain, InertialLine, NotAnObserver, ObserverSpec, PhotonLine,
-    PiecewiseInertial, cloud, galilean_structure, parse_model, serialize_model,
+    PiecewiseInertial, Structure, cloud, galilean_structure, parse_model, serialize_model,
     standard_minkowski, unsafe_inertial_line,
 )
 
@@ -86,6 +86,42 @@ def test_event_at_maps_each_event_once_and_agrees_with_holds_w(monkeypatch):
             monkeypatch.undo()
     assert s.event_at(s.bodies["rest"], (1, 0, 0, 2)).named >= {"a", "b"}
     assert s.event_at(s.bodies["capped"], coord4(0, 0, 0, 11)).named == frozenset()
+
+
+def _rindler_structure():
+    """A rest observer and a Rindler observer (a numeric chart, g = 1)
+    riding the hyperbola X^2 - T^2 = 1, beside an exact body at rest at
+    X = 1, which the ship passes at its time 0."""
+    from axrel.accel import hyperbolic_worldline, rindler_observer_chart
+
+    s = standard_minkowski([ObserverSpec("rest")])
+    ship = Body("ship", False, False, hyperbolic_worldline(1))
+    buoy = Body("buoy", True, False, InertialLine(coord4(1, 0, 0, 0), (ER(0),) * 3))
+    return Structure(list(s.bodies.values()) + [ship, buoy],
+                     {**s.charts, "ship": rindler_observer_chart(1)})
+
+
+def test_holds_w_and_event_at_on_a_numeric_chart_with_an_exact_body():
+    s = _rindler_structure()
+    ship, buoy = s.bodies["ship"], s.bodies["buoy"]
+    origin = coord4(0, 0, 0, 0)
+    assert s.holds_W(ship, buoy, origin) is True
+    assert s.holds_W(ship, ship, coord4(0, 0, 0, Fr(1, 2))) is True
+    assert s.holds_W(ship, buoy, coord4(0, 0, 0, Fr(1, 2))) is False
+    assert s.event_at(ship, origin).named == {"ship", "buoy"}
+    assert s.event_at(ship, coord4(0, 0, 0, Fr(1, 2))).named == {"ship"}
+
+
+def test_event_correspondence_between_affine_and_numeric_charts():
+    s = _rindler_structure()
+    rest, ship = s.bodies["rest"], s.bodies["ship"]
+    for x in (coord4(1, 0, 0, 0), coord4(2, Fr(1, 3), -1, Fr(1, 2)), coord4(Fr(3, 2), 0, 2, -1)):
+        y = s.event_correspondence(rest, ship, x)
+        back = s.event_correspondence(ship, rest, y)
+        assert all(abs(float(a) - b) <= 1e-9 for a, b in zip(x, back)), (x, back)
+    # The ship's own origin is the buoy's event (1, 0, 0, 0).
+    assert s.event_correspondence(rest, ship, coord4(1, 0, 0, 0)) == (0.0, 0.0, 0.0, 0.0)
+    assert s.event_correspondence(ship, rest, coord4(0, 0, 0, 0)) == (1.0, 0.0, 0.0, 0.0)
 
 
 def test_event_at_requires_observer(minkowski):

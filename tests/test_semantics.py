@@ -15,8 +15,8 @@ from axrel.field import ER, ExactReal, sqrt
 from axrel.kinematics import AffineMap, coord4
 from axrel.linalg import identity
 from axrel.model import (
-    Body, ChartDomain, InertialLine, ObserverSpec, PhotonLine, Structure,
-    parse_model, standard_minkowski,
+    Body, ChartDomain, InertialLine, ObserverSpec, PhotonLine, PiecewiseInertial, SmoothNumeric,
+    Structure, parse_model, standard_minkowski,
 )
 from axrel.semantics import (
     Budget, UnknownAxiom, Verdict, _Ctx, _certify_axsymd, _event_contents_equal, _symd_violation,
@@ -1059,3 +1059,109 @@ def test_budget_rejects_no_samples_and_negative_solver_iterations():
     with pytest.raises(ValueError):
         check_theory(capped, axiom_corpus("AccRel"), Budget(samples=0))
     assert Budget(samples=1, solver_iterations=0).samples == 1
+
+
+# -- the one worldview relation ---------------------------------------------
+
+
+W_ATOM = parse("W(o, b, x, y, z, t)", {"o": Sort.BODY, "b": Sort.BODY, "x": Sort.QUANTITY,
+                                       "y": Sort.QUANTITY, "z": Sort.QUANTITY, "t": Sort.QUANTITY})
+W_OUTCOME = {True: "Holds", False: "Fails", None: "Unknown"}
+
+
+def _w_verdict(s, o, b, x):
+    env = dict(zip(("x", "y", "z", "t"), x), o=o, b=b)
+    return evaluate(s, W_ATOM, env, BUDGET)
+
+
+def _still(x1):
+    return SmoothNumeric(lambda t: (x1, 0.0, 0.0), 9, -100.0, 100.0)
+
+
+def test_w_on_a_numeric_body_respects_the_chart_domain():
+    s = parse_model(CAPPED_MODEL.replace(" velocity 1/2 0 0", ""))
+    n = Body("n", False, False, _still(0.0))
+    s = s.with_extra_bodies([n])
+    capped = s.bodies["capped"]
+    for t, outcome in ((20, "Fails"), (10, "Fails"), (9, "Holds")):
+        x = coord4(0, 0, 0, t)
+        v = _w_verdict(s, capped, n, x)
+        assert (v.outcome, v.method) == (outcome, "certified"), t
+        assert s.holds_W(capped, n, x) is (outcome == "Holds")
+
+
+def _w_structure(seed):
+    """Rest, an open-capped and a closed-capped mover and a Rindler
+    observer (a numeric chart) capped in time; exact straight and
+    piecewise bodies, and numeric bodies on, near and off the spatial
+    origin."""
+    from axrel.accel import hyperbolic_worldline, rindler_observer_chart
+
+    rng = random.Random(seed)
+    speed = lambda: Fr(rng.randint(-4, 4), rng.randint(5, 9))  # noqa: E731
+    hi = [ER(Fr(rng.randint(1, 8), rng.randint(1, 2))) for _ in range(3)]
+    open_box = ChartDomain(((-hi[0], hi[0]), (None, None), (None, None), (None, hi[1])))
+    closed_box = ChartDomain(((None, None),) * 3 + ((-hi[2], hi[2]),), closed=True)
+    base = standard_minkowski([
+        ObserverSpec("rest"),
+        ObserverSpec("open", velocity=(speed(), 0, 0), translation=(1, 0, 0, Fr(1, 2)),
+                     domain=open_box),
+        ObserverSpec("closed", velocity=(0, speed(), 0), domain=closed_box),
+    ])
+    bodies = list(base.bodies.values()) + [
+        Body("walker", True, False, InertialLine(coord4(0, 0, 0, 0), (speed(), ER(0), ER(0)))),
+        Body("flash", False, True, PhotonLine(coord4(1, 0, 0, 0), (ER(0), ER(1), ER(0)))),
+        Body("kink", False, False, PiecewiseInertial((coord4(0, 0, 0, -2), coord4(1, 0, 0, 0),
+                                                      coord4(0, 0, 0, 2)))),
+        Body("buoy", True, False, InertialLine(coord4(1, 0, 0, 0), (ER(0),) * 3)),
+        Body("still", False, False, _still(0.0)),
+        Body("near", False, False, _still(5e-9)),
+        Body("far", False, False, _still(0.5)),
+        Body("ship", False, False, hyperbolic_worldline(1)),
+    ]
+    ship_box = ChartDomain(((None, None),) * 3 + ((None, ER(1)),))
+    return Structure(bodies, {**base.charts, "ship": rindler_observer_chart(1)},
+                     chart_domains={**base.chart_domains, "ship": ship_box})
+
+
+def _w_points(s, o, rng):
+    """o-points inside, on and outside o's domain box, and o's images of
+    events on each exact body.  The Rindler observer sees the reference
+    origin at (-1, 0, 0, 0)."""
+    out = [coord4(0, 0, 0, 0), coord4(-1, 0, 0, 0)]
+    for axis, (lo, hi) in enumerate(s.domain_of(o).bounds):
+        for bound in (lo, hi):
+            if bound is not None:
+                for step in (-1, 0, 1):
+                    out.append(tuple(bound + step if i == axis else ER(0) for i in range(4)))
+    rest = s.bodies["rest"]
+    for b in s.bodies.values():
+        if isinstance(b.worldline, (InertialLine, PhotonLine)):
+            event = b.worldline.point_at(ER(Fr(rng.randint(-3, 3), 2)))
+            try:
+                image = s.event_correspondence(rest, o, event)
+            except ValueError:
+                continue  # outside the Rindler wedge
+            out.append(tuple(ER(Fr(c)) if isinstance(c, float) else c for c in image))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_w_paths_agree_on_seeded_structures(seed):
+    # evaluate of a bound W atom, Structure.holds_W and membership in
+    # event_at's named bodies give one verdict, inside, on and outside the
+    # domain boxes, for exact and numeric worldlines and charts.
+    s = _w_structure(seed)
+    rng = random.Random(seed)
+    seen = set()
+    for o in s.observers():
+        for x in _w_points(s, o, rng):
+            named = s.event_at(o, x).named
+            for b in s.bodies.values():
+                truth = s.holds_W(o, b, x)
+                v = _w_verdict(s, o, b, x)
+                assert v.outcome == W_OUTCOME[truth], (o.id, b.id, x)
+                assert (b.id in named) == (truth is True), (o.id, b.id, x)
+                seen.add((truth, isinstance(s.chart_of(o), AffineMap)))
+    assert seen == {(True, True), (False, True), (None, True),
+                    (True, False), (False, False), (None, False)}
