@@ -15,6 +15,8 @@ Decimal literals are exact (``0.25`` is 1/4).
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -183,8 +185,11 @@ def evaluate_exact(expr: Expr, env: Mapping[str, ExactReal]) -> ExactReal:
     raise AssertionError(expr.op)
 
 
-def compile_float(expr: Expr, variables: Sequence[str]):
-    """Compile to a fast float-valued callable of the named variables."""
+def compile_float(expr: Expr, variables: Sequence[str], sqrt=math.sqrt, power=operator.pow):
+    """Compile to a fast float-valued callable of the named variables.
+
+    sqrt(a) calls `sqrt` and a^k calls power(a, k), so a caller can run
+    the one compiled source over other number types."""
 
     def render(node: Expr) -> str:
         if isinstance(node, Num):
@@ -194,10 +199,8 @@ def compile_float(expr: Expr, variables: Sequence[str]):
         if isinstance(node, Sqrt):
             return "_sqrt(%s)" % render(node.arg)
         if node.op == "^":
-            return "(%s ** %d)" % (render(node.left), int(node.right.value))
+            return "_pow(%s, %d)" % (render(node.left), int(node.right.value))
         return "(%s %s %s)" % (render(node.left), node.op, render(node.right))
 
-    from math import sqrt as _sqrt
-
     source = "lambda %s: %s" % (", ".join(variables), render(expr))
-    return eval(source, {"_sqrt": _sqrt})  # AST is fully controlled above
+    return eval(source, {"_sqrt": sqrt, "_pow": power})  # AST is fully controlled above

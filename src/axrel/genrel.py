@@ -15,11 +15,20 @@ with halving-based error control, fully deterministic.  The AxDiff_n
 probe and observer tangents use the finite differences of
 `axrel.numeric`, shared with the accelerated-observer layer.
 
-Metrics are evaluated in stacks: `MetricChart.metrics_at(points)` calls
-g once per point and checks shape and symmetry once for the whole
-(n, 4, 4) stack.  Each Christoffel evaluation is one stack of nine (the
-point and its eight stencil neighbours), and a geodesic's drift check
-is one stack over all of its points.
+Metrics are evaluated in stacks: `MetricChart.metrics_at(points)` checks
+shape and symmetry once for the whole (n, 4, 4) stack.  Each Christoffel
+evaluation is one stack of nine (the point and its eight stencil
+neighbours), and a geodesic's drift check is one stack over all of its
+points.  The charts built here (`flat_chart`, `rindler_chart` and every
+chart `parse_chart_file` reads) evaluate an (n, 4) float array of points
+in one vectorised call, bit for bit equal to calling g at each point:
+numpy's + - * / and sqrt round as the scalar operations do, but its array
+power does not always round as scalar ``**`` does, so a chart file's
+``^k`` runs element by element with scalar ``**``.  A stack whose
+evaluation meets a floating-point exception (a zero divisor, an overflow,
+sqrt of a negative) is evaluated point by point instead, which gives the
+per-point values, warnings or error.  Single points (`metric_at`) and a
+library caller's `MetricChart(g)` call g once per point.
 """
 
 from __future__ import annotations
@@ -108,19 +117,54 @@ class FloatBox(Record):
 def _symmetric(m: np.ndarray) -> bool:
     """np.allclose(m, m^T, atol=1e-12) for a stack of square matrices.
 
-    A finite stack takes allclose's comparison without its per-call
-    set-up; NaN and +-inf entries fall back to allclose itself."""
+    An exactly symmetric stack answers at once; a finite one takes
+    allclose's comparison without its per-call set-up; NaN and +-inf
+    entries fall back to allclose itself."""
     mt = np.swapaxes(m, -1, -2)
+    if (m == mt).all():
+        return True
     if np.isfinite(m).all():
         return bool((np.abs(m - mt) <= 1e-12 + 1e-5 * np.abs(mt)).all())
     return bool(np.allclose(m, mt, atol=1e-12))
+
+
+class _StackedMetric:
+    """The metric g(p) of a chart built in this module, with `stack`: the
+    same metric over every row of an (n, 4) float array in one call, bit
+    for bit np.asarray([g(tuple(p)) for p in points]).
+
+    stack_at runs `stack` with numpy's divide, overflow and invalid errors
+    raised, and answers None on those or on any arithmetic or domain
+    error, so that the caller evaluates the points one by one instead."""
+
+    __slots__ = ("point", "stack")
+
+    def __init__(self, point: Callable, stack: Callable):
+        self.point = point
+        self.stack = stack
+
+    def __call__(self, p):
+        return self.point(p)
+
+    def stack_at(self, points: np.ndarray) -> Optional[np.ndarray]:
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                return self.stack(points)
+        except (ArithmeticError, ValueError):
+            return None
 
 
 class MetricChart(MutableRecord):
     """g: Coord4 floats -> 4x4 numpy array, symmetric, signature (+,+,+,-).
 
     metrics_at evaluates g at a sequence of points and checks shape and
-    symmetry once for the whole stack; metric_at is its one-point case."""
+    symmetry once for the whole stack; metric_at is its one-point case.
+    For the charts built in this module (flat_chart, rindler_chart and
+    parse_chart_file), an ndarray of points is evaluated in one vectorised
+    call with the same bytes; a chart-file ``^k`` runs element by element
+    with scalar ``**``, because numpy's array power can round differently.
+    Single points, and the g of a library caller's MetricChart(g), are
+    evaluated one point at a time."""
 
     __slots__ = _fields = ("g", "domain", "order", "name", "dg")
 
@@ -133,11 +177,16 @@ class MetricChart(MutableRecord):
         self.dg = dg  # optional analytic (axis -> d g / d x_axis)
 
     def metrics_at(self, points) -> np.ndarray:
-        values = [self.g(tuple(p)) for p in points]
-        try:
-            m = np.asarray(values, dtype=float)
-        except ValueError:  # ragged: g's shape varies by point
-            raise DegenerateMetric("metric must be a 4x4 matrix at every point") from None
+        g, m = self.g, None
+        if type(g) is _StackedMetric and type(points) is np.ndarray and \
+                points.dtype == float and points.shape[1:] == (4,) and len(points):
+            m = g.stack_at(points)
+        if m is None:
+            values = [g(tuple(p)) for p in points]
+            try:
+                m = np.asarray(values, dtype=float)
+            except ValueError:  # ragged: g's shape varies by point
+                raise DegenerateMetric("metric must be a 4x4 matrix at every point") from None
         if m.shape[1:] != (4, 4) or not _symmetric(m):
             raise DegenerateMetric("metric must be a symmetric 4x4 matrix")
         return 0.5 * (m + np.swapaxes(m, 1, 2))
@@ -148,7 +197,8 @@ class MetricChart(MutableRecord):
 
 def flat_chart() -> MetricChart:
     eta = np.diag([1.0, 1.0, 1.0, -1.0])
-    return MetricChart(lambda p: eta, FloatBox(), order=9, name="flat")
+    g = _StackedMetric(lambda p: eta, lambda points: eta[None].repeat(len(points), 0))
+    return MetricChart(g, FloatBox(), order=9, name="flat")
 
 
 def rindler_chart(lo: float = 0.1, hi: float = 10.0) -> MetricChart:
@@ -157,9 +207,16 @@ def rindler_chart(lo: float = 0.1, hi: float = 10.0) -> MetricChart:
     def g(p):
         return np.diag([1.0, 1.0, 1.0, -p[0] * p[0]])
 
+    def stack(points):
+        m = np.zeros((len(points), 4, 4))
+        m[:, 0, 0] = m[:, 1, 1] = m[:, 2, 2] = 1.0
+        x = points[:, 0]
+        m[:, 3, 3] = -x * x
+        return m
+
     box = FloatBox(lo=(lo, -math.inf, -math.inf, -math.inf),
                    hi=(hi, math.inf, math.inf, math.inf))
-    return MetricChart(g, box, order=9, name="rindler")
+    return MetricChart(_StackedMetric(g, stack), box, order=9, name="rindler")
 
 
 def rindler_to_minkowski(p) -> tuple:
@@ -448,25 +505,33 @@ class GeodesicResult(MutableRecord):
         self.worldline = worldline
 
 
-def _christoffels(chart: MetricChart, x, h: float) -> np.ndarray:
+def _stencil(h: float) -> np.ndarray:
+    """Offsets of the Christoffel stencil: 0, then +h e_c, then -h e_c for
+    c = 0..3.  Row 0 and the -h rows hold -0.0 off their axis, so x + them
+    keeps a -0.0 coordinate, as x and x - h e_c do."""
+    steps = h * np.eye(4)
+    return np.concatenate([np.full((1, 4), -0.0), steps, -steps])
+
+
+def _christoffels(chart: MetricChart, x, h: float,
+                  offsets: Optional[np.ndarray] = None) -> np.ndarray:
+    """Gamma[a, b, c] at x from central differences of step h; `offsets`
+    is _stencil(h), which a caller may build once for many points."""
     if chart.dg is not None:
         G = chart.metric_at(x)
         dg = np.array([chart.dg(tuple(x), c) for c in range(4)], dtype=float)
     else:
         # One stack: x, then x + h e_c and x - h e_c for c = 0..3.
-        x = np.asarray(x)
-        steps = h * np.eye(4)
-        ms = chart.metrics_at(np.concatenate([x[None], x + steps, x - steps]))
+        ms = chart.metrics_at(np.asarray(x) + (_stencil(h) if offsets is None else offsets))
         G = ms[0]
         dg = (ms[1:5] - ms[5:9]) / (2 * h)
     G_inv = np.linalg.inv(G)
-    # t[d, b, c] = dg[b][d, c] + dg[c][d, b] - dg[d][b, c]; the sum over d
-    # runs in index order from 0, so every entry rounds as a scalar sum would.
+    # t[d, b, c] = dg[b][d, c] + dg[c][d, b] - dg[d][b, c] and
+    # p[a, d, b, c] = G_inv[a, d] t[d, b, c].  The sum over d runs in index
+    # order from 0, so every entry rounds as a scalar sum would.
     t = np.transpose(dg, (1, 0, 2)) + np.transpose(dg, (1, 2, 0)) - dg
-    acc = 0
-    for d in range(4):
-        acc = acc + G_inv[:, d, None, None] * t[d]
-    return 0.5 * acc
+    p = G_inv[:, :, None, None] * t
+    return 0.5 * ((((0 + p[:, 0]) + p[:, 1]) + p[:, 2]) + p[:, 3])
 
 
 def geodesic(chart: MetricChart, x0, u0, span: float, step: float = 0.01,
@@ -485,6 +550,7 @@ def geodesic(chart: MetricChart, x0, u0, span: float, step: float = 0.01,
     q_init = float(u0 @ chart.metric_at(x0) @ u0)
     if q_init >= 0:
         raise NotTimelike("initial tangent has g(u,u) = %g >= 0" % q_init)
+    offsets = _stencil(diff_step)
 
     def integrate(h: float):
         n = max(2, int(round(span / h)))
@@ -495,7 +561,7 @@ def geodesic(chart: MetricChart, x0, u0, span: float, step: float = 0.01,
 
         def rhs(state):
             x, u = state[:4], state[4:]
-            gamma = _christoffels(chart, x, diff_step)
+            gamma = _christoffels(chart, x, diff_step, offsets)
             du = -np.einsum("abc,b,c->a", gamma, u, u)
             return np.concatenate([u, du])
 
@@ -568,6 +634,22 @@ class ChartSuiteConfig(MutableRecord):
 _CHART_ARITY = {"chart": 1, "order": 1, "domain": 3, "worldline": 4, "meet": 6}
 
 
+_COORDS = ("x1", "x2", "x3", "x4")
+
+
+def _sqrt(a):
+    """A chart entry's sqrt: math.sqrt of a number, np.sqrt of an array."""
+    return np.sqrt(a) if type(a) is np.ndarray else math.sqrt(a)
+
+
+def _power(a, k: int):
+    """A chart entry's a^k: scalar ``**``, element by element on an array,
+    where numpy's array power can round differently from the scalar one."""
+    if type(a) is np.ndarray:
+        return np.array([v ** k for v in a.tolist()])
+    return a ** k
+
+
 def parse_chart_file(text: str) -> ChartSuiteConfig:
     """Chart file grammar (one declaration per line)::
 
@@ -584,7 +666,7 @@ def parse_chart_file(text: str) -> ChartSuiteConfig:
     order = 3
     lo = [-math.inf] * 4
     hi = [math.inf] * 4
-    entries: dict = {}
+    entries: dict = {}  # (i, j) with i <= j -> compiled entry
     observers: dict = {}
     meets: list = []
     for head, args, numbered in declaration_lines(text):
@@ -603,11 +685,9 @@ def parse_chart_file(text: str) -> ChartSuiteConfig:
             elif head == "g":
                 if len(args) < 4 or args[2] != "=":
                     raise ValueError("metric entry must read 'g I J = EXPR'")
-                i, j = _chart_index(args[0]), _chart_index(args[1])
-                expr = parse_expression(" ".join(args[3:]), ("x1", "x2", "x3", "x4"))
-                fn = compile_float(expr, ("x1", "x2", "x3", "x4"))
-                entries[(i, j)] = fn
-                entries[(j, i)] = fn
+                key = tuple(sorted((_chart_index(args[0]), _chart_index(args[1]))))
+                expr = parse_expression(" ".join(args[3:]), _COORDS)
+                entries[key] = compile_float(expr, _COORDS, sqrt=_sqrt, power=_power)
             elif head == "worldline":
                 observers[args[0]] = tuple(float(ER(w)) for w in args[1:])
             elif head == "meet":
@@ -618,11 +698,18 @@ def parse_chart_file(text: str) -> ChartSuiteConfig:
     def g(p):
         m = np.zeros((4, 4))
         for (i, j), fn in entries.items():
-            m[i, j] = fn(p[0], p[1], p[2], p[3])
+            m[i, j] = m[j, i] = fn(p[0], p[1], p[2], p[3])
+        return m
+
+    def stack(points):
+        m = np.zeros((len(points), 4, 4))
+        x1, x2, x3, x4 = points.T
+        for (i, j), fn in entries.items():
+            m[:, i, j] = m[:, j, i] = fn(x1, x2, x3, x4)
         return m
 
     box = FloatBox(tuple(lo), tuple(hi))
-    chart = MetricChart(g, box, order=order, name=name)
+    chart = MetricChart(_StackedMetric(g, stack), box, order=order, name=name)
     return ChartSuiteConfig(chart, observers, meets, order=order)
 
 

@@ -158,6 +158,10 @@ class PiecewiseInertial(Record):
         return all(p[i] == x[i] for i in range(3))
 
 
+#: Default tolerance of a numeric worldline's membership tests.
+NUMERIC_TOLERANCE = 1e-9
+
+
 class SmoothNumeric(Record):
     """Numeric worldline: float position callable of time, declared order n.
 
@@ -168,7 +172,7 @@ class SmoothNumeric(Record):
     __slots__ = _fields = ("position", "order", "t_min", "t_max", "velocity", "tolerance")
 
     def __init__(self, position: Callable, order: int, t_min: float, t_max: float,
-                 velocity: Optional[Callable] = None, tolerance: float = 1e-9):
+                 velocity: Optional[Callable] = None, tolerance: float = NUMERIC_TOLERANCE):
         set_field(self, "position", position)  # t -> (x1, x2, x3) floats
         set_field(self, "order", order)
         set_field(self, "t_min", t_min)
@@ -329,7 +333,10 @@ class Structure:
         chart = self.chart_of(o)
         if chart is None:
             raise NotAnObserver(o.id)
-        x = tuple(ER(c) for c in x)
+        try:
+            x = tuple(ER(c) for c in x)
+        except TypeError:  # float coordinates, as a numeric chart gives: read exactly
+            x = tuple(ER(Fraction(c) if isinstance(c, float) else c) for c in x)
         if not self.domain_of(o).contains(x):
             return None
         if isinstance(chart, AffineMap):
@@ -392,22 +399,29 @@ class EventContent(Record):
 
 def _on_worldline(w, ref) -> Optional[bool]:
     """Whether the reference event ref lies on worldline w.  A numeric
-    worldline is tested at its tolerance: True within it, False from ten
-    times it (or outside its time range), None in between.  A float ref,
-    from a numeric chart, is read as the nearest rational of denominator
-    at most 10**12."""
+    worldline, or a float ref from a numeric chart, is tested in floats
+    against w's point at ref's time, at the numeric tolerance (w's own,
+    or SmoothNumeric's default for an exact w): True within it, False
+    from ten times it (or outside w's time range), None in between."""
     if isinstance(w, SmoothNumeric):
         tf = float(ref[3])
         if not (w.t_min <= tf <= w.t_max):
             return False
-        p = w.position(tf)
-        dist = max(abs(float(ref[i]) - p[i]) for i in range(3))
-        if dist <= w.tolerance:
-            return True
-        return False if dist >= 10 * w.tolerance else None
+        return _near(ref, w.position(tf), w.tolerance)
     if not isinstance(ref[0], ExactReal):
-        ref = tuple(ER(Fraction(float(c)).limit_denominator(10**12)) for c in ref)
+        try:
+            p = w.point_at(ER(Fraction(ref[3])))
+        except ValueError:  # outside a piecewise line's time range
+            return False
+        return _near(ref, p, NUMERIC_TOLERANCE)
     return w.contains(ref)
+
+
+def _near(ref, p, tol: float) -> Optional[bool]:
+    dist = max(abs(float(ref[i]) - float(p[i])) for i in range(3))
+    if dist <= tol:
+        return True
+    return False if dist >= 10 * tol else None
 
 
 def _float_map(chart: AffineMap) -> Callable:

@@ -508,3 +508,138 @@ def test_flat_geodesic_golden_bytes():
     res = geodesic(flat_chart(), (0.5, -1.0, 2.0, 0.0), (0.3, -0.2, 0.1, 1.0), span=1.0)
     digest = hashlib.sha256(geodesic_csv(res).encode()).hexdigest()
     assert digest == "bbe2046099931e5f3b6e3c6e8ccef5d5ff9f36d4f6ab4829f461aea9f9392997"
+
+
+# An off-diagonal entry, a cube and a square root, in a chart file.
+WARPED_CHART_TEXT = """
+chart warped
+order 3
+domain 1 1/2 4
+g 1 1 = 1 + x2^2/10
+g 1 4 = x1^3/200
+g 2 2 = sqrt(1 + x1/5)
+g 3 3 = 1
+g 4 4 = 0 - x1^2
+"""
+
+# Start points and tangents of the pinned geodesics, per chart.
+PINNED_STARTS = {
+    "rindler": ((2.25, 0.0, 0.0, 0.0), (0.0625, -0.125, 0.0, 0.625)),
+    "flat": ((0.5, -0.25, 0.75, 0.125), (0.25, -0.125, 0.1875, 1.0)),
+    "warped": ((2.0, 0.1, 0.0, 0.0), (0.1, 0.05, 0.0, 0.6)),
+}
+
+# SHA-256 of geodesic_csv from the per-point metric path, with one halving.
+GEODESIC_PINS = {
+    ("rindler", 0.025): "d9a38d3c08e3ff63e86c6a4bbf7537a82ec23947bfa67f57c907edf9194b63cd",
+    ("rindler", 0.03): "4c6e3ccbd633edcb74a81b688233fb6cf8e408ef0d9371be3458f9eba70bb8f5",
+    ("flat", 0.025): "b4c02261215f24e072eebf585f69081a91e0e69006a53f94c18d230373cf6218",
+    ("flat", 0.03): "a517c1064ef0c79f77a80d9f35bf2e74bc1dd855647b37e22db4e2ed3e7d7590",
+    ("rindler-file", 0.025): "d9a38d3c08e3ff63e86c6a4bbf7537a82ec23947bfa67f57c907edf9194b63cd",
+    ("rindler-file", 0.03): "4c6e3ccbd633edcb74a81b688233fb6cf8e408ef0d9371be3458f9eba70bb8f5",
+    ("flat-file", 0.025): "b4c02261215f24e072eebf585f69081a91e0e69006a53f94c18d230373cf6218",
+    ("flat-file", 0.03): "a517c1064ef0c79f77a80d9f35bf2e74bc1dd855647b37e22db4e2ed3e7d7590",
+    ("warped-file", 0.025): "8117788e202878a3ebddf3d01c7ab919f84536c56579d9d9432b2769276227a4",
+    ("warped-file", 0.03): "18cc0f806a2dfe3a7a1a957fa889178bee74cbfed978006f83b2e71ba97fd7a8",
+}
+
+
+def _pinned_chart(name):
+    return {"rindler": rindler_chart, "flat": flat_chart,
+            "rindler-file": lambda: parse_chart_file(RINDLER_CHART_TEXT).chart,
+            "flat-file": lambda: parse_chart_file(FLAT_CHART_TEXT).chart,
+            "warped-file": lambda: parse_chart_file(WARPED_CHART_TEXT).chart}[name]()
+
+
+@pytest.mark.parametrize("name, step", sorted(GEODESIC_PINS))
+def test_geodesic_csv_pins(name, step):
+    # The benchmark's steps and spans: 0.025 over 0.5 and 0.03 over 0.75.
+    x0, u0 = PINNED_STARTS[name.split("-")[0]]
+    span = {0.025: 0.5, 0.03: 0.75}[step]
+    res = geodesic(_pinned_chart(name), x0, u0, span=span, step=step, max_halvings=1)
+    assert not res.truncated
+    digest = hashlib.sha256(geodesic_csv(res).encode()).hexdigest()
+    assert digest == GEODESIC_PINS[(name, step)]
+
+
+# ---------------------------------------------------------------------------
+# The stacked evaluator of the charts built in genrel.
+
+# + - * /, a division by zero where x1 = x2, ^0, ^1, ^3, sqrt, a constant
+# entry and off-diagonal entries.
+REFERENCE_CHART_TEXT = """
+chart reference
+g 1 1 = 1 + x2^2/10 - x3^0
+g 1 2 = (x1 - x2) * x3 / 7
+g 1 3 = x4^1 / (x1 - x2)
+g 2 2 = 2.5
+g 2 4 = x1^3 - sqrt(x2*x2 + 1)
+g 3 3 = sqrt(x1) * x4^3
+g 4 4 = 0 - x1^2
+"""
+
+
+def _per_point(chart, points):
+    return np.asarray([chart.g(tuple(p)) for p in points])
+
+
+def _stack_charts():
+    return [flat_chart(), rindler_chart(), parse_chart_file(REFERENCE_CHART_TEXT).chart]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_stacked_metric_matches_the_per_point_loop(seed):
+    rng = np.random.default_rng(seed)
+    points = np.column_stack([rng.uniform(0.1, 40.0, 50), rng.normal(size=50) * 30,
+                              rng.uniform(-3, 3, 50), rng.normal(size=50) * 1e3])
+    for chart in _stack_charts():
+        got = chart.g.stack_at(points)
+        assert got.tobytes() == _per_point(chart, points).tobytes(), chart.name
+        assert chart.metrics_at(points).tobytes() == \
+            np.array([chart.metric_at(p) for p in points]).tobytes()
+
+
+def test_stacked_metric_divides_by_zero_as_the_per_point_loop():
+    chart = parse_chart_file(REFERENCE_CHART_TEXT).chart
+    points = np.array([[2.0, 2.0, 0.5, 1.5], [3.0, 3.0, 0.5, -2.0], [1.0, 0.5, 0.0, 1.0]])
+    with np.errstate(all="ignore"):
+        want = _per_point(chart, points)
+        assert np.isposinf(want[0, 0, 2]) and np.isneginf(want[1, 0, 2])
+        assert chart.g.stack(points).tobytes() == want.tobytes()
+    # A floating-point exception sends the stack through the per-point loop,
+    # its warnings included.
+    assert chart.g.stack_at(points) is None
+    with pytest.warns(RuntimeWarning):
+        got = chart.metrics_at(points)
+    assert got.tobytes() == (0.5 * (want + np.swapaxes(want, 1, 2))).tobytes()
+    nan = np.array([[2.0, 2.0, 0.5, 0.0]])
+    with np.errstate(all="ignore"):
+        assert np.isnan(_per_point(chart, nan)[0, 0, 2])
+        assert chart.g.stack(nan).tobytes() == _per_point(chart, nan).tobytes()
+
+
+def test_stacked_metric_sqrt_of_a_negative_raises_value_error():
+    chart = parse_chart_file(REFERENCE_CHART_TEXT).chart
+    points = np.array([[1.0, 0.5, 0.0, 1.0], [-1.0, 0.5, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="math domain error"):
+        chart.metric_at(points[1])
+    with pytest.raises(ValueError, match="math domain error"):
+        chart.metrics_at(points)
+
+
+def test_chart_file_geodesic_evaluates_stacks_only():
+    # One stacked evaluation per Christoffel stencil and one for the drift
+    # check; the one per-point call is the initial tangent's g(u, u).
+    chart = parse_chart_file(DENSE_CHART_TEXT).chart
+    point, stack = chart.g.point, chart.g.stack
+    calls = []
+    chart.g.point = lambda p: calls.append("point") or point(p)
+    chart.g.stack = lambda points: calls.append(len(points)) or stack(points)
+    for x in ([1.0, 0.2, -0.3, 0.5], [2.0, -0.1, 0.4, 1.5]):
+        calls.clear()
+        _christoffels(chart, np.array(x), 1e-4)
+        assert calls == [9]
+    calls.clear()
+    res = geodesic(chart, (1.0, 0.0, 0.0, 0.0), (0.1, 0.0, 0.0, 1.0), span=0.1, step=0.05,
+                   max_halvings=0)
+    assert calls[0] == "point" and calls[1:-1] == [9] * 8 and calls[-1] == len(res.points)

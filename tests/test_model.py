@@ -112,6 +112,21 @@ def test_holds_w_and_event_at_on_a_numeric_chart_with_an_exact_body():
     assert s.event_at(ship, coord4(0, 0, 0, Fr(1, 2))).named == {"ship"}
 
 
+def test_w_takes_the_float_coordinates_of_a_numeric_correspondence():
+    # event_correspondence answers in floats on a numeric path; W and
+    # event_at read each float exactly.
+    s = _rindler_structure()
+    rest, ship, buoy = s.bodies["rest"], s.bodies["ship"], s.bodies["buoy"]
+    y = s.event_correspondence(rest, ship, coord4(1, 0, 0, 0))
+    assert y == (0.0, 0.0, 0.0, 0.0)
+    assert s.holds_W(ship, buoy, y) is True
+    back = s.event_correspondence(ship, rest, coord4(0, 0, 0, 0))
+    assert back == (1.0, 0.0, 0.0, 0.0)
+    assert s.holds_W(rest, buoy, back) is True
+    assert s.holds_W(rest, buoy, (1.5, 0.0, 0.0, 0.0)) is False
+    assert s.event_at(rest, back).named == {"ship", "buoy"}
+
+
 def test_event_correspondence_between_affine_and_numeric_charts():
     s = _rindler_structure()
     rest, ship = s.bodies["rest"], s.bodies["ship"]

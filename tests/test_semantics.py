@@ -1090,6 +1090,28 @@ def test_w_on_a_numeric_body_respects_the_chart_domain():
         assert s.holds_W(capped, n, x) is (outcome == "Holds")
 
 
+def test_w_on_a_numeric_chart_sees_an_exact_body_at_an_irrational_coordinate():
+    # The Rindler observer's chart maps its (sqrt(2) - 1, 0, 0, 0) to the
+    # float point (1.414..., 0, 0, 0): compared in floats with the post at
+    # rest at X = sqrt(2), not rounded to a rational that misses it.
+    from axrel.accel import hyperbolic_worldline, rindler_observer_chart
+
+    zero = (ER(0),) * 3
+    posts = [Body("post", True, False, InertialLine((sqrt(2), ER(0), ER(0), ER(0)), zero)),
+             Body("near", True, False, InertialLine((sqrt(2) + ER(Fr(1, 10**9) * 3), ER(0),
+                                                     ER(0), ER(0)), zero)),
+             Body("far", True, False, InertialLine((sqrt(2) + ER(Fr(1, 10**6)), ER(0),
+                                                    ER(0), ER(0)), zero))]
+    s = Structure(posts + [Body("ship", False, False, hyperbolic_worldline(1))],
+                  {"ship": rindler_observer_chart(1)})
+    ship = s.bodies["ship"]
+    x = (sqrt(2) - 1, ER(0), ER(0), ER(0))
+    for name, truth in (("post", True), ("near", None), ("far", False)):
+        assert s.holds_W(ship, s.bodies[name], x) is truth, name
+        assert _w_verdict(s, ship, s.bodies[name], x).outcome == W_OUTCOME[truth], name
+    assert s.event_at(ship, x).named == {"post"}
+
+
 def _w_structure(seed):
     """Rest, an open-capped and a closed-capped mover and a Rindler
     observer (a numeric chart) capped in time; exact straight and
