@@ -33,7 +33,7 @@ from .numeric import (
     NotDifferentiable, apply4, float_boost, one_sided_jump, richardson_derivative, velocity_at,
 )
 from .record import Record, set_field
-from .semantics import Verdict
+from .verdict import Verdict
 
 __all__ = [
     "proper_time", "comoving_inertial", "check_axcmv", "twin_paradox",

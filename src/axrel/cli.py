@@ -20,6 +20,8 @@ import re
 import sys
 from fractions import Fraction
 
+from . import exprs
+from .accel import ShipConfig, gtd_clock_ratio, load_scenario, twin_paradox, worldline_csv
 from .field import ER, ExactReal, parse_exact, ExactRealSyntaxError
 from .kinematics import effects
 from .model import load_model
@@ -30,6 +32,11 @@ from .syntax import (
     FormulaSyntaxError, Sort, SortError, axiom_corpus, named_axiom, parse,
     print_formula, UnknownTheory,
 )
+
+# Every layer a command uses loads with this module, so main() imports
+# nothing but the chart layer (numpy).  field.parse_exact imports exprs on
+# first use, so exprs is named here.
+_LOADED_WITH_CLI = (exprs,)
 
 EX_USAGE = 64
 EX_DATA = 65
@@ -282,8 +289,6 @@ def effects_svg(rep) -> str:
 
 
 def cmd_twin(args) -> int:
-    from .accel import load_scenario, twin_paradox, worldline_csv
-
     scenario = load_scenario(args.scenario_file)
     tau_home, tau_traveler = twin_paradox(scenario)
     out = ("home stays for       %s\n" % _fmt_value(tau_home) +
@@ -297,8 +302,6 @@ def cmd_twin(args) -> int:
 
 
 def cmd_gtd(args) -> int:
-    from .accel import ShipConfig, gtd_clock_ratio
-
     cfg = ShipConfig(parse_exact(args.g), parse_exact(args.h))
     ratio = gtd_clock_ratio(cfg)
     _emit(args, "nose/rear clock rate ratio = %s\n" % _fmt_value(ratio))

@@ -36,16 +36,21 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
+# The exact layers load before numpy.  Compiling semantics (a run without
+# bytecode caches) allocates a few MB that are freed again; before numpy
+# loads, numpy reuses that memory, after it the two peaks add up.
 from .exprs import compile_float, parse_expression
 from .field import ER
-from .model import DifferentiableChart, SmoothNumeric, _integer, declaration_lines
+from .model import DifferentiableChart, SmoothNumeric, Structure, _integer, declaration_lines
 from .numeric import (
     central_difference, one_sided_jump, require_positive_finite, velocity_at,
 )
 from .record import MutableRecord, Record, set_field
-from .semantics import Verdict, combine_verdicts
+from .semantics import check_ind_instance
+from .syntax.corpus import ind_battery
+from .verdict import Verdict, combine_verdicts
+
+import numpy as np
 
 __all__ = [
     "MetricChart", "GeodesicResult", "DegenerateMetric", "NotTimelike",
@@ -739,10 +744,6 @@ def check_chart_theory(config: ChartSuiteConfig, n: Optional[int] = None,
                        tol: float = 1e-9) -> dict:
     """The GenRel(n) suite on a single chart: localized axioms checked
     numerically, AxField and the field-language IND battery exactly."""
-    from .model import Structure
-    from .semantics import check_ind_instance
-    from .syntax.corpus import ind_battery
-
     n = n if n is not None else config.order
     chart = config.chart
     out: dict = {}

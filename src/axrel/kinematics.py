@@ -337,10 +337,11 @@ def check_noftl(s: "Structure", m: "Body", k: "Body", p: "Body",
 
     start is the shared departure event (Coord4 in m's chart) that both k
     and p pass; target is the spatial location (3-vector) both reach.
-    Returns a semantics.Verdict: Holds iff k's arrival time is strictly
+    Returns a verdict.Verdict: Holds iff k's arrival time is strictly
     later than the photon's, decided exactly.
     """
-    from .semantics import Verdict
+    # Imported here: verdict imports model, which imports this module.
+    from .verdict import Verdict
 
     if not getattr(p, "is_photon", False):
         raise ConfigurationUnrealizable("%s is not a photon" % p.id)

@@ -52,6 +52,11 @@ Certified verifiers replace sampling entirely for the SpecRel axioms on
 affine-chart structures with full domains: each axiom reduces to an
 exact matrix identity or an exact subspace computation, and violations
 come back as concrete counterexample assignments.
+
+``Budget``, ``Verdict``, ``combine_verdicts`` and the outcome constants
+live in `verdict`, which layers that only report verdicts import instead
+of this module; they are re-exported here, so ``from axrel.semantics
+import Verdict`` keeps working.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 # hashlib.blake2b is this function; importing hashlib would also load
 # OpenSSL.  A build without CPython's own blake2 has only hashlib's.
@@ -70,14 +75,13 @@ try:
 except ImportError:
     from hashlib import blake2b
 
-from .field import ER, ExactReal
+from .field import ER
 from . import linalg
 from .kinematics import AffineMap, ETA, mu
 from .model import (
     Body, InertialLine, PhotonLine, PiecewiseInertial, NotAnObserver, SmoothNumeric,
     Structure,
 )
-from .record import MutableRecord, Record, set_field
 from .syntax.ast import (
     Add, And, EqB, EqQ, Exists, Forall, Formula, IBAtom, IObAtom, Iff, Implies,
     Less, Mul, Not, ObAtom, OneC, Or, PhAtom, Sort, Sub, Term, Theory, Var,
@@ -90,6 +94,7 @@ from .intervals import (
     Interval, IntervalSet, Poly, UnsupportedDefinableSet, poly_eq_zero, poly_less_zero,
     term_to_poly,
 )
+from .verdict import FAILS, HOLDS, UNKNOWN, Budget, Verdict, combine_verdicts
 
 __all__ = [
     "Budget", "Verdict", "Assignment", "evaluate", "check_axiom",
@@ -97,8 +102,6 @@ __all__ = [
     "witness_inertial", "UnknownAxiom", "UnboundVariable",
     "recheck_counterexample", "definable_set",
 ]
-
-HOLDS, FAILS, UNKNOWN = "Holds", "Fails", "Unknown"
 
 
 class UnknownAxiom(KeyError):
@@ -109,76 +112,7 @@ class UnboundVariable(NameError):
     pass
 
 
-class Budget(Record):
-    """Sampling budget; the seed makes every verdict deterministic.  With
-    no samples a universal over quantities would pass unsampled, so
-    samples must be at least 1; solver_iterations must be at least 0."""
-
-    __slots__ = _fields = ("samples", "solver_iterations", "seed")
-
-    def __init__(self, samples: int = 48, solver_iterations: int = 2000, seed: int = 0):
-        if samples < 1:
-            raise ValueError("samples must be at least 1, got %r" % (samples,))
-        if solver_iterations < 0:
-            raise ValueError("solver_iterations must be at least 0, got %r" % (solver_iterations,))
-        set_field(self, "samples", samples)
-        set_field(self, "solver_iterations", solver_iterations)
-        set_field(self, "seed", seed)
-
-
 Assignment = dict  # variable name -> Body | ExactReal
-
-
-class Verdict(MutableRecord):
-    __slots__ = _fields = ("outcome", "method", "evidence", "budget_report", "tolerance")
-
-    def __init__(self, outcome: str, method: str = "certified", evidence: Optional[dict] = None,
-                 budget_report: Optional[dict] = None, tolerance: Optional[float] = None):
-        self.outcome = outcome
-        self.method = method  # "certified" | "sampled"
-        self.evidence = {} if evidence is None else evidence
-        self.budget_report = {} if budget_report is None else budget_report
-        self.tolerance = tolerance
-
-    @staticmethod
-    def holds(method="certified", evidence=None, budget=None, tolerance=None):
-        return Verdict(HOLDS, method, evidence or {}, budget or {}, tolerance)
-
-    @staticmethod
-    def fails(evidence=None, method="certified", budget=None, tolerance=None):
-        return Verdict(FAILS, method, evidence or {}, budget or {}, tolerance)
-
-    @staticmethod
-    def unknown(evidence=None, budget=None, tolerance=None):
-        return Verdict(UNKNOWN, "sampled", evidence or {}, budget or {}, tolerance)
-
-    @property
-    def is_holds(self):
-        return self.outcome == HOLDS
-
-    @property
-    def is_fails(self):
-        return self.outcome == FAILS
-
-    def to_json_dict(self) -> dict:
-        def render(v):
-            if isinstance(v, ExactReal):
-                return v.literal()
-            if isinstance(v, Body):
-                return v.id
-            if isinstance(v, tuple):
-                return [render(x) for x in v]
-            return v
-
-        out = {
-            "outcome": self.outcome,
-            "method": self.method,
-            "evidence": {k: render(v) for k, v in sorted(self.evidence.items())},
-            "budget": dict(sorted(self.budget_report.items())),
-        }
-        if self.tolerance is not None:
-            out["tolerance"] = self.tolerance
-        return out
 
 
 class _BudgetExhausted(Exception):
@@ -1251,22 +1185,6 @@ def _check_group(s: Structure, group, budget: Budget) -> Verdict:
         return certified
     return combine_verdicts([evaluate(s, sentence, None, budget)
                              for _, sentence in group.sentences])
-
-
-def combine_verdicts(verdicts: Sequence[Verdict]) -> Verdict:
-    """One verdict for a conjunction: the first Fails, else the first
-    Unknown, else Holds with the widest tolerance; Unknown when empty."""
-    for v in verdicts:
-        if v.is_fails:
-            return v
-    for v in verdicts:
-        if v.outcome == UNKNOWN:
-            return v
-    if not verdicts:
-        return Verdict.unknown()
-    method = "certified" if all(v.method == "certified" for v in verdicts) else "sampled"
-    tolerance = max((v.tolerance or 0.0) for v in verdicts) or None
-    return Verdict.holds(method=method, budget=verdicts[0].budget_report, tolerance=tolerance)
 
 
 def _certified_axiom(s: Structure, name: str) -> Optional[Verdict]:

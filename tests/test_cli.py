@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from axrel.cli import main
 from axrel.report import SCHEMA
@@ -528,3 +529,78 @@ def test_twin_csv_row_at_the_turnaround(files, tmp_path, capsys):
     assert rows[5.0] == [5.0, 3.0, 0.0, 0.0, -0.6, 0.0, 0.0, 4.0]
     assert rows[4.9][4] == 0.6 and rows[5.1][4] == -0.6
     assert rows[0.0][7] == 0.0 and rows[10.0][7] == 8.0
+
+
+# Model-file fuzzing: lines of every kind, mostly well formed, with words
+# that are out of range or malformed mixed in.  A crash exits 70; it must
+# never pass for a verdict (0, 1, 2) or a rejection (64, 65).
+def _mostly(valid, invalid):
+    # Nine draws in ten from `valid`.
+    return st.integers(0, 9).flatmap(lambda k: invalid if k == 0 else valid)
+
+
+_LITERALS = _mostly(
+    st.sampled_from(["0", "1", "-1", "1/2", "-1/2", "3/5", "4/5", "1/3", "2", "0.5", "sqrt(2)/2"]),
+    st.sampled_from(["1/0", "sqrt(-1)", "0/0", "1//2", "x1", "zz", "(", "inf", "-inf", "1e3", ","]))
+_WORDS = st.sampled_from([
+    "velocity", "galilean", "rotate", "translate", "domain", "closed", "through",
+    "direction", "knots", "photon", "inertial", "piecewise", "photons", "none", "rest", "7",
+])
+_NAMES = st.sampled_from(["rest", "a", "b", "k", "m", "p"])
+
+
+def _numbers(count):
+    # The right count of values, or now and then one short or one over.
+    n = _mostly(st.just(count), st.sampled_from([count - 1, count + 1]))
+    return n.flatmap(lambda n: st.lists(_LITERALS, min_size=n, max_size=n))
+
+
+_OBSERVER_FIELD = st.one_of(
+    st.tuples(st.sampled_from(["velocity", "galilean"]), _numbers(3)),
+    st.tuples(st.just("rotate"), _mostly(
+        st.sampled_from([("1", "2", "3/5", "4/5"), ("2", "3", "0", "1"), ("1", "3", "-1", "0")]),
+        st.tuples(st.sampled_from(["0", "2", "3", "x"]), st.sampled_from(["1", "2", "4"]),
+                  _LITERALS, _LITERALS))),
+    st.tuples(st.just("translate"), _numbers(4)),
+    st.tuples(st.just("domain"), _mostly(st.sampled_from(["1", "2", "3", "4"]),
+                                         st.sampled_from(["0", "5", "x"])),
+              st.one_of(st.just("-inf"), _LITERALS), st.one_of(st.just("inf"), _LITERALS),
+              st.sampled_from([(), ("closed",)])),
+)
+
+
+def _flatten(parts):
+    for part in parts:
+        if isinstance(part, (tuple, list)):
+            yield from _flatten(part)
+        else:
+            yield part
+
+
+_BODY_KIND = st.sampled_from([("photon", "direction"), ("inertial", "velocity")])
+_MODEL_LINE = st.one_of(
+    st.tuples(st.just("structure"), _mostly(st.lists(_NAMES, min_size=1, max_size=1),
+                                            st.lists(_NAMES, max_size=2))),
+    st.tuples(st.just("families"), st.lists(
+        _mostly(st.sampled_from(["photons", "inertials", "none"]), st.just("bosons")),
+        max_size=3)),
+    st.tuples(st.just("observer"), _NAMES, st.lists(_mostly(_OBSERVER_FIELD, _WORDS), max_size=4)),
+    st.tuples(st.just("body"), _NAMES, _BODY_KIND.flatmap(lambda kind: st.tuples(
+        st.just(kind[0]), _mostly(st.just("through"), _WORDS), _numbers(4),
+        _mostly(st.just(kind[1]), _WORDS), _numbers(3)))),
+    st.tuples(st.just("body"), _NAMES, st.just("piecewise"), _mostly(st.just("knots"), _WORDS),
+              st.lists(_numbers(4), min_size=1, max_size=3).map(
+                  lambda knots: [w for knot in knots for w in knot + [","]][:-1])),
+    st.tuples(st.sampled_from(["body", "widget", "#", ""]), st.lists(_WORDS, max_size=4)),
+).map(lambda parts: " ".join(_flatten(parts)))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(_MODEL_LINE, min_size=1, max_size=5))
+def test_fuzzed_model_files_never_crash(tmp_path, capsys, lines):
+    model = tmp_path / "fuzz.model"
+    model.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(["check", "SpecRel", str(model)], capsys)
+    assert code in (0, 1, 2, 64, 65), (lines, err)
+    assert "Traceback" not in err

@@ -1,5 +1,11 @@
 """Module layering.
 
+- Importing the package loads no layer: each public name loads its home
+  module on first use.  The prediction layers (`field`, `kinematics`,
+  `model`, `accel`) load none of the formula layers (`semantics`,
+  `syntax`, `intervals`).
+- `axrel.cli` loads every layer but the chart layer with the module, and
+  the chart layer compiles the exact layers before it loads numpy.
 - The chart layer takes its float numerics from `axrel.numeric`, never
   from the accelerated-observer layer.
 - Only the chart layer (`axrel.genrel`) imports numpy, and it loads on
@@ -16,6 +22,8 @@ import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import axrel.genrel
 
@@ -70,6 +78,38 @@ def _loaded_after(body, tmp_path, watched=("numpy", "axrel.genrel")):
     return out.strip().splitlines()[-1]
 
 
+def _program_modules():
+    return tuple(sorted(
+        ".".join(("axrel",) + path.relative_to(SRC / "axrel").with_suffix("").parts)
+        .replace(".__init__", "") for path in (SRC / "axrel").rglob("*.py")))
+
+
+def test_importing_the_package_loads_no_layer(tmp_path):
+    body = "import axrel\nassert set(axrel.__all__) <= set(dir(axrel))"
+    assert _loaded_after(body, tmp_path, _program_modules()) == "['axrel']"
+
+
+def test_lower_layers_load_without_the_formula_layers(tmp_path):
+    # Verdicts come from axrel.verdict, so checking a prediction does not
+    # load the evaluator, the parser or the interval solver.
+    formula_layers = ("axrel.semantics", "axrel.syntax", "axrel.intervals")
+    for module in ("axrel.field", "axrel.kinematics", "axrel.model", "axrel.accel"):
+        assert _loaded_after("import " + module, tmp_path, formula_layers) == "[]", module
+
+
+def test_cli_loads_every_layer_but_the_charts_with_the_module(tmp_path):
+    # So main(), which the benchmark times apart from the import, imports
+    # nothing but the chart layer.
+    expected = [m for m in _program_modules() if m != "axrel.genrel"]
+    assert _loaded_after("import axrel.cli", tmp_path, _program_modules()) == str(expected)
+
+
+def test_genrel_compiles_the_exact_layers_before_numpy(tmp_path):
+    body = ("import axrel.genrel\nloaded = list(sys.modules)\n"
+            "assert loaded.index('axrel.semantics') < loaded.index('numpy'), loaded")
+    assert _loaded_after(body, tmp_path) == "['axrel.genrel', 'numpy']"
+
+
 def test_exact_layers_load_without_numpy(tmp_path):
     for module in ("axrel", "axrel.cli", "axrel.accel"):
         assert _loaded_after("import " + module, tmp_path) == "[]", module
@@ -95,6 +135,25 @@ def test_rejected_chart_commands_load_without_numpy(tmp_path):
 def test_chart_names_still_import_from_the_package(tmp_path):
     body = "from axrel import rindler_chart, geodesic\nassert geodesic.__module__ == 'axrel.genrel'"
     assert _loaded_after(body, tmp_path) == "['axrel.genrel', 'numpy']"
+
+
+def test_every_public_name_imports_from_the_package():
+    import axrel
+
+    for module, names in axrel._EXPORTS.items():
+        home = importlib.import_module("axrel." + module)
+        for name in names:
+            namespace = {}
+            exec("from axrel import " + name, namespace)
+            assert namespace[name] is getattr(home, name), name
+    assert axrel.__all__ == sorted(n for names in axrel._EXPORTS.values() for n in names)
+    star = {}
+    exec("from axrel import *", star)
+    assert set(axrel.__all__) <= set(star) and set(axrel.__all__) <= set(dir(axrel))
+    with pytest.raises(AttributeError):
+        axrel.no_such_name
+    with pytest.raises(ImportError):
+        exec("from axrel import no_such_name", {})
 
 
 def _annotation_names(node):
