@@ -539,9 +539,9 @@ def _mostly(valid, invalid):
     return st.integers(0, 9).flatmap(lambda k: invalid if k == 0 else valid)
 
 
-_LITERALS = _mostly(
-    st.sampled_from(["0", "1", "-1", "1/2", "-1/2", "3/5", "4/5", "1/3", "2", "0.5", "sqrt(2)/2"]),
-    st.sampled_from(["1/0", "sqrt(-1)", "0/0", "1//2", "x1", "zz", "(", "inf", "-inf", "1e3", ","]))
+_SMALL = st.sampled_from(["0", "1", "-1", "1/2", "-1/2", "3/5", "1/3", "2", "0.5", "sqrt(2)/2"])
+_LITERALS = _mostly(_SMALL, st.sampled_from(
+    ["1/0", "sqrt(-1)", "0/0", "1//2", "x1", "zz", "(", "inf", "-inf", "1e3", ","]))
 _WORDS = st.sampled_from([
     "velocity", "galilean", "rotate", "translate", "domain", "closed", "through",
     "direction", "knots", "photon", "inertial", "piecewise", "photons", "none", "rest", "7",
@@ -555,18 +555,34 @@ def _numbers(count):
     return n.flatmap(lambda n: st.lists(_LITERALS, min_size=n, max_size=n))
 
 
+def _values(valid, count):
+    return _mostly(st.sampled_from(valid), _numbers(count))
+
+
+_VELOCITY = _values([("0", "0", "0"), ("3/5", "0", "0"), ("0", "-1/2", "1/2"),
+                     ("1/3", "1/3", "1/3"), ("sqrt(2)/4", "0", "0")], 3)
+_DIRECTION = _values([("1", "0", "0"), ("0", "-1", "0"), ("3/5", "4/5", "0")], 3)
+_EVENT = _mostly(st.tuples(_SMALL, _SMALL, _SMALL, _SMALL), _numbers(4))
+_SPACE = st.sampled_from(["0", "1/2", "1", "-1"])
+
 _OBSERVER_FIELD = st.one_of(
-    st.tuples(st.sampled_from(["velocity", "galilean"]), _numbers(3)),
+    st.tuples(st.sampled_from(["velocity", "galilean"]), _VELOCITY),
     st.tuples(st.just("rotate"), _mostly(
         st.sampled_from([("1", "2", "3/5", "4/5"), ("2", "3", "0", "1"), ("1", "3", "-1", "0")]),
         st.tuples(st.sampled_from(["0", "2", "3", "x"]), st.sampled_from(["1", "2", "4"]),
                   _LITERALS, _LITERALS))),
-    st.tuples(st.just("translate"), _numbers(4)),
+    st.tuples(st.just("translate"), _EVENT),
     st.tuples(st.just("domain"), _mostly(st.sampled_from(["1", "2", "3", "4"]),
                                          st.sampled_from(["0", "5", "x"])),
-              st.one_of(st.just("-inf"), _LITERALS), st.one_of(st.just("inf"), _LITERALS),
+              _mostly(st.sampled_from(["-inf", "-1", "0"]), _LITERALS),
+              _mostly(st.sampled_from(["inf", "1", "10"]), _LITERALS),
               st.sampled_from([(), ("closed",)])),
 )
+# Knot times 0, 5, 10 keep every leg slower than light.
+_KNOTS = _mostly(
+    st.lists(st.tuples(_SPACE, _SPACE, _SPACE), min_size=2, max_size=3).map(
+        lambda places: [p + (t,) for p, t in zip(places, ("0", "5", "10"))]),
+    st.lists(_numbers(4), min_size=1, max_size=3))
 
 
 def _flatten(parts):
@@ -577,27 +593,30 @@ def _flatten(parts):
             yield part
 
 
-_BODY_KIND = st.sampled_from([("photon", "direction"), ("inertial", "velocity")])
-_MODEL_LINE = st.one_of(
-    st.tuples(st.just("structure"), _mostly(st.lists(_NAMES, min_size=1, max_size=1),
-                                            st.lists(_NAMES, max_size=2))),
+_DECLARATION = st.one_of(
+    st.tuples(st.just("observer"), _NAMES,
+              st.lists(_mostly(_OBSERVER_FIELD, _WORDS), min_size=1, max_size=3)),
+    st.tuples(st.just("observer"), _NAMES),
+    st.tuples(st.just("structure"), _mostly(_NAMES, st.lists(_NAMES, max_size=2))),
     st.tuples(st.just("families"), st.lists(
         _mostly(st.sampled_from(["photons", "inertials", "none"]), st.just("bosons")),
         max_size=3)),
-    st.tuples(st.just("observer"), _NAMES, st.lists(_mostly(_OBSERVER_FIELD, _WORDS), max_size=4)),
-    st.tuples(st.just("body"), _NAMES, _BODY_KIND.flatmap(lambda kind: st.tuples(
-        st.just(kind[0]), _mostly(st.just("through"), _WORDS), _numbers(4),
-        _mostly(st.just(kind[1]), _WORDS), _numbers(3)))),
+    st.tuples(st.just("body"), _NAMES, st.just("photon"), _mostly(st.just("through"), _WORDS),
+              _EVENT, _mostly(st.just("direction"), _WORDS), _DIRECTION),
+    st.tuples(st.just("body"), _NAMES, st.just("inertial"), _mostly(st.just("through"), _WORDS),
+              _EVENT, _mostly(st.just("velocity"), _WORDS), _VELOCITY),
     st.tuples(st.just("body"), _NAMES, st.just("piecewise"), _mostly(st.just("knots"), _WORDS),
-              st.lists(_numbers(4), min_size=1, max_size=3).map(
-                  lambda knots: [w for knot in knots for w in knot + [","]][:-1])),
-    st.tuples(st.sampled_from(["body", "widget", "#", ""]), st.lists(_WORDS, max_size=4)),
+              _KNOTS.map(lambda knots: [w for knot in knots for w in list(knot) + [","]][:-1])),
+)
+_MODEL_LINE = _mostly(
+    _DECLARATION, st.tuples(st.sampled_from(["body", "widget", "#", ""]),
+                            st.lists(_WORDS, max_size=4)),
 ).map(lambda parts: " ".join(_flatten(parts)))
 
 
-@settings(derandomize=True, max_examples=120, deadline=None, database=None,
+@settings(derandomize=True, max_examples=200, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(lines=st.lists(_MODEL_LINE, min_size=1, max_size=5))
+@given(lines=st.lists(_MODEL_LINE, min_size=1, max_size=4))
 def test_fuzzed_model_files_never_crash(tmp_path, capsys, lines):
     model = tmp_path / "fuzz.model"
     model.write_text("\n".join(lines) + "\n")
