@@ -221,16 +221,18 @@ def cmd_check(args) -> int:
 
         config = load_chart_file(args.model_file)
         results = check_chart_theory(config, n=n)
+        seed_line = None  # the chart suite draws no samples
     else:
         theory = axiom_corpus(args.theory)
         structure = load_model(args.model_file)
         results = check_theory(structure, theory, budget)
+        seed_line = budget.seed
     if args.format == "json":
         out = machine_report("%s %s" % (args.command, args.theory),
                              {"model": args.model_file}, budget.seed, results)
     else:
         out = text_report("check %s on %s" % (args.theory, args.model_file),
-                          results, seed=budget.seed)
+                          results, seed=seed_line)
     _emit(args, out)
     return exit_code(results)
 

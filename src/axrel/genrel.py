@@ -7,13 +7,17 @@ declared smoothness order.  There is no atlas machinery: completeness
 with respect to Lorentzian manifolds is a statement about the theory,
 and the chart layer is its desk-scale witness.
 
-All verdicts here are numeric and carry their tolerance; the flat-chart
-cases cross-validate against the exact special-relativistic results.
-Christoffel symbols come from central finite differences (step tied to
-the probe tolerance, default 1e-4); the integrator is fixed-step RK4
-with halving-based error control, fully deterministic.  The AxDiff_n
-probe and observer tangents use the finite differences of
-`axrel.numeric`, shared with the accelerated-observer layer.
+The localized axioms (AxSelf-, AxPh-, AxEv-, AxSymt-) are float checks
+that carry their tolerance; the flat-chart cases cross-validate against
+the exact special-relativistic results.  A chart file's AxDiff_n is
+decided exactly: its observers are static, so every transform between
+two of them is a translation, smooth of every order.  Christoffel
+symbols come from central finite differences (step tied to the probe
+tolerance, default 1e-4); the integrator is fixed-step RK4 with
+halving-based error control, fully deterministic.  `check_axdiff`, the
+float AxDiff_n probe for a library caller's general transform, and
+observer tangents use the finite differences of `axrel.numeric`, shared
+with the accelerated-observer layer.
 
 Metrics are evaluated in stacks: `MetricChart.metrics_at(points)` checks
 shape and symmetry once for the whole (n, 4, 4) stack.  Each Christoffel
@@ -743,8 +747,11 @@ def _static_worldline(chart: MetricChart, position) -> SmoothNumeric:
 def check_chart_theory(config: ChartSuiteConfig, n: Optional[int] = None,
                        tol: float = 1e-9) -> dict:
     """The GenRel(n) suite on a single chart: localized axioms checked
-    numerically, AxField and the field-language IND battery exactly."""
+    numerically; AxField, AxDiff_n and the field-language IND battery
+    exactly."""
     n = n if n is not None else config.order
+    if n < 1:
+        raise ValueError("n must be >= 1")
     chart = config.chart
     out: dict = {}
     out["AxField"] = Verdict.holds(
@@ -774,19 +781,18 @@ def check_chart_theory(config: ChartSuiteConfig, n: Optional[int] = None,
         verdicts.append(check_axsymt_minus(chart, w1, w2, point[3], tol))
     out["AxSymt-"] = combine_verdicts(verdicts) if verdicts else Verdict.unknown(
         evidence={"note": "no meetings declared"})
-    # AxDiff_n over worldview transformations between the observers
-    verdicts = []
-    names = sorted(obs_charts)
-    probe = list(chart.domain.sample_points(2))[:3]
-    for a in names:
-        for b in names:
-            if a == b:
-                continue
-            fa, fb = obs_charts[a], obs_charts[b]
-            transform = lambda p, fa=fa, fb=fb: fb.forward(fa.inverse(p))
-            verdicts.append(check_axdiff(transform, n, probe, declared_order=99))
-    out["AxDiff_%d" % n] = combine_verdicts(verdicts) if verdicts else Verdict.holds(
-        method="sampled", evidence={"note": "no observer pairs"})
+    # AxDiff_n over worldview transformations between the observers.  Every
+    # observer chart here is static_observer_chart(pos), so the transform
+    # fb.forward(fa.inverse(p)) from a's coordinates to b's is p + (a - b)
+    # in space and the identity in time: a translation.  An affine map is
+    # smooth of every order, so AxDiff_n holds for every n, exactly.
+    pairs = len(obs_charts) * (len(obs_charts) - 1)
+    if pairs:
+        out["AxDiff_%d" % n] = Verdict.holds(
+            evidence={"transform": "translation", "pairs": pairs})
+    else:
+        out["AxDiff_%d" % n] = Verdict.holds(
+            method="sampled", evidence={"note": "no observer pairs"})
     # IND battery: field-language instances are structure-independent.
     empty = Structure([], {}, photon_family=False, inertial_family=False, name="field")
     for inst in ind_battery():

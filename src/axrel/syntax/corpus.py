@@ -442,7 +442,13 @@ class IndInstance(Record):
 
 
 def ind_battery() -> list:
-    """Twenty IND instances over interval-definable bounded sets."""
+    """Twenty IND instances over interval-definable bounded sets: a fresh
+    list of shared, immutable records, parsed once."""
+    return list(_ind_instances())
+
+
+@functools.cache
+def _ind_instances() -> tuple:
     from .parser import parse
 
     q = {"t": Sort.QUANTITY, "p": Sort.QUANTITY}
@@ -478,4 +484,4 @@ def ind_battery() -> list:
         if any(p[0] == "p" for p in params):
             decls["p"] = Sort.QUANTITY
         out.append(IndInstance(name, parse(text, decls), "t", field_lang, sup, params))
-    return out
+    return tuple(out)

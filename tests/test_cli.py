@@ -48,6 +48,17 @@ worldline rear 1 0 0
 meet rear rear 1 0 0 0
 """
 
+FLAT = """chart flat
+order 9
+g 1 1 = 1
+g 2 2 = 1
+g 3 3 = 1
+g 4 4 = 0 - 1
+worldline a 0 0 0
+worldline b 1 0 0
+meet a a 0 0 0 0
+"""
+
 
 @pytest.fixture()
 def files(tmp_path):
@@ -181,6 +192,35 @@ def test_check_genrel_chart(files, capsys):
     code, out, _ = run_cli(["check", "GenRel(3)", files["rindler.chart"]], capsys)
     assert code == 0
     assert "AxPh-" in out and "AxDiff_3" in out
+
+
+def test_check_genrel_text_report_has_no_seed_line(files, capsys):
+    # The chart suite draws no samples, so --seed changes nothing and the
+    # text report does not print it; the JSON schema keeps its seed key.
+    argv = ["check", "GenRel(3)", files["rindler.chart"]]
+    _, plain, _ = run_cli(argv, capsys)
+    _, seeded, _ = run_cli(argv + ["--seed", "5"], capsys)
+    assert "seed" not in plain
+    assert seeded == plain
+    _, out, _ = run_cli(argv + ["--format", "json", "--seed", "5"], capsys)
+    assert json.loads(out)["seed"] == 5
+
+
+@pytest.mark.parametrize("chart, argv, golden", [
+    ("flat.chart", [], "genrel9_flat.txt"),
+    ("flat.chart", ["--format", "json"], "genrel9_flat.json"),
+    ("rindler.chart", [], "genrel9_rindler.txt"),
+    ("rindler.chart", ["--format", "json"], "genrel9_rindler.json"),
+])
+def test_golden_genrel_chart_reports(tmp_path, monkeypatch, capsys, chart, argv, golden):
+    # Two static observers (AxDiff_9 decided by the translation between
+    # them) and one (no observer pairs).
+    (tmp_path / "flat.chart").write_text(FLAT)
+    (tmp_path / "rindler.chart").write_text(RINDLER)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(["check", "GenRel(9)", chart] + argv, capsys)
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / golden).read_text()
 
 
 def test_parse_command(capsys):

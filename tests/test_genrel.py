@@ -295,9 +295,8 @@ def test_chart_file_flat_suite():
 
 
 def test_chart_file_suites_hold_at_declared_order():
-    # A translation between two static observers is smooth; at order 9 the
-    # finest central differences are dominated by float rounding, which the
-    # AxDiff stabilization test must not read as divergence.
+    # At the declared order 9 every verdict holds; AxDiff_9 is decided by
+    # the translation between the static observers, with no float stencils.
     for text in (FLAT_CHART_TEXT, RINDLER_CHART_TEXT):
         results = check_chart_theory(parse_chart_file(text))
         assert "AxDiff_9" in results
@@ -310,6 +309,34 @@ def test_chart_file_rindler_suite():
     results = check_chart_theory(config, n=3)
     for name in ("AxSelf-", "AxPh-", "AxEv-", "AxSymt-", "AxDiff_3"):
         assert results[name].is_holds, name
+
+
+@pytest.mark.parametrize("text", [FLAT_CHART_TEXT, RINDLER_CHART_TEXT], ids=["flat", "rindler"])
+@pytest.mark.parametrize("n", [3, 9, 100])
+def test_chart_file_axdiff_is_a_certified_translation(text, n):
+    # Past the charts' declared order 99 too: a translation is smooth of
+    # every order.
+    v = check_chart_theory(parse_chart_file(text), n=n)["AxDiff_%d" % n]
+    assert (v.outcome, v.method, v.tolerance) == ("Holds", "certified", None)
+    assert v.evidence == {"transform": "translation", "pairs": 2}
+
+
+def test_chart_file_suite_makes_no_axdiff_probe(monkeypatch):
+    import axrel.genrel as genrel
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_axdiff called")
+
+    monkeypatch.setattr(genrel, "check_axdiff", refuse)
+    results = check_chart_theory(parse_chart_file(FLAT_CHART_TEXT))
+    assert {"AxField", "AxSelf-", "AxPh-", "AxEv-", "AxSymt-", "AxDiff_9"} <= set(results)
+    assert sum(k.startswith("IND.") for k in results) == 18
+    assert all(v.is_holds for v in results.values())
+
+
+def test_chart_suite_rejects_order_below_one():
+    with pytest.raises(ValueError):
+        check_chart_theory(parse_chart_file(FLAT_CHART_TEXT), n=0)
 
 
 def test_coordinate_covariance_smoke():

@@ -220,6 +220,16 @@ def test_ind_battery_is_twenty():
     assert sum(1 for item in battery if item.field_language) == 18
 
 
+def test_ind_battery_is_parsed_once():
+    # Each call returns a fresh list of the same immutable records, so a
+    # caller that edits its list leaves the next caller's battery whole.
+    first = ind_battery()
+    first.clear()
+    second, third = ind_battery(), ind_battery()
+    assert len(second) == 20 and second is not third
+    assert all(a is b for a, b in zip(second, third))
+
+
 def test_theory_file_parsing():
     text = """
 # sample formula file
