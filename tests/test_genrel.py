@@ -334,9 +334,11 @@ def test_chart_file_suite_makes_no_axdiff_probe(monkeypatch):
     assert all(v.is_holds for v in results.values())
 
 
-def test_chart_suite_rejects_order_below_one():
+@pytest.mark.parametrize("text", [FLAT_CHART_TEXT, FLAT_CHART_TEXT.replace("worldline off 1 0 0\n", "")],
+                         ids=["two-observers", "one-observer"])
+def test_chart_suite_rejects_order_below_one(text):
     with pytest.raises(ValueError):
-        check_chart_theory(parse_chart_file(FLAT_CHART_TEXT), n=0)
+        check_chart_theory(parse_chart_file(text), n=0)
 
 
 def test_coordinate_covariance_smoke():
