@@ -28,8 +28,9 @@ _EXPORTS = {
               "galilean_structure", "load_model", "parse_model", "serialize_model",
               "standard_minkowski"),
     "verdict": ("Budget", "Verdict"),
-    "semantics": ("check_axiom", "check_ind_instance", "check_theory", "evaluate",
-                  "witness_inertial", "witness_photon"),
+    "semantics": ("check_axiom", "check_theory", "evaluate", "witness_inertial",
+                  "witness_photon"),
+    "ind": ("check_ind_instance",),
     "syntax": ("Formula", "Sort", "Theory", "axiom_corpus", "expand_definitions", "ind_battery",
                "instantiate_ind", "named_axiom", "parse", "print_formula"),
     "accel": ("AcceleratedScenario", "ShipConfig", "check_axcmv", "comoving_inertial",

@@ -1,16 +1,14 @@
-"""Exact polynomials and one-variable definable sets.
+"""Exact polynomials, interval sets and the values of quantity terms.
 
 ``Poly`` is the checker's one polynomial type, built from quantity terms
 by ``term_to_poly`` alone: affine ones pin quantity blocks, and ones in a
-single variable give guide roots and IND sets.  The IND schema checker
-reduces a formula with one distinguished quantity variable to a finite
-union of intervals with tower-field endpoints, by recursing over the
-boolean structure and solving the sign conditions of polynomials of
-degree <= 2 exactly (quadratic roots live in the tower).  W-atoms over
-affine charts and straight worldlines contribute linear equations; the
-photon-existence pattern contributes the lightlike quadratic.  Anything
-outside this fragment raises UnsupportedDefinableSet and the caller falls
-back to sampling (honest Unknown).
+single variable give guide roots and IND sets.  ``IntervalSet`` is a
+finite union of intervals with tower-field endpoints; ``poly_less_zero``
+and ``poly_eq_zero`` solve the sign conditions of a one-variable
+polynomial of degree <= 2 exactly as such sets (quadratic roots live in
+the tower), and a higher degree raises UnsupportedDefinableSet.
+``eval_term`` is the value of a term under an assignment.  The IND
+schema checker that reduces formulas to these sets is `ind`.
 """
 
 from __future__ import annotations
@@ -19,11 +17,11 @@ from typing import Optional, Sequence
 
 from .field import ER, ExactReal, sqrt
 from .record import Record, set_field
-from .syntax.ast import OneC, Var, fold_term
+from .syntax.ast import Add, Mul, OneC, Sub, Var, fold_term
 
 __all__ = [
-    "Poly", "IntervalSet", "Interval", "UnsupportedDefinableSet",
-    "term_to_poly", "poly_less_zero", "poly_eq_zero",
+    "Poly", "IntervalSet", "Interval", "UnsupportedDefinableSet", "UnboundVariable",
+    "term_to_poly", "eval_term", "poly_less_zero", "poly_eq_zero",
 ]
 
 _ZERO, _ONE = ER(0), ER(1)
@@ -31,6 +29,10 @@ _ZERO, _ONE = ER(0), ER(1)
 
 class UnsupportedDefinableSet(ValueError):
     """The formula falls outside the exactly solvable fragment."""
+
+
+class UnboundVariable(NameError):
+    pass
 
 
 class Poly:
@@ -193,6 +195,37 @@ def term_to_poly(term, polys: dict, env: dict) -> Poly:
         return Poly.const(1 if isinstance(t, OneC) else 0)
 
     return fold_term(term, leaf)
+
+
+def eval_term(term, env: dict):
+    """The value of a term under env; UnboundVariable names a missing variable."""
+    return _value_of(term)(env)
+
+
+def _value_of(term):
+    """eval_term(term, env) as a function of env, compiled once: +, - and *
+    combine the values of the two operands, the left one computed first,
+    as in fold_term."""
+    cls = type(term)
+    if cls is Add or cls is Sub or cls is Mul:
+        left, right = _value_of(term.left), _value_of(term.right)
+        if cls is Add:
+            return lambda env: left(env) + right(env)
+        if cls is Sub:
+            return lambda env: left(env) - right(env)
+        return lambda env: left(env) * right(env)
+    if cls is Var:
+        name = term.name
+
+        def var(env):
+            try:
+                return env[name]
+            except KeyError:
+                raise UnboundVariable(name) from None
+
+        return var
+    value = ER(1) if cls is OneC else ER(0)
+    return lambda env: value
 
 
 # ---------------------------------------------------------------------------

@@ -48,15 +48,16 @@ term evaluators and the And/Not rewrite of Or and Implies.  A later visit
 does only the work that depends on the assignment, with the same
 arithmetic in the same order and the same seed paths.
 
-Certified verifiers replace sampling entirely for the SpecRel axioms on
-affine-chart structures with full domains: each axiom reduces to an
-exact matrix identity or an exact subspace computation, and violations
-come back as concrete counterexample assignments.
+``check_axiom`` and ``check_theory`` take a certified verdict from
+`certify` where a reduction applies and evaluate the sentences otherwise;
+IND instances go to `ind`.  Both stay here, beside the ``evaluate`` they
+fall back to, as `certify` and `ind` never import this module on load.
 
 ``Budget``, ``Verdict``, ``combine_verdicts`` and the outcome constants
 live in `verdict`, which layers that only report verdicts import instead
-of this module; they are re-exported here, so ``from axrel.semantics
-import Verdict`` keeps working.
+of this module.  They, and the names that moved to `ind`, `certify` and
+`intervals`, are re-exported here: ``from axrel.semantics import
+Verdict`` keeps working.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 # hashlib.blake2b is this function; importing hashlib would also load
 # OpenSSL.  A build without CPython's own blake2 has only hashlib's.
@@ -77,38 +78,36 @@ except ImportError:
 
 from .field import ER
 from . import linalg
-from .kinematics import AffineMap, ETA, mu
+from .kinematics import AffineMap, mu
 from .model import (
     Body, InertialLine, PhotonLine, PiecewiseInertial, NotAnObserver, SmoothNumeric,
     Structure,
 )
 from .syntax.ast import (
-    Add, And, EqB, EqQ, Exists, Forall, Formula, IBAtom, IObAtom, Iff, Implies,
-    Less, Mul, Not, ObAtom, OneC, Or, PhAtom, Sort, Sub, Term, Theory, Var,
-    WAtom, _formula_terms, mentions, subformulas,
+    And, EqB, EqQ, Exists, Forall, Formula, IBAtom, IObAtom, Iff, Implies,
+    Less, Not, ObAtom, Or, PhAtom, Sort, Sub, Term, Theory, Var,
+    WAtom, _about, _flatten_and, _formula_terms, _split_conjuncts, mentions, subformulas,
 )
 from .syntax.corpus import (
-    IndInstance, contract_definitions, ind_battery, instantiate_ind,
+    IndInstance, UnknownTheory, axiom_corpus, contract_definitions, ind_battery,
 )
 from .intervals import (
-    Interval, IntervalSet, Poly, UnsupportedDefinableSet, poly_eq_zero, poly_less_zero,
-    term_to_poly,
+    Interval, IntervalSet, Poly, UnboundVariable, UnsupportedDefinableSet, _value_of,
+    eval_term, term_to_poly,
 )
+from .certify import _certified_axiom
+from .ind import _domain_set, _map_forms, check_ind_battery, check_ind_instance, definable_set
 from .verdict import FAILS, HOLDS, UNKNOWN, Budget, Verdict, combine_verdicts
 
 __all__ = [
     "Budget", "Verdict", "Assignment", "evaluate", "check_axiom",
     "check_theory", "check_ind_instance", "witness_photon",
     "witness_inertial", "UnknownAxiom", "UnboundVariable",
-    "recheck_counterexample", "definable_set",
+    "recheck_counterexample", "definable_set", "eval_term",
 ]
 
 
 class UnknownAxiom(KeyError):
-    pass
-
-
-class UnboundVariable(NameError):
     pass
 
 
@@ -152,41 +151,6 @@ class _Ctx:
     def report(self) -> dict:
         return {"samples": self.samples_used, "solver_calls": self.solver_calls,
                 "seed": self.budget.seed}
-
-
-# ---------------------------------------------------------------------------
-# Terms.
-
-
-def eval_term(term: Term, env: Assignment):
-    """The value of a term under env; UnboundVariable names a missing variable."""
-    return _value_of(term)(env)
-
-
-def _value_of(term: Term):
-    """eval_term(term, env) as a function of env, compiled once: +, - and *
-    combine the values of the two operands, the left one computed first,
-    as in fold_term."""
-    cls = type(term)
-    if cls is Add or cls is Sub or cls is Mul:
-        left, right = _value_of(term.left), _value_of(term.right)
-        if cls is Add:
-            return lambda env: left(env) + right(env)
-        if cls is Sub:
-            return lambda env: left(env) - right(env)
-        return lambda env: left(env) * right(env)
-    if cls is Var:
-        name = term.name
-
-        def var(env):
-            try:
-                return env[name]
-            except KeyError:
-                raise UnboundVariable(name) from None
-
-        return var
-    value = ER(1) if cls is OneC else ER(0)
-    return lambda env: value
 
 
 # ---------------------------------------------------------------------------
@@ -344,31 +308,6 @@ def _collect_block(f, kind, sort):
         names.append(node.var)
         node = node.body
     return names, node
-
-
-def _flatten_and(f: Formula) -> list:
-    if isinstance(f, And):
-        return _flatten_and(f.left) + _flatten_and(f.right)
-    return [f]
-
-
-def _about(g: Formula, var: str, kinds) -> bool:
-    """True for an atom of one of the given kinds whose body is the variable var."""
-    return isinstance(g, kinds) and isinstance(g.body, Var) and g.body.name == var
-
-
-def _split_conjuncts(conjuncts: list, var: str):
-    """(kinds, watoms, rest): the types of the Ph/IB atoms about var, the W
-    atoms about var, and every other conjunct."""
-    kinds, watoms, rest = set(), [], []
-    for g in conjuncts:
-        if _about(g, var, (PhAtom, IBAtom)):
-            kinds.add(type(g))
-        elif _about(g, var, WAtom):
-            watoms.append(g)
-        else:
-            rest.append(g)
-    return kinds, watoms, rest
 
 
 def _match_corr(f: Formula):
@@ -794,18 +733,6 @@ def _affine(term: Term, env, binding: dict) -> Optional[Poly]:
     return p if p.degree <= 1 else None
 
 
-def _map_forms(w: AffineMap, forms) -> list:
-    """w applied to four polynomials: component i is the constant c_i plus
-    the sum over j of forms[j] scaled by L_ij."""
-    out = []
-    for i in range(4):
-        acc = Poly.const(w.translation[i])
-        for j in range(4):
-            acc = acc + forms[j].scale(w.linear[i][j])
-        out.append(acc)
-    return out
-
-
 def _plan_pins(names, conjuncts) -> list:
     """The hypothesis conjuncts that can pin block variables, in order, as
     (o, o2, xs, ys, targets): a correspondence, with o and o2 compiled as
@@ -1160,15 +1087,13 @@ _PLANNERS = {
 
 
 # ---------------------------------------------------------------------------
-# Certified verifiers and axiom checking.
+# Axiom checking.
 
 
 def check_axiom(s: Structure, axiom_name: str, budget: Optional[Budget] = None,
                 theory: str = "AccRel") -> Verdict:
     """Check one named axiom; certified reductions on affine structures,
     sampled evaluation elsewhere."""
-    from .syntax.corpus import axiom_corpus, UnknownTheory
-
     budget = budget or Budget()
     try:
         th = axiom_corpus(theory)
@@ -1187,185 +1112,6 @@ def _check_group(s: Structure, group, budget: Budget) -> Verdict:
                              for _, sentence in group.sentences])
 
 
-def _certified_axiom(s: Structure, name: str) -> Optional[Verdict]:
-    if not s.all_charts_affine():
-        return None
-    if name == "AxField":
-        return Verdict.holds(evidence={"note": "tower-field arithmetic is an ordered field by construction"})
-    if name == "AxSelf" or name == "AxSelf-":
-        return _certify_axself(s)
-    if name == "AxPh":
-        return _certify_axph(s)
-    if name == "AxEv":
-        return _certify_axev(s)
-    if name == "AxSymd":
-        return _certify_axsymd(s)
-    if name == "AxCmv":
-        if all(b.is_inertial for b in s.observers()) and \
-                (s.photon_family or s.inertial_family) and s.all_domains_full():
-            return Verdict.holds(evidence={"note": "all observers inertial; each is its own co-moving observer"})
-        return None
-    return None
-
-
-def _certify_axself(s: Structure) -> Verdict:
-    for o in s.observers():
-        chart = s.chart_of(o)
-        inv = chart.inverse()
-        p0 = inv.apply((ER(0), ER(0), ER(0), ER(0)))
-        p1 = inv.apply((ER(0), ER(0), ER(0), ER(1)))
-        on_line = o.worldline.contains(p0) and o.worldline.contains(p1)
-        img0 = chart.apply(o.worldline.point_at(ER(0)))
-        img1 = chart.apply(o.worldline.point_at(ER(1)))
-        off_axis = any(not img0[i].is_zero() for i in range(3)) or \
-            any(not img1[i].is_zero() for i in range(3))
-        if not on_line or off_axis:
-            bad = img0 if any(not img0[i].is_zero() for i in range(3)) else img1
-            return Verdict.fails(evidence={
-                "o": o.id, "x": bad[0], "y": bad[1], "z": bad[2], "t": bad[3]})
-        if not s.domain_of(o).is_full():
-            return Verdict.unknown(evidence={"note": "restricted chart domain; not certified"})
-    return Verdict.holds()
-
-
-_FIXED_NULL = None
-
-
-def _fixed_null_vectors():
-    global _FIXED_NULL
-    if _FIXED_NULL is None:
-        dirs = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
-                (Fraction(3, 5), Fraction(4, 5), 0), (Fraction(4, 5), 0, Fraction(3, 5)),
-                (0, Fraction(5, 13), Fraction(12, 13))]
-        _FIXED_NULL = [tuple(ER(c) for c in d) + (ER(1),) for d in dirs] + \
-                      [tuple(ER(c) for c in d) + (ER(-1),) for d in dirs]
-    return _FIXED_NULL
-
-
-# The coordinate names of the points in the SpecRel axioms' evidence.
-_X = ("x1", "x2", "x3", "x4")
-_X_PRIME = ("x1'", "x2'", "x3'", "x4'")
-_Y = ("y1", "y2", "y3", "y4")
-_Y_PRIME = ("y1'", "y2'", "y3'", "y4'")
-
-
-def _evidence(head: dict, *points) -> dict:
-    """head, then each (names, coordinates) point's coordinates by name."""
-    out = dict(head)
-    for names, values in points:
-        out.update(zip(names, values))
-    return out
-
-
-def _certify_axph(s: Structure) -> Optional[Verdict]:
-    if not s.photon_family:
-        return None
-    if not s.all_domains_full():
-        return None
-    for o in s.observers():
-        chart = s.chart_of(o)
-        inv_lin = chart.inverse().linear
-        a = linalg.mat_mul(linalg.transpose(inv_lin), linalg.mat_mul(ETA, inv_lin))
-        lam = a[0][0]
-        eta_scaled = tuple(tuple(lam * ETA[i][j] for j in range(4)) for i in range(4))
-        if not lam.is_zero() and linalg.mat_eq(a, eta_scaled):
-            continue
-        # The null cone is not preserved: exhibit a lightlike pair in o's
-        # chart joined by no photon (or vice versa), exactly.  One of the
-        # fixed null vectors z = (d, +-1) always has z^T a z != 0.  Were it
-        # 0 on all of them, then for each fixed d both signs give
-        # d^T A d + a44 = 0 and b.d = 0, with A the spatial block of the
-        # symmetric a and b its mixed column: e1, e2, e3 give b = 0 and
-        # A_ii = -a44, and the three Pythagorean directions then give
-        # A_12 = A_13 = A_23 = 0.  So a = a11 * eta, and a11 != 0 since a
-        # is invertible: the identity just tested would hold.
-        z = next(z for z in _fixed_null_vectors()
-                 if not sum((z[i] * sum((a[i][j] * z[j] for j in range(4)), ER(0))
-                             for i in range(4)), ER(0)).is_zero())
-        return Verdict.fails(evidence=_evidence({"o": o.id}, (_X, (ER(0),) * 4), (_X_PRIME, z)))
-    return Verdict.holds()
-
-
-def _certify_axev(s: Structure) -> Verdict:
-    """Fails at the first restricted pair with an escape point; Unknown if
-    some restricted pair has none and no pair fails; else Holds."""
-    observers = s.observers()
-    undecided = False
-    for o in observers:
-        for o2 in observers:
-            if s.domain_of(o2).is_full() and s.domain_of(o).is_full():
-                continue
-            probe = _domain_escape_point(s, o, o2, s.transition(o, o2))
-            if probe is not None:
-                return Verdict.fails(evidence=_evidence({"o": o.id, "o'": o2.id}, (_X, probe)))
-            undecided = True
-    if undecided:
-        return Verdict.unknown(evidence={"note": "restricted domains; no certified decision"})
-    return Verdict.holds()
-
-
-def _domain_escape_point(s: Structure, o: Body, o2: Body, w: AffineMap):
-    """A point in o's chart (and domain) whose event o2 cannot coordinatize."""
-    dom_o, dom_o2 = s.domain_of(o), s.domain_of(o2)
-    w_inv = w.inverse()
-    for axis, (lo, hi) in enumerate(dom_o2.bounds):
-        for bound, outward in ((hi, 1), (lo, -1)):
-            if bound is None:
-                continue
-            for step in (ER(1), ER(Fraction(1, 2)), ER(2)):
-                probe = [ER(0)] * 4
-                probe[axis] = bound + step * outward
-                x = w_inv.apply(tuple(probe))
-                if dom_o.contains(x) and not dom_o2.contains(tuple(probe)):
-                    return x
-    return None
-
-
-def _certify_axsymd(s: Structure) -> Optional[Verdict]:
-    """Each unordered pair once, o before o'.  The pair (o, o) has w = id,
-    whose form is 0.  For u in w's subspace {u4 = 0, (Lu)4 = 0}, Lu lies in
-    the subspace of w^-1, where its form is minus w's form at u.  So
-    (o', o) violates exactly when (o, o') does: the first violation of the
-    ordered-pairs loop is a pair with o before o', found here first and
-    with the same evidence."""
-    if not s.all_domains_full():
-        return None
-    observers = s.observers()
-    for i, o in enumerate(observers):
-        for o2 in observers[i + 1:]:
-            w = s.transition(o, o2)
-            lin = w.linear
-            rows = (
-                (ER(0), ER(0), ER(0), ER(1)),            # u4 = 0
-                tuple(lin[3][j] for j in range(4)),      # (L u)4 = 0
-            )
-            basis = linalg.null_space(rows)
-            bad = _symd_violation(lin, basis)
-            if bad is not None:
-                zero4 = (ER(0),) * 4
-                return Verdict.fails(evidence=_evidence(
-                    {"o": o.id, "o'": o2.id}, (_X, bad), (_Y, zero4),
-                    (_X_PRIME, w.apply(bad)), (_Y_PRIME, w.apply(zero4))))
-    return Verdict.holds()
-
-
-def _symd_violation(lin, basis):
-    def form(u, v):
-        lu = linalg.mat_vec(lin, u)
-        lv = linalg.mat_vec(lin, v)
-        spatial = sum((lu[i] * lv[i] for i in range(3)), ER(0))
-        original = sum((u[i] * v[i] for i in range(3)), ER(0))
-        return spatial - original
-
-    for i, u in enumerate(basis):
-        if not form(u, u).is_zero():
-            return u
-        for v in basis[i + 1:]:
-            if not form(u, v).is_zero():
-                return linalg.vec_add(u, v)
-    return None
-
-
 def recheck_counterexample(s: Structure, sentence: Formula, evidence: dict,
                            budget: Optional[Budget] = None) -> bool:
     """Re-evaluate the quantifier matrix under a counterexample assignment;
@@ -1382,147 +1128,6 @@ def recheck_counterexample(s: Structure, sentence: Formula, evidence: dict,
     return v.is_fails
 
 
-# ---------------------------------------------------------------------------
-# IND instances via the exact interval solver.
-
-
-def definable_set(s: Structure, phi: Formula, var: str, env: Assignment) -> IntervalSet:
-    """The subset of the quantity sort defined by phi(var), exactly."""
-    if isinstance(phi, (Less, EqQ)):
-        p = term_to_poly(Sub(phi.left, phi.right), {var: Poly.var(var)}, env)
-        return poly_less_zero(p) if isinstance(phi, Less) else poly_eq_zero(p)
-    if isinstance(phi, Not):
-        return definable_set(s, phi.arg, var, env).complement()
-    if isinstance(phi, And):
-        return definable_set(s, phi.left, var, env).intersect(
-            definable_set(s, phi.right, var, env))
-    if isinstance(phi, Or):
-        return definable_set(s, phi.left, var, env).union(
-            definable_set(s, phi.right, var, env))
-    if isinstance(phi, Implies):
-        return definable_set(s, phi.left, var, env).complement().union(
-            definable_set(s, phi.right, var, env))
-    if isinstance(phi, Iff):
-        a = definable_set(s, phi.left, var, env)
-        b = definable_set(s, phi.right, var, env)
-        return a.intersect(b).union(a.complement().intersect(b.complement()))
-    if isinstance(phi, WAtom):
-        return _watom_set(s, phi, var, env)
-    if isinstance(phi, (IBAtom, PhAtom, ObAtom, IObAtom)):
-        state, _, _ = _eval(phi, env, _Ctx(s, Budget()), "ds")
-        return IntervalSet.all() if state == HOLDS else IntervalSet.empty()
-    if isinstance(phi, Exists) and phi.var_sort is Sort.BODY:
-        return _exists_body_set(s, phi, var, env)
-    raise UnsupportedDefinableSet("formula outside the solvable fragment: %r" % type(phi).__name__)
-
-
-def _coord_polys(s: Structure, obs: Body, coords, var, env):
-    polys = [term_to_poly(c, {var: Poly.var(var)}, env) for c in coords]
-    if any(p.degree_in(var) > 1 for p in polys):
-        raise UnsupportedDefinableSet("nonlinear coordinate in W")
-    chart = s.chart_of(obs)
-    if not isinstance(chart, AffineMap):
-        raise UnsupportedDefinableSet("non-affine chart")
-    return polys, _map_forms(chart.inverse(), polys)
-
-
-def _domain_set(s: Structure, obs: Body, coord_polys) -> IntervalSet:
-    out = IntervalSet.all()
-    dom = s.domain_of(obs)
-    for i, (lo, hi) in enumerate(dom.bounds):
-        if lo is not None:
-            cond = poly_less_zero(Poly.const(lo) - coord_polys[i])
-            if dom.closed:
-                cond = cond.union(poly_eq_zero(Poly.const(lo) - coord_polys[i]))
-            out = out.intersect(cond)
-        if hi is not None:
-            cond = poly_less_zero(coord_polys[i] - Poly.const(hi))
-            if dom.closed:
-                cond = cond.union(poly_eq_zero(coord_polys[i] - Poly.const(hi)))
-            out = out.intersect(cond)
-    return out
-
-
-def _watom_set(s: Structure, phi: WAtom, var, env) -> IntervalSet:
-    obs = eval_term(phi.observer, env)
-    body = eval_term(phi.body, env)
-    if not s.is_observer(obs):
-        return IntervalSet.empty()
-    polys, ref = _coord_polys(s, obs, phi.coords, var, env)
-    out = _domain_set(s, obs, polys)
-    w = body.worldline
-    if isinstance(w, (InertialLine, PhotonLine)):
-        vel = w.velocity if isinstance(w, InertialLine) else w.direction
-        for i in range(3):
-            lhs = ref[i] - Poly.const(w.point[i]) - (ref[3] - Poly.const(w.point[3])).scale(vel[i])
-            out = out.intersect(poly_eq_zero(lhs))
-        return out
-    raise UnsupportedDefinableSet("W over a non-straight worldline")
-
-
-def _exists_body_set(s: Structure, phi: Exists, var, env) -> IntervalSet:
-    bvar = phi.var
-    kinds, watoms, rest = _split_conjuncts(_flatten_and(phi.body), bvar)
-    if rest or PhAtom not in kinds or len(watoms) not in (1, 2):
-        raise UnsupportedDefinableSet("existential outside the photon pattern")
-    obs = eval_term(watoms[0].observer, env)
-    if not s.is_observer(obs):
-        return IntervalSet.empty()
-    out = IntervalSet.empty()
-    for b in s.bodies.values():
-        if b.is_photon:
-            named = IntervalSet.all()
-            for wat in watoms:
-                named = named.intersect(_watom_set(s, wat, var, {**env, bvar: b}))
-            out = out.union(named)
-    if s.photon_family:
-        sets = [_coord_polys(s, obs, wat.coords, var, env) for wat in watoms]
-        domain = IntervalSet.all()
-        for polys, _ in sets:
-            domain = domain.intersect(_domain_set(s, obs, polys))
-        if len(watoms) == 2:
-            domain = domain.intersect(poly_eq_zero(mu(sets[0][1], sets[1][1])))
-        out = out.union(domain)
-    return out
-
-
-def check_ind_instance(s: Structure, inst: IndInstance,
-                       budget: Optional[Budget] = None) -> Verdict:
-    """Decide one IND instance: compute the defined set exactly and verify
-    the least-upper-bound property; falls back to sampled evaluation when
-    the set is outside the solvable fragment."""
-    from .field import parse_exact
-
-    budget = budget or Budget()
-    env: Assignment = {}
-    for name, spec in inst.param_values:
-        if spec == "@observer":
-            env[name] = s.observers()[0]
-        elif spec == "@body":
-            obs0 = s.observers()[0].id
-            pick = next((b for b in s.bodies.values()
-                         if not b.is_photon and b.id != obs0), None)
-            env[name] = pick if pick is not None else s.observers()[0]
-        else:
-            env[name] = parse_exact(spec)
-    try:
-        the_set = definable_set(s, inst.formula, inst.var, env)
-    except UnsupportedDefinableSet as exc:
-        sentence = instantiate_ind(inst.formula, inst.var)
-        v = evaluate(s, sentence, env, budget)
-        v.evidence.setdefault("note", "outside exact fragment: %s" % exc)
-        return v
-    if the_set.is_empty():
-        return Verdict.holds(evidence={"case": "empty set; instance vacuously true"})
-    if not the_set.bounded_above():
-        return Verdict.holds(evidence={"case": "unbounded above; instance vacuously true"})
-    sup = the_set.supremum()
-    # sup is the max of finitely many exact interval tops: an upper bound
-    # by construction, and least because every smaller value is exceeded
-    # inside the topmost interval.
-    return Verdict.holds(evidence={"sup": sup})
-
-
 def check_theory(s: Structure, theory: Theory, budget: Optional[Budget] = None,
                  battery: Optional[Sequence[IndInstance]] = None) -> dict:
     """Check every axiom group of the theory; IND (when the theory carries
@@ -1532,6 +1137,5 @@ def check_theory(s: Structure, theory: Theory, budget: Optional[Budget] = None,
     for group in theory.groups:
         out[group.name] = _check_group(s, group, budget)
     if theory.has_ind_schema:
-        for inst in (battery if battery is not None else ind_battery()):
-            out["IND.%s" % inst.name] = check_ind_instance(s, inst, budget)
+        out.update(check_ind_battery(s, battery if battery is not None else ind_battery(), budget))
     return out

@@ -409,6 +409,31 @@ def subformulas(f: Formula) -> Iterator[Formula]:
         stack.extend(reversed(_children(f)))
 
 
+def _flatten_and(f: Formula) -> list:
+    if isinstance(f, And):
+        return _flatten_and(f.left) + _flatten_and(f.right)
+    return [f]
+
+
+def _about(g: Formula, var: str, kinds) -> bool:
+    """True for an atom of one of the given kinds whose body is the variable var."""
+    return isinstance(g, kinds) and isinstance(g.body, Var) and g.body.name == var
+
+
+def _split_conjuncts(conjuncts: list, var: str):
+    """(kinds, watoms, rest): the types of the Ph/IB atoms about var, the W
+    atoms about var, and every other conjunct."""
+    kinds, watoms, rest = set(), [], []
+    for g in conjuncts:
+        if _about(g, var, (PhAtom, IBAtom)):
+            kinds.add(type(g))
+        elif _about(g, var, WAtom):
+            watoms.append(g)
+        else:
+            rest.append(g)
+    return kinds, watoms, rest
+
+
 def rebuild(f: Formula, visit, atom=None) -> Formula:
     """f with each immediate subformula g replaced by visit(g), left to
     right; f itself when nothing changed.  An atom is returned as it is, or

@@ -6,6 +6,9 @@
   `syntax`, `intervals`).
 - `axrel.cli` loads every layer but the chart layer with the module, and
   the chart layer compiles the exact layers before it loads numpy.
+- The certified reductions (`certify`), the IND solver (`ind`), the
+  interval layer and the chart layer never import the evaluator
+  (`semantics`) at module level, so the chart layer does not load it.
 - The chart layer takes its float numerics from `axrel.numeric`, never
   from the accelerated-observer layer.
 - Only the chart layer (`axrel.genrel`) imports numpy, and it loads on
@@ -106,8 +109,38 @@ def test_cli_loads_every_layer_but_the_charts_with_the_module(tmp_path):
 
 def test_genrel_compiles_the_exact_layers_before_numpy(tmp_path):
     body = ("import axrel.genrel\nloaded = list(sys.modules)\n"
-            "assert loaded.index('axrel.semantics') < loaded.index('numpy'), loaded")
-    assert _loaded_after(body, tmp_path) == "['axrel.genrel', 'numpy']"
+            "assert loaded.index('axrel.ind') < loaded.index('numpy'), loaded\n"
+            "assert 'axrel.certify' in loaded, loaded")
+    watched = ("numpy", "axrel.genrel", "axrel.semantics")
+    assert _loaded_after(body, tmp_path, watched) == "['axrel.genrel', 'numpy']"
+
+
+def _module_level_imports(path):
+    # Imports outside every function body: the ones that run on import.
+    tree = ast.parse(Path(path).read_text(encoding="utf-8"))
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.ImportFrom):
+            yield "." * node.level + (node.module or "")
+            for alias in node.names:
+                yield "." * node.level + (node.module + "." if node.module else "") + alias.name
+        elif isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_lower_modules_import_nothing_from_the_evaluator_at_module_level():
+    for module in ("certify", "ind", "intervals", "genrel"):
+        imported = set(_module_level_imports(SRC / "axrel" / (module + ".py")))
+        assert not {m for m in imported if m in (".semantics", "axrel.semantics")
+                    or m.startswith((".semantics.", "axrel.semantics."))}, module
+    # The guard sees cli's top-level import and skips the ones in ind's functions.
+    assert ".semantics" in set(_module_level_imports(SRC / "axrel" / "cli.py"))
+    assert ".semantics" not in set(_module_level_imports(SRC / "axrel" / "ind.py"))
+    assert ".semantics" in set(_imported_modules(SRC / "axrel" / "ind.py"))
 
 
 def test_exact_layers_load_without_numpy(tmp_path):

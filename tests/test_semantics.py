@@ -18,8 +18,9 @@ from axrel.model import (
     Body, ChartDomain, InertialLine, ObserverSpec, PhotonLine, PiecewiseInertial, SmoothNumeric,
     Structure, parse_model, standard_minkowski,
 )
+from axrel.certify import _certify_axsymd, _symd_violation
 from axrel.semantics import (
-    Budget, UnknownAxiom, Verdict, _Ctx, _certify_axsymd, _event_contents_equal, _symd_violation,
+    Budget, UnknownAxiom, Verdict, _Ctx, _event_contents_equal,
     check_axiom,
     check_ind_instance, check_theory, evaluate, recheck_counterexample,
     witness_inertial, witness_photon,
