@@ -500,7 +500,7 @@ def standard_minkowski(observers: Sequence[ObserverSpec],
     """The Minkowski model over the tower field with the given observers.
 
     Both intensional families are on; every chart is a Poincare map, so
-    all SpecRel axioms hold (certified by the semantics module).
+    all SpecRel axioms hold (certified by the reductions of `certify`).
     """
     if any(spec.galilean for spec in observers):
         raise ValueError("standard_minkowski takes Lorentz observers only")

@@ -3,10 +3,10 @@
 A verdict is Holds, Fails or Unknown, with the method that reached it
 ("certified" or "sampled"), its evidence, a budget report and, for float
 checks, a tolerance.  Every layer that checks an axiom returns one:
-`semantics`, `kinematics.check_noftl`, `accel` and `genrel`.  This module
-imports `field`, `record` and `model` (for `Body` in evidence) but not the
-evaluator, so a layer that only reports verdicts does not load `semantics`
-and its formula layers.
+`semantics`, `certify`, `ind`, `kinematics.check_noftl`, `accel` and
+`genrel`.  This module imports `field`, `record` and `model` (for `Body`
+in evidence) but not the evaluator, so a layer that only reports verdicts
+does not load `semantics` and its formula layers.
 """
 
 from __future__ import annotations

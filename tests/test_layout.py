@@ -33,16 +33,20 @@ import axrel.genrel
 SRC = Path(axrel.genrel.__file__).resolve().parent.parent
 
 
+def _import_names(node):
+    if isinstance(node, ast.ImportFrom):
+        yield "." * node.level + (node.module or "")
+        for alias in node.names:
+            yield "." * node.level + (node.module + "." if node.module else "") + alias.name
+    elif isinstance(node, ast.Import):
+        for alias in node.names:
+            yield alias.name
+
+
 def _imported_modules(path):
     tree = ast.parse(Path(path).read_text(encoding="utf-8"))
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            yield "." * node.level + (node.module or "")
-            for alias in node.names:
-                yield "." * node.level + (node.module + "." if node.module else "") + alias.name
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                yield alias.name
+        yield from _import_names(node)
 
 
 def test_genrel_imports_nothing_from_accel():
@@ -117,19 +121,12 @@ def test_genrel_compiles_the_exact_layers_before_numpy(tmp_path):
 
 def _module_level_imports(path):
     # Imports outside every function body: the ones that run on import.
-    tree = ast.parse(Path(path).read_text(encoding="utf-8"))
-    stack = list(tree.body)
+    stack = list(ast.parse(Path(path).read_text(encoding="utf-8")).body)
     while stack:
         node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(node, ast.ImportFrom):
-            yield "." * node.level + (node.module or "")
-            for alias in node.names:
-                yield "." * node.level + (node.module + "." if node.module else "") + alias.name
-        elif isinstance(node, ast.Import):
-            yield from (alias.name for alias in node.names)
-        stack.extend(ast.iter_child_nodes(node))
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _import_names(node)
+            stack.extend(ast.iter_child_nodes(node))
 
 
 def test_lower_modules_import_nothing_from_the_evaluator_at_module_level():
