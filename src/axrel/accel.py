@@ -14,7 +14,9 @@ pasted) as 1 + g*h.
 Checks here are the model-side (semantic) verifications of the twin
 paradox and gravitational time dilation; there is no proof-theoretic
 derivation anywhere in this package.  Finite differences and the float
-boost come from `axrel.numeric`, shared with the chart layer.
+boost come from `axrel.numeric`, shared with the chart layer; every
+velocity of a numeric worldline, in its proper time, its CSV rows and its
+co-moving observer, is `numeric.velocity_at`.
 """
 
 from __future__ import annotations
@@ -95,25 +97,19 @@ def _piecewise_proper_time(w: PiecewiseInertial, t0: ExactReal, t1: ExactReal) -
     return total
 
 
-def _numeric_velocity(w: SmoothNumeric, t: float, h: float = 1e-6):
-    if w.velocity is not None:
-        return w.velocity(t)
-    lo = max(w.t_min, t - h)
-    hi = min(w.t_max, t + h)
-    p0, p1 = w.position(lo), w.position(hi)
-    return tuple((b - a) / (hi - lo) for a, b in zip(p0, p1))
+# Error target of the adaptive Simpson rule behind numeric proper times.
+_SIMPSON_TOL = 1e-10
 
 
-def _numeric_proper_time(w: SmoothNumeric, t0: float, t1: float,
-                         tol: float = 1e-10) -> ApproxReal:
+def _numeric_proper_time(w: SmoothNumeric, t0: float, t1: float) -> ApproxReal:
     def integrand(t: float) -> float:
-        v = _numeric_velocity(w, t)
+        v = velocity_at(w, t)
         speed2 = sum(c * c for c in v)
         if speed2 >= 1.0:
             raise SuperluminalSegment("speed >= 1 at t=%g" % t)
         return math.sqrt(1.0 - speed2)
 
-    value, err = _adaptive_simpson(integrand, t0, t1, tol)
+    value, err = _adaptive_simpson(integrand, t0, t1, _SIMPSON_TOL)
     return ApproxReal.from_float(value, max(err * 4, 1e-15 * max(1.0, abs(value))))
 
 
@@ -146,7 +142,8 @@ def _adaptive_simpson(f: Callable, a: float, b: float, tol: float):
 def comoving_inertial(w, t):
     """(velocity 3-vector, event Coord4) of the inertial observer tangent
     to w at coordinate time t; exact for exact worldlines, floats for
-    numeric ones.  Raises NotDifferentiable at piecewise breakpoints.
+    numeric ones (numeric.velocity_at, also at a domain edge).  Raises
+    NotDifferentiable at piecewise breakpoints.
     """
     if isinstance(w, InertialLine):
         return w.velocity, w.point_at(ER(t))
@@ -182,13 +179,14 @@ def tangent_deviation_ladder(w, t, deltas: Sequence[float]):
     return out
 
 
+# check_axcmv's deltas and the C of its bound residual(delta) <= C * delta^1.5.
 DEFAULT_LADDER = tuple(1.0 / 2 ** k for k in range(3, 13))
+_RESIDUAL_COEFFICIENT = 1.0
 
 
-def check_axcmv(s: Structure, o: Body, t, ladder: Sequence[float] = DEFAULT_LADDER,
-                residual_coefficient: float = 1.0) -> Verdict:
+def check_axcmv(s: Structure, o: Body, t) -> Verdict:
     """First-order agreement of o's chart with its tangent inertial chart
-    at o's time t: residual(delta) <= coefficient * delta^1.5 on the ladder.
+    at o's time t: residual(delta) <= delta^1.5 on DEFAULT_LADDER.
 
     Inertial (affine) charts hold exactly; numeric charts are sampled on
     the ladder.  Raises NotDifferentiable at a worldline kink.
@@ -200,7 +198,7 @@ def check_axcmv(s: Structure, o: Body, t, ladder: Sequence[float] = DEFAULT_LADD
         return Verdict.holds(evidence={"note": "inertial observer is its own co-moving observer"})
     tf = float(t)
     ref_line = lambda u: chart.inverse((0.0, 0.0, 0.0, u))
-    kink = one_sided_jump(ref_line, tf, ladder[-1] / 4.0, 1.0)
+    kink = one_sided_jump(ref_line, tf, DEFAULT_LADDER[-1] / 4.0, 1.0)
     if kink > 1e-3:
         raise NotDifferentiable("worldline kink at t=%g (jump %.3g)" % (tf, kink))
     e_ref = ref_line(tf)
@@ -216,7 +214,7 @@ def check_axcmv(s: Structure, o: Body, t, ladder: Sequence[float] = DEFAULT_LADD
                   (0.6, 0.0, 0.0, 0.8), (0.0, 0.6, 0.8, 0.0)]
     base = chart.forward(e_ref)
     worst = []
-    for delta in ladder:
+    for delta in DEFAULT_LADDER:
         residual = 0.0
         for d in directions:
             x = tuple(e_ref[i] + delta * d[i] for i in range(4))
@@ -226,13 +224,13 @@ def check_axcmv(s: Structure, o: Body, t, ladder: Sequence[float] = DEFAULT_LADD
             expected = tuple(base[i] + tang_img[i] for i in range(4))
             residual = max(residual, max(abs(a - b) for a, b in zip(chart_img, expected)))
         worst.append(residual)
-        if residual > residual_coefficient * delta ** 1.5:
+        if residual > _RESIDUAL_COEFFICIENT * delta ** 1.5:
             return Verdict.fails(
                 evidence={"delta": delta, "residual": residual},
-                method="sampled", tolerance=residual_coefficient)
+                method="sampled", tolerance=_RESIDUAL_COEFFICIENT)
     return Verdict.holds(method="sampled",
-                         evidence={"residuals": tuple(worst), "ladder": tuple(ladder)},
-                         tolerance=residual_coefficient)
+                         evidence={"residuals": tuple(worst), "ladder": DEFAULT_LADDER},
+                         tolerance=_RESIDUAL_COEFFICIENT)
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +277,18 @@ def twin_paradox(sc: AcceleratedScenario):
 
 def rechart_scenario(sc: AcceleratedScenario, w: PoincareMap) -> AcceleratedScenario:
     """The same scenario expressed in different inertial coordinates; the
-    twin_paradox outputs must be identical (exact worldlines only)."""
+    twin_paradox outputs must be identical (exact worldlines only).
+
+    An inertial or photon line maps to the line of its kind through the
+    images of its events at times 0 and 1: a Poincare map keeps speeds
+    below 1 below 1 and a photon's speed exactly 1."""
 
     def map_line(line):
-        if isinstance(line, InertialLine):
+        if isinstance(line, (InertialLine, PhotonLine)):
             p0 = w.apply(line.point_at(ER(0)))
             p1 = w.apply(line.point_at(ER(1)))
             dt = p1[3] - p0[3]
-            return InertialLine(p0, tuple((p1[i] - p0[i]) / dt for i in range(3)))
+            return type(line)(p0, tuple((p1[i] - p0[i]) / dt for i in range(3)))
         if isinstance(line, PiecewiseInertial):
             return PiecewiseInertial(tuple(w.apply(k) for k in line.knots))
         raise InvalidConfig("cannot re-chart a numeric worldline exactly")
@@ -491,10 +493,7 @@ def worldline_csv(w, t0, t1, steps: int = 100) -> str:
             rows.append(",".join(x.decimal_str() for x in row))
         else:
             p = w.point_at(tf)
-            try:
-                v = velocity_at(w, tf)
-            except NotDifferentiable:  # a domain edge: one-sided estimate
-                v = _numeric_velocity(w, tf)
+            v = velocity_at(w, tf)
             tau = _numeric_proper_time(w, t0f, tf) if tf > t0f else ApproxReal.from_float(0.0, 0.0)
             vals = [tf, p[0], p[1], p[2], v[0], v[1], v[2], float(tau)]
             rows.append(",".join("%.12g" % x for x in vals))

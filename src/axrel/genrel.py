@@ -12,12 +12,13 @@ that carry their tolerance; the flat-chart cases cross-validate against
 the exact special-relativistic results.  A chart file's AxDiff_n is
 decided exactly: its observers are static, so every transform between
 two of them is a translation, smooth of every order.  Christoffel
-symbols come from central finite differences (step tied to the probe
-tolerance, default 1e-4); the integrator is fixed-step RK4 with
-halving-based error control, fully deterministic.  `check_axdiff`, the
-float AxDiff_n probe for a library caller's general transform, and
-observer tangents use the finite differences of `axrel.numeric`, shared
-with the accelerated-observer layer.
+symbols come from central finite differences with a fixed step of 1e-4;
+the integrator is fixed-step RK4 with halving-based error control, fully
+deterministic.  `check_axdiff`, the float AxDiff_n probe for a library
+caller's general transform, and observer tangents use the finite
+differences of `axrel.numeric`, shared with the accelerated-observer
+layer.  Stencil steps, tolerances and sample counts are the module
+constants below, not parameters; a geodesic's RK4 step and span are.
 
 Metrics are evaluated in stacks: `MetricChart.metrics_at(points)` checks
 shape and symmetry once for the whole (n, 4, 4) stack.  Each Christoffel
@@ -68,6 +69,18 @@ __all__ = [
     "rindler_to_minkowski", "geodesic_csv",
 ]
 
+# The float checks' fixed numerics.  AxSelf-, AxPh-, AxSymt- and AxEv-'s
+# closure probe use and report _PROBE_TOL.
+_PROBE_TOL = 1e-9
+_PIVOT_TOL = 1e-12                # normal_frame: smallest usable |g(b, b)|
+_N_DIRECTIONS = 16                # check_axph_minus: spatial directions
+_BALL_RADII = (0.1, 0.01, 0.001)  # check_axev_minus: openness-probe radii
+_SAMPLES_PER_AXIS = 3             # FloatBox.sample_points, check_axev_minus
+_AXDIFF_STEP = 1e-2               # check_axdiff: coarsest stencil step
+_AXDIFF_TOL = 1e-6                # check_axdiff: divergence tolerance
+_DIFF_STEP = 1e-4                 # geodesic: Christoffel stencil step
+_HALVING_TOL = 1e-8               # geodesic: end-point change that ends halving
+
 
 class DegenerateMetric(ValueError):
     pass
@@ -111,13 +124,13 @@ class FloatBox(Record):
     def interior_contains_ball(self, p, r: float) -> bool:
         return all(p[i] - r > self.lo[i] and p[i] + r < self.hi[i] for i in range(4))
 
-    def sample_points(self, n_per_axis: int = 3):
+    def sample_points(self):
         axes = []
         for i in range(4):
             lo = self.lo[i] if math.isfinite(self.lo[i]) else -2.0
             hi = self.hi[i] if math.isfinite(self.hi[i]) else 2.0
-            pad = (hi - lo) / (n_per_axis + 1)
-            axes.append([lo + pad * (k + 1) for k in range(n_per_axis)])
+            pad = (hi - lo) / (_SAMPLES_PER_AXIS + 1)
+            axes.append([lo + pad * (k + 1) for k in range(_SAMPLES_PER_AXIS)])
         for i1 in axes[0]:
             for i2 in axes[1][:1]:
                 for i3 in axes[2][:1]:
@@ -177,15 +190,14 @@ class MetricChart(MutableRecord):
     Single points, and the g of a library caller's MetricChart(g), are
     evaluated one point at a time."""
 
-    __slots__ = _fields = ("g", "domain", "order", "name", "dg")
+    __slots__ = _fields = ("g", "domain", "order", "name")
 
     def __init__(self, g: Callable, domain: FloatBox = FloatBox(), order: int = 3,
-                 name: str = "chart", dg: Optional[Callable] = None):
+                 name: str = "chart"):
         self.g = g
         self.domain = domain
         self.order = order
         self.name = name
-        self.dg = dg  # optional analytic (axis -> d g / d x_axis)
 
     def metrics_at(self, points) -> np.ndarray:
         g, m = self.g, None
@@ -240,7 +252,7 @@ def rindler_to_minkowski(p) -> tuple:
 # Normal frames.
 
 
-def normal_frame(chart: MetricChart, p, tol: float = 1e-12) -> np.ndarray:
+def normal_frame(chart: MetricChart, p) -> np.ndarray:
     """M with M^T g(p) M = eta, via form-orthogonalization with a fixed
     pivot rule (largest remaining |g(b,b)|, ties to the lowest index);
     deterministic.  Raises DegenerateMetric when the signature is not
@@ -257,7 +269,7 @@ def normal_frame(chart: MetricChart, p, tol: float = 1e-12) -> np.ndarray:
     for _ in range(4):
         mags = [abs(form(b, b)) for b in basis]
         best = max(range(len(basis)), key=lambda i: (mags[i], -i))
-        if mags[best] <= tol:
+        if mags[best] <= _PIVOT_TOL:
             raise DegenerateMetric("vanishing pivot: metric is degenerate at %r" % (tuple(p),))
         b = basis.pop(best)
         q = form(b, b)
@@ -289,14 +301,13 @@ def _spatial_directions(n: int):
     return dirs[:n]
 
 
-def check_axph_minus(chart: MetricChart, p, n_directions: int = 16,
-                     tol: float = 1e-9) -> Verdict:
+def check_axph_minus(chart: MetricChart, p) -> Verdict:
     """Null directions of g(p) have unit coordinate speed in the normal
     frame, and every sampled spatial direction extends to a null vector."""
     m_inv = np.linalg.inv(normal_frame(chart, p))
     G = chart.metric_at(p)
     worst = 0.0
-    for d in _spatial_directions(n_directions):
+    for d in _spatial_directions(_N_DIRECTIONS):
         # g(u,u) = 0 with u = (d, tau): quadratic in tau.
         a = G[3, 3]
         b = sum(G[i, 3] * d[i] for i in range(3))
@@ -305,25 +316,25 @@ def check_axph_minus(chart: MetricChart, p, n_directions: int = 16,
         if disc <= 0 or abs(a) < 1e-15:
             return Verdict.fails(
                 evidence={"direction": d, "reason": "no real null extension"},
-                method="sampled", tolerance=tol)
+                method="sampled", tolerance=_PROBE_TOL)
         for tau in ((-b + math.sqrt(disc)) / a, (-b - math.sqrt(disc)) / a):
             if tau == 0.0:
                 return Verdict.fails(
                     evidence={"direction": d, "reason": "degenerate null direction"},
-                    method="sampled", tolerance=tol)
+                    method="sampled", tolerance=_PROBE_TOL)
             u = np.array([d[0], d[1], d[2], tau])
             hat = m_inv @ u
             space = math.sqrt(hat[0] ** 2 + hat[1] ** 2 + hat[2] ** 2)
             speed_err = abs(space - abs(hat[3])) / max(abs(hat[3]), 1e-300)
             worst = max(worst, speed_err)
-            if speed_err > tol:
+            if speed_err > _PROBE_TOL:
                 return Verdict.fails(
                     evidence={"direction": d, "speed_error": speed_err},
-                    method="sampled", tolerance=tol)
+                    method="sampled", tolerance=_PROBE_TOL)
     return Verdict.holds(method="sampled",
                          evidence={"max_speed_error": worst,
-                                   "directions": n_directions},
-                         tolerance=tol)
+                                   "directions": _N_DIRECTIONS},
+                         tolerance=_PROBE_TOL)
 
 
 def _tangent_of(worldline, t: float):
@@ -334,8 +345,7 @@ def _tangent_of(worldline, t: float):
 
 
 def check_axsymt_minus(chart: MetricChart, obs1: SmoothNumeric, obs2: SmoothNumeric,
-                       t_meet: float, tol: float = 1e-9,
-                       rate_fn: Optional[Callable] = None) -> Verdict:
+                       t_meet: float, rate_fn: Optional[Callable] = None) -> Verdict:
     """Meeting observers see each other's clock rates symmetrically.
 
     The rate at which observer i sees j's clock tick at the meeting is
@@ -361,12 +371,12 @@ def check_axsymt_minus(chart: MetricChart, obs1: SmoothNumeric, obs2: SmoothNume
     r12 = rate_fn(G, n1, n2)
     r21 = rate_fn(G, n2, n1)
     diff = abs(r12 - r21)
-    if diff > tol:
+    if diff > _PROBE_TOL:
         return Verdict.fails(evidence={"rate_1_sees_2": r12, "rate_2_sees_1": r21},
-                             method="sampled", tolerance=tol)
+                             method="sampled", tolerance=_PROBE_TOL)
     return Verdict.holds(method="sampled",
                          evidence={"rate_1_sees_2": r12, "rate_2_sees_1": r21},
-                         tolerance=tol)
+                         tolerance=_PROBE_TOL)
 
 
 def static_observer_chart(position) -> DifferentiableChart:
@@ -384,7 +394,7 @@ def static_observer_chart(position) -> DifferentiableChart:
 
 
 def check_axself_minus(observer_chart: DifferentiableChart, worldline: SmoothNumeric,
-                       sample_times: Sequence[float], tol: float = 1e-9) -> Verdict:
+                       sample_times: Sequence[float]) -> Verdict:
     """Every sampled self-coordinatized point has zero space part."""
     worst = 0.0
     for t in sample_times:
@@ -392,16 +402,14 @@ def check_axself_minus(observer_chart: DifferentiableChart, worldline: SmoothNum
         q = observer_chart.forward(tuple(float(c) for c in p))
         off = max(abs(q[i]) for i in range(3))
         worst = max(worst, off)
-        if off > tol:
+        if off > _PROBE_TOL:
             return Verdict.fails(evidence={"t": t, "offset": off},
-                                 method="sampled", tolerance=tol)
+                                 method="sampled", tolerance=_PROBE_TOL)
     return Verdict.holds(method="sampled", evidence={"max_offset": worst},
-                         tolerance=tol)
+                         tolerance=_PROBE_TOL)
 
 
-def check_axev_minus(domains: dict, worldlines: dict,
-                     radius_ladder: Sequence[float] = (0.1, 0.01, 0.001),
-                     samples_per_axis: int = 3, tol: float = 1e-9) -> Verdict:
+def check_axev_minus(domains: dict, worldlines: dict) -> Verdict:
     """Openness of chart domains plus mutual-observation closure.
 
     domains: observer name -> FloatBox; worldlines: name -> SmoothNumeric
@@ -410,7 +418,7 @@ def check_axev_minus(domains: dict, worldlines: dict,
     inside o''s domain to lie in o's own domain as well.
     """
     for name, box in domains.items():
-        probes = list(box.sample_points(samples_per_axis))
+        probes = list(box.sample_points())
         for axis, side in box.closed_faces:
             bad = list(probes[0]) if probes else [0.0] * 4
             bad[axis] = box.hi[axis] if side == "hi" else box.lo[axis]
@@ -418,30 +426,30 @@ def check_axev_minus(domains: dict, worldlines: dict,
         for p in probes:
             if not box.contains(p, strict=False):
                 continue
-            if not any(box.interior_contains_ball(p, r) for r in radius_ladder):
+            if not any(box.interior_contains_ball(p, r) for r in _BALL_RADII):
                 return Verdict.fails(
                     evidence={"observer": name, "point": tuple(p),
                               "reason": "no surrounding coordinate ball in the domain"},
-                    method="sampled", tolerance=min(radius_ladder))
+                    method="sampled", tolerance=min(_BALL_RADII))
     names = sorted(worldlines)
     for o in names:
         for o2 in names:
             if o == o2:
                 continue
             w = worldlines[o]
-            for k in range(samples_per_axis):
-                t = w.t_min + (w.t_max - w.t_min) * (k + 1) / (samples_per_axis + 1)
+            for k in range(_SAMPLES_PER_AXIS):
+                t = w.t_min + (w.t_max - w.t_min) * (k + 1) / (_SAMPLES_PER_AXIS + 1)
                 p = w.point_at(t)
                 if domains[o2].contains(p, strict=False) and \
                         not domains[o].contains(p, strict=False):
                     return Verdict.fails(
                         evidence={"observer": o, "seen_by": o2, "point": tuple(p)},
-                        method="sampled", tolerance=tol)
-    return Verdict.holds(method="sampled", tolerance=min(radius_ladder))
+                        method="sampled", tolerance=_PROBE_TOL)
+    return Verdict.holds(method="sampled", tolerance=min(_BALL_RADII))
 
 
 def check_axdiff(transform: Callable, n: int, probe_points: Sequence,
-                 declared_order: int, h0: float = 1e-2, tol: float = 1e-6) -> Verdict:
+                 declared_order: int) -> Verdict:
     """Smoke test of n-times differentiability of a worldview transformation.
 
     The declared order is trusted metadata; the probe checks that k-th
@@ -453,6 +461,7 @@ def check_axdiff(transform: Callable, n: int, probe_points: Sequence,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    h0, tol = _AXDIFF_STEP, _AXDIFF_TOL
     if declared_order < n:
         return Verdict.unknown(evidence={"note": "declared order %d < n=%d"
                                          % (declared_order, n)})
@@ -528,25 +537,20 @@ def _christoffels(chart: MetricChart, x, h: float,
                   offsets: Optional[np.ndarray] = None) -> np.ndarray:
     """Gamma[a, b, c] at x from central differences of step h; `offsets`
     is _stencil(h), which a caller may build once for many points."""
-    if chart.dg is not None:
-        G = chart.metric_at(x)
-        dg = np.array([chart.dg(tuple(x), c) for c in range(4)], dtype=float)
-    else:
-        # One stack: x, then x + h e_c and x - h e_c for c = 0..3.
-        ms = chart.metrics_at(np.asarray(x) + (_stencil(h) if offsets is None else offsets))
-        G = ms[0]
-        dg = (ms[1:5] - ms[5:9]) / (2 * h)
+    # One stack: x, then x + h e_c and x - h e_c for c = 0..3.
+    ms = chart.metrics_at(np.asarray(x) + (_stencil(h) if offsets is None else offsets))
+    G = ms[0]
+    dG = (ms[1:5] - ms[5:9]) / (2 * h)
     G_inv = np.linalg.inv(G)
-    # t[d, b, c] = dg[b][d, c] + dg[c][d, b] - dg[d][b, c] and
+    # t[d, b, c] = dG[b][d, c] + dG[c][d, b] - dG[d][b, c] and
     # p[a, d, b, c] = G_inv[a, d] t[d, b, c].  The sum over d runs in index
     # order from 0, so every entry rounds as a scalar sum would.
-    t = np.transpose(dg, (1, 0, 2)) + np.transpose(dg, (1, 2, 0)) - dg
+    t = np.transpose(dG, (1, 0, 2)) + np.transpose(dG, (1, 2, 0)) - dG
     p = G_inv[:, :, None, None] * t
     return 0.5 * ((((0 + p[:, 0]) + p[:, 1]) + p[:, 2]) + p[:, 3])
 
 
 def geodesic(chart: MetricChart, x0, u0, span: float, step: float = 0.01,
-             diff_step: float = 1e-4, tol: float = 1e-8,
              max_halvings: int = 6, drift_tolerance: float = 1e-6) -> GeodesicResult:
     """Integrate the geodesic equation from (x0, u0) for the given affine
     span.  u0 must be timelike; the curve truncates (flagged) if it
@@ -561,7 +565,7 @@ def geodesic(chart: MetricChart, x0, u0, span: float, step: float = 0.01,
     q_init = float(u0 @ chart.metric_at(x0) @ u0)
     if q_init >= 0:
         raise NotTimelike("initial tangent has g(u,u) = %g >= 0" % q_init)
-    offsets = _stencil(diff_step)
+    offsets = _stencil(_DIFF_STEP)
 
     def integrate(h: float):
         n = max(2, int(round(span / h)))
@@ -572,7 +576,7 @@ def geodesic(chart: MetricChart, x0, u0, span: float, step: float = 0.01,
 
         def rhs(state):
             x, u = state[:4], state[4:]
-            gamma = _christoffels(chart, x, diff_step, offsets)
+            gamma = _christoffels(chart, x, _DIFF_STEP, offsets)
             du = -np.einsum("abc,b,c->a", gamma, u, u)
             return np.concatenate([u, du])
 
@@ -597,7 +601,7 @@ def geodesic(chart: MetricChart, x0, u0, span: float, step: float = 0.01,
         lam2, xs2, us2, trunc2 = integrate(h / 2)
         if truncated or trunc2:
             break
-        if np.max(np.abs(xs2[-1] - xs[-1])) <= tol:
+        if np.max(np.abs(xs2[-1] - xs[-1])) <= _HALVING_TOL:
             lam, xs, us, truncated = lam2, xs2, us2, trunc2
             h = h / 2
             break
@@ -746,8 +750,7 @@ def _static_worldline(chart: MetricChart, position) -> SmoothNumeric:
                          velocity=lambda t: (0.0, 0.0, 0.0))
 
 
-def check_chart_theory(config: ChartSuiteConfig, n: Optional[int] = None,
-                       tol: float = 1e-9) -> dict:
+def check_chart_theory(config: ChartSuiteConfig, n: Optional[int] = None) -> dict:
     """The GenRel(n) suite on a single chart: localized axioms checked
     numerically; AxField, AxDiff_n and the field-language IND battery
     exactly."""
@@ -765,12 +768,12 @@ def check_chart_theory(config: ChartSuiteConfig, n: Optional[int] = None,
     for nm in sorted(obs_charts):
         line = obs_lines[nm]
         times = [line.t_min + (line.t_max - line.t_min) * k / 6 for k in range(1, 6)]
-        verdicts.append(check_axself_minus(obs_charts[nm], line, times, tol))
+        verdicts.append(check_axself_minus(obs_charts[nm], line, times))
     out["AxSelf-"] = combine_verdicts(verdicts)
     # AxPh-
     verdicts = []
-    for p in chart.domain.sample_points(3):
-        verdicts.append(check_axph_minus(chart, p, tol=tol))
+    for p in chart.domain.sample_points():
+        verdicts.append(check_axph_minus(chart, p))
     out["AxPh-"] = combine_verdicts(verdicts)
     # AxEv-
     domains = {nm: chart.domain for nm in obs_charts} or {"chart": chart.domain}
@@ -780,7 +783,7 @@ def check_chart_theory(config: ChartSuiteConfig, n: Optional[int] = None,
     for a, b, point in config.meets:
         w1 = obs_lines.get(a) or _static_worldline(chart, point[:3])
         w2 = obs_lines.get(b) or _static_worldline(chart, point[:3])
-        verdicts.append(check_axsymt_minus(chart, w1, w2, point[3], tol))
+        verdicts.append(check_axsymt_minus(chart, w1, w2, point[3]))
     out["AxSymt-"] = combine_verdicts(verdicts) if verdicts else Verdict.unknown(
         evidence={"note": "no meetings declared"})
     # AxDiff_n over worldview transformations between the observers.  Every

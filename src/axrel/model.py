@@ -191,9 +191,6 @@ class SmoothNumeric(Record):
         return all(abs(float(x[i]) - p[i]) <= self.tolerance for i in range(3))
 
 
-Worldline = (InertialLine, PhotonLine, PiecewiseInertial, SmoothNumeric)
-
-
 def cloud(line: InertialLine, offsets: Sequence) -> list:
     """Parallel copies of an inertial line, for extended-body scenarios."""
     out = []

@@ -1,6 +1,9 @@
 """Float numerics shared by the accelerated-observer and chart layers:
 finite differences and the float Lorentz boost.
 
+`velocity_at` is the one derivative of a numeric worldline, defined on
+its closed time interval [t_min, t_max] (one-sided at either end).
+
 Every stencil step is a power-of-two multiple of the base step, so
 stencil points and quotients round the same way wherever they are used.
 The module works on plain floats, component by component, and never
@@ -34,14 +37,23 @@ def central_difference(f, x, k: int, h: float, d):
 
 
 def richardson_derivative(f, t: float, t_min: float, t_max: float) -> tuple:
-    """f'(t) of a curve f on [t_min, t_max] as a tuple of floats: central
-    differences at steps 2h and 4h, Richardson-extrapolated, with the
-    stencil kept inside the interval.  Raises NotDifferentiable at its edge."""
+    """f'(t) of a curve f on [t_min, t_max] as a tuple of floats.
+
+    Inside: central differences at steps 2h and 4h, Richardson-extrapolated,
+    with the stencil kept inside the interval.  At t_min or t_max: the
+    inward one-sided quotients D(h) and D(2h) combined as 2 D(h) - D(2h),
+    also second order.  Raises NotDifferentiable outside the interval."""
     h = min(1e-4, (t_max - t_min) / 16.0)
     if not (t_min <= t - 2 * h and t + 2 * h <= t_max):
+        if h > 0 and t in (t_min, t_max):
+            # D(s) = (f(t + s) - f(t)) / s with s = +-h pointing inward.
+            s = h if t == t_min else -h
+            f0 = [float(a) for a in f(t)]
+            d1, d2 = ([(float(b) - a) / q for a, b in zip(f0, f(t + q))] for q in (s, 2 * s))
+            return tuple(2 * a - b for a, b in zip(d1, d2))
         h = min(t - t_min, t_max - t) / 2.0
         if h <= 0:
-            raise NotDifferentiable("cannot differentiate at the domain edge")
+            raise NotDifferentiable("cannot differentiate outside the domain")
 
     def quotient(step):
         lo, hi = f(t - step / 2), f(t + step / 2)
@@ -53,7 +65,8 @@ def richardson_derivative(f, t: float, t_min: float, t_max: float) -> tuple:
 
 def velocity_at(w, t: float) -> tuple:
     """Velocity of the numeric worldline w (a SmoothNumeric) at t: its
-    analytic velocity if it has one, else richardson_derivative."""
+    analytic velocity if it has one, else richardson_derivative, which
+    answers on all of [t_min, t_max]."""
     if w.velocity is not None:
         return tuple(w.velocity(t))
     return richardson_derivative(w.position, t, w.t_min, w.t_max)

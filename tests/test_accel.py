@@ -57,6 +57,26 @@ def test_proper_time_numeric_hyperbola():
     assert float(tau.width) < 1e-8
 
 
+def _velocityless_curve():
+    # x(t) = 0.5 t + 0.1 sin t on [-3, 3], with no analytic velocity.
+    return SmoothNumeric(lambda t: (0.5 * t + 0.1 * math.sin(t), 0.0, 0.0), 9, -3.0, 3.0)
+
+
+def _simpson(f, a, b, n):
+    h = (b - a) / n
+    odd = sum(f(a + (2 * k - 1) * h) for k in range(1, n // 2 + 1))
+    even = sum(f(a + 2 * k * h) for k in range(1, n // 2))
+    return h / 3 * (f(a) + 4 * odd + 2 * even + f(b))
+
+
+def test_proper_time_numeric_without_velocity_contains_the_integral():
+    tau = proper_time(_velocityless_curve(), -3.0, 3.0)
+    speed = lambda t: 0.5 + 0.1 * math.cos(t)
+    truth = _simpson(lambda t: math.sqrt(1.0 - speed(t) ** 2), -3.0, 3.0, 200000)
+    assert tau.contains(Fr(truth))
+    assert float(tau.width) < 1e-9
+
+
 def test_comoving_hyperbola_symmetry_point():
     w = hyperbolic_worldline(1)
     velocity, event = comoving_inertial(w, 0.0)
@@ -148,6 +168,29 @@ def test_twin_paradox_no_reunion():
                              coord4(0, 0, 0, 0), coord4(0, 0, 0, 10))
     with pytest.raises(NoReunion):
         twin_paradox(sc)
+
+
+def test_rechart_scenario_maps_a_photon_traveler_exactly():
+    home = Body("home", True, False, InertialLine(coord4(0, 0, 0, 0), (ER(0),) * 3))
+    photon = PhotonLine(coord4(0, 0, 0, 0), (ER(Fr(3, 5)), ER(Fr(4, 5)), ER(0)))
+    sc = AcceleratedScenario("flash", home, Body("flash", False, True, photon),
+                             coord4(0, 0, 0, 0), coord4(0, 0, 0, 10))
+    rng = random.Random(29)
+    for _ in range(5):
+        w = random_poincare_map(rng)
+        line = rechart_scenario(sc, w).traveler.worldline
+        assert isinstance(line, PhotonLine)
+        assert sum((c * c for c in line.direction), ER(0)) == ER(1)
+        for t in (-3, 0, Fr(7, 2)):
+            assert line.contains(w.apply(photon.point_at(ER(t))))
+
+
+def test_rechart_scenario_refuses_a_numeric_traveler():
+    home = Body("home", True, False, InertialLine(coord4(0, 0, 0, 0), (ER(0),) * 3))
+    sc = AcceleratedScenario("numeric", home, Body("ship", False, False, _velocityless_curve()),
+                             coord4(0, 0, 0, 0), coord4(0, 0, 0, 3))
+    with pytest.raises(InvalidConfig, match="numeric worldline"):
+        rechart_scenario(sc, random_poincare_map(random.Random(31)))
 
 
 def test_twin_paradox_rechart_invariant():
@@ -258,15 +301,15 @@ def test_worldline_csv_knot_row_takes_the_outgoing_segment():
 
 
 def test_worldline_csv_starts_at_a_numeric_domain_edge():
-    w = SmoothNumeric(lambda t: (0.5 * t + 0.1 * math.sin(t), 0.0, 0.0), 9, -3.0, 3.0)
+    w = _velocityless_curve()
     rows = worldline_csv(w, -3.0, 3.0, steps=12).strip().splitlines()[1:]
     assert len(rows) == 13
     first = [float(x) for x in rows[0].split(",")]
-    assert abs(first[4] - (0.5 + 0.1 * math.cos(-3.0))) <= 1e-5
+    assert abs(first[4] - (0.5 + 0.1 * math.cos(-3.0))) <= 1e-7
     last = [float(x) for x in rows[-1].split(",")]
-    assert abs(last[4] - (0.5 + 0.1 * math.cos(3.0))) <= 1e-5
-    # Interior rows keep the Richardson velocity.
-    for row in rows[1:-1]:
+    assert abs(last[4] - (0.5 + 0.1 * math.cos(3.0))) <= 1e-7
+    # Every row, edges included, prints the co-moving observer's velocity.
+    for row in rows:
         t = float(row.split(",")[0])
         v = comoving_inertial(w, t)[0]
         assert row.split(",")[4:7] == ["%.12g" % c for c in v]

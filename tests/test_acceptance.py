@@ -276,7 +276,7 @@ def test_acceptance_8_genrel_local_checks():
 
     rind = rindler_chart()
     for p in ((1.0, 0, 0, 0), (0.5, 1.0, -1.0, 2.0), (4.0, 0, 0, -3.0)):
-        verdict = check_axph_minus(rind, p, tol=1e-9)
+        verdict = check_axph_minus(rind, p)
         assert verdict.is_holds, p
     res = geodesic(rind, (2.0, 0, 0, 0), (0.2, 0, 0, 0.55), span=1.0, step=0.005)
     assert res.conservation_drift <= 1e-6

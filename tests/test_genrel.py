@@ -56,7 +56,7 @@ def test_normal_frame_error_bound_on_test_charts():
                   [[1.0, 0.1, 0, 0], [0.1, 1.2, 0, 0],
                    [0, 0, 0.9, 0.05], [0, 0, 0.05, -1.3]]), FloatBox(), 3)]
     for chart in charts:
-        for p in chart.domain.sample_points(2):
+        for p in chart.domain.sample_points():
             assert _frame_error(chart, p) <= 1e-9
 
 
@@ -68,9 +68,9 @@ def test_axph_minus_flat_exact():
 
 def test_axph_minus_rindler_null_speed():
     # at x=1 the chart-coordinate null condition is |dx/dt| = x = 1
-    v = check_axph_minus(rindler_chart(), (1.0, 0, 0, 0), tol=1e-9)
+    v = check_axph_minus(rindler_chart(), (1.0, 0, 0, 0))
     assert v.is_holds
-    v = check_axph_minus(rindler_chart(), (3.0, 1.0, 0, 2.0), tol=1e-9)
+    v = check_axph_minus(rindler_chart(), (3.0, 1.0, 0, 2.0))
     assert v.is_holds
 
 
@@ -351,7 +351,7 @@ def test_coordinate_covariance_smoke():
         return np.diag([d * d, 1.0, 1.0, -1.0])
 
     chart = MetricChart(g, FloatBox((-2, -2, -2, -2), (2, 2, 2, 2)), order=9)
-    for p in chart.domain.sample_points(2):
+    for p in chart.domain.sample_points():
         assert check_axph_minus(chart, p).is_holds
     res = geodesic(chart, (0, 0, 0, 0), (0.1, 0, 0, 1), span=0.5, step=0.005)
     assert res.conservation_drift <= 1e-6
@@ -366,15 +366,11 @@ def _reference_christoffels(chart, x, h):
     G = chart.metric_at(x)
     G_inv = np.linalg.inv(G)
     dg = np.empty((4, 4, 4))
-    if chart.dg is not None:
-        for c in range(4):
-            dg[c] = np.asarray(chart.dg(tuple(x), c), dtype=float)
-    else:
-        for c in range(4):
-            e = np.zeros(4)
-            e[c] = h
-            dg[c] = (chart.metric_at(np.asarray(x) + e) -
-                     chart.metric_at(np.asarray(x) - e)) / (2 * h)
+    for c in range(4):
+        e = np.zeros(4)
+        e[c] = h
+        dg[c] = (chart.metric_at(np.asarray(x) + e) -
+                 chart.metric_at(np.asarray(x) - e)) / (2 * h)
     gamma = np.empty((4, 4, 4))
     for a in range(4):
         for b in range(4):
@@ -403,23 +399,8 @@ g 4 4 = 0 - 1 - x1^2/5
 """
 
 
-def _analytic_chart():
-    # g(p) = eta + sum_c p_c A_c + p_c^2 B_c / 2 with dense symmetric A_c, B_c.
-    rng = np.random.default_rng(5)
-    sym = [s + s.T for s in rng.uniform(-0.03, 0.03, size=(8, 4, 4))]
-    A, B = sym[:4], sym[4:]
-
-    def g(p):
-        return ETA + sum(p[c] * A[c] + 0.5 * p[c] * p[c] * B[c] for c in range(4))
-
-    def dg(p, axis):
-        return A[axis] + p[axis] * B[axis]
-
-    return MetricChart(g, FloatBox(), order=9, name="analytic", dg=dg)
-
-
-@pytest.mark.parametrize("make", [rindler_chart, lambda: parse_chart_file(DENSE_CHART_TEXT).chart,
-                                  _analytic_chart], ids=["rindler", "dense-file", "analytic-dg"])
+@pytest.mark.parametrize("make", [rindler_chart, lambda: parse_chart_file(DENSE_CHART_TEXT).chart],
+                         ids=["rindler", "dense-file"])
 def test_christoffels_bit_identical_to_triple_loop(make):
     chart = make()
     rng = np.random.default_rng(7)

@@ -18,6 +18,9 @@
   interpreter milliseconds of import.
 - No module imports a name it never uses, and every function the
   benchmark's tracer wraps still exists.
+- The float checks take no step, tolerance or sample-count parameter
+  that no caller sets: their parameter lists are pinned here, and a
+  numeric worldline has one velocity estimator, `numeric.velocity_at`.
 """
 
 import ast
@@ -256,3 +259,50 @@ def test_every_traced_function_resolves():
             if attr not in vars(owner):
                 missing.append((layer, module, path))
     assert missing == []
+
+
+# Each float check's parameters: what a caller sets (the CLI's step and
+# span, perfbench's max_halvings, the tests' drift_tolerance and rate_fn)
+# and nothing else.  Steps, tolerances and sample counts are constants.
+_FLOAT_CHECK_PARAMETERS = {
+    "genrel.geodesic": ("chart", "x0", "u0", "span", "step", "max_halvings",
+                        "drift_tolerance"),
+    "genrel.check_axph_minus": ("chart", "p"),
+    "genrel.check_axev_minus": ("domains", "worldlines"),
+    "genrel.check_axdiff": ("transform", "n", "probe_points", "declared_order"),
+    "genrel.normal_frame": ("chart", "p"),
+    "genrel.check_chart_theory": ("config", "n"),
+    "genrel.check_axself_minus": ("observer_chart", "worldline", "sample_times"),
+    "genrel.check_axsymt_minus": ("chart", "obs1", "obs2", "t_meet", "rate_fn"),
+    "genrel.FloatBox.sample_points": ("self",),
+    "genrel.MetricChart.__init__": ("self", "g", "domain", "order", "name"),
+    "accel.check_axcmv": ("s", "o", "t"),
+    "accel._numeric_proper_time": ("w", "t0", "t1"),
+    "numeric.richardson_derivative": ("f", "t", "t_min", "t_max"),
+    "numeric.velocity_at": ("w", "t"),
+}
+
+
+def test_float_checks_take_no_unset_knobs():
+    import inspect
+
+    got = {}
+    for path in _FLOAT_CHECK_PARAMETERS:
+        module, *names = path.split(".")
+        obj = importlib.import_module("axrel." + module)
+        for name in names:
+            obj = getattr(obj, name)
+        got[path] = tuple(inspect.signature(obj).parameters)
+    assert got == _FLOAT_CHECK_PARAMETERS
+    assert axrel.genrel.MetricChart._fields == ("g", "domain", "order", "name")
+
+
+def test_a_numeric_worldline_has_one_velocity_estimator():
+    # accel and genrel differentiate numeric worldlines only through
+    # numeric.velocity_at; neither defines an estimator of its own.
+    import axrel.accel
+
+    for module in (axrel.accel, axrel.genrel):
+        assert module.velocity_at is importlib.import_module("axrel.numeric").velocity_at
+        own = [name for name in vars(module) if "velocity" in name and name != "velocity_at"]
+        assert own == [], module.__name__

@@ -3,6 +3,8 @@
 Each reference below is a verbatim copy of the float arithmetic that
 `accel` and `genrel` carried before `axrel.numeric` existed; results must
 be equal bit for bit, so any regrouping of the arithmetic fails here.
+`_reference_one_sided` is the end-of-interval formula of
+`richardson_derivative`'s docstring, written out the same way.
 """
 
 import math
@@ -101,12 +103,37 @@ def test_richardson_derivative_matches_reference(seed):
         assert got == _reference_richardson(position, t_min, t_max, t)
 
 
-@pytest.mark.parametrize("t", [-1.0, 2.0])
-def test_richardson_derivative_raises_at_the_edge(t):
+@pytest.mark.parametrize("t", [-1.0 - 1e-12, -1.5, 2.0 + 1e-12, 3.0])
+def test_richardson_derivative_raises_outside_the_interval(t):
     with pytest.raises(NotDifferentiable):
         richardson_derivative(lambda u: (u, 0.0, 0.0), t, -1.0, 2.0)
-    with pytest.raises(NotDifferentiable):
-        _reference_richardson(lambda u: (u, 0.0, 0.0), -1.0, 2.0, t)
+
+
+def _reference_one_sided(position, t, s):
+    # 2 D(s) - D(2s) with D(s) = (f(t + s) - f(t)) / s: second order.
+    p0, p1, p2 = position(t), position(t + s), position(t + 2 * s)
+    return tuple(2 * ((b - a) / s) - (c - a) / (2 * s) for a, b, c in zip(p0, p1, p2))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_richardson_derivative_at_the_edges_is_the_one_sided_pair(seed):
+    rng = random.Random(300 + seed)
+    position = _smooth_curve(rng)
+    t_min, t_max = -rng.uniform(0.5, 3), rng.uniform(0.5, 3)
+    h = min(1e-4, (t_max - t_min) / 16.0)
+    for t, s in ((t_min, h), (t_max, -h)):
+        got = richardson_derivative(position, t, t_min, t_max)
+        assert all(type(v) is float for v in got)
+        assert got == _reference_one_sided(position, t, s)
+
+
+@pytest.mark.parametrize("t_min, t_max", [(-3.0, 3.0), (-1.0, 2.0), (0.0, 0.5)])
+def test_richardson_derivative_at_the_edges_is_accurate(t_min, t_max):
+    position = lambda u: (0.5 * u + 0.1 * math.sin(u), u * u / 7, math.cos(2 * u))
+    velocity = lambda u: (0.5 + 0.1 * math.cos(u), 2 * u / 7, -2 * math.sin(2 * u))
+    for t in (t_min, t_max):
+        got = richardson_derivative(position, t, t_min, t_max)
+        assert max(abs(a - b) for a, b in zip(got, velocity(t))) <= 1e-7
 
 
 @pytest.mark.parametrize("seed", range(6))
