@@ -71,29 +71,27 @@ def proper_time(w, t0, t1):
     """
     if isinstance(w, PhotonLine):
         raise SuperluminalSegment("photon worldlines accumulate no proper time")
-    if isinstance(w, InertialLine):
-        t0, t1 = ER(t0), ER(t1)
-        v2 = sum((c * c for c in w.velocity), ER(0))
-        return (t1 - t0) * sqrt(1 - v2)
-    if isinstance(w, PiecewiseInertial):
-        return _piecewise_proper_time(w, ER(t0), ER(t1))
-    if isinstance(w, SmoothNumeric):
+    pieces = w.pieces()
+    if pieces is None:
         return _numeric_proper_time(w, float(t0), float(t1))
-    raise TypeError(w)
+    return _exact_proper_time(pieces, ER(t0), ER(t1))
 
 
-def _piecewise_proper_time(w: PiecewiseInertial, t0: ExactReal, t1: ExactReal) -> ExactReal:
-    if (t0 - w.t_min).sign() < 0 or (t1 - w.t_max).sign() > 0 or (t1 - t0).sign() < 0:
+def _exact_proper_time(pieces: list, t0: ExactReal, t1: ExactReal) -> ExactReal:
+    """The sum over straight pieces of (time on it) * sqrt(1 - v^2): on a
+    whole line t1 - t0, negative when t1 < t0; else t_min <= t0 <= t1 <= t_max."""
+    start, v, end = pieces[0]
+    if end is None:
+        return (t1 - t0) * sqrt(1 - sum((c * c for c in v), ER(0)))
+    if (t0 - start[3]).sign() < 0 or (t1 - pieces[-1][2]).sign() > 0 or (t1 - t0).sign() < 0:
         raise ValueError("interval outside worldline domain")
     total = ER(0)
-    for a, b in zip(w.knots, w.knots[1:]):
+    for a, v, end in pieces:
         lo = a[3] if (t0 - a[3]).sign() <= 0 else t0
-        hi = b[3] if (t1 - b[3]).sign() >= 0 else t1
+        hi = end if (t1 - end).sign() >= 0 else t1
         if (hi - lo).sign() <= 0:
             continue
-        dt = b[3] - a[3]
-        v2 = sum((((b[i] - a[i]) / dt) ** 2 for i in range(3)), ER(0))
-        total = total + (hi - lo) * sqrt(1 - v2)
+        total = total + (hi - lo) * sqrt(1 - sum((c ** 2 for c in v), ER(0)))
     return total
 
 
@@ -145,24 +143,17 @@ def comoving_inertial(w, t):
     numeric ones (numeric.velocity_at, also at a domain edge).  Raises
     NotDifferentiable at piecewise breakpoints.
     """
-    if isinstance(w, InertialLine):
-        return w.velocity, w.point_at(ER(t))
-    if isinstance(w, PiecewiseInertial):
-        t = ER(t)
-        if (t - w.t_min).sign() < 0 or (t - w.t_max).sign() > 0:
-            raise ValueError("time outside worldline domain")
-        for knot in w.knots[1:-1]:
-            if (t - knot[3]).is_zero():
-                raise NotDifferentiable("breakpoint at t=%s" % t)
-        velocities = w.segment_velocities()
-        for i, (a, b) in enumerate(zip(w.knots, w.knots[1:])):
-            if (t - b[3]).sign() <= 0:
-                return velocities[i], w.point_at(t)
-        raise AssertionError
-    if isinstance(w, SmoothNumeric):
+    if isinstance(w, PhotonLine):
+        raise TypeError("a photon has no co-moving inertial observer")
+    pieces = w.pieces()
+    if pieces is None:
         tf = float(t)
         return velocity_at(w, tf), w.point_at(tf)
-    raise TypeError(w)
+    t = ER(t)
+    ending, starting = w.piece_at(t)
+    if ending != starting:
+        raise NotDifferentiable("breakpoint at t=%s" % t)
+    return pieces[ending][1], w.point_at(t)
 
 
 def tangent_deviation_ladder(w, t, deltas: Sequence[float]):
@@ -262,13 +253,8 @@ def twin_paradox(sc: AcceleratedScenario):
         label = "(%s)" % ", ".join(str(c) for c in event)
         if not sc.home.worldline.contains(event):
             raise NoReunion("home twin misses the meeting event %s" % label)
-        w = sc.traveler.worldline
-        if isinstance(w, (InertialLine, PiecewiseInertial, PhotonLine)):
-            if not w.contains(event):
-                raise NoReunion("traveler misses the meeting event %s" % label)
-        else:
-            if not w.contains(tuple(float(c) for c in event)):
-                raise NoReunion("traveler misses the meeting event (numeric)")
+        if not sc.traveler.worldline.contains(event):
+            raise NoReunion("traveler misses the meeting event %s" % label)
     t0, t1 = sc.departure[3], sc.reunion[3]
     tau_home = proper_time(sc.home.worldline, t0, t1)
     tau_traveler = proper_time(sc.traveler.worldline, t0, t1)
@@ -279,25 +265,18 @@ def rechart_scenario(sc: AcceleratedScenario, w: PoincareMap) -> AcceleratedScen
     """The same scenario expressed in different inertial coordinates; the
     twin_paradox outputs must be identical (exact worldlines only).
 
-    An inertial or photon line maps to the line of its kind through the
-    images of its events at times 0 and 1: a Poincare map keeps speeds
-    below 1 below 1 and a photon's speed exactly 1."""
+    Every body, the extra ones too, rides its worldline's image under w:
+    a Poincare map keeps speeds below 1 below 1 and a photon's speed
+    exactly 1."""
 
-    def map_line(line):
-        if isinstance(line, (InertialLine, PhotonLine)):
-            p0 = w.apply(line.point_at(ER(0)))
-            p1 = w.apply(line.point_at(ER(1)))
-            dt = p1[3] - p0[3]
-            return type(line)(p0, tuple((p1[i] - p0[i]) / dt for i in range(3)))
-        if isinstance(line, PiecewiseInertial):
-            return PiecewiseInertial(tuple(w.apply(k) for k in line.knots))
-        raise InvalidConfig("cannot re-chart a numeric worldline exactly")
+    def moved(b: Body) -> Body:
+        if b.worldline.pieces() is None:
+            raise InvalidConfig("cannot re-chart a numeric worldline exactly")
+        return Body(b.id, b.is_inertial, b.is_photon, b.worldline.image(w))
 
-    home = Body(sc.home.id, sc.home.is_inertial, sc.home.is_photon, map_line(sc.home.worldline))
-    trav = Body(sc.traveler.id, sc.traveler.is_inertial, sc.traveler.is_photon,
-                map_line(sc.traveler.worldline))
-    return AcceleratedScenario(sc.name, home, trav,
-                               w.apply(sc.departure), w.apply(sc.reunion), sc.extra_bodies)
+    return AcceleratedScenario(sc.name, moved(sc.home), moved(sc.traveler),
+                               w.apply(sc.departure), w.apply(sc.reunion),
+                               tuple(moved(b) for b in sc.extra_bodies))
 
 
 def galaxy_trip(distance, subjective_years_each_way=1):
@@ -467,34 +446,29 @@ def load_scenario(path) -> AcceleratedScenario:
 def worldline_csv(w, t0, t1, steps: int = 100) -> str:
     """CSV rows (t, x1, x2, x3, v1, v2, v3, tau) along the worldline.
 
-    tau counts from the first row, at t0, for every kind of worldline.  At
-    a knot of a piecewise-inertial worldline the row shows the velocity of
-    the segment that starts there."""
+    tau counts from the first row, at t0, for every kind of worldline; on
+    a numeric worldline each row adds the integral since the row before.
+    At a knot of a piecewise-inertial worldline the row shows the velocity
+    of the segment that starts there."""
     rows = ["t,x1,x2,x3,v1,v2,v3,tau"]
     t0f, t1f = float(t0), float(t1)
-    exact = isinstance(w, (InertialLine, PiecewiseInertial))
-    if isinstance(w, PiecewiseInertial):
-        velocities = w.segment_velocities()
-    origin = None
+    pieces = w.pieces()
+    tau = ApproxReal.from_float(0.0, 0.0)
     for i in range(steps + 1):
         tf = t0f + (t1f - t0f) * i / steps
-        if exact:
+        if pieces is not None:
             t = ER(Fraction(tf).limit_denominator(10 ** 9))
-            origin = t if origin is None else origin
+            origin = t if i == 0 else origin
             p = w.point_at(t)
-            if isinstance(w, PiecewiseInertial):
-                # The first segment that ends after t; the last one at t_max.
-                v = next((u for u, b in zip(velocities, w.knots[1:]) if (t - b[3]).sign() < 0),
-                         velocities[-1])
-            else:
-                v = w.velocity
-            tau = proper_time(w, origin, t)
-            row = [t, p[0], p[1], p[2], v[0], v[1], v[2], tau]
+            v = pieces[w.piece_at(t)[1]][1]
+            row = [t, p[0], p[1], p[2], v[0], v[1], v[2], proper_time(w, origin, t)]
             rows.append(",".join(x.decimal_str() for x in row))
         else:
             p = w.point_at(tf)
             v = velocity_at(w, tf)
-            tau = _numeric_proper_time(w, t0f, tf) if tf > t0f else ApproxReal.from_float(0.0, 0.0)
+            if i:
+                tau = tau + _numeric_proper_time(w, previous, tf)
+            previous = tf
             vals = [tf, p[0], p[1], p[2], v[0], v[1], v[2], float(tau)]
             rows.append(",".join("%.12g" % x for x in vals))
     return "\n".join(rows) + "\n"

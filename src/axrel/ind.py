@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 
 from .field import parse_exact
 from .kinematics import AffineMap, mu
-from .model import Body, InertialLine, PhotonLine, Structure
+from .model import Body, Structure
 from .syntax.ast import (
     And, EqQ, Exists, Formula, IBAtom, IObAtom, Iff, Implies, Less, Not, ObAtom, Or, PhAtom,
     Sort, Sub, WAtom, _flatten_and, _split_conjuncts,
@@ -108,14 +108,14 @@ def _watom_set(s: Structure, phi: WAtom, var, env) -> IntervalSet:
         return IntervalSet.empty()
     polys, ref = _coord_polys(s, obs, phi.coords, var, env)
     out = _domain_set(s, obs, polys)
-    w = body.worldline
-    if isinstance(w, (InertialLine, PhotonLine)):
-        vel = w.velocity if isinstance(w, InertialLine) else w.direction
-        for i in range(3):
-            lhs = ref[i] - Poly.const(w.point[i]) - (ref[3] - Poly.const(w.point[3])).scale(vel[i])
-            out = out.intersect(poly_eq_zero(lhs))
-        return out
-    raise UnsupportedDefinableSet("W over a non-straight worldline")
+    pieces = body.worldline.pieces()
+    if pieces is None or pieces[0][2] is not None:
+        raise UnsupportedDefinableSet("W over a non-straight worldline")
+    point, vel, _ = pieces[0]  # a whole line: x - point = (x4 - point[3]) * vel
+    for i in range(3):
+        lhs = ref[i] - Poly.const(point[i]) - (ref[3] - Poly.const(point[3])).scale(vel[i])
+        out = out.intersect(poly_eq_zero(lhs))
+    return out
 
 
 def _exists_body_set(s: Structure, phi: Exists, var, env) -> IntervalSet:

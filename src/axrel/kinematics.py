@@ -314,12 +314,12 @@ def worldview_transform(s: "Structure", o: "Body", o2: "Body") -> AffineMap:
 
 
 def relative_velocity(s: "Structure", o: "Body", o2: "Body") -> tuple:
-    """Velocity of o2 in o's coordinates, from the worldview transformation."""
+    """Velocity of o2 in o's coordinates: its time axis's image under the
+    worldview transformation (unchecked: a Galilean pair may exceed 1)."""
+    from .model import StraightLine
+
     w = worldview_transform(s, o2, o)  # o2 coords -> o coords
-    p0 = w.apply(coord4(0, 0, 0, 0))
-    p1 = w.apply(coord4(0, 0, 0, 1))
-    d = vec_sub(p1, p0)
-    return tuple(d[i] / d[3] for i in range(3))
+    return StraightLine(coord4(0, 0, 0, 0), (ER(0),) * 3).image(w).vector
 
 
 def check_mu_invariance(w: AffineMap, x: Coord4, y: Coord4) -> bool:

@@ -12,6 +12,13 @@ domain), and ``event_at`` and the evaluator in `semantics` answer W
 through these two, three-valued where a numeric worldline is too close
 to call.
 
+Each worldline kind carries its own geometry, so no other layer asks
+which kind it holds: ``point_at`` and ``contains``; ``image(m)``, an
+exact worldline mapped through a chart map (a straight line through the
+images of its events at times 0 and 1, a piecewise one by its knots);
+``pieces()``, its straight pieces (None on a numeric worldline); and
+``piece_at(t)``, the segment lookup in both knot conventions.
+
 Existential body quantifiers over "all photons" / "all inertial bodies"
 are answered by intensional family flags rather than by materializing
 infinitely many bodies; the witness solvers live in `semantics`.
@@ -51,24 +58,57 @@ class NotAnObserver(ValueError):
 # Worldlines (in the reference chart).
 
 
-class InertialLine(Record):
+class StraightLine(Record):
+    """The events point + (vector, 1) * (t - point[3]) for every time t.
+    The base of the two straight kinds, which check `vector` and name it
+    `velocity` or `direction`; a plain StraightLine checks nothing."""
+
+    __slots__ = _fields = ("point", "vector")
+
+    def __init__(self, point: Coord4, vector: tuple):
+        set_field(self, "point", point)
+        set_field(self, "vector", vector)  # 3-vector of ExactReal
+
+    @classmethod
+    def through(cls, x: Coord4, y: Coord4) -> "StraightLine":
+        """The line of this kind through the events x and y, x4 != y4."""
+        dt = y[3] - x[3]
+        return cls(x, tuple((y[i] - x[i]) / dt for i in range(3)))
+
+    def image(self, m) -> "StraightLine":
+        """The line of this kind through the images under the map m of
+        this line's events at times 0 and 1."""
+        return self.through(m.apply(self.point_at(ER(0))), m.apply(self.point_at(ER(1))))
+
+    def point_at(self, t: ExactReal) -> Coord4:
+        dt = ER(t) - self.point[3]
+        return tuple(self.point[i] + self.vector[i] * dt for i in range(3)) + (ER(t),)
+
+    def contains(self, x: Coord4) -> bool:
+        dt = x[3] - self.point[3]
+        return all(x[i] == self.point[i] + self.vector[i] * dt for i in range(3))
+
+    def pieces(self) -> list:
+        """The one piece, unbounded: [(point, vector, None)]."""
+        return [(self.point, self.vector, None)]
+
+    def piece_at(self, t) -> tuple:
+        """(0, 0): the one piece holds every time."""
+        return 0, 0
+
+
+class InertialLine(StraightLine):
     """Straight sub-light worldline through `point` with 3-velocity `velocity`."""
 
-    __slots__ = _fields = ("point", "velocity")
+    __slots__ = ()
+    _fields = ("point", "velocity")
 
     def __init__(self, point: Coord4, velocity: tuple):
         if speed_squared(velocity).compare(1) >= 0:
             raise SuperluminalVelocity("inertial line requires |v| < 1")
-        set_field(self, "point", point)
-        set_field(self, "velocity", velocity)  # 3-vector of ExactReal, |v| < 1
+        super().__init__(point, velocity)
 
-    def point_at(self, t: ExactReal) -> Coord4:
-        dt = ER(t) - self.point[3]
-        return tuple(self.point[i] + self.velocity[i] * dt for i in range(3)) + (ER(t),)
-
-    def contains(self, x: Coord4) -> bool:
-        dt = x[3] - self.point[3]
-        return all(x[i] == self.point[i] + self.velocity[i] * dt for i in range(3))
+    velocity = property(lambda self: self.vector)
 
 
 def unsafe_inertial_line(point, velocity) -> InertialLine:
@@ -78,29 +118,22 @@ def unsafe_inertial_line(point, velocity) -> InertialLine:
     exercised; never used by production constructors.
     """
     line = object.__new__(InertialLine)
-    set_field(line, "point", tuple(ER(c) for c in point))
-    set_field(line, "velocity", tuple(ER(c) for c in velocity))
+    StraightLine.__init__(line, tuple(ER(c) for c in point), tuple(ER(c) for c in velocity))
     return line
 
 
-class PhotonLine(Record):
+class PhotonLine(StraightLine):
     """Unit-speed line through `point` along the exact unit vector `direction`."""
 
-    __slots__ = _fields = ("point", "direction")
+    __slots__ = ()
+    _fields = ("point", "direction")
 
     def __init__(self, point: Coord4, direction: tuple):
         if not (speed_squared(direction) == 1):
             raise ValueError("photon direction must be an exact unit vector")
-        set_field(self, "point", point)
-        set_field(self, "direction", direction)  # exact unit 3-vector
+        super().__init__(point, direction)
 
-    def point_at(self, t: ExactReal) -> Coord4:
-        dt = ER(t) - self.point[3]
-        return tuple(self.point[i] + self.direction[i] * dt for i in range(3)) + (ER(t),)
-
-    def contains(self, x: Coord4) -> bool:
-        dt = x[3] - self.point[3]
-        return all(x[i] == self.point[i] + self.direction[i] * dt for i in range(3))
+    direction = property(lambda self: self.vector)
 
 
 class PiecewiseInertial(Record):
@@ -124,37 +157,45 @@ class PiecewiseInertial(Record):
                 raise SuperluminalVelocity("piecewise segment at or above light speed")
         set_field(self, "knots", knots)  # of Coord4, strictly increasing in x4
 
-    @property
-    def t_min(self) -> ExactReal:
-        return self.knots[0][3]
+    def image(self, m) -> "PiecewiseInertial":
+        """The chain through the images of the knots under the map m."""
+        return PiecewiseInertial(tuple(m.apply(k) for k in self.knots))
 
-    @property
-    def t_max(self) -> ExactReal:
-        return self.knots[-1][3]
-
-    def segment_velocities(self) -> list:
+    def pieces(self) -> list:
+        """The segments as straight pieces (start, velocity, end): the
+        events start + (velocity, 1) * (t - start[3]) for start[3] <= t
+        <= end, in knot order.  A whole line's one piece has end None."""
         out = []
         for a, b in zip(self.knots, self.knots[1:]):
             dt = b[3] - a[3]
-            out.append(tuple((b[i] - a[i]) / dt for i in range(3)))
+            out.append((a, tuple((b[i] - a[i]) / dt for i in range(3)), b[3]))
         return out
+
+    def piece_at(self, t: ExactReal) -> tuple:
+        """(ending, starting): the indices in `pieces` of the segments
+        that end and that start at time t; they differ only at an inner
+        knot, elsewhere both name the segment that holds t."""
+        if (t - self.knots[0][3]).sign() < 0 or (t - self.knots[-1][3]).sign() > 0:
+            raise ValueError("time outside worldline domain")
+        for i, b in enumerate(self.knots[1:]):
+            c = (t - b[3]).sign()
+            if c <= 0:
+                return i, i + 1 if c == 0 and i + 2 < len(self.knots) else i
+        raise AssertionError
 
     def point_at(self, t: ExactReal) -> Coord4:
         t = ER(t)
-        if (t - self.t_min).sign() < 0 or (t - self.t_max).sign() > 0:
-            raise ValueError("time outside worldline domain")
-        for a, b in zip(self.knots, self.knots[1:]):
-            if (t - b[3]).sign() <= 0:
-                dt = b[3] - a[3]
-                lam = (t - a[3]) / dt
-                return tuple(a[i] + lam * (b[i] - a[i]) for i in range(3)) + (t,)
-        raise AssertionError
+        k = self.piece_at(t)[0]
+        a, b = self.knots[k], self.knots[k + 1]
+        dt = b[3] - a[3]
+        lam = (t - a[3]) / dt
+        return tuple(a[i] + lam * (b[i] - a[i]) for i in range(3)) + (t,)
 
     def contains(self, x: Coord4) -> bool:
-        t = x[3]
-        if (t - self.t_min).sign() < 0 or (t - self.t_max).sign() > 0:
+        try:
+            p = self.point_at(x[3])
+        except ValueError:  # outside the knot time span
             return False
-        p = self.point_at(t)
         return all(p[i] == x[i] for i in range(3))
 
 
@@ -189,6 +230,10 @@ class SmoothNumeric(Record):
     def contains(self, x) -> bool:
         p = self.position(float(x[3]))
         return all(abs(float(x[i]) - p[i]) <= self.tolerance for i in range(3))
+
+    def pieces(self) -> None:
+        """None: a numeric worldline has no exact straight pieces."""
+        return None
 
 
 def cloud(line: InertialLine, offsets: Sequence) -> list:
@@ -465,13 +510,9 @@ def _observer_chart(spec: ObserverSpec) -> AffineMap:
 
 
 def _observer_body(name: str, chart: AffineMap) -> Body:
-    inv = chart.inverse()
-    p0 = inv.apply(coord4(0, 0, 0, 0))
-    p1 = inv.apply(coord4(0, 0, 0, 1))
-    dt = p1[3] - p0[3]
-    velocity = tuple((p1[i] - p0[i]) / dt for i in range(3))
-    return Body(name, is_inertial=True, is_photon=False,
-                worldline=InertialLine(p0, velocity))
+    # The preimage of the chart's time axis.
+    axis = InertialLine(coord4(0, 0, 0, 0), (ER(0),) * 3)
+    return Body(name, is_inertial=True, is_photon=False, worldline=axis.image(chart.inverse()))
 
 
 def _structure(observers: Sequence[ObserverSpec], extra_bodies: Sequence[Body],
@@ -804,12 +845,11 @@ def _extract_plane_rotations(lin) -> list:
 def _serialize_body(b: Body) -> str:
     w = b.worldline
     lit = lambda v: v.literal().replace(" ", "")
-    if isinstance(w, PhotonLine):
-        return "body %s photon through %s direction %s" % (
-            b.id, " ".join(lit(c) for c in w.point), " ".join(lit(c) for c in w.direction))
-    if isinstance(w, InertialLine):
-        return "body %s inertial through %s velocity %s" % (
-            b.id, " ".join(lit(c) for c in w.point), " ".join(lit(c) for c in w.velocity))
+    if isinstance(w, (PhotonLine, InertialLine)):
+        kind = "photon" if isinstance(w, PhotonLine) else "inertial"
+        return "body %s %s through %s %s %s" % (
+            b.id, kind, " ".join(lit(c) for c in w.point), _BODY_VECTOR[kind],
+            " ".join(lit(c) for c in w.vector))
     if isinstance(w, PiecewiseInertial):
         knots = " , ".join(" ".join(lit(c) for c in k) for k in w.knots)
         return "body %s piecewise knots %s" % (b.id, knots)

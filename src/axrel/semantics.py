@@ -79,10 +79,7 @@ except ImportError:
 from .field import ER
 from . import linalg
 from .kinematics import AffineMap, mu
-from .model import (
-    Body, InertialLine, PhotonLine, PiecewiseInertial, NotAnObserver, SmoothNumeric,
-    Structure,
-)
+from .model import Body, InertialLine, NotAnObserver, PhotonLine, Structure
 from .syntax.ast import (
     And, EqB, EqQ, Exists, Forall, Formula, IBAtom, IObAtom, Iff, Implies,
     Less, Not, ObAtom, Or, PhAtom, Sort, Sub, Term, Theory, Var,
@@ -556,16 +553,15 @@ def _sees_a_body(s: Structure, o: Body):
         return False, None  # a non-observer coordinatizes nothing
     if not isinstance(chart, AffineMap):
         return None
-    bodies = list(s.bodies.values())
+    bodies = [(b, b.worldline.pieces()) for b in s.bodies.values()]
     origin = (ER(0),) * 4
     ref = s.reference_point(o, origin)
     if ref is not None:
-        for b in bodies:
-            if not isinstance(b.worldline, SmoothNumeric) and b.worldline.contains(ref):
+        for b, pieces in bodies:
+            if pieces is not None and b.worldline.contains(ref):
                 return True, (b, origin)
     numeric = False
-    for b in bodies:
-        pieces = _straight_pieces(b.worldline)
+    for b, pieces in bodies:
         if pieces is None:
             numeric = True
             continue
@@ -581,32 +577,19 @@ def _sees_a_body(s: Structure, o: Body):
     return None if numeric else (False, None)
 
 
-def _straight_pieces(w) -> Optional[list]:
-    """The worldline as (point, direction, length) pieces: the reference
-    events point + t*direction, direction = (velocity, 1), for 0 <= t <=
-    length, or for every t when length is None.  None for a numeric
-    worldline."""
-    if isinstance(w, (InertialLine, PhotonLine)):
-        v = w.velocity if isinstance(w, InertialLine) else w.direction
-        return [(w.point, tuple(v) + (ER(1),), None)]
-    if isinstance(w, PiecewiseInertial):
-        return [(a, v + (ER(1),), b[3] - a[3])
-                for a, b, v in zip(w.knots, w.knots[1:], w.segment_velocities())]
-    return None
-
-
-def _line_in_box(s: Structure, o: Body, chart: AffineMap, point, direction, length):
-    """An o-event of the piece inside dom(o), or None when they do not
-    meet.  o sees the piece at a + t*d, a = chart(point), d = L direction:
-    the allowed t are an interval.  The event is at t = 0 when allowed,
-    else at the middle of the interval, or one past its only finite end."""
+def _line_in_box(s: Structure, o: Body, chart: AffineMap, point, velocity, end):
+    """An o-event of a worldline's piece inside dom(o), or None when they
+    do not meet.  o sees the piece at a + t*d, a = chart(point), d = L
+    (velocity, 1), t <= end - point[3]: the allowed t are an interval.  The
+    event is at t = 0 when allowed, else at the middle of the interval, or
+    one past its only finite end."""
     a = chart.apply(point)
     if s.domain_of(o).is_full():
         return a
-    d = linalg.mat_vec(chart.linear, direction)
+    d = linalg.mat_vec(chart.linear, tuple(velocity) + (ER(1),))
     allowed = _domain_set(s, o, [Poly({(): a[i], ("t",): d[i]}) for i in range(4)])
-    if length is not None:
-        allowed = allowed.intersect(IntervalSet((Interval(ER(0), length, False, False),)))
+    if end is not None:
+        allowed = allowed.intersect(IntervalSet((Interval(ER(0), end - point[3], False, False),)))
     if allowed.is_empty():
         return None
     iv = allowed.intervals[0]  # the box and the piece are convex
@@ -676,17 +659,16 @@ def _family_body(refs, photon: bool) -> Optional[Body]:
     """The family photon (or inertial body) through one or two reference
     events; None unless two distinct events are lightlike (strictly
     timelike) apart.  Both then differ in time, so dt is never 0."""
+    kind, line = ("photon", PhotonLine) if photon else ("inertial", InertialLine)
     x, y = refs[0], refs[-1]
     if len(refs) == 1 or all((a - b).is_zero() for a, b in zip(x, y)):
-        vector = (ER(1), ER(0), ER(0)) if photon else (ER(0), ER(0), ER(0))
+        worldline = line(x, (ER(1), ER(0), ER(0)) if photon else (ER(0), ER(0), ER(0)))
     else:
         interval = mu(x, y)
         if not (interval.is_zero() if photon else interval.sign() < 0):
             return None
-        dt = y[3] - x[3]
-        vector = tuple((y[i] - x[i]) / dt for i in range(3))
-    kind, line = ("photon", PhotonLine) if photon else ("inertial", InertialLine)
-    return Body("%s#%d" % (kind, next(_synth_counter)), not photon, photon, line(x, vector))
+        worldline = line.through(x, y)
+    return Body("%s#%d" % (kind, next(_synth_counter)), not photon, photon, worldline)
 
 
 def witness_photon_refs(refs) -> Optional[Body]:

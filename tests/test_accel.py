@@ -193,6 +193,22 @@ def test_rechart_scenario_refuses_a_numeric_traveler():
         rechart_scenario(sc, random_poincare_map(random.Random(31)))
 
 
+def test_rechart_scenario_maps_the_extra_bodies():
+    text = serialize_scenario(_roundtrip_scenario()).replace(
+        "home home", "body rock inertial through 1 0 0 0 velocity 0 0 0\nhome home")
+    sc = parse_scenario(text)
+    w = random_poincare_map(random.Random(3))
+    moved = rechart_scenario(sc, w)
+    rock = sc.extra_bodies[0].worldline
+    assert [b.id for b in moved.extra_bodies] == ["rock"]
+    assert moved.extra_bodies[0].worldline == rock.image(w)
+    for t in (-2, 0, Fr(7, 3)):
+        assert moved.extra_bodies[0].worldline.contains(w.apply(rock.point_at(ER(t))))
+    lines = serialize_scenario(moved).splitlines()
+    assert lines[1].startswith("body home inertial through 5/4 1/3 19/7 -2/3 ")
+    assert not lines[3].startswith("body rock inertial through 1 0 0 0 ")
+
+
 def test_twin_paradox_rechart_invariant():
     sc = _roundtrip_scenario()
     expected = twin_paradox(sc)
@@ -298,6 +314,32 @@ def test_worldline_csv_knot_row_takes_the_outgoing_segment():
     # t = 0 and t = 5 start segments at +3/5 and -3/5; t = 10 ends the last.
     assert [r.split(",")[4] for r in (rows[0], rows[5], rows[10])] == \
         ["0.600000000000", "-0.600000000000", "-0.600000000000"]
+
+
+def test_worldline_csv_integrates_a_numeric_worldline_in_one_pass(monkeypatch):
+    import axrel.accel as accel_module
+
+    calls = []
+    real = accel_module.velocity_at
+    monkeypatch.setattr(accel_module, "velocity_at", lambda w, t: calls.append(t) or real(w, t))
+    counts = []
+    for steps in (50, 100, 200):
+        calls.clear()
+        worldline_csv(_velocityless_curve(), -3.0, 3.0, steps=steps)
+        counts.append(len(calls))
+        # A row's velocity plus one short integral; from t0 each row took ~240.
+        assert len(calls) <= 8 * (steps + 1), steps
+    assert counts[1] <= 2.2 * counts[0] and counts[2] <= 2.2 * counts[1]
+
+
+def test_worldline_csv_numeric_tau_matches_the_integral_from_t0():
+    w = _velocityless_curve()
+    rows = worldline_csv(w, -3.0, 3.0, steps=24).strip().splitlines()[1:]
+    assert rows[0].split(",")[-1] == "0"
+    for row in rows[1:]:
+        t, tau = float(row.split(",")[0]), float(row.split(",")[-1])
+        reference = proper_time(w, -3.0, t)
+        assert abs(tau - float(reference)) <= float(reference.width), t
 
 
 def test_worldline_csv_starts_at_a_numeric_domain_edge():

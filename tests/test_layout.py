@@ -21,6 +21,8 @@
 - The float checks take no step, tolerance or sample-count parameter
   that no caller sets: their parameter lists are pinned here, and a
   numeric worldline has one velocity estimator, `numeric.velocity_at`.
+- Only `model` tests which kind a worldline is, but to reject a wrong
+  kind of input: the kinds map, split and parametrise themselves.
 """
 
 import ast
@@ -306,3 +308,55 @@ def test_a_numeric_worldline_has_one_velocity_estimator():
         assert module.velocity_at is importlib.import_module("axrel.numeric").velocity_at
         own = [name for name in vars(module) if "velocity" in name and name != "velocity_at"]
         assert own == [], module.__name__
+
+
+_WORLDLINE_KINDS = {"InertialLine", "PhotonLine", "PiecewiseInertial", "SmoothNumeric"}
+
+
+def _worldline_kind_tests(path):
+    """(function, rejects) for each isinstance call on a worldline kind in
+    the module: rejects is True when the call, alone or negated, is the
+    test of an `if` whose body only raises."""
+    tree = ast.parse(Path(path).read_text(encoding="utf-8"))
+    rejecting = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and not node.orelse and \
+                all(isinstance(stmt, ast.Raise) for stmt in node.body):
+            test = node.test
+            if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+                test = test.operand
+            rejecting.add(id(test))
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Name) \
+                    and child.func.id == "isinstance" and len(child.args) == 2:
+                kinds = child.args[1].elts if isinstance(child.args[1], ast.Tuple) \
+                    else [child.args[1]]
+                if {getattr(k, "id", None) for k in kinds} & _WORLDLINE_KINDS:
+                    sites.append((".".join(scope), id(child) in rejecting))
+            visit(child, inner)
+
+    visit(tree, ())
+    return sites
+
+
+def test_only_model_tests_a_worldline_kind_except_to_reject_one():
+    # The kinds map, split and parametrise themselves in `model`.  Other
+    # layers may test a worldline's class only to refuse a wrong kind: a
+    # photon's proper time or co-moving observer, a home twin that is not
+    # inertial, a non-numeric chart worldline, a NoFTL body off a line.
+    sites = sorted((str(path.relative_to(SRC)), function, rejects)
+                   for path in (SRC / "axrel").rglob("*.py") if path.name != "model.py"
+                   for function, rejects in _worldline_kind_tests(path))
+    assert sites == [
+        ("axrel/accel.py", "AcceleratedScenario.__init__", True),
+        ("axrel/accel.py", "comoving_inertial", True),
+        ("axrel/accel.py", "proper_time", True),
+        ("axrel/genrel.py", "_tangent_of", True),
+        ("axrel/kinematics.py", "_arrival_time", True),
+    ]

@@ -12,7 +12,7 @@ import pytest
 from axrel import linalg
 from axrel import semantics as semantics_module
 from axrel.field import ER, ExactReal, sqrt
-from axrel.kinematics import AffineMap, coord4
+from axrel.kinematics import AffineMap, boost, coord4, translation
 from axrel.linalg import identity
 from axrel.model import (
     Body, ChartDomain, InertialLine, ObserverSpec, PhotonLine, PiecewiseInertial, SmoothNumeric,
@@ -419,6 +419,68 @@ def test_axsymd_unordered_pairs_match_the_ordered_reference(kind, seed):
         assert got.evidence[key] == value, key
         if isinstance(value, ExactReal):
             assert got.evidence[key].literal() == value.literal(), key
+
+
+# -- reference-chart invariance --------------------------------------------
+
+
+def rechart(s, p):
+    """s with its reference chart moved by the Poincare map p: every
+    worldline w becomes p(w) and every chart c becomes c o p^-1.  W, and
+    so every verdict, is unchanged: it is the same model."""
+    bodies = [Body(b.id, b.is_inertial, b.is_photon, b.worldline.image(p))
+              for b in s.bodies.values()]
+    charts = {oid: chart.compose(p.inverse()) for oid, chart in s.charts.items()}
+    return Structure(bodies, charts, s.photon_family, s.inertial_family, s.chart_domains,
+                     s.name, s.constants)
+
+
+# An observer whose domain leaves out its own origin, beside named bodies
+# and no families: its Ob guard is decided by the straight-piece search.
+LATE_MODEL = """structure late
+families none
+observer rest
+observer late velocity 1/2 0 0 translate 1 0 0 1/2 domain 4 1 10
+body walker piecewise knots 0 0 0 0 , 1 0 0 4 , 1 1/2 0 8
+body flash photon through 1 0 0 0 direction 0 1 0
+"""
+
+
+def _shown(value):
+    # A body by its id, a family body by its kind: the worldline it
+    # carries is in reference coordinates, which rechart moves.
+    if isinstance(value, Body):
+        return value.id.split("#")[0]
+    if isinstance(value, dict):
+        return {key: _shown(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_shown(v) for v in value]
+    return value
+
+
+def _reference_free_verdicts(s):
+    budget = Budget(samples=8, seed=5)
+    out = {}
+    for name in ("AxSelf", "AxPh", "AxEv", "AxSymd"):
+        for form, sentence in (("sugared", named_axiom(name)),
+                               ("expanded", expand_definitions(named_axiom(name)))):
+            v = evaluate(s, sentence, None, budget)
+            out[name, form] = (v.outcome, v.method, v.budget_report, _shown(v.evidence))
+    for name, v in check_theory(s, axiom_corpus("SpecRel"), budget).items():
+        out[name, "theory"] = (v.outcome, v.method, v.budget_report, _shown(v.evidence))
+    return out
+
+
+@pytest.mark.parametrize("p", [
+    boost((Fr(3, 5), 0, 0)).compose(translation((1, Fr(1, 2), 0, 3))),
+    boost((0, Fr(1, 3), 0)),
+], ids=["rational", "irrational"])
+def test_verdicts_do_not_depend_on_the_reference_chart(p):
+    structures = [parse_model(CAPPED_MODEL), parse_model(LATE_MODEL)]
+    structures += [_irrational_structure(seed) for seed in range(4)]
+    structures += [_symd_structure("mixed", seed)[0] for seed in range(4)]
+    for s in structures:
+        assert _reference_free_verdicts(rechart(s, p)) == _reference_free_verdicts(s), s.name
 
 
 # -- the sampled path: worldview transformations and golden verdicts -------
