@@ -870,10 +870,11 @@ def ER(value) -> ExactReal:
 
 
 class ApproxReal:
-    """A rational interval guaranteed to contain the true value.
+    """A rational interval [lo, hi] around a value, reported with its width.
 
-    Produced when quadrature or other numeric routines cannot stay in the
-    tower; the width is part of the result and is reported alongside it.
+    From ``ExactReal.approx`` it contains the true value.  From quadrature
+    (`accel`'s numeric proper time) its half-width is an error estimate,
+    not a bound: the interval is likely, not guaranteed, to contain it.
     """
 
     __slots__ = ("lo", "hi")

@@ -399,7 +399,7 @@ def check_axself_minus(observer_chart: DifferentiableChart, worldline: SmoothNum
     worst = 0.0
     for t in sample_times:
         p = worldline.point_at(t)
-        q = observer_chart.forward(tuple(float(c) for c in p))
+        q = observer_chart.apply(p)
         off = max(abs(q[i]) for i in range(3))
         worst = max(worst, off)
         if off > _PROBE_TOL:
@@ -771,10 +771,8 @@ def check_chart_theory(config: ChartSuiteConfig, n: Optional[int] = None) -> dic
         verdicts.append(check_axself_minus(obs_charts[nm], line, times))
     out["AxSelf-"] = combine_verdicts(verdicts)
     # AxPh-
-    verdicts = []
-    for p in chart.domain.sample_points():
-        verdicts.append(check_axph_minus(chart, p))
-    out["AxPh-"] = combine_verdicts(verdicts)
+    out["AxPh-"] = combine_verdicts([check_axph_minus(chart, p)
+                                     for p in chart.domain.sample_points()])
     # AxEv-
     domains = {nm: chart.domain for nm in obs_charts} or {"chart": chart.domain}
     out["AxEv-"] = check_axev_minus(domains, obs_lines)
@@ -788,7 +786,7 @@ def check_chart_theory(config: ChartSuiteConfig, n: Optional[int] = None) -> dic
         evidence={"note": "no meetings declared"})
     # AxDiff_n over worldview transformations between the observers.  Every
     # observer chart here is static_observer_chart(pos), so the transform
-    # fb.forward(fa.inverse(p)) from a's coordinates to b's is p + (a - b)
+    # fb.compose(fa.inverse()) from a's coordinates to b's is p + (a - b)
     # in space and the identity in time: a translation.  An affine map is
     # smooth of every order, so AxDiff_n holds for every n, exactly.
     pairs = len(obs_charts) * (len(obs_charts) - 1)

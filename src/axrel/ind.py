@@ -79,25 +79,22 @@ def _coord_polys(s: Structure, obs: Body, coords, var, env):
     if any(p.degree_in(var) > 1 for p in polys):
         raise UnsupportedDefinableSet("nonlinear coordinate in W")
     chart = s.chart_of(obs)
-    if not isinstance(chart, AffineMap):
+    if not chart.is_exact:
         raise UnsupportedDefinableSet("non-affine chart")
     return polys, _map_forms(chart.inverse(), polys)
 
 
 def _domain_set(s: Structure, obs: Body, coord_polys) -> IntervalSet:
+    """Where the coordinate polynomials lie in obs's domain box."""
     out = IntervalSet.all()
     dom = s.domain_of(obs)
-    for i, (lo, hi) in enumerate(dom.bounds):
-        if lo is not None:
-            cond = poly_less_zero(Poly.const(lo) - coord_polys[i])
-            if dom.closed:
-                cond = cond.union(poly_eq_zero(Poly.const(lo) - coord_polys[i]))
-            out = out.intersect(cond)
+    for x, (lo, hi) in zip(coord_polys, dom.bounds):
+        gaps = [] if lo is None else [Poly.const(lo) - x]
         if hi is not None:
-            cond = poly_less_zero(coord_polys[i] - Poly.const(hi))
-            if dom.closed:
-                cond = cond.union(poly_eq_zero(coord_polys[i] - Poly.const(hi)))
-            out = out.intersect(cond)
+            gaps.append(x - Poly.const(hi))
+        for gap in gaps:
+            cond = poly_less_zero(gap)
+            out = out.intersect(cond.union(poly_eq_zero(gap)) if dom.closed else cond)
     return out
 
 
@@ -150,15 +147,17 @@ def check_ind_instance(s: Structure, inst: IndInstance,
     the least-upper-bound property; falls back to sampled evaluation when
     the set is outside the solvable fragment."""
     budget = budget or Budget()
+    first = next(iter(s.observers()), None)
     env: dict = {}
     for name, spec in inst.param_values:
-        if spec == "@observer":
-            env[name] = s.observers()[0]
-        elif spec == "@body":
-            obs0 = s.observers()[0].id
-            pick = next((b for b in s.bodies.values()
-                         if not b.is_photon and b.id != obs0), None)
-            env[name] = pick if pick is not None else s.observers()[0]
+        if spec in ("@observer", "@body"):
+            # @body: the first non-photon body other than the first observer, else it.
+            pick = first if spec == "@observer" else next(
+                (b for b in s.bodies.values() if not b.is_photon and b is not first), first)
+            if pick is None:
+                return Verdict.unknown(evidence={
+                    "note": "no body to bind to parameter %s (%s)" % (name, spec)})
+            env[name] = pick
         else:
             env[name] = parse_exact(spec)
     try:

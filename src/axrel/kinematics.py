@@ -76,8 +76,8 @@ class AffineMap:
     """x -> L x + c over the exact field; general coordinate chart map.
 
     Maps are immutable after construction, so each computes its inverse
-    once, on the first :meth:`inverse` call, and keeps it.  The kept
-    inverse does not point back: ``m.inverse().inverse()`` is a fresh map.
+    once, on the first :meth:`inverse` call, and keeps it; the kept
+    inverse points back, so ``m.inverse().inverse()`` is m.
 
     For the same reason each map builds an integer form on its first
     :meth:`apply` and keeps it: a common denominator D with the integer
@@ -92,6 +92,8 @@ class AffineMap:
     fraction, so no printed value depends on the path taken.  Two threads
     may both build the form; they store equal ones.
     """
+
+    is_exact = True
 
     def __init__(self, linear: Mat, translation: Coord4 = None):
         self.linear = linalg.matrix(linear)
@@ -117,6 +119,8 @@ class AffineMap:
 
     def compose(self, other: "AffineMap") -> "AffineMap":
         # self after other: x -> self(other(x))
+        if not other.is_exact:  # (other^-1 after self^-1)^-1, numeric
+            return other.inverse().compose(self.inverse()).inverse()
         lin = mat_mul(self.linear, other.linear)
         tr = vec_add(mat_vec(self.linear, other.translation), self.translation)
         make = (PoincareMap._lorentz if isinstance(self, PoincareMap) and isinstance(other, PoincareMap)
@@ -129,7 +133,9 @@ class AffineMap:
             inv = mat_inverse(self.linear)
             tr = tuple(-t for t in mat_vec(inv, self.translation))
             make = PoincareMap._lorentz if isinstance(self, PoincareMap) else AffineMap
-            self._inverse = make(inv, tr)
+            inverse = make(inv, tr)
+            inverse._inverse = self
+            self._inverse = inverse
         return self._inverse
 
     def is_lorentz(self) -> bool:
@@ -305,8 +311,7 @@ def _simultaneous_image(ship_to_rest: AffineMap, ship_x: ExactReal) -> Coord4:
 def worldview_transform(s: "Structure", o: "Body", o2: "Body") -> AffineMap:
     """The map w with W(o,b,x) iff W(o2,b,w(x)); composition of chart maps."""
     for obs in (o, o2):
-        chart = s.chart_of(obs)
-        if chart is None or not isinstance(chart, AffineMap):
+        if not isinstance(s.chart_of(obs), AffineMap):
             raise NotInertialObserver("%s is not an inertial observer" % obs.id)
         if not getattr(obs, "is_inertial", False):
             raise NotInertialObserver("%s is not inertial" % obs.id)

@@ -17,7 +17,10 @@ which kind it holds: ``point_at`` and ``contains``; ``image(m)``, an
 exact worldline mapped through a chart map (a straight line through the
 images of its events at times 0 and 1, a piecewise one by its knots);
 ``pieces()``, its straight pieces (None on a numeric worldline); and
-``piece_at(t)``, the segment lookup in both knot conventions.
+``piece_at(t)``, the segment lookup in both knot conventions.  Each
+chart kind, exact (`kinematics.AffineMap`) or numeric
+(`DifferentiableChart`), answers ``apply``, ``inverse()``, ``compose``
+and ``is_exact``, so no other layer asks which kind it holds either.
 
 Existential body quantifiers over "all photons" / "all inertial bodies"
 are answered by intensional family flags rather than by materializing
@@ -293,19 +296,36 @@ _FULL_DOMAIN = ChartDomain()
 
 
 class DifferentiableChart(Record):
-    """Invertible numeric chart for an accelerated observer.
+    """Invertible numeric chart for an accelerated observer: `forward`
+    maps reference coordinates to the observer's in floats, `backward`
+    (the constructor's `inverse`) the other way, and `order` is the
+    declared differentiability.  It answers what an exact chart answers:
+    ``apply``, ``inverse()`` and ``compose(m)``, this chart after the map
+    m, in which an exact m reads each float exactly and rounds once.  Its
+    domain, like an affine chart's, is the structure's ``domain_of``."""
 
-    `forward` maps reference coordinates to observer coordinates (floats),
-    `inverse` the other way; `order` is the declared differentiability.
-    Its domain, like an affine chart's, is the structure's ``domain_of``.
-    """
-
-    __slots__ = _fields = ("forward", "inverse", "order")
+    __slots__ = _fields = ("forward", "backward", "order")
+    is_exact = False
 
     def __init__(self, forward: Callable, inverse: Callable, order: int):
         set_field(self, "forward", forward)
-        set_field(self, "inverse", inverse)
+        set_field(self, "backward", inverse)
         set_field(self, "order", order)
+
+    def apply(self, x) -> tuple:
+        return tuple(self.forward(tuple(float(c) for c in x)))
+
+    def inverse(self) -> "DifferentiableChart":
+        return DifferentiableChart(self.backward, self.forward, self.order)
+
+    def compose(self, m) -> "DifferentiableChart":
+        # self after m: x -> self(m(x)).
+        def floats(chart):
+            return lambda p: tuple(float(v) for v in chart.apply(tuple(ER(Fraction(c)) for c in p)))
+
+        into, back = floats(m), floats(m.inverse())
+        return DifferentiableChart(lambda p: self.forward(into(p)),
+                                   lambda q: back(self.backward(q)), self.order)
 
 
 class Structure:
@@ -334,7 +354,7 @@ class Structure:
         for oid in self.charts:
             if oid not in self.bodies:
                 raise ValueError("chart for unknown body %r" % oid)
-        self._transitions = {}  # (o id, o2 id) -> AffineMap
+        self._worldviews = {}  # (o id, o2 id) -> chart(o2) o chart(o)^-1
 
     # -- observers ---------------------------------------------------------
 
@@ -351,20 +371,27 @@ class Structure:
         return self.chart_domains.get(body.id, _FULL_DOMAIN)
 
     def all_charts_affine(self) -> bool:
-        return all(isinstance(c, AffineMap) for c in self.charts.values())
+        return all(c.is_exact for c in self.charts.values())
 
     def all_domains_full(self) -> bool:
         return all(self.domain_of(self.bodies[oid]).is_full() for oid in self.charts)
 
-    def transition(self, o: Body, o2: Body) -> AffineMap:
+    def transition(self, o: Body, o2: Body) -> Optional[AffineMap]:
         """The worldview transformation chart(o2) o chart(o)^-1, from o's
-        coordinates to o2's, for two observers with affine charts.  Built
-        on the first call for the pair and kept; two threads may both
-        build it, and they store equal maps."""
+        coordinates to o2's; None unless both charts are exact."""
+        w = self._worldview(o, o2)
+        return w if w is not None and w.is_exact else None
+
+    def _worldview(self, o: Body, o2: Body):
+        """chart(o2) o chart(o)^-1, numeric if either chart is; None for a
+        non-observer.  Kept once built; two threads may both build it."""
         key = (o.id, o2.id)
-        w = self._transitions.get(key)
+        w = self._worldviews.get(key)
         if w is None:
-            w = self._transitions[key] = self.chart_of(o2).compose(self.chart_of(o).inverse())
+            c1, c2 = self.chart_of(o), self.chart_of(o2)
+            if c1 is None or c2 is None:
+                return None
+            w = self._worldviews[key] = c2.compose(c1.inverse())
         return w
 
     # -- the worldview relation ---------------------------------------------
@@ -381,11 +408,9 @@ class Structure:
             x = tuple(ER(Fraction(c) if isinstance(c, float) else c) for c in x)
         if not self.domain_of(o).contains(x):
             return None
-        if isinstance(chart, AffineMap):
-            return chart.inverse().apply(x)
         try:
-            return tuple(chart.inverse(tuple(float(c) for c in x)))
-        except (ValueError, ArithmeticError):
+            return chart.inverse().apply(x)
+        except (ValueError, ArithmeticError):  # outside a numeric chart's range
             return None
 
     def holds_W(self, o: Body, b: Body, x: Coord4) -> Optional[bool]:
@@ -417,12 +442,7 @@ class Structure:
         for obs in (o, o2):
             if not self.is_observer(obs):
                 raise NotAnObserver(obs.id)
-        c1, c2 = self.chart_of(o), self.chart_of(o2)
-        if isinstance(c1, AffineMap) and isinstance(c2, AffineMap):
-            return self.transition(o, o2).apply(tuple(ER(c) for c in x))
-        inv = c1.inverse if isinstance(c1, DifferentiableChart) else _float_map(c1.inverse())
-        fwd = c2.forward if isinstance(c2, DifferentiableChart) else _float_map(c2)
-        return tuple(fwd(tuple(inv(tuple(float(c) for c in x)))))
+        return self._worldview(o, o2).apply(x)
 
     def with_extra_bodies(self, extra: Sequence[Body]) -> "Structure":
         bodies = list(self.bodies.values()) + list(extra)
@@ -464,11 +484,6 @@ def _near(ref, p, tol: float) -> Optional[bool]:
     if dist <= tol:
         return True
     return False if dist >= 10 * tol else None
-
-
-def _float_map(chart: AffineMap) -> Callable:
-    """chart as a map of float points: each float is read exactly."""
-    return lambda p: tuple(float(v) for v in chart.apply(tuple(ER(Fraction(c)) for c in p)))
 
 
 # ---------------------------------------------------------------------------
@@ -775,16 +790,11 @@ def serialize_model(s: Structure) -> str:
     if s.inertial_family:
         fams.append("inertials")
     lines.append("families %s" % (" ".join(fams) if fams else "none"))
-    for oid in s.charts:
-        chart = s.charts[oid]
+    for oid, chart in s.charts.items():
         if not isinstance(chart, AffineMap):
             raise ValueError("cannot serialize numeric chart %r" % oid)
-        spec = _recover_observer_spec(s, oid, chart)
-        lines.append(spec)
-    for b in s.bodies.values():
-        if b.id in s.charts:
-            continue
-        lines.append(_serialize_body(b))
+        lines.append(_recover_observer_spec(s, oid, chart))
+    lines.extend(_serialize_body(b) for b in s.bodies.values() if b.id not in s.charts)
     return "\n".join(lines) + "\n"
 
 
@@ -821,9 +831,8 @@ def _recover_observer_spec(s: Structure, oid: str, chart: AffineMap) -> str:
 def _extract_plane_rotations(lin) -> list:
     # Decompose a spatial rotation matrix into at most three plane rotations
     # (Givens); exact because pivots are exact.
-    m = [list(row) for row in lin]
     out = []
-    work = [row[:3] for row in m[:3]]
+    work = [list(row[:3]) for row in lin[:3]]
     for col in range(2):
         for row in range(col + 1, 3):
             a, b = work[col][col], work[row][col]
@@ -838,8 +847,7 @@ def _extract_plane_rotations(lin) -> list:
             work = [[sum((g[i][k] * work[k][j] for k in range(3)), ER(0))
                      for j in range(3)] for i in range(3)]
     # `out` undoes the rotation; the original is the reversed composition.
-    rotations = [(i, j, c, sn) for (i, j, c, sn) in reversed(out)]
-    return rotations
+    return out[::-1]
 
 
 def _serialize_body(b: Body) -> str:

@@ -324,20 +324,20 @@ def _match_corr(f: Formula):
 
 
 def _event_contents_equal(s: Structure, o: Body, x, o2: Body, y) -> Optional[bool]:
-    """Exact decision of  A b . W(o,b,x) <-> W(o2,b,y)  on affine charts."""
+    """Exact decision of  A b . W(o,b,x) <-> W(o2,b,y)  on exact charts."""
     c1, c2 = s.chart_of(o), s.chart_of(o2)
     if c1 is None and c2 is None:
         return True  # both sides empty for non-observers
     if c1 is None or c2 is None:
         other, chart, pt = (o2, c2, y) if c1 is None else (o, c1, x)
-        if not isinstance(chart, AffineMap):
+        if not chart.is_exact:
             return None
         # one side is always empty: equal iff the other side is empty too
         if s.photon_family or s.inertial_family:
             return not s.domain_of(other).contains(pt)
-        content = s.event_at(other, pt).named
-        return not content
-    if not (isinstance(c1, AffineMap) and isinstance(c2, AffineMap)):
+        return not s.event_at(other, pt).named
+    w = s.transition(o, o2)
+    if w is None:
         return None
     if s.photon_family or s.inertial_family:
         in1 = s.domain_of(o).contains(x)
@@ -349,7 +349,7 @@ def _event_contents_equal(s: Structure, o: Body, x, o2: Body, y) -> Optional[boo
             return in1 == in2
         # Family contents are injective in the event, and charts are
         # bijections: the events are equal iff w(x) = y.
-        return all((a - b).is_zero() for a, b in zip(s.transition(o, o2).apply(x), y))
+        return all((a - b).is_zero() for a, b in zip(w.apply(x), y))
     return s.event_at(o, x).named == s.event_at(o2, y).named
 
 
@@ -551,7 +551,7 @@ def _sees_a_body(s: Structure, o: Body):
     chart = s.chart_of(o)
     if chart is None:
         return False, None  # a non-observer coordinatizes nothing
-    if not isinstance(chart, AffineMap):
+    if not chart.is_exact:
         return None
     bodies = [(b, b.worldline.pieces()) for b in s.bodies.values()]
     origin = (ER(0),) * 4
@@ -560,12 +560,8 @@ def _sees_a_body(s: Structure, o: Body):
         for b, pieces in bodies:
             if pieces is not None and b.worldline.contains(ref):
                 return True, (b, origin)
-    numeric = False
     for b, pieces in bodies:
-        if pieces is None:
-            numeric = True
-            continue
-        for piece in pieces:
+        for piece in pieces or ():  # a numeric worldline has no pieces
             x = _line_in_box(s, o, chart, *piece)
             if x is not None:
                 return True, (b, x)
@@ -574,7 +570,7 @@ def _sees_a_body(s: Structure, o: Body):
         closed = dom.closed
         return not any(Interval(lo, hi, not closed, not closed).is_empty()
                        for lo, hi in dom.bounds), None
-    return None if numeric else (False, None)
+    return None if any(pieces is None for _, pieces in bodies) else (False, None)
 
 
 def _line_in_box(s: Structure, o: Body, chart: AffineMap, point, velocity, end):
@@ -636,7 +632,7 @@ def _plan_family_witness(var: str, conjuncts: list, s: Structure):
         chart = s.chart_of(obs)
         if chart is None:
             return False, None, {"reason": "observer has no chart"}
-        if not isinstance(chart, AffineMap):
+        if not chart.is_exact:
             return None
         if obs2_of is not None and obs2_of(env).id != obs.id:
             return None
@@ -766,14 +762,14 @@ def _pin_with_constraints(names, pins, env, ctx: _Ctx):
             except UnboundVariable:
                 remaining.append(pin)
                 continue
-            if not (isinstance(ctx.s.chart_of(o), AffineMap)
-                    and isinstance(ctx.s.chart_of(o2), AffineMap)):
+            w = ctx.s.transition(o, o2)
+            if w is None:
                 continue  # cannot pin; conjunct still checked per sample
             xs_forms = [_affine(t, env, binding) for t in xs_t]
             if any(fm is None for fm in xs_forms):
                 remaining.append(pin)
                 continue
-            ys_forms = _map_forms(ctx.s.transition(o, o2), xs_forms)
+            ys_forms = _map_forms(w, xs_forms)
             if all(targets):
                 unpinned = [n for n in targets if n in params]
                 if len(unpinned) == 4 and len(set(targets)) == 4:
@@ -806,9 +802,7 @@ def _solve_equations(params, equations):
     """Gaussian solve; returns (particular, basis) as dicts over params,
     or None if exactly inconsistent."""
     if not equations:
-        basis = []
-        for p in params:
-            basis.append({q: ER(1 if q == p else 0) for q in params})
+        basis = [{q: ER(1 if q == p else 0) for q in params} for p in params]
         return {p: ER(0) for p in params}, basis
     a = tuple(tuple(eq.terms.get((p,), ER(0)) for p in params) for eq in equations)
     b = tuple(-eq.terms.get((), ER(0)) for eq in equations)
@@ -823,16 +817,14 @@ def _solve_equations(params, equations):
 
 def _sample_tuples(ctx: _Ctx, path: str, dims: int, limit: int):
     """Deterministic tuple stream: corners, then seeded rationals."""
-    corners = ctx.corners
-    yielded = 0
     if dims == 0:
         yield ()
         return
     zero = tuple(ER(0) for _ in range(dims))
     yield zero
-    yielded += 1
+    yielded = 1
     for i in range(dims):
-        for val in corners[1:]:
+        for val in ctx.corners[1:]:
             if yielded >= limit:
                 return
             tup = list(zero)
@@ -849,13 +841,8 @@ def _sample_tuples(ctx: _Ctx, path: str, dims: int, limit: int):
 def _collect_equations(matrix, limit: int = 4) -> list:
     """EqQ subformulas of the matrix, used to steer samples onto the
     algebraic surfaces where one side of an equivalence can flip."""
-    out = []
-    for sub in subformulas(matrix):
-        if isinstance(sub, EqQ):
-            out.append(sub)
-            if len(out) >= limit:
-                break
-    return out
+    equations = (sub for sub in subformulas(matrix) if isinstance(sub, EqQ))
+    return list(itertools.islice(equations, limit))
 
 
 def _plan_quantity_forall(names, matrix, s: Structure):
@@ -955,9 +942,7 @@ def _eval_quantity_forall(names, matrix, pins, guide_diffs, guided, env, ctx: _C
                     hit = run_sample(guided_values, "%dg%d.%d" % (i, eq_i, r_i))
                     if hit is not None:
                         return hit
-    if saw_unknown:
-        return UNKNOWN, True, {}
-    return HOLDS, True, {}
+    return (UNKNOWN if saw_unknown else HOLDS), True, {}
 
 
 def _plan_quantity_exists(names, matrix, s: Structure):
@@ -992,11 +977,11 @@ def _eval_quantity_exists(names, matrix, correspondences, polynomial, env, ctx: 
             xs = tuple(c(env) for c in xs_of)
         except UnboundVariable:
             continue
-        c1, c2 = s.chart_of(o), s.chart_of(o2)
-        if not (isinstance(c1, AffineMap) and isinstance(c2, AffineMap)):
+        w = s.transition(o, o2)
+        if w is None:
             continue
         ctx.bump_solver()
-        ys = s.event_correspondence(o, o2, xs)
+        ys = w.apply(xs)
         env2 = {**env, **dict(zip(targets, ys))}
         state, sampled, ev = _eval(matrix, env2, ctx, path + ".cw")
         if state == HOLDS:

@@ -373,6 +373,18 @@ observer boosted velocity 3/5 0 0
     assert ("Unknown" in out) or ("Fails" in out)
 
 
+
+@pytest.mark.parametrize("command", [["check", "AccRel"], ["report"]])
+def test_model_without_observers_is_unknown_not_a_crash(tmp_path, capsys, command):
+    # IND.body_position and IND.photon_reach bind their @observer parameter
+    # to the first observer.  With none they are Unknown and say why; the
+    # other verdicts hold vacuously.
+    model = tmp_path / "bare.model"
+    model.write_text("structure minkowski\n")
+    code, out, err = run_cli(command + [str(model)], capsys)
+    assert code == 2 and err == ""
+    assert out.count("no body to bind to parameter o (@observer)") == 2
+
 def _one_line_error(code, err, expected_codes=(65,)):
     assert code in expected_codes
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err

@@ -23,6 +23,9 @@
   numeric worldline has one velocity estimator, `numeric.velocity_at`.
 - Only `model` tests which kind a worldline is, but to reject a wrong
   kind of input: the kinds map, split and parametrise themselves.
+- Only `kinematics` tests which kind a chart is, but to reject a wrong
+  kind of input: every chart answers `apply`, `inverse()`, `compose`
+  and `is_exact`.
 """
 
 import ast
@@ -311,12 +314,13 @@ def test_a_numeric_worldline_has_one_velocity_estimator():
 
 
 _WORLDLINE_KINDS = {"InertialLine", "PhotonLine", "PiecewiseInertial", "SmoothNumeric"}
+_CHART_KINDS = {"AffineMap", "PoincareMap", "DifferentiableChart"}
 
 
-def _worldline_kind_tests(path):
-    """(function, rejects) for each isinstance call on a worldline kind in
-    the module: rejects is True when the call, alone or negated, is the
-    test of an `if` whose body only raises."""
+def _kind_tests(path, kinds):
+    """(function, rejects) for each isinstance call on one of the classes
+    named in kinds in the module: rejects is True when the call, alone or
+    negated, is the test of an `if` whose body only raises."""
     tree = ast.parse(Path(path).read_text(encoding="utf-8"))
     rejecting = set()
     for node in ast.walk(tree):
@@ -335,9 +339,9 @@ def _worldline_kind_tests(path):
                 inner = scope + (child.name,)
             elif isinstance(child, ast.Call) and isinstance(child.func, ast.Name) \
                     and child.func.id == "isinstance" and len(child.args) == 2:
-                kinds = child.args[1].elts if isinstance(child.args[1], ast.Tuple) \
+                classes = child.args[1].elts if isinstance(child.args[1], ast.Tuple) \
                     else [child.args[1]]
-                if {getattr(k, "id", None) for k in kinds} & _WORLDLINE_KINDS:
+                if {getattr(k, "id", None) for k in classes} & kinds:
                     sites.append((".".join(scope), id(child) in rejecting))
             visit(child, inner)
 
@@ -352,7 +356,7 @@ def test_only_model_tests_a_worldline_kind_except_to_reject_one():
     # inertial, a non-numeric chart worldline, a NoFTL body off a line.
     sites = sorted((str(path.relative_to(SRC)), function, rejects)
                    for path in (SRC / "axrel").rglob("*.py") if path.name != "model.py"
-                   for function, rejects in _worldline_kind_tests(path))
+                   for function, rejects in _kind_tests(path, _WORLDLINE_KINDS))
     assert sites == [
         ("axrel/accel.py", "AcceleratedScenario.__init__", True),
         ("axrel/accel.py", "comoving_inertial", True),
@@ -360,3 +364,13 @@ def test_only_model_tests_a_worldline_kind_except_to_reject_one():
         ("axrel/genrel.py", "_tangent_of", True),
         ("axrel/kinematics.py", "_arrival_time", True),
     ]
+
+
+def test_only_kinematics_tests_a_chart_kind_except_to_reject_one():
+    # Exact and numeric charts answer the same questions, and the exact
+    # strategies ask `is_exact`.  Other layers may test a chart's class only
+    # to refuse a wrong kind: serialize_model refuses a numeric chart.
+    sites = sorted((str(path.relative_to(SRC)), function, rejects)
+                   for path in (SRC / "axrel").rglob("*.py") if path.name != "kinematics.py"
+                   for function, rejects in _kind_tests(path, _CHART_KINDS))
+    assert sites == [("axrel/model.py", "serialize_model", True)]

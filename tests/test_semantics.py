@@ -427,8 +427,11 @@ def test_axsymd_unordered_pairs_match_the_ordered_reference(kind, seed):
 def rechart(s, p):
     """s with its reference chart moved by the Poincare map p: every
     worldline w becomes p(w) and every chart c becomes c o p^-1.  W, and
-    so every verdict, is unchanged: it is the same model."""
-    bodies = [Body(b.id, b.is_inertial, b.is_photon, b.worldline.image(p))
+    so every verdict, is unchanged: it is the same model.  A numeric
+    worldline has no `image` and is kept as it is, so in the copy it is
+    another body."""
+    bodies = [Body(b.id, b.is_inertial, b.is_photon,
+                   b.worldline if b.worldline.pieces() is None else b.worldline.image(p))
               for b in s.bodies.values()]
     charts = {oid: chart.compose(p.inverse()) for oid, chart in s.charts.items()}
     return Structure(bodies, charts, s.photon_family, s.inertial_family, s.chart_domains,
@@ -471,10 +474,11 @@ def _reference_free_verdicts(s):
     return out
 
 
-@pytest.mark.parametrize("p", [
-    boost((Fr(3, 5), 0, 0)).compose(translation((1, Fr(1, 2), 0, 3))),
-    boost((0, Fr(1, 3), 0)),
-], ids=["rational", "irrational"])
+RATIONAL_P = boost((Fr(3, 5), 0, 0)).compose(translation((1, Fr(1, 2), 0, 3)))
+
+
+@pytest.mark.parametrize("p", [RATIONAL_P, boost((0, Fr(1, 3), 0))],
+                         ids=["rational", "irrational"])
 def test_verdicts_do_not_depend_on_the_reference_chart(p):
     structures = [parse_model(CAPPED_MODEL), parse_model(LATE_MODEL)]
     structures += [_irrational_structure(seed) for seed in range(4)]
@@ -1247,6 +1251,24 @@ def test_w_paths_agree_on_seeded_structures(seed):
                 v = _w_verdict(s, o, b, x)
                 assert v.outcome == W_OUTCOME[truth], (o.id, b.id, x)
                 assert (b.id in named) == (truth is True), (o.id, b.id, x)
-                seen.add((truth, isinstance(s.chart_of(o), AffineMap)))
+                seen.add((truth, s.chart_of(o).is_exact))
     assert seen == {(True, True), (False, True), (None, True),
                     (True, False), (False, False), (None, False)}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_w_on_a_numeric_chart_does_not_depend_on_the_reference_chart(seed):
+    # rechart composes the Rindler chart with p^-1 in floats
+    # (DifferentiableChart.compose), the affine charts exactly.  Only the
+    # exact bodies are compared: a SmoothNumeric has no `image`, so rechart
+    # leaves the numeric ones (still, near, far and the ship's own
+    # hyperbola) in the old reference chart.
+    s = _w_structure(seed)
+    r = rechart(s, RATIONAL_P)
+    exact = {b.id for b in s.bodies.values() if b.worldline.pieces() is not None}
+    rng = random.Random(seed)
+    for o in s.observers():
+        for x in _w_points(s, o, rng):
+            assert r.event_at(o, x).named & exact == s.event_at(o, x).named & exact, (o.id, x)
+            for b in exact:
+                assert r.holds_W(o, r.bodies[b], x) is s.holds_W(o, s.bodies[b], x), (o.id, b, x)
