@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 from .field import ApproxReal, ER, ExactReal, sqrt
 from .kinematics import Coord4, PoincareMap, coord4
 from .model import (
-    Body, DifferentiableChart, InertialLine, PhotonLine, PiecewiseInertial,
+    Body, DifferentiableChart, InertialLine, PiecewiseInertial,
     SmoothNumeric, Structure, _parse_body, declaration_lines,
 )
 from .numeric import (
@@ -69,7 +69,7 @@ def proper_time(w, t0, t1):
     Exact (ExactReal) for inertial and piecewise-inertial worldlines;
     ApproxReal with reported width for numeric worldlines.
     """
-    if isinstance(w, PhotonLine):
+    if w.is_photon:
         raise SuperluminalSegment("photon worldlines accumulate no proper time")
     pieces = w.pieces()
     if pieces is None:
@@ -145,7 +145,7 @@ def comoving_inertial(w, t):
     numeric ones (numeric.velocity_at, also at a domain edge).  Raises
     NotDifferentiable at piecewise breakpoints.
     """
-    if isinstance(w, PhotonLine):
+    if w.is_photon:
         raise TypeError("a photon has no co-moving inertial observer")
     pieces = w.pieces()
     if pieces is None:
@@ -239,7 +239,7 @@ class AcceleratedScenario(Record):
 
     def __init__(self, name: str, home: Body, traveler: Body, departure: Coord4,
                  reunion: Coord4, extra_bodies: tuple = ()):
-        if not isinstance(home.worldline, InertialLine):
+        if not home.is_inertial:
             raise InvalidConfig("home twin must be inertial")
         set_field(self, "name", name)
         set_field(self, "home", home)
@@ -275,7 +275,7 @@ def rechart_scenario(sc: AcceleratedScenario, w: PoincareMap) -> AcceleratedScen
     def moved(b: Body) -> Body:
         if b.worldline.pieces() is None:
             raise InvalidConfig("cannot re-chart a numeric worldline exactly")
-        return Body(b.id, b.is_inertial, b.is_photon, b.worldline.image(w))
+        return Body(b.id, b.worldline.image(w))
 
     return AcceleratedScenario(sc.name, moved(sc.home), moved(sc.traveler),
                                w.apply(sc.departure), w.apply(sc.reunion),
@@ -296,8 +296,8 @@ def galaxy_trip(distance, subjective_years_each_way=1):
     knots = (coord4(0, 0, 0, 0),
              (L, ER(0), ER(0), leg),
              (ER(0), ER(0), ER(0), 2 * leg))
-    traveler = Body("traveler", False, False, PiecewiseInertial(knots))
-    home = Body("home", True, False, InertialLine(coord4(0, 0, 0, 0), (ER(0), ER(0), ER(0))))
+    traveler = Body("traveler", PiecewiseInertial(knots))
+    home = Body("home", InertialLine(coord4(0, 0, 0, 0), (ER(0), ER(0), ER(0))))
     sc = AcceleratedScenario("galaxy-%s" % distance, home, traveler,
                              coord4(0, 0, 0, 0), (ER(0), ER(0), ER(0), 2 * leg))
     return v, sc

@@ -69,12 +69,11 @@ __all__ = [
     "rindler_to_minkowski", "geodesic_csv",
 ]
 
-# The float checks' fixed numerics.  AxSelf-, AxPh-, AxSymt- and AxEv-'s
-# closure probe use and report _PROBE_TOL.
+# The float checks' fixed numerics.  AxSelf-, AxPh-, AxSymt- and AxEv-
+# use and report _PROBE_TOL.
 _PROBE_TOL = 1e-9
 _PIVOT_TOL = 1e-12                # normal_frame: smallest usable |g(b, b)|
 _N_DIRECTIONS = 16                # check_axph_minus: spatial directions
-_BALL_RADII = (0.1, 0.01, 0.001)  # check_axev_minus: openness-probe radii
 _SAMPLES_PER_AXIS = 3             # FloatBox.sample_points, check_axev_minus
 _AXDIFF_STEP = 1e-2               # check_axdiff: coarsest stencil step
 _AXDIFF_TOL = 1e-6                # check_axdiff: divergence tolerance
@@ -120,9 +119,6 @@ class FloatBox(Record):
                 if p[i] == self.hi[i] and (i, "hi") not in self.closed_faces:
                     return False
         return True
-
-    def interior_contains_ball(self, p, r: float) -> bool:
-        return all(p[i] - r > self.lo[i] and p[i] + r < self.hi[i] for i in range(4))
 
     def sample_points(self):
         axes = []
@@ -413,24 +409,20 @@ def check_axev_minus(domains: dict, worldlines: dict) -> Verdict:
     """Openness of chart domains plus mutual-observation closure.
 
     domains: observer name -> FloatBox; worldlines: name -> SmoothNumeric
-    (chart coordinates).  A sampled point on a closed face fails the
-    openness probe; closure requires every sampled point of o's worldline
-    inside o''s domain to lie in o's own domain as well.
+    (chart coordinates).  A box, however thin, is open unless it has a
+    closed face: the first sample point moved onto that face fails.  Closure
+    requires every sampled point of o's worldline inside o''s domain to lie
+    in o's own domain as well.
     """
     for name, box in domains.items():
-        probes = list(box.sample_points())
         for axis, side in box.closed_faces:
-            bad = list(probes[0]) if probes else [0.0] * 4
-            bad[axis] = box.hi[axis] if side == "hi" else box.lo[axis]
-            probes.append(tuple(bad))
-        for p in probes:
-            if not box.contains(p, strict=False):
-                continue
-            if not any(box.interior_contains_ball(p, r) for r in _BALL_RADII):
+            p = list(next(box.sample_points()))
+            p[axis] = box.hi[axis] if side == "hi" else box.lo[axis]
+            if box.contains(p, strict=False):
                 return Verdict.fails(
                     evidence={"observer": name, "point": tuple(p),
                               "reason": "no surrounding coordinate ball in the domain"},
-                    method="sampled", tolerance=min(_BALL_RADII))
+                    method="sampled", tolerance=_PROBE_TOL)
     names = sorted(worldlines)
     for o in names:
         for o2 in names:
@@ -445,7 +437,7 @@ def check_axev_minus(domains: dict, worldlines: dict) -> Verdict:
                     return Verdict.fails(
                         evidence={"observer": o, "seen_by": o2, "point": tuple(p)},
                         method="sampled", tolerance=_PROBE_TOL)
-    return Verdict.holds(method="sampled", tolerance=min(_BALL_RADII))
+    return Verdict.holds(method="sampled", tolerance=_PROBE_TOL)
 
 
 def check_axdiff(transform: Callable, n: int, probe_points: Sequence,
@@ -504,25 +496,26 @@ def check_axdiff(transform: Callable, n: int, probe_points: Sequence,
 class GeodesicResult(MutableRecord):
     """Sampled geodesic with conservation diagnostics.
 
-    drift_flagged is set when the g(u,u) drift exceeded the configured
+    drift_flagged is true when the g(u,u) drift exceeds the configured
     tolerance; consumers must not treat such a curve as trustworthy.
     """
 
     __slots__ = _fields = ("lambdas", "points", "tangents", "conservation_drift",
-                           "drift_tolerance", "drift_flagged", "step", "truncated", "worldline")
+                           "drift_tolerance", "step", "truncated", "worldline")
 
     def __init__(self, lambdas: np.ndarray, points: np.ndarray, tangents: np.ndarray,
-                 conservation_drift: float, drift_tolerance: float, drift_flagged: bool,
+                 conservation_drift: float, drift_tolerance: float,
                  step: float, truncated: bool, worldline: Optional[SmoothNumeric] = None):
         self.lambdas = lambdas
         self.points = points  # shape (n, 4)
         self.tangents = tangents  # shape (n, 4)
         self.conservation_drift = conservation_drift
         self.drift_tolerance = drift_tolerance
-        self.drift_flagged = drift_flagged
         self.step = step
         self.truncated = truncated
         self.worldline = worldline
+
+    drift_flagged = property(lambda self: self.conservation_drift > self.drift_tolerance)
 
 
 def _stencil(h: float) -> np.ndarray:
@@ -619,8 +612,7 @@ def geodesic(chart: MetricChart, x0, u0, span: float, step: float = 0.01,
 
         worldline = SmoothNumeric(pos, order=chart.order,
                                   t_min=float(t_col[0]), t_max=float(t_col[-1]))
-    return GeodesicResult(lam, xs, us, drift, drift_tolerance,
-                          drift > drift_tolerance, h, truncated, worldline)
+    return GeodesicResult(lam, xs, us, drift, drift_tolerance, h, truncated, worldline)
 
 
 def geodesic_csv(result: GeodesicResult) -> str:
@@ -636,13 +628,12 @@ def geodesic_csv(result: GeodesicResult) -> str:
 
 
 class ChartSuiteConfig(MutableRecord):
-    __slots__ = _fields = ("chart", "observers", "meets", "order")
+    __slots__ = _fields = ("chart", "observers", "meets")
 
-    def __init__(self, chart: MetricChart, observers: dict, meets: list, order: int = 3):
-        self.chart = chart
+    def __init__(self, chart: MetricChart, observers: dict, meets: list):
+        self.chart = chart  # its order is the file's `order` line
         self.observers = observers  # name -> static position (3 floats)
         self.meets = meets  # (name_a, name_b, point4)
-        self.order = order
 
 
 # Number of words that follow each fixed-arity chart keyword.
@@ -725,7 +716,7 @@ def parse_chart_file(text: str) -> ChartSuiteConfig:
 
     box = FloatBox(tuple(lo), tuple(hi))
     chart = MetricChart(_StackedMetric(g, stack), box, order=order, name=name)
-    return ChartSuiteConfig(chart, observers, meets, order=order)
+    return ChartSuiteConfig(chart, observers, meets)
 
 
 def _chart_index(word: str) -> int:
@@ -754,7 +745,7 @@ def check_chart_theory(config: ChartSuiteConfig, n: Optional[int] = None) -> dic
     """The GenRel(n) suite on a single chart: localized axioms checked
     numerically; AxField, AxDiff_n and the field-language IND battery
     exactly."""
-    n = n if n is not None else config.order
+    n = n if n is not None else config.chart.order
     if n < 1:
         raise ValueError("n must be >= 1")
     chart = config.chart

@@ -67,6 +67,7 @@ class StraightLine(Record):
     `velocity` or `direction`; a plain StraightLine checks nothing."""
 
     __slots__ = _fields = ("point", "vector")
+    is_inertial = is_photon = False  # the IB and Ph of a body on this line
 
     def __init__(self, point: Coord4, vector: tuple):
         set_field(self, "point", point)
@@ -105,6 +106,7 @@ class InertialLine(StraightLine):
 
     __slots__ = ()
     _fields = ("point", "velocity")
+    is_inertial = True
 
     def __init__(self, point: Coord4, velocity: tuple):
         if speed_squared(velocity).compare(1) >= 0:
@@ -130,6 +132,7 @@ class PhotonLine(StraightLine):
 
     __slots__ = ()
     _fields = ("point", "direction")
+    is_photon = True
 
     def __init__(self, point: Coord4, direction: tuple):
         if not (speed_squared(direction) == 1):
@@ -147,6 +150,7 @@ class PiecewiseInertial(Record):
     """
 
     __slots__ = _fields = ("knots",)
+    is_inertial = is_photon = False
 
     def __init__(self, knots: tuple):
         if len(knots) < 2:
@@ -214,6 +218,7 @@ class SmoothNumeric(Record):
     """
 
     __slots__ = _fields = ("position", "order", "t_min", "t_max", "velocity", "tolerance")
+    is_inertial = is_photon = False
 
     def __init__(self, position: Callable, order: int, t_min: float, t_max: float,
                  velocity: Optional[Callable] = None, tolerance: float = NUMERIC_TOLERANCE):
@@ -253,16 +258,15 @@ def cloud(line: InertialLine, offsets: Sequence) -> list:
 
 
 class Body(Record):
+    """A named body; its worldline's kind says whether it is IB (an
+    `InertialLine`) or Ph (a `PhotonLine`)."""
+
     __slots__ = _fields = ("id", "is_inertial", "is_photon", "worldline")
 
-    def __init__(self, id: str, is_inertial: bool, is_photon: bool, worldline: object):
-        if is_photon and not isinstance(worldline, PhotonLine):
-            raise ValueError("photons must ride photon lines")
-        if is_inertial and not isinstance(worldline, InertialLine):
-            raise ValueError("inertial bodies must ride inertial lines")
+    def __init__(self, id: str, worldline: object):
         set_field(self, "id", id)
-        set_field(self, "is_inertial", is_inertial)
-        set_field(self, "is_photon", is_photon)
+        set_field(self, "is_inertial", worldline.is_inertial)
+        set_field(self, "is_photon", worldline.is_photon)
         set_field(self, "worldline", worldline)
 
 
@@ -302,21 +306,28 @@ class DifferentiableChart(Record):
     declared differentiability.  It answers what an exact chart answers:
     ``apply``, ``inverse()`` and ``compose(m)``, this chart after the map
     m, in which an exact m reads each float exactly and rounds once.  Its
-    domain, like an affine chart's, is the structure's ``domain_of``."""
+    domain, like an affine chart's, is the structure's ``domain_of``.  It
+    keeps its inverse, as an affine chart does: ``c.inverse().inverse()`` is c."""
 
-    __slots__ = _fields = ("forward", "backward", "order")
+    __slots__ = ("forward", "backward", "order", "_inverse")
+    _fields = ("forward", "backward", "order")
     is_exact = False
 
     def __init__(self, forward: Callable, inverse: Callable, order: int):
         set_field(self, "forward", forward)
         set_field(self, "backward", inverse)
         set_field(self, "order", order)
+        set_field(self, "_inverse", None)
 
     def apply(self, x) -> tuple:
         return tuple(self.forward(tuple(float(c) for c in x)))
 
     def inverse(self) -> "DifferentiableChart":
-        return DifferentiableChart(self.backward, self.forward, self.order)
+        if self._inverse is None:  # two threads may both build it: equal charts
+            inverse = DifferentiableChart(self.backward, self.forward, self.order)
+            set_field(inverse, "_inverse", self)
+            set_field(self, "_inverse", inverse)
+        return self._inverse
 
     def compose(self, m) -> "DifferentiableChart":
         # self after m: x -> self(m(x)).
@@ -527,7 +538,7 @@ def _observer_chart(spec: ObserverSpec) -> AffineMap:
 def _observer_body(name: str, chart: AffineMap) -> Body:
     # The preimage of the chart's time axis.
     axis = InertialLine(coord4(0, 0, 0, 0), (ER(0),) * 3)
-    return Body(name, is_inertial=True, is_photon=False, worldline=axis.image(chart.inverse()))
+    return Body(name, axis.image(chart.inverse()))
 
 
 def _structure(observers: Sequence[ObserverSpec], extra_bodies: Sequence[Body],
@@ -756,8 +767,8 @@ def _parse_body(words) -> Body:
         point = coord4(*[ER(w) for w in words[3:7]])
         vector = tuple(ER(w) for w in words[8:11])
         if kind == "photon":
-            return Body(name, False, True, PhotonLine(point, vector))
-        return Body(name, True, False, InertialLine(point, vector))
+            return Body(name, PhotonLine(point, vector))
+        return Body(name, InertialLine(point, vector))
     if kind == "piecewise":
         if len(words) < 3 or words[2] != "knots":
             raise ValueError("piecewise body must read 'knots X1 X2 X3 X4 , ...'")
@@ -776,7 +787,7 @@ def _parse_body(words) -> Body:
                 current.append(ER(w))
         if current:
             knots.append(knot(current))
-        return Body(name, False, False, PiecewiseInertial(tuple(knots)))
+        return Body(name, PiecewiseInertial(tuple(knots)))
     raise ValueError("unknown body kind %r" % kind)
 
 

@@ -67,7 +67,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 # hashlib.blake2b is this function; importing hashlib would also load
 # OpenSSL.  A build without CPython's own blake2 has only hashlib's.
@@ -85,16 +85,14 @@ from .syntax.ast import (
     Less, Not, ObAtom, Or, PhAtom, Sort, Sub, Term, Theory, Var,
     WAtom, _about, _flatten_and, _formula_terms, _split_conjuncts, mentions, subformulas,
 )
-from .syntax.corpus import (
-    IndInstance, UnknownTheory, axiom_corpus, contract_definitions, ind_battery,
-)
+from .syntax.corpus import UnknownTheory, axiom_corpus, contract_definitions, ind_battery
 from .intervals import (
     Interval, IntervalSet, Poly, UnboundVariable, UnsupportedDefinableSet, _value_of,
     eval_term, term_to_poly,
 )
 from .certify import _certified_axiom
 from .ind import _domain_set, _map_forms, check_ind_battery, check_ind_instance, definable_set
-from .verdict import FAILS, HOLDS, UNKNOWN, Budget, Verdict, combine_verdicts
+from .verdict import FAILS, HOLDS, SOLVER_ITERATIONS, UNKNOWN, Budget, Verdict, combine_verdicts
 
 __all__ = [
     "Budget", "Verdict", "Assignment", "evaluate", "check_axiom",
@@ -137,7 +135,7 @@ class _Ctx:
 
     def bump_solver(self):
         self.solver_calls += 1
-        if self.solver_calls > self.budget.solver_iterations:
+        if self.solver_calls > SOLVER_ITERATIONS:
             raise _BudgetExhausted()
 
     def rng(self, path: str) -> random.Random:
@@ -664,7 +662,7 @@ def _family_body(refs, photon: bool) -> Optional[Body]:
         if not (interval.is_zero() if photon else interval.sign() < 0):
             return None
         worldline = line.through(x, y)
-    return Body("%s#%d" % (kind, next(_synth_counter)), not photon, photon, worldline)
+    return Body("%s#%d" % (kind, next(_synth_counter)), worldline)
 
 
 def witness_photon_refs(refs) -> Optional[Body]:
@@ -1095,8 +1093,7 @@ def recheck_counterexample(s: Structure, sentence: Formula, evidence: dict,
     return v.is_fails
 
 
-def check_theory(s: Structure, theory: Theory, budget: Optional[Budget] = None,
-                 battery: Optional[Sequence[IndInstance]] = None) -> dict:
+def check_theory(s: Structure, theory: Theory, budget: Optional[Budget] = None) -> dict:
     """Check every axiom group of the theory; IND (when the theory carries
     the schema) runs the configured battery.  Returns name -> Verdict."""
     budget = budget or Budget()
@@ -1104,5 +1101,5 @@ def check_theory(s: Structure, theory: Theory, budget: Optional[Budget] = None,
     for group in theory.groups:
         out[group.name] = _check_group(s, group, budget)
     if theory.has_ind_schema:
-        out.update(check_ind_battery(s, battery if battery is not None else ind_battery(), budget))
+        out.update(check_ind_battery(s, ind_battery(), budget))
     return out

@@ -34,7 +34,7 @@ from .ast import (
     Add, And, AxiomGroup, EqQ, Exists, Forall, Formula, IBAtom, IObAtom,
     Implies, Less, Mul, ObAtom, OneC, Or, Sort, Sub, Term, Theory, Var, WAtom,
     Substitution, ZeroC, exists_many, free_vars, fresh_name, map_terms, mentions,
-    rebuild,
+    rebuild, subformulas,
 )
 from .parser import theory_blocks
 from ..record import Record, set_field
@@ -428,17 +428,22 @@ def instantiate_ind(phi: Formula, var: str = "t") -> Formula:
 
 
 class IndInstance(Record):
-    __slots__ = _fields = ("name", "formula", "var", "field_language", "expected_sup",
-                           "param_values")
+    __slots__ = _fields = ("name", "formula", "var", "expected_sup", "param_values")
 
-    def __init__(self, name: str, formula: Formula, var: str, field_language: bool,
+    def __init__(self, name: str, formula: Formula, var: str,
                  expected_sup: Optional[str] = None, param_values: tuple = ()):
         set_field(self, "name", name)
         set_field(self, "formula", formula)  # free in `var` (+ possibly parameters)
         set_field(self, "var", var)
-        set_field(self, "field_language", field_language)  # True if no W/body symbols occur
         set_field(self, "expected_sup", expected_sup)  # literal, None for empty sets
         set_field(self, "param_values", param_values)  # ((name, literal-or-body), ...) fixed bindings
+
+    @property
+    def field_language(self) -> bool:
+        """No W atom and no body-sorted variable, free or bound, occurs."""
+        return Sort.BODY not in free_vars(self.formula).values() and not any(
+            type(g) is WAtom or isinstance(g, (Forall, Exists)) and g.var_sort is Sort.BODY
+            for g in subformulas(self.formula))
 
 
 def ind_battery() -> list:
@@ -451,37 +456,31 @@ def ind_battery() -> list:
 def _ind_instances() -> tuple:
     from .parser import parse
 
-    q = {"t": Sort.QUANTITY, "p": Sort.QUANTITY}
-    qb = {"t": Sort.QUANTITY, "o": Sort.BODY, "k": Sort.BODY}
+    decls = {"t": Sort.QUANTITY, "p": Sort.QUANTITY, "o": Sort.BODY, "k": Sort.BODY}
     items = [
-        ("sqrt2", "t*t < 1+1", True, "sqrt(2)", ()),
-        ("unit", "t < 1", True, "1", ()),
-        ("parabola", "t*t < t+t", True, "2", ()),
-        ("golden", "t*t + t < 1", True, "-1/2 + 1/2*sqrt(5)", ()),
-        ("empty_order", "t < 0 & 0 < t", True, None, ()),
-        ("empty_square", "t*t < 0", True, None, ()),
-        ("half", "t+t = 1", True, "1/2", ()),
-        ("neg_sqrt2", "t*t = 1+1 & t < 0", True, "-sqrt(2)", ()),
-        ("union", "t < 1 | t < 1+1", True, "2", ()),
-        ("shifted", "(t+1)*(t+1) < 1+1+1+1", True, "1", ()),
-        ("hump", "0 < t*(1-t)", True, "1", ()),
-        ("circle", "t*t + t*t < 1", True, "1/2*sqrt(2)", ()),
-        ("open_unit", "0 < t & t*t < t", True, "1", ()),
-        ("two_pieces", "t < 0-1 | (0 < t & t+t+t < 1)", True, "1/3", ()),
-        ("sqrt3", "t*t < 1+1+1", True, "sqrt(3)", ()),
-        ("offset_sqrt2", "(t-1)*(t-1) < 1+1", True, "1 + sqrt(2)", ()),
-        ("photon_reach", "E p:B . Ph(p) & W(o,p,0,0,0,0) & W(o,p,t,0,0,1)",
-         False, "1", (("o", "@observer"),)),
-        ("body_position", "W(o,k,t,0,0,1)", False, None, (("o", "@observer"), ("k", "@body"))),
-        ("param_cut", "t < p", True, "p", (("p", "3/4"),)),
-        ("param_square", "t*t < p*p", True, "3/4", (("p", "3/4"),)),
+        ("sqrt2", "t*t < 1+1", "sqrt(2)", ()),
+        ("unit", "t < 1", "1", ()),
+        ("parabola", "t*t < t+t", "2", ()),
+        ("golden", "t*t + t < 1", "-1/2 + 1/2*sqrt(5)", ()),
+        ("empty_order", "t < 0 & 0 < t", None, ()),
+        ("empty_square", "t*t < 0", None, ()),
+        ("half", "t+t = 1", "1/2", ()),
+        ("neg_sqrt2", "t*t = 1+1 & t < 0", "-sqrt(2)", ()),
+        ("union", "t < 1 | t < 1+1", "2", ()),
+        ("shifted", "(t+1)*(t+1) < 1+1+1+1", "1", ()),
+        ("hump", "0 < t*(1-t)", "1", ()),
+        ("circle", "t*t + t*t < 1", "1/2*sqrt(2)", ()),
+        ("open_unit", "0 < t & t*t < t", "1", ()),
+        ("two_pieces", "t < 0-1 | (0 < t & t+t+t < 1)", "1/3", ()),
+        ("sqrt3", "t*t < 1+1+1", "sqrt(3)", ()),
+        ("offset_sqrt2", "(t-1)*(t-1) < 1+1", "1 + sqrt(2)", ()),
+        ("photon_reach", "E p:B . Ph(p) & W(o,p,0,0,0,0) & W(o,p,t,0,0,1)", "1",
+         (("o", "@observer"),)),
+        ("body_position", "W(o,k,t,0,0,1)", None, (("o", "@observer"), ("k", "@body"))),
+        ("param_cut", "t < p", "p", (("p", "3/4"),)),
+        ("param_square", "t*t < p*p", "3/4", (("p", "3/4"),)),
     ]
     out = []
-    for name, text, field_lang, sup, params in items:
-        decls = dict(q)
-        if not field_lang:
-            decls = dict(qb)
-        if any(p[0] == "p" for p in params):
-            decls["p"] = Sort.QUANTITY
-        out.append(IndInstance(name, parse(text, decls), "t", field_lang, sup, params))
+    for name, text, sup, params in items:
+        out.append(IndInstance(name, parse(text, decls), "t", sup, params))
     return tuple(out)

@@ -21,21 +21,21 @@ __all__ = ["Budget", "Verdict", "combine_verdicts", "HOLDS", "FAILS", "UNKNOWN"]
 
 HOLDS, FAILS, UNKNOWN = "Holds", "Fails", "Unknown"
 
+#: Witness-solver calls one evaluation may make before it gives up Unknown.
+SOLVER_ITERATIONS = 2000
+
 
 class Budget(Record):
     """Sampling budget; the seed makes every verdict deterministic.  With
     no samples a universal over quantities would pass unsampled, so
-    samples must be at least 1; solver_iterations must be at least 0."""
+    samples must be at least 1."""
 
-    __slots__ = _fields = ("samples", "solver_iterations", "seed")
+    __slots__ = _fields = ("samples", "seed")
 
-    def __init__(self, samples: int = 48, solver_iterations: int = 2000, seed: int = 0):
+    def __init__(self, samples: int = 48, seed: int = 0):
         if samples < 1:
             raise ValueError("samples must be at least 1, got %r" % (samples,))
-        if solver_iterations < 0:
-            raise ValueError("solver_iterations must be at least 0, got %r" % (solver_iterations,))
         set_field(self, "samples", samples)
-        set_field(self, "solver_iterations", solver_iterations)
         set_field(self, "seed", seed)
 
 

@@ -19,8 +19,8 @@ from axrel.accel import (
 
 
 def _roundtrip_scenario():
-    home = Body("home", True, False, InertialLine(coord4(0, 0, 0, 0), (ER(0),) * 3))
-    traveler = Body("traveler", False, False, PiecewiseInertial(
+    home = Body("home", InertialLine(coord4(0, 0, 0, 0), (ER(0),) * 3))
+    traveler = Body("traveler", PiecewiseInertial(
         (coord4(0, 0, 0, 0), coord4(3, 0, 0, 5), coord4(0, 0, 0, 10))))
     return AcceleratedScenario("roundtrip-0.6", home, traveler,
                                coord4(0, 0, 0, 0), coord4(0, 0, 0, 10))
@@ -120,7 +120,7 @@ def test_check_axcmv_inertial_exact(two_observer):
 
 
 def test_check_axcmv_rindler_ladder():
-    ship = Body("ship", False, False, hyperbolic_worldline(1))
+    ship = Body("ship", hyperbolic_worldline(1))
     s = Structure([ship], {"ship": rindler_observer_chart(1)})
     for t in (0.0, 0.5, -0.5):
         v = check_axcmv(s, ship, t)
@@ -138,8 +138,7 @@ def test_check_axcmv_kink_not_differentiable():
     def inv(q):
         return (q[0] + abs(q[3]), q[1], q[2], q[3])
 
-    ship = Body("ship", False, False,
-                SmoothNumeric(lambda t: (abs(t), 0.0, 0.0), 1, -2.0, 2.0))
+    ship = Body("ship", SmoothNumeric(lambda t: (abs(t), 0.0, 0.0), 1, -2.0, 2.0))
     s = Structure([ship], {"ship": DifferentiableChart(fwd, inv, order=1)})
     with pytest.raises(NotDifferentiable):
         check_axcmv(s, ship, 0.0)
@@ -152,8 +151,8 @@ def test_twin_paradox_roundtrip():
 
 
 def test_twin_paradox_inertial_traveler_degenerate():
-    home = Body("home", True, False, InertialLine(coord4(0, 0, 0, 0), (ER(0),) * 3))
-    clone = Body("clone", True, False, InertialLine(coord4(0, 0, 0, 0), (ER(0),) * 3))
+    home = Body("home", InertialLine(coord4(0, 0, 0, 0), (ER(0),) * 3))
+    clone = Body("clone", InertialLine(coord4(0, 0, 0, 0), (ER(0),) * 3))
     sc = AcceleratedScenario("stayathome", home, clone,
                              coord4(0, 0, 0, 0), coord4(0, 0, 0, 10))
     tau_home, tau_traveler = twin_paradox(sc)
@@ -161,8 +160,8 @@ def test_twin_paradox_inertial_traveler_degenerate():
 
 
 def test_twin_paradox_no_reunion():
-    home = Body("home", True, False, InertialLine(coord4(0, 0, 0, 0), (ER(0),) * 3))
-    wanderer = Body("wanderer", False, False, PiecewiseInertial(
+    home = Body("home", InertialLine(coord4(0, 0, 0, 0), (ER(0),) * 3))
+    wanderer = Body("wanderer", PiecewiseInertial(
         (coord4(0, 0, 0, 0), coord4(3, 0, 0, 5), coord4(1, 0, 0, 10))))
     sc = AcceleratedScenario("lost", home, wanderer,
                              coord4(0, 0, 0, 0), coord4(0, 0, 0, 10))
@@ -171,9 +170,9 @@ def test_twin_paradox_no_reunion():
 
 
 def test_rechart_scenario_maps_a_photon_traveler_exactly():
-    home = Body("home", True, False, InertialLine(coord4(0, 0, 0, 0), (ER(0),) * 3))
+    home = Body("home", InertialLine(coord4(0, 0, 0, 0), (ER(0),) * 3))
     photon = PhotonLine(coord4(0, 0, 0, 0), (ER(Fr(3, 5)), ER(Fr(4, 5)), ER(0)))
-    sc = AcceleratedScenario("flash", home, Body("flash", False, True, photon),
+    sc = AcceleratedScenario("flash", home, Body("flash", photon),
                              coord4(0, 0, 0, 0), coord4(0, 0, 0, 10))
     rng = random.Random(29)
     for _ in range(5):
@@ -186,8 +185,8 @@ def test_rechart_scenario_maps_a_photon_traveler_exactly():
 
 
 def test_rechart_scenario_refuses_a_numeric_traveler():
-    home = Body("home", True, False, InertialLine(coord4(0, 0, 0, 0), (ER(0),) * 3))
-    sc = AcceleratedScenario("numeric", home, Body("ship", False, False, _velocityless_curve()),
+    home = Body("home", InertialLine(coord4(0, 0, 0, 0), (ER(0),) * 3))
+    sc = AcceleratedScenario("numeric", home, Body("ship", _velocityless_curve()),
                              coord4(0, 0, 0, 0), coord4(0, 0, 0, 3))
     with pytest.raises(InvalidConfig, match="numeric worldline"):
         rechart_scenario(sc, random_poincare_map(random.Random(31)))

@@ -96,14 +96,14 @@ def test_acceptance_2_noftl_sweep():
         target = tuple(start[i] + v[i] * ER(span) for i in range(3))
         speed = sqrt(sum((c * c for c in v), ER(0)))
         direction = tuple(c / speed for c in v)
-        k = Body("k", True, False, InertialLine(start, v))
-        p = Body("p", False, True, PhotonLine(start, direction))
+        k = Body("k", InertialLine(start, v))
+        p = Body("p", PhotonLine(start, direction))
         s2 = s.with_extra_bodies([k, p])
         verdict = check_noftl(s2, m, s2.bodies["k"], s2.bodies["p"], start, target)
         assert verdict.is_holds, (checked, verdict.evidence)
         checked += 1
-    bad = Body("k", False, False, unsafe_inertial_line((0, 0, 0, 0), (2, 0, 0)))
-    p = Body("p", False, True, PhotonLine(coord4(0, 0, 0, 0), (ER(1), ER(0), ER(0))))
+    bad = Body("k", unsafe_inertial_line((0, 0, 0, 0), (2, 0, 0)))
+    p = Body("p", PhotonLine(coord4(0, 0, 0, 0), (ER(1), ER(0), ER(0))))
     s3 = s.with_extra_bodies([bad, p])
     verdict = check_noftl(s3, m, s3.bodies["k"], s3.bodies["p"],
                           coord4(0, 0, 0, 0), (ER(4), ER(0), ER(0)))
@@ -150,8 +150,8 @@ def test_acceptance_4_paradigmatic_effects(capsys):
 
 
 def test_acceptance_5_twin_paradox():
-    home = Body("home", True, False, InertialLine(coord4(0, 0, 0, 0), (ER(0),) * 3))
-    traveler = Body("traveler", False, False, PiecewiseInertial(
+    home = Body("home", InertialLine(coord4(0, 0, 0, 0), (ER(0),) * 3))
+    traveler = Body("traveler", PiecewiseInertial(
         (coord4(0, 0, 0, 0), coord4(3, 0, 0, 5), coord4(0, 0, 0, 10))))
     sc = AcceleratedScenario("roundtrip", home, traveler,
                              coord4(0, 0, 0, 0), coord4(0, 0, 0, 10))

@@ -157,6 +157,25 @@ def test_axev_minus_closed_face_fails():
     assert v.is_fails
 
 
+def test_axev_minus_thin_open_box_holds():
+    # An open box is open however thin: no 0.001-ball fits around a sample
+    # point of this 1/1000-wide axis, yet no face of it is closed.
+    line = SmoothNumeric(lambda t: (0.0005, 0.0, 0.0), 9, -0.9, 0.9,
+                         velocity=lambda t: (0.0,) * 3)
+    box = FloatBox((0, -1, -1, -1), (0.001, 1, 1, 1))
+    v = check_axev_minus({"a": box}, {"a": line})
+    assert v.is_holds and v.tolerance == 1e-9
+    closed = FloatBox(box.lo, box.hi, closed_faces=((0, "lo"),))
+    v = check_axev_minus({"a": closed}, {"a": line})
+    assert v.is_fails and v.evidence["point"][0] == 0
+    # The same box from a chart file, through the whole suite.
+    thin = "chart thin\ndomain 1 0 1/1000\n" + "".join(
+        "g %d %d = %s\n" % (i, i, "0 - 1" if i == 4 else "1") for i in range(1, 5)) + \
+        "worldline a 1/2000 0 0\n"
+    results = check_chart_theory(parse_chart_file(thin), n=3)
+    assert all(v.is_holds for k, v in results.items() if k != "AxSymt-"), results
+
+
 def test_axdiff_analytic_order_three():
     v = check_axdiff(lambda p: (p[0] + p[3] ** 3, p[1], p[2], p[3]),
                      3, [(0.3, 0, 0, 0.2)], declared_order=9)

@@ -162,8 +162,8 @@ def test_mu_invariance_seeded_sweep():
 
 def _noftl_setup():
     s = standard_minkowski([ObserverSpec("m")])
-    k = Body("k", True, False, InertialLine(coord4(0, 0, 0, 0), (ER(Fr(3, 5)), ER(0), ER(0))))
-    p = Body("p", False, True, PhotonLine(coord4(0, 0, 0, 0), (ER(1), ER(0), ER(0))))
+    k = Body("k", InertialLine(coord4(0, 0, 0, 0), (ER(Fr(3, 5)), ER(0), ER(0))))
+    p = Body("p", PhotonLine(coord4(0, 0, 0, 0), (ER(1), ER(0), ER(0))))
     return s.with_extra_bodies([k, p])
 
 
@@ -178,8 +178,8 @@ def test_noftl_example_three_fifths():
 
 def test_noftl_unrealizable_for_resting_observer():
     s = standard_minkowski([ObserverSpec("m")])
-    k = Body("k", True, False, InertialLine(coord4(0, 0, 0, 0), (ER(0), ER(0), ER(0))))
-    p = Body("p", False, True, PhotonLine(coord4(0, 0, 0, 0), (ER(1), ER(0), ER(0))))
+    k = Body("k", InertialLine(coord4(0, 0, 0, 0), (ER(0), ER(0), ER(0))))
+    p = Body("p", PhotonLine(coord4(0, 0, 0, 0), (ER(1), ER(0), ER(0))))
     s = s.with_extra_bodies([k, p])
     with pytest.raises(ConfigurationUnrealizable):
         check_noftl(s, s.bodies["m"], s.bodies["k"], s.bodies["p"],
@@ -188,8 +188,8 @@ def test_noftl_unrealizable_for_resting_observer():
 
 def test_noftl_fails_on_quarantined_superluminal_line():
     s = standard_minkowski([ObserverSpec("m")])
-    k = Body("k", False, False, unsafe_inertial_line((0, 0, 0, 0), (2, 0, 0)))
-    p = Body("p", False, True, PhotonLine(coord4(0, 0, 0, 0), (ER(1), ER(0), ER(0))))
+    k = Body("k", unsafe_inertial_line((0, 0, 0, 0), (2, 0, 0)))
+    p = Body("p", PhotonLine(coord4(0, 0, 0, 0), (ER(1), ER(0), ER(0))))
     s = s.with_extra_bodies([k, p])
     v = check_noftl(s, s.bodies["m"], s.bodies["k"], s.bodies["p"],
                     start=coord4(0, 0, 0, 0), target=(ER(4), ER(0), ER(0)))

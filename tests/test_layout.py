@@ -22,7 +22,12 @@
   that no caller sets: their parameter lists are pinned here, and a
   numeric worldline has one velocity estimator, `numeric.velocity_at`.
 - Only `model` tests which kind a worldline is, but to reject a wrong
-  kind of input: the kinds map, split and parametrise themselves.
+  kind of input: the kinds map, split and parametrise themselves, and
+  say whether a body on them is IB or Ph.
+- A value the code derives, or one that a single setting fixes, is no
+  argument: a body's IB and Ph, an IND instance's field language, a
+  chart suite's order, a geodesic's drift flag, the solver-call cap and
+  a custom IND battery are not parameters.
 - Only `kinematics` tests which kind a chart is, but to reject a wrong
   kind of input: every chart answers `apply`, `inverse()`, `compose`
   and `is_exact`.
@@ -350,17 +355,14 @@ def _kind_tests(path, kinds):
 
 
 def test_only_model_tests_a_worldline_kind_except_to_reject_one():
-    # The kinds map, split and parametrise themselves in `model`.  Other
-    # layers may test a worldline's class only to refuse a wrong kind: a
-    # photon's proper time or co-moving observer, a home twin that is not
-    # inertial, a non-numeric chart worldline, a NoFTL body off a line.
+    # The kinds map, split and parametrise themselves in `model`, and a
+    # body's is_inertial and is_photon say which straight kind it rides.
+    # Other layers may test a worldline's class only to refuse a wrong
+    # kind: a non-numeric chart worldline, a NoFTL body off a line.
     sites = sorted((str(path.relative_to(SRC)), function, rejects)
                    for path in (SRC / "axrel").rglob("*.py") if path.name != "model.py"
                    for function, rejects in _kind_tests(path, _WORLDLINE_KINDS))
     assert sites == [
-        ("axrel/accel.py", "AcceleratedScenario.__init__", True),
-        ("axrel/accel.py", "comoving_inertial", True),
-        ("axrel/accel.py", "proper_time", True),
         ("axrel/genrel.py", "_tangent_of", True),
         ("axrel/kinematics.py", "_arrival_time", True),
     ]
@@ -374,3 +376,39 @@ def test_only_kinematics_tests_a_chart_kind_except_to_reject_one():
                    for path in (SRC / "axrel").rglob("*.py") if path.name != "kinematics.py"
                    for function, rejects in _kind_tests(path, _CHART_KINDS))
     assert sites == [("axrel/model.py", "serialize_model", True)]
+
+
+# Constructors and checks that take no value the code can work out: the
+# body's IB and Ph come from its worldline, an IND instance's field
+# language from its formula, a chart suite's order from its chart and a
+# geodesic's drift flag from its drift; the solver-call cap is a constant
+# and check_theory always runs the configured IND battery.
+_DERIVED_VALUES_ARE_NO_ARGUMENTS = {
+    ("axrel.model", "Body.__init__"): ("self", "id", "worldline"),
+    ("axrel.verdict", "Budget.__init__"): ("self", "samples", "seed"),
+    ("axrel.semantics", "check_theory"): ("s", "theory", "budget"),
+    ("axrel.syntax.corpus", "IndInstance.__init__"):
+        ("self", "name", "formula", "var", "expected_sup", "param_values"),
+    ("axrel.genrel", "ChartSuiteConfig.__init__"): ("self", "chart", "observers", "meets"),
+    ("axrel.genrel", "GeodesicResult.__init__"):
+        ("self", "lambdas", "points", "tangents", "conservation_drift", "drift_tolerance",
+         "step", "truncated", "worldline"),
+}
+
+
+def test_derived_values_are_no_arguments():
+    import inspect
+
+    got = {}
+    for module, path in _DERIVED_VALUES_ARE_NO_ARGUMENTS:
+        obj = importlib.import_module(module)
+        for name in path.split("."):
+            obj = getattr(obj, name)
+        got[module, path] = tuple(inspect.signature(obj).parameters)
+    assert got == _DERIVED_VALUES_ARE_NO_ARGUMENTS
+    from axrel.genrel import ChartSuiteConfig, GeodesicResult
+    from axrel.syntax.corpus import IndInstance
+
+    assert "field_language" not in IndInstance._fields
+    assert "order" not in ChartSuiteConfig._fields
+    assert "drift_flagged" not in GeodesicResult._fields

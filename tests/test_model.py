@@ -6,8 +6,8 @@ from axrel.field import ER, sqrt
 from axrel.kinematics import AffineMap, SuperluminalVelocity, coord4, mu, worldview_transform
 from axrel.model import (
     Body, ChartDomain, InertialLine, NotAnObserver, ObserverSpec, PhotonLine,
-    PiecewiseInertial, Structure, cloud, galilean_structure, parse_model, serialize_model,
-    standard_minkowski, unsafe_inertial_line,
+    PiecewiseInertial, SmoothNumeric, StraightLine, Structure, cloud, galilean_structure,
+    parse_model, serialize_model, standard_minkowski, unsafe_inertial_line,
 )
 
 
@@ -33,18 +33,33 @@ def test_boosted_chart_is_the_boost(two_observer):
     assert w.is_lorentz()
 
 
+def test_a_body_is_ib_or_ph_as_its_worldline_kind_says():
+    origin, still = coord4(0, 0, 0, 0), (ER(0),) * 3
+    kinds = [
+        (InertialLine(origin, still), (True, False)),
+        (PhotonLine(origin, (ER(1), ER(0), ER(0))), (False, True)),
+        (StraightLine(origin, (ER(2), ER(0), ER(0))), (False, False)),
+        (PiecewiseInertial((origin, coord4(0, 0, 0, 1))), (False, False)),
+        (SmoothNumeric(lambda t: (0.0, 0.0, 0.0), 2, 0.0, 1.0), (False, False)),
+    ]
+    for line, kind in kinds:
+        body = Body("b", line)
+        assert (body.is_inertial, body.is_photon) == kind
+    # The repr keeps both flags, so hashed reprs of models keep their bytes.
+    assert repr(Body("b", kinds[0][0])).startswith("Body(id='b', is_inertial=True, is_photon=False, ")
+
+
 def test_photon_membership(minkowski):
     rest = minkowski.bodies["rest"]
-    flash = Body("flash", False, True,
-                 PhotonLine(coord4(0, 0, 0, 0), (ER(1), ER(0), ER(0))))
+    flash = Body("flash", PhotonLine(coord4(0, 0, 0, 0), (ER(1), ER(0), ER(0))))
     s = minkowski.with_extra_bodies([flash])
     assert s.holds_W(rest, s.bodies["flash"], coord4(2, 0, 0, 2))
     assert not s.holds_W(rest, s.bodies["flash"], coord4(2, 0, 0, 3))
 
 
 def test_event_at_crossing(two_observer):
-    a = Body("a", True, False, InertialLine(coord4(0, 0, 0, 0), (ER(Fr(1, 2)), ER(0), ER(0))))
-    b = Body("b", True, False, InertialLine(coord4(2, 0, 0, 0), (ER(Fr(-1, 2)), ER(0), ER(0))))
+    a = Body("a", InertialLine(coord4(0, 0, 0, 0), (ER(Fr(1, 2)), ER(0), ER(0))))
+    b = Body("b", InertialLine(coord4(2, 0, 0, 0), (ER(Fr(-1, 2)), ER(0), ER(0))))
     s = two_observer.with_extra_bodies([a, b])
     rest = s.bodies["rest"]
     # crossing point solved by hand: t = 2, x = 1
@@ -65,8 +80,8 @@ def test_event_at_maps_each_event_once_and_agrees_with_holds_w(monkeypatch):
         ObserverSpec("rest"),
         ObserverSpec("capped", velocity=(Fr(3, 5), 0, 0), translation=(1, 0, 0, 2), domain=capped),
     ])
-    a = Body("a", True, False, InertialLine(coord4(0, 0, 0, 0), (ER(Fr(1, 2)), ER(0), ER(0))))
-    b = Body("b", True, False, InertialLine(coord4(2, 0, 0, 0), (ER(Fr(-1, 2)), ER(0), ER(0))))
+    a = Body("a", InertialLine(coord4(0, 0, 0, 0), (ER(Fr(1, 2)), ER(0), ER(0))))
+    b = Body("b", InertialLine(coord4(2, 0, 0, 0), (ER(Fr(-1, 2)), ER(0), ER(0))))
     s = s.with_extra_bodies([a, b])
     applies, real_apply = [0], AffineMap.apply
 
@@ -95,10 +110,19 @@ def _rindler_structure():
     from axrel.accel import hyperbolic_worldline, rindler_observer_chart
 
     s = standard_minkowski([ObserverSpec("rest")])
-    ship = Body("ship", False, False, hyperbolic_worldline(1))
-    buoy = Body("buoy", True, False, InertialLine(coord4(1, 0, 0, 0), (ER(0),) * 3))
+    ship = Body("ship", hyperbolic_worldline(1))
+    buoy = Body("buoy", InertialLine(coord4(1, 0, 0, 0), (ER(0),) * 3))
     return Structure(list(s.bodies.values()) + [ship, buoy],
                      {**s.charts, "ship": rindler_observer_chart(1)})
+
+
+def test_a_numeric_chart_keeps_its_inverse():
+    s = _rindler_structure()
+    ship, chart = s.bodies["ship"], s.charts["ship"]
+    assert chart.inverse() is chart.inverse() and chart.inverse().inverse() is chart
+    # reference_point maps through the kept inverse: the backward map's own floats.
+    for x in (coord4(0, 0, 0, 0), coord4(Fr(1, 3), 0, 0, Fr(1, 2)), (0.25, 0.0, 0.0, -0.75)):
+        assert s.reference_point(ship, x) == tuple(chart.backward(tuple(float(c) for c in x)))
 
 
 def test_holds_w_and_event_at_on_a_numeric_chart_with_an_exact_body():
@@ -140,7 +164,7 @@ def test_event_correspondence_between_affine_and_numeric_charts():
 
 
 def test_event_at_requires_observer(minkowski):
-    stray = Body("stray", True, False, InertialLine(coord4(0, 0, 0, 0), (ER(0),) * 3))
+    stray = Body("stray", InertialLine(coord4(0, 0, 0, 0), (ER(0),) * 3))
     s = minkowski.with_extra_bodies([stray])
     with pytest.raises(NotAnObserver):
         s.event_at(s.bodies["stray"], coord4(0, 0, 0, 0))
@@ -209,9 +233,8 @@ def test_chart_domain_membership():
 
 
 def test_model_file_round_trip(minkowski):
-    flash = Body("flash", False, True,
-                 PhotonLine(coord4(0, 0, 0, 0), (ER(Fr(3, 5)), ER(Fr(4, 5)), ER(0))))
-    drift = Body("drift", False, False, PiecewiseInertial(
+    flash = Body("flash", PhotonLine(coord4(0, 0, 0, 0), (ER(Fr(3, 5)), ER(Fr(4, 5)), ER(0))))
+    drift = Body("drift", PiecewiseInertial(
         (coord4(0, 0, 0, 0), coord4(3, 0, 0, 5), coord4(0, 0, 0, 10))))
     s = minkowski.with_extra_bodies([flash, drift])
     text = serialize_model(s)

@@ -183,7 +183,7 @@ def test_fails_evidence_rechecks_exactly(galilean):
 def test_broken_axself_counterexample():
     # chart whose preimage of the time axis is not the observer's worldline
     line = InertialLine(coord4(1, 0, 0, 0), (ER(0), ER(0), ER(0)))
-    body = Body("off", True, False, line)
+    body = Body("off", line)
     s = Structure([body], {"off": AffineMap(identity(4))})
     v = check_axiom(s, "AxSelf", BUDGET, theory="SpecRel")
     assert v.is_fails
@@ -225,10 +225,8 @@ def test_axev_verdict_does_not_depend_on_declaration_order(order):
 def test_broken_axsymd_scaled_chart():
     scale = [[ER(2 if i == j == 0 else (1 if i == j else 0)) for j in range(4)]
              for i in range(4)]
-    body = Body("ruler", True, False,
-                InertialLine(coord4(0, 0, 0, 0), (ER(0), ER(0), ER(0))))
-    rest = Body("rest", True, False,
-                InertialLine(coord4(0, 0, 0, 0), (ER(0), ER(0), ER(0))))
+    body = Body("ruler", InertialLine(coord4(0, 0, 0, 0), (ER(0), ER(0), ER(0))))
+    rest = Body("rest", InertialLine(coord4(0, 0, 0, 0), (ER(0), ER(0), ER(0))))
     s = Structure([rest, body],
                   {"rest": AffineMap(identity(4)), "ruler": AffineMap(scale)})
     v = check_axiom(s, "AxSymd", BUDGET, theory="SpecRel")
@@ -266,6 +264,30 @@ def test_ind_instance_empty_set_vacuous(minkowski):
     v = check_ind_instance(minkowski, inst, BUDGET)
     assert v.is_holds
     assert "vacuously" in v.evidence["case"]
+
+
+@pytest.mark.parametrize("text, sup", [
+    ("!(1 < t) & 0 < t", 1),                          # Not: a complement
+    ("(1 < t -> 1+1 < t) & t < 1+1+1", 3),            # Implies
+    ("!(t = 1) & t < 1+1 & 0 < t", 2),                # Not of a point
+    ("(t < 1 <-> 0 < t) & t < 1+1", 1),               # Iff
+])
+def test_ind_connectives_decide_exactly(minkowski, text, sup):
+    from axrel.syntax import IndInstance
+
+    inst = IndInstance("connective", parse(text, {"t": Sort.QUANTITY}), "t")
+    v = check_ind_instance(minkowski, inst, BUDGET)
+    assert v.is_holds and v.method == "certified"
+    assert v.evidence["sup"] == ER(sup)
+
+
+def test_an_equality_conjunct_pins_the_witness_to_its_roots(minkowski):
+    # t*t = 2 pins t to +-sqrt(2): the exists holds at -sqrt(2) and fails
+    # exactly once both roots fail, after one sample per root.
+    v = evaluate(minkowski, parse("E t:Q . t*t = 1+1 & t < 0"), None, BUDGET)
+    assert v.is_holds and v.method == "certified" and v.evidence["t"] == -sqrt(2)
+    v = evaluate(minkowski, parse("E t:Q . t*t = 1+1 & 1+1 < t"), None, BUDGET)
+    assert v.is_fails and v.method == "certified" and v.budget_report["samples"] == 2
 
 
 def test_ind_sampled_agreement_with_solver(two_observer):
@@ -430,8 +452,7 @@ def rechart(s, p):
     so every verdict, is unchanged: it is the same model.  A numeric
     worldline has no `image` and is kept as it is, so in the copy it is
     another body."""
-    bodies = [Body(b.id, b.is_inertial, b.is_photon,
-                   b.worldline if b.worldline.pieces() is None else b.worldline.image(p))
+    bodies = [Body(b.id, b.worldline if b.worldline.pieces() is None else b.worldline.image(p))
               for b in s.bodies.values()]
     charts = {oid: chart.compose(p.inverse()) for oid, chart in s.charts.items()}
     return Structure(bodies, charts, s.photon_family, s.inertial_family, s.chart_domains,
@@ -983,7 +1004,7 @@ def test_expanded_ob_declines_on_a_numeric_worldline():
     from axrel.model import SmoothNumeric
 
     base = parse_model(BOXES_MODEL)
-    wiggle = Body("wiggle", False, False, SmoothNumeric(lambda t: (10.5, 0.0, 0.0), 2, 0.0, 30.0))
+    wiggle = Body("wiggle", SmoothNumeric(lambda t: (10.5, 0.0, 0.0), 2, 0.0, 30.0))
     s = base.with_extra_bodies([wiggle])
     # No straight line meets far's box and wiggle's may: the strategy
     # declines and the block is sampled.
@@ -1058,8 +1079,8 @@ def test_expanded_ob_matches_interval_sets_on_seeded_boxes(seed):
         velocity = [ER(0)] * 3
         velocity[rng.randrange(3)] = ER(Fr(rng.randint(-3, 3), 4))
         direction = rng.choice(((1, 0, 0), (0, -1, 0), (Fr(3, 5), Fr(4, 5), 0)))
-        bodies = [Body("b", True, False, InertialLine(point, tuple(velocity))),
-                  Body("p", False, True, PhotonLine(point, tuple(ER(c) for c in direction)))]
+        bodies = [Body("b", InertialLine(point, tuple(velocity))),
+                  Body("p", PhotonLine(point, tuple(ER(c) for c in direction)))]
         lorentz = standard_minkowski([spec], extra_bodies=bodies)
         s = Structure(list(lorentz.bodies.values()), lorentz.charts, photon_family=False,
                       inertial_family=False, chart_domains=lorentz.chart_domains)
@@ -1117,15 +1138,15 @@ def test_each_node_is_planned_once_per_evaluation(monkeypatch, two_observer):
         assert counts[0] == counts[1]
 
 
-def test_budget_rejects_no_samples_and_negative_solver_iterations():
+def test_budget_rejects_no_samples():
     capped = parse_model(CAPPED_MODEL)
-    for bad in (dict(samples=0), dict(samples=-3), dict(solver_iterations=-1)):
+    for bad in (0, -3):
         with pytest.raises(ValueError):
-            Budget(**bad)
+            Budget(samples=bad)
     # So no theory check can answer Holds on no sample at all.
     with pytest.raises(ValueError):
         check_theory(capped, axiom_corpus("AccRel"), Budget(samples=0))
-    assert Budget(samples=1, solver_iterations=0).samples == 1
+    assert Budget(samples=1).samples == 1
 
 
 # -- the one worldview relation ---------------------------------------------
@@ -1147,7 +1168,7 @@ def _still(x1):
 
 def test_w_on_a_numeric_body_respects_the_chart_domain():
     s = parse_model(CAPPED_MODEL.replace(" velocity 1/2 0 0", ""))
-    n = Body("n", False, False, _still(0.0))
+    n = Body("n", _still(0.0))
     s = s.with_extra_bodies([n])
     capped = s.bodies["capped"]
     for t, outcome in ((20, "Fails"), (10, "Fails"), (9, "Holds")):
@@ -1164,12 +1185,12 @@ def test_w_on_a_numeric_chart_sees_an_exact_body_at_an_irrational_coordinate():
     from axrel.accel import hyperbolic_worldline, rindler_observer_chart
 
     zero = (ER(0),) * 3
-    posts = [Body("post", True, False, InertialLine((sqrt(2), ER(0), ER(0), ER(0)), zero)),
-             Body("near", True, False, InertialLine((sqrt(2) + ER(Fr(1, 10**9) * 3), ER(0),
+    posts = [Body("post", InertialLine((sqrt(2), ER(0), ER(0), ER(0)), zero)),
+             Body("near", InertialLine((sqrt(2) + ER(Fr(1, 10**9) * 3), ER(0),
                                                      ER(0), ER(0)), zero)),
-             Body("far", True, False, InertialLine((sqrt(2) + ER(Fr(1, 10**6)), ER(0),
+             Body("far", InertialLine((sqrt(2) + ER(Fr(1, 10**6)), ER(0),
                                                     ER(0), ER(0)), zero))]
-    s = Structure(posts + [Body("ship", False, False, hyperbolic_worldline(1))],
+    s = Structure(posts + [Body("ship", hyperbolic_worldline(1))],
                   {"ship": rindler_observer_chart(1)})
     ship = s.bodies["ship"]
     x = (sqrt(2) - 1, ER(0), ER(0), ER(0))
@@ -1198,15 +1219,15 @@ def _w_structure(seed):
         ObserverSpec("closed", velocity=(0, speed(), 0), domain=closed_box),
     ])
     bodies = list(base.bodies.values()) + [
-        Body("walker", True, False, InertialLine(coord4(0, 0, 0, 0), (speed(), ER(0), ER(0)))),
-        Body("flash", False, True, PhotonLine(coord4(1, 0, 0, 0), (ER(0), ER(1), ER(0)))),
-        Body("kink", False, False, PiecewiseInertial((coord4(0, 0, 0, -2), coord4(1, 0, 0, 0),
+        Body("walker", InertialLine(coord4(0, 0, 0, 0), (speed(), ER(0), ER(0)))),
+        Body("flash", PhotonLine(coord4(1, 0, 0, 0), (ER(0), ER(1), ER(0)))),
+        Body("kink", PiecewiseInertial((coord4(0, 0, 0, -2), coord4(1, 0, 0, 0),
                                                       coord4(0, 0, 0, 2)))),
-        Body("buoy", True, False, InertialLine(coord4(1, 0, 0, 0), (ER(0),) * 3)),
-        Body("still", False, False, _still(0.0)),
-        Body("near", False, False, _still(5e-9)),
-        Body("far", False, False, _still(0.5)),
-        Body("ship", False, False, hyperbolic_worldline(1)),
+        Body("buoy", InertialLine(coord4(1, 0, 0, 0), (ER(0),) * 3)),
+        Body("still", _still(0.0)),
+        Body("near", _still(5e-9)),
+        Body("far", _still(0.5)),
+        Body("ship", hyperbolic_worldline(1)),
     ]
     ship_box = ChartDomain(((None, None),) * 3 + ((None, ER(1)),))
     return Structure(bodies, {**base.charts, "ship": rindler_observer_chart(1)},

@@ -7,8 +7,9 @@ OLD_SRC and NEW_SRC are directories holding the `axrel` package (the
 fresh interpreter, once per tree, in a fresh working directory that holds
 the input files below.  The set: the README's command examples; `check`
 and `report`, text and JSON, on the inputs behind `tests/golden/` and on
-every model, chart and scenario below, among them a capped model and a
-model with no observer.  For each command the script compares stdout,
+every model, chart and scenario below, among them a capped model, a
+model with no observer, a thin chart domain and observers that see no
+body.  For each command the script compares stdout,
 stderr, the exit code and every file the command leaves in its working
 directory.  It prints each command that differs, with what differs, and
 exits 1 if any does, else 0.
@@ -108,6 +109,36 @@ body walker piecewise knots 0 0 0 0 , 1 0 0 4 , 1 1/2 0 8
 body flash photon through 1 0 0 0 direction 0 1 0
 """,
     "empty.model": "structure minkowski\n",
+    # An open chart domain 1/1000 wide on x1 (AxEv- must hold on it), and
+    # the test suite's reference chart: + - * /, a division by zero where
+    # x1 = x2, ^0, ^1, ^3, sqrt and off-diagonal entries.
+    "thin.chart": """chart thin
+domain 1 0 1/1000
+g 1 1 = 1
+g 2 2 = 1
+g 3 3 = 1
+g 4 4 = 0 - 1
+worldline a 1/2000 0 0
+""",
+    "reference.chart": """chart reference
+g 1 1 = 1 + x2^2/10 - x3^0
+g 1 2 = (x1 - x2) * x3 / 7
+g 1 3 = x4^1 / (x1 - x2)
+g 2 2 = 2.5
+g 2 4 = x1^3 - sqrt(x2*x2 + 1)
+g 3 3 = sqrt(x1) * x4^3
+g 4 4 = 0 - x1^2
+""",
+    # An observer whose domain meets no body, and one whose domain is
+    # empty: the Ob atom and its expansion disagree on both.
+    "unseen.model": """structure t
+families none
+observer rest domain 1 5 6
+""",
+    "empty-domain.model": """structure t
+families none
+observer rest domain 1 6 5
+""",
 }
 
 README = [
