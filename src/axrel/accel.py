@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .field import ApproxReal, ER, ExactReal, sqrt
 from .kinematics import Coord4, PoincareMap, coord4
 from .model import (
     Body, DifferentiableChart, InertialLine, PiecewiseInertial,
-    SmoothNumeric, Structure, _parse_body, declaration_lines,
+    SmoothNumeric, Structure, _literals, _parse_body, _serialize_body, declaration_lines,
 )
 from .numeric import (
     NotDifferentiable, apply4, float_boost, one_sided_jump, richardson_derivative, velocity_at,
@@ -388,56 +388,50 @@ def rindler_observer_chart(g) -> DifferentiableChart:
 # Scenario files and CSV export.
 
 
-# Number of words that follow each fixed-arity scenario keyword.
-_SCENARIO_ARITY = {"scenario": 1, "home": 1, "traveler": 1, "meet": 4}
+# The scenario line kinds, for `declaration_lines`.
+_SCENARIO_FORMAT = ("scenario line", {
+    "scenario": ("NAME", 0, False), "body": (None, None, True), "home": ("NAME", 0, False),
+    "traveler": ("NAME", 0, False), "meet": ("X1 X2 X3 X4", None, False),
+})
 
 
 def parse_scenario(text: str) -> AcceleratedScenario:
     """Scenario file: `scenario NAME`, `body ...` lines (model syntax),
     `home NAME`, `traveler NAME`, and two `meet X1 X2 X3 X4` lines."""
-    name = "scenario"
-    bodies = {}
-    home_id: Optional[str] = None
-    trav_id: Optional[str] = None
-    meets = []
-    for head, args, numbered in declaration_lines(text):
+    name, bodies, meets = "scenario", {}, []
+    roles = {}  # home / traveler -> (body id, the line's context)
+    for head, args, numbered in declaration_lines(text, _SCENARIO_FORMAT):
         with numbered:
-            arity = _SCENARIO_ARITY.get(head)
-            if arity is not None and len(args) != arity:
-                raise ValueError("%s needs %d values" % (head, arity))
             if head == "scenario":
                 name = args[0]
             elif head == "body":
                 b = _parse_body(args)
                 bodies[b.id] = b
-            elif head == "home":
-                home_id = args[0]
-            elif head == "traveler":
-                trav_id = args[0]
             elif head == "meet":
                 meets.append(coord4(*[ER(w) for w in args]))
-            else:
-                raise ValueError("unknown scenario line %r" % head)
-    if home_id is None or trav_id is None or len(meets) != 2:
+            else:  # home or traveler
+                roles[head] = (args[0], numbered)
+    if len(roles) != 2 or len(meets) != 2:
         raise ValueError("scenario needs home, traveler and two meet lines")
-    for role, bid in (("home", home_id), ("traveler", trav_id)):
-        if bid not in bodies:
-            raise ValueError("scenario %s %r is not a declared body" % (role, bid))
+    for role, (bid, numbered) in roles.items():
+        with numbered:
+            if bid not in bodies:
+                raise ValueError("scenario %s %r is not a declared body" % (role, bid))
+    (home_id, home_line), (trav_id, _) = roles["home"], roles["traveler"]
     extra = tuple(b for bid, b in bodies.items() if bid not in (home_id, trav_id))
-    return AcceleratedScenario(name, bodies[home_id], bodies[trav_id],
-                               meets[0], meets[1], extra)
+    with home_line:  # a home body that is not inertial is refused here
+        return AcceleratedScenario(name, bodies[home_id], bodies[trav_id],
+                                   meets[0], meets[1], extra)
 
 
 def serialize_scenario(sc: AcceleratedScenario) -> str:
-    from .model import _serialize_body
-
     lines = ["scenario %s" % sc.name]
     for b in (sc.home, sc.traveler) + tuple(sc.extra_bodies):
         lines.append(_serialize_body(b))
     lines.append("home %s" % sc.home.id)
     lines.append("traveler %s" % sc.traveler.id)
     for event in (sc.departure, sc.reunion):
-        lines.append("meet %s" % " ".join(c.literal().replace(" ", "") for c in event))
+        lines.append("meet %s" % _literals(event))
     return "\n".join(lines) + "\n"
 
 

@@ -165,8 +165,9 @@ def main(argv=None) -> int:
         sys.stderr.write("axrel: %s\n" % exc)
         return EX_USAGE
     except (FormulaSyntaxError, SortError, ExactRealSyntaxError, UnknownTheory,
-            OSError, ValueError, ZeroDivisionError) as exc:
-        # ZeroDivisionError covers field.DivisionByZero, e.g. `velocity 1/0 0 0`.
+            OSError, ValueError, ArithmeticError) as exc:
+        # ArithmeticError covers field.DivisionByZero (`velocity 1/0 0 0`) and
+        # a float overflow (a chart entry `2^2000`).
         sys.stderr.write("axrel: %s\n" % exc)
         return EX_DATA
     except Exception as exc:

@@ -9,7 +9,7 @@ Grammar (whitespace-insensitive)::
     atom   := INT | INT '.' INT | 'sqrt' '(' expr ')' | VAR | '(' expr ')'
 
 Field literals use the grammar with no variables; metric charts evaluate
-it over coordinates ``x1..x4``, worldline expressions over ``x4``.
+it over coordinates ``x1..x4``.
 Decimal literals are exact (``0.25`` is 1/4).
 """
 

@@ -109,15 +109,10 @@ class FloatBox(Record):
         set_field(self, "hi", hi)
         set_field(self, "closed_faces", closed_faces)  # e.g. ((axis, "hi"), ...)
 
-    def contains(self, p, strict: bool = True) -> bool:
+    def contains(self, p) -> bool:
         for i in range(4):
             if p[i] < self.lo[i] or p[i] > self.hi[i]:
                 return False
-            if strict:
-                if p[i] == self.lo[i] and (i, "lo") not in self.closed_faces:
-                    return False
-                if p[i] == self.hi[i] and (i, "hi") not in self.closed_faces:
-                    return False
         return True
 
     def sample_points(self):
@@ -253,7 +248,7 @@ def normal_frame(chart: MetricChart, p) -> np.ndarray:
     pivot rule (largest remaining |g(b,b)|, ties to the lowest index);
     deterministic.  Raises DegenerateMetric when the signature is not
     (+,+,+,-)."""
-    if not chart.domain.contains(p, strict=False):
+    if not chart.domain.contains(p):
         raise LeftDomain("point outside the chart domain")
     G = chart.metric_at(p)
 
@@ -418,7 +413,7 @@ def check_axev_minus(domains: dict, worldlines: dict) -> Verdict:
         for axis, side in box.closed_faces:
             p = list(next(box.sample_points()))
             p[axis] = box.hi[axis] if side == "hi" else box.lo[axis]
-            if box.contains(p, strict=False):
+            if box.contains(p):
                 return Verdict.fails(
                     evidence={"observer": name, "point": tuple(p),
                               "reason": "no surrounding coordinate ball in the domain"},
@@ -432,8 +427,7 @@ def check_axev_minus(domains: dict, worldlines: dict) -> Verdict:
             for k in range(_SAMPLES_PER_AXIS):
                 t = w.t_min + (w.t_max - w.t_min) * (k + 1) / (_SAMPLES_PER_AXIS + 1)
                 p = w.point_at(t)
-                if domains[o2].contains(p, strict=False) and \
-                        not domains[o].contains(p, strict=False):
+                if domains[o2].contains(p) and not domains[o].contains(p):
                     return Verdict.fails(
                         evidence={"observer": o, "seen_by": o2, "point": tuple(p)},
                         method="sampled", tolerance=_PROBE_TOL)
@@ -553,7 +547,7 @@ def geodesic(chart: MetricChart, x0, u0, span: float, step: float = 0.01,
     require_positive_finite("geodesic span", span)
     x0 = np.asarray([float(c) for c in x0], dtype=float)
     u0 = np.asarray([float(c) for c in u0], dtype=float)
-    if not chart.domain.contains(x0, strict=False):
+    if not chart.domain.contains(x0):
         raise LeftDomain("initial point outside the chart domain")
     q_init = float(u0 @ chart.metric_at(x0) @ u0)
     if q_init >= 0:
@@ -580,7 +574,7 @@ def geodesic(chart: MetricChart, x0, u0, span: float, step: float = 0.01,
             k3 = rhs(state + 0.5 * h * k2)
             k4 = rhs(state + h * k3)
             state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not chart.domain.contains(state[:4], strict=False):
+            if not chart.domain.contains(state[:4]):
                 truncated = True
                 break
             xs.append(state[:4].copy())
@@ -636,8 +630,12 @@ class ChartSuiteConfig(MutableRecord):
         self.meets = meets  # (name_a, name_b, point4)
 
 
-# Number of words that follow each fixed-arity chart keyword.
-_CHART_ARITY = {"chart": 1, "order": 1, "domain": 3, "worldline": 4, "meet": 6}
+# The chart line kinds, for `declaration_lines`.
+_CHART_FORMAT = ("chart line", {
+    "chart": ("NAME", 0, False), "order": ("N", 0, False), "domain": ("AXIS LO HI", 1, False),
+    "g": (None, 2, False), "worldline": ("NAME X1 X2 X3", None, True),
+    "meet": ("NAME NAME X1 X2 X3 X4", None, False),
+})
 
 
 _COORDS = ("x1", "x2", "x3", "x4")
@@ -661,25 +659,18 @@ def parse_chart_file(text: str) -> ChartSuiteConfig:
 
         chart NAME
         order N
-        domain AXIS LO HI          # literals or -inf / inf
+        domain AXIS LO HI          # literals or -inf / inf, LO < HI
         g I J = EXPR               # symmetric; unset entries are 0
         worldline NAME X1 X2 X3    # static observer position (literals)
         meet NAME NAME X1 X2 X3 X4
 
-    A malformed line raises a ValueError that names its line number.
+    A malformed or repeated line raises a ValueError that names its line.
     """
-    name = "chart"
-    order = 3
-    lo = [-math.inf] * 4
-    hi = [math.inf] * 4
+    name, order, lo, hi = "chart", 3, [-math.inf] * 4, [math.inf] * 4
     entries: dict = {}  # (i, j) with i <= j -> compiled entry
-    observers: dict = {}
-    meets: list = []
-    for head, args, numbered in declaration_lines(text):
+    observers, meets = {}, []
+    for head, args, numbered in declaration_lines(text, _CHART_FORMAT):
         with numbered:
-            arity = _CHART_ARITY.get(head)
-            if arity is not None and len(args) != arity:
-                raise ValueError("%s needs %d values" % (head, arity))
             if head == "chart":
                 name = args[0]
             elif head == "order":
@@ -688,6 +679,8 @@ def parse_chart_file(text: str) -> ChartSuiteConfig:
                 axis = _chart_index(args[0])
                 lo[axis] = -math.inf if args[1] == "-inf" else float(ER(args[1]))
                 hi[axis] = math.inf if args[2] == "inf" else float(ER(args[2]))
+                if not lo[axis] < hi[axis]:
+                    raise ValueError("domain is empty")
             elif head == "g":
                 if len(args) < 4 or args[2] != "=":
                     raise ValueError("metric entry must read 'g I J = EXPR'")
@@ -696,10 +689,8 @@ def parse_chart_file(text: str) -> ChartSuiteConfig:
                 entries[key] = compile_float(expr, _COORDS, sqrt=_sqrt, power=_power)
             elif head == "worldline":
                 observers[args[0]] = tuple(float(ER(w)) for w in args[1:])
-            elif head == "meet":
+            else:  # meet
                 meets.append((args[0], args[1], tuple(float(ER(w)) for w in args[2:])))
-            else:
-                raise ValueError("unknown chart line %r" % head)
 
     def g(p):
         m = np.zeros((4, 4))

@@ -33,7 +33,6 @@ Model description files round-trip losslessly; see ``parse_model`` /
 
 from __future__ import annotations
 
-import contextlib
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -282,6 +281,16 @@ class ChartDomain(Record):
 
     def is_full(self) -> bool:
         return all(lo is None and hi is None for lo, hi in self.bounds)
+
+    def is_empty(self) -> bool:
+        """Whether no event lies in the box: on some axis hi < lo, or
+        hi = lo on an open box (a closed one holds that face)."""
+        for lo, hi in self.bounds:
+            if lo is not None and hi is not None:
+                c = (hi - lo).sign()
+                if c < 0 or (c == 0 and not self.closed):
+                    return True
+        return False
 
     def contains(self, x: Coord4) -> bool:
         for i, (lo, hi) in enumerate(self.bounds):
@@ -597,77 +606,89 @@ def parse_model(text: str) -> Structure:
         [rotate I J COS SIN] [translate C1 C2 C3 C4]
         [domain AXIS LO HI [closed]]          # LO/HI may be `-inf` / `inf`
         # one velocity or galilean, one translate, one domain per axis;
-        # rotate may repeat
+        # rotate may repeat; the domain box must not be empty
     body NAME photon through X1 X2 X3 X4 direction D1 D2 D3
     body NAME inertial through X1 X2 X3 X4 velocity V1 V2 V3
     body NAME piecewise knots X1 X2 X3 X4 , Y1 Y2 Y3 Y4 [, ...]
 
-    Field literals must not contain spaces.
+    Only observer and body lines repeat, with distinct names.  Field
+    literals must not contain spaces.
     """
     name = "structure"
-    photon_family = inertial_family = False
-    families_seen = False
-    observers: list = []
-    bodies: list = []
-    ids: set = set()
-
-    for head, args, numbered in declaration_lines(text):
+    families = ("photons", "inertials")  # without a families line
+    observers, bodies = [], []
+    for head, args, numbered in declaration_lines(text, _MODEL_FORMAT):
         with numbered:
             if head == "structure":
-                if len(args) != 1:
-                    raise ValueError("structure needs one name")
                 name = args[0]
             elif head == "families":
-                families_seen = True
-                if args == ["none"]:
-                    photon_family = inertial_family = False
-                else:
-                    for w in args:
-                        if w == "photons":
-                            photon_family = True
-                        elif w == "inertials":
-                            inertial_family = True
-                        else:
-                            raise ValueError("unknown family %r" % w)
+                families = () if args == ["none"] else args
+                for w in families:
+                    if w not in ("photons", "inertials"):
+                        raise ValueError("unknown family %r" % w)
             elif head == "observer":
                 observers.append(_parse_observer(args))
-                _claim_id(ids, observers[-1].name)
-            elif head == "body":
+            else:  # body
                 bodies.append(_parse_body(args))
-                _claim_id(ids, bodies[-1].id)
-            else:
-                raise ValueError("unknown declaration %r" % head)
-    if not families_seen:
-        photon_family = inertial_family = True
-
-    return _structure(observers, bodies, photon_family, inertial_family, name)
+    return _structure(observers, bodies, "photons" in families, "inertials" in families, name)
 
 
-def _claim_id(ids: set, name: str):
-    if name in ids:
-        raise ValueError("duplicate body id %r" % name)
-    ids.add(name)
+# A file format: what an unknown line is called, and each line kind's
+# (values, once, declares): the words after the kind (None: its parser
+# counts them), how many leading values, in any order, no later line may
+# repeat (None: any), and whether its first value declares a body name.
+_MODEL_FORMAT = ("declaration", {
+    "structure": ("NAME", 0, False), "families": (None, 0, False),
+    "observer": (None, None, True), "body": (None, None, True),
+})
 
 
-def declaration_lines(text: str):
+def declaration_lines(text: str, file_format):
     """(head, args, numbered) for each line of a model, scenario or chart
     file that is not blank once its `#` comment is cut: the first word, the
-    other words, and a context to read the line in.  A ValueError or
-    ZeroDivisionError raised inside ``with numbered:`` becomes a ValueError
-    reading `line N: MESSAGE in 'LINE'`."""
+    other words, and a context to read the line in.  In that context each
+    line is checked against file_format (see _MODEL_FORMAT) first: a known
+    kind, its count of values, no repeat, no name declared twice.  A
+    ValueError or ArithmeticError raised inside ``with numbered:`` becomes
+    a ValueError reading `line N: MESSAGE in 'LINE'`."""
+    unknown, kinds = file_format
+    seen = set()  # the keys of once-only lines (tuples) and declared names
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
-        if line:
-            head, *args = line.split()
-            yield head, args, _numbered(lineno, line)
+        if not line:
+            continue
+        head, *args = line.split()
+        numbered = _Numbered(lineno, line)
+        with numbered:
+            if head not in kinds:
+                raise ValueError("unknown %s %r" % (unknown, head))
+            values, once, declares = kinds[head]
+            if values is not None and len(args) != len(values.split()):
+                raise ValueError("%s needs one name" % head if values == "NAME" else
+                                 "%s needs %d values" % (head, len(values.split())))
+            if once is not None:
+                key = (head,) + tuple(sorted(args[:once]))
+                if key in seen:
+                    raise ValueError("%s given twice" % " ".join([head] + args[:once]))
+                seen.add(key)
+            if declares and args:
+                if args[0] in seen:
+                    raise ValueError("duplicate body id %r" % args[0])
+                seen.add(args[0])
+        yield head, args, numbered
 
 
-@contextlib.contextmanager
-def _numbered(lineno: int, line: str):
-    try:
-        yield
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError("line %d: %s in %r" % (lineno, exc, line)) from None
+class _Numbered:
+    """The context of one numbered line, which may be entered again."""
+
+    def __init__(self, lineno: int, line: str):
+        self.lineno, self.line = lineno, line
+
+    __enter__ = lambda self: self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, (ValueError, ArithmeticError)):
+            raise ValueError("line %d: %s in %r" % (self.lineno, exc, self.line)) from None
 
 
 # Number of values that follow each observer field keyword.
@@ -685,7 +706,6 @@ def _parse_observer(words) -> ObserverSpec:
     domain_bounds = [(None, None)] * 4
     closed = False
     galilean = False
-    has_domain = False
     given: set = set()  # single-valued parts already read; `rotate` may repeat
 
     def once(part):
@@ -720,7 +740,6 @@ def _parse_observer(words) -> ObserverSpec:
             once("translation")
             trans = tuple(ER(w) for w in args)
         else:  # domain
-            has_domain = True
             axis = _integer(args[0]) - 1
             if not 0 <= axis < 4:
                 raise ValueError("domain axis must be 1 to 4")
@@ -730,7 +749,9 @@ def _parse_observer(words) -> ObserverSpec:
             if i < len(words) and words[i] == "closed":
                 closed = True
                 i += 1
-    domain = ChartDomain(tuple(domain_bounds), closed) if has_domain else ChartDomain()
+    domain = ChartDomain(tuple(domain_bounds), closed)
+    if domain.is_empty():
+        raise ValueError("observer domain is empty")
     return ObserverSpec(name, velocity, tuple(rotations), trans, domain, galilean)
 
 
@@ -773,27 +794,22 @@ def _parse_body(words) -> Body:
         if len(words) < 3 or words[2] != "knots":
             raise ValueError("piecewise body must read 'knots X1 X2 X3 X4 , ...'")
         knots, current = [], []
-
-        def knot(coords):
-            if len(coords) != 4:
-                raise ValueError("knot %d needs 4 coordinates" % (len(knots) + 1))
-            return coord4(*coords)
-
-        for w in words[3:]:
-            if w == ",":
-                knots.append(knot(current))
-                current = []
-            else:
+        for w in words[3:] + [None]:  # None ends the last knot, if one is open
+            if w not in (",", None):
                 current.append(ER(w))
-        if current:
-            knots.append(knot(current))
+            elif current or w == ",":
+                if len(current) != 4:
+                    raise ValueError("knot %d needs 4 coordinates" % (len(knots) + 1))
+                knots.append(coord4(*current))
+                current = []
         return Body(name, PiecewiseInertial(tuple(knots)))
     raise ValueError("unknown body kind %r" % kind)
 
 
 def serialize_model(s: Structure) -> str:
     """Canonical text form; parse_model(serialize_model(s)) reproduces s
-    for structures made of declarable parts."""
+    for structures made of declarable parts, and a ValueError refuses an
+    observer whose chart or domain no observer line declares."""
     lines = ["structure %s" % s.name]
     fams = []
     if s.photon_family:
@@ -816,27 +832,25 @@ def _recover_observer_spec(s: Structure, oid: str, chart: AffineMap) -> str:
     body = s.bodies[oid]
     v = body.worldline.velocity
     is_gal = not chart.is_lorentz()
-    parts = ["observer %s" % oid, "%s %s %s %s" % (("galilean" if is_gal else "velocity",)
-                                                   + tuple(c.literal().replace(" ", "") for c in v))]
+    parts = ["observer %s %s %s" % (oid, "galilean" if is_gal else "velocity", _literals(v))]
     base = _observer_chart(ObserverSpec(oid, v, galilean=is_gal))
     residual = chart.compose(base.inverse())
     for (i, j, c, sn) in _extract_plane_rotations(residual.linear):
-        parts.append("rotate %d %d %s %s" % (i, j, c.literal().replace(" ", ""),
-                                             sn.literal().replace(" ", "")))
+        parts.append("rotate %d %d %s" % (i, j, _literals((c, sn))))
     tr = residual.translation
     if any(not c.is_zero() for c in tr):
-        parts.append("translate %s" % " ".join(c.literal().replace(" ", "") for c in tr))
+        parts.append("translate %s" % _literals(tr))
     dom = s.domain_of(body)
-    if not dom.is_full():
-        for axis, (lo, hi) in enumerate(dom.bounds):
-            if lo is None and hi is None:
-                continue
-            parts.append("domain %d %s %s%s" % (
-                axis + 1,
-                "-inf" if lo is None else lo.literal().replace(" ", ""),
-                "inf" if hi is None else hi.literal().replace(" ", ""),
-                " closed" if dom.closed else ""))
-    return " ".join(parts)
+    for axis, (lo, hi) in enumerate(dom.bounds):
+        if lo is not None or hi is not None:
+            parts.append("domain %d %s %s%s" % (axis + 1, "-inf" if lo is None else _literals([lo]),
+                                                "inf" if hi is None else _literals([hi]),
+                                                " closed" if dom.closed else ""))
+    line = " ".join(parts)
+    # The residual may be no rotation: then the line builds another chart.
+    if _observer_chart(_parse_observer(line.split()[1:])) != chart:
+        raise ValueError("cannot serialize chart %r: its observer line builds another" % oid)
+    return line
 
 
 def _extract_plane_rotations(lin) -> list:
@@ -863,16 +877,18 @@ def _extract_plane_rotations(lin) -> list:
 
 def _serialize_body(b: Body) -> str:
     w = b.worldline
-    lit = lambda v: v.literal().replace(" ", "")
     if isinstance(w, (PhotonLine, InertialLine)):
         kind = "photon" if isinstance(w, PhotonLine) else "inertial"
         return "body %s %s through %s %s %s" % (
-            b.id, kind, " ".join(lit(c) for c in w.point), _BODY_VECTOR[kind],
-            " ".join(lit(c) for c in w.vector))
+            b.id, kind, _literals(w.point), _BODY_VECTOR[kind], _literals(w.vector))
     if isinstance(w, PiecewiseInertial):
-        knots = " , ".join(" ".join(lit(c) for c in k) for k in w.knots)
-        return "body %s piecewise knots %s" % (b.id, knots)
+        return "body %s piecewise knots %s" % (b.id, " , ".join(_literals(k) for k in w.knots))
     raise ValueError("cannot serialize worldline of %r" % b.id)
+
+
+def _literals(values) -> str:
+    """The field literals of values, each without spaces, between spaces."""
+    return " ".join(c.literal().replace(" ", "") for c in values)
 
 
 def load_model(path) -> Structure:

@@ -564,10 +564,7 @@ def _sees_a_body(s: Structure, o: Body):
             if x is not None:
                 return True, (b, x)
     if s.photon_family or s.inertial_family:
-        dom = s.domain_of(o)
-        closed = dom.closed
-        return not any(Interval(lo, hi, not closed, not closed).is_empty()
-                       for lo, hi in dom.bounds), None
+        return not s.domain_of(o).is_empty(), None
     return None if any(pieces is None for _, pieces in bodies) else (False, None)
 
 

@@ -490,6 +490,8 @@ def test_malformed_model_line_is_data_error(tmp_path, capsys, line, message):
     ("order x", "line 3: 'x' is not an integer in 'order x'"),
     ("domain 1 0 zz", "line 3: unknown name 'zz' in 'domain 1 0 zz'"),
     ("worldline a 0 0 q", "line 3: unknown name 'q' in 'worldline a 0 0 q'"),
+    ("widget 1", "line 3: unknown chart line 'widget' in 'widget 1'"),
+    ("chart a b", "line 3: chart needs one name in 'chart a b'"),
 ])
 @pytest.mark.parametrize("command", [
     ["check", "GenRel(3)"],
@@ -524,13 +526,114 @@ def test_malformed_body_line_is_data_error(tmp_path, capsys, line, needle):
      "line 2: inertial body must read"),
     ("knots 0 0 0 0 , 3 0 0 5", "knots 0 0 0 0 , 3 0 5", "line 3: knot 2 needs 4 coordinates"),
     ("home home", "home nobody", "scenario home 'nobody' is not a declared body"),
-], ids=["short-meet", "short-body", "short-knot", "undeclared-home"])
+    ("home home", "house home", "line 4: unknown scenario line 'house' in 'house home'"),
+    ("home home", "home", "line 4: home needs one name in 'home'"),
+], ids=["short-meet", "short-body", "short-knot", "undeclared-home", "unknown-line", "short-home"])
 def test_malformed_scenario_line_is_data_error(tmp_path, capsys, old, new, needle):
     scenario = tmp_path / "broken.scn"
     scenario.write_text(SCENARIO.replace(old, new).lstrip("\n"))
     code, _, err = run_cli(["twin", str(scenario)], capsys)
     _one_line_error(code, err)
     assert needle in err
+
+
+# A line that may appear once, given again, and a name declared twice: the
+# second line is refused, in each format, whatever the first one said.
+_REPEATS = [
+    ("model", "structure t\nstructure u\n", "structure given twice"),
+    ("model", "families photons\nfamilies inertials\n", "families given twice"),
+    ("model", "families photons\nfamilies none\n", "families given twice"),
+    ("model", "observer a\nbody a inertial through 0 0 0 0 velocity 0 0 0\n",
+     "duplicate body id 'a'"),
+    ("scn", SCENARIO.lstrip("\n") + "body traveler inertial through 0 0 0 0 velocity 0 0 0\n",
+     "duplicate body id 'traveler'"),
+    ("scn", SCENARIO.lstrip("\n") + "home traveler\n", "home given twice"),
+    ("scn", SCENARIO.lstrip("\n") + "traveler home\n", "traveler given twice"),
+    ("scn", SCENARIO.lstrip("\n") + "scenario again\n", "scenario given twice"),
+    ("chart", "chart c\nchart d\n", "chart given twice"),
+    ("chart", "chart c\norder 3\norder 5\n", "order given twice"),
+    ("chart", "chart c\ndomain 1 -1 1\ndomain 1 -2 2\n", "domain 1 given twice"),
+    ("chart", "chart c\ng 1 1 = 1\ng 1 1 = 2\n", "g 1 1 given twice"),
+    ("chart", "chart c\ng 1 2 = 1\ng 2 1 = 2\n", "g 2 1 given twice"),
+    ("chart", "chart c\nworldline a 0 0 0\nworldline a 1/2 0 0\n", "duplicate body id 'a'"),
+]
+_READERS = {"model": ["check", "SpecRel"], "scn": ["twin"], "chart": ["check", "GenRel(3)"]}
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("suffix, text, message", _REPEATS, ids=[
+    "model-structure", "model-families", "model-families-none", "model-name", "scn-body",
+    "scn-home", "scn-traveler", "scn-scenario", "chart-chart", "chart-order", "chart-domain",
+    "chart-g", "chart-g-symmetric", "chart-worldline"])
+def test_repeated_line_or_name_is_data_error(tmp_path, capsys, suffix, text, message):
+    path = _write(tmp_path, "repeated." + suffix, text)
+    code, out, err = run_cli(_READERS[suffix] + [str(path)], capsys)
+    lines = text.splitlines()
+    assert code == 65 and out == ""
+    assert err == "axrel: line %d: %s in %r\n" % (len(lines), message, lines[-1])
+
+
+def test_lines_that_may_repeat_still_do(tmp_path, capsys):
+    # Domains of two axes, the entries g 1 2 and g 1 3, a second meet, and
+    # a third body in a scenario.
+    chart = _write(tmp_path, "repeats.chart", FLAT + "domain 1 -2 2\ndomain 2 -2 2\n"
+                   "g 1 2 = 0\ng 1 3 = 0\nmeet b b 1 0 0 0\n")
+    code, _, err = run_cli(["check", "GenRel(3)", str(chart)], capsys)
+    assert code in (0, 2) and err == ""
+    trip = _write(tmp_path, "trip.scn", SCENARIO + "body rock inertial through 1 0 0 0 "
+                  "velocity 0 0 0\n")
+    code, out, err = run_cli(["twin", str(trip)], capsys)
+    assert code == 0 and err == "" and "traveler ages        8" in out
+
+
+@pytest.mark.parametrize("suffix, line, message", [
+    ("model", "observer rest domain 1 6 5", "observer domain is empty"),
+    ("model", "observer rest domain 1 5 5", "observer domain is empty"),
+    ("model", "observer rest domain 4 -inf 10 domain 2 1 0 closed", "observer domain is empty"),
+    ("chart", "domain 1 5 1", "domain is empty"),
+    ("chart", "domain 3 1/2 0.5", "domain is empty"),
+])
+def test_empty_domain_is_data_error(tmp_path, capsys, suffix, line, message):
+    path = _write(tmp_path, "empty." + suffix, "# an empty box\n%s\n" % line)
+    code, out, err = run_cli(_READERS[suffix] + [str(path)], capsys)
+    assert code == 65 and out == ""
+    assert err == "axrel: line 2: %s in %r\n" % (message, line)
+
+
+def test_a_closed_point_domain_is_legal(tmp_path, capsys):
+    path = _write(tmp_path, "point.model", "families none\nobserver rest domain 1 5 5 closed\n")
+    code, _, err = run_cli(["check", "SpecRel", str(path)], capsys)
+    assert code in (0, 1, 2) and err == ""
+
+
+@pytest.mark.parametrize("old, new, lineno, message", [
+    ("home home", "home nobody", 4, "scenario home 'nobody' is not a declared body"),
+    ("traveler traveler", "traveler nobody", 5, "scenario traveler 'nobody' is not a declared body"),
+    ("home home", "home traveler", 4, "home twin must be inertial"),
+])
+def test_scenario_role_error_names_its_line(tmp_path, capsys, old, new, lineno, message):
+    path = _write(tmp_path, "roles.scn", SCENARIO.replace(old, new).lstrip("\n"))
+    code, out, err = run_cli(["twin", str(path)], capsys)
+    assert code == 65 and out == ""
+    assert err == "axrel: line %d: %s in %r\n" % (lineno, message, new)
+
+
+def test_float_overflow_in_a_chart_is_data_error(tmp_path, capsys):
+    # In an entry it overflows at a probe point, with no line to name
+    # (ROADMAP item 21); in a domain bound, on its own line.
+    path = _write(tmp_path, "big.chart", FLAT.replace("g 1 1 = 1", "g 1 1 = 2^2000"))
+    code, out, err = run_cli(["check", "GenRel(3)", str(path)], capsys)
+    _one_line_error(code, err)
+    assert "out of range" in err and "internal error" not in err and out == ""
+    path = _write(tmp_path, "wide.chart", "chart wide\ndomain 1 0 2^2000\n")
+    code, out, err = run_cli(["check", "GenRel(3)", str(path)], capsys)
+    _one_line_error(code, err)
+    assert err.startswith("axrel: line 2: ") and err.endswith(" in 'domain 1 0 2^2000'\n")
 
 
 @pytest.mark.parametrize("step", ["0", "-0.01", "nan", "inf"])
@@ -645,6 +748,14 @@ def _flatten(parts):
             yield part
 
 
+_BODY_DECLARATIONS = (
+    st.tuples(st.just("body"), _NAMES, st.just("photon"), _mostly(st.just("through"), _WORDS),
+              _EVENT, _mostly(st.just("direction"), _WORDS), _DIRECTION),
+    st.tuples(st.just("body"), _NAMES, st.just("inertial"), _mostly(st.just("through"), _WORDS),
+              _EVENT, _mostly(st.just("velocity"), _WORDS), _VELOCITY),
+    st.tuples(st.just("body"), _NAMES, st.just("piecewise"), _mostly(st.just("knots"), _WORDS),
+              _KNOTS.map(lambda knots: [w for knot in knots for w in list(knot) + [","]][:-1])),
+)
 _DECLARATION = st.one_of(
     st.tuples(st.just("observer"), _NAMES,
               st.lists(_mostly(_OBSERVER_FIELD, _WORDS), min_size=1, max_size=3)),
@@ -653,12 +764,7 @@ _DECLARATION = st.one_of(
     st.tuples(st.just("families"), st.lists(
         _mostly(st.sampled_from(["photons", "inertials", "none"]), st.just("bosons")),
         max_size=3)),
-    st.tuples(st.just("body"), _NAMES, st.just("photon"), _mostly(st.just("through"), _WORDS),
-              _EVENT, _mostly(st.just("direction"), _WORDS), _DIRECTION),
-    st.tuples(st.just("body"), _NAMES, st.just("inertial"), _mostly(st.just("through"), _WORDS),
-              _EVENT, _mostly(st.just("velocity"), _WORDS), _VELOCITY),
-    st.tuples(st.just("body"), _NAMES, st.just("piecewise"), _mostly(st.just("knots"), _WORDS),
-              _KNOTS.map(lambda knots: [w for knot in knots for w in list(knot) + [","]][:-1])),
+    *_BODY_DECLARATIONS,
 )
 _MODEL_LINE = _mostly(
     _DECLARATION, st.tuples(st.sampled_from(["body", "widget", "#", ""]),
@@ -675,3 +781,81 @@ def test_fuzzed_model_files_never_crash(tmp_path, capsys, lines):
     code, _, err = run_cli(["check", "SpecRel", str(model)], capsys)
     assert code in (0, 1, 2, 64, 65), (lines, err)
     assert "Traceback" not in err
+
+
+# Scenario and chart fuzzing: a well-formed file whose lines are each, one
+# time in ten, replaced by a line of any kind of the format, mostly well
+# formed, plus up to two such lines at the end.  The chart's first three
+# diagonal entries are drawn too, malformed one time in ten.  The scenario
+# runs through `twin`, the chart through `check GenRel(3)`.
+def _lines(line):
+    return line.map(lambda parts: " ".join(_flatten(parts)))
+
+
+def _fuzzed_file(valid_lines, line):
+    # A valid line is a string or a strategy for mostly valid ones.
+    valid = [st.just(v) if isinstance(v, str) else v for v in valid_lines]
+    return st.tuples(st.tuples(*[_mostly(v, line) for v in valid]),
+                     st.lists(line, max_size=2)).map(lambda f: "\n".join(f[0] + tuple(f[1])) + "\n")
+
+
+_OTHER_LINE = st.tuples(st.sampled_from(["observer", "widget", "#", ""]),
+                        st.lists(_WORDS, max_size=3))
+_SCENARIO_LINE = _lines(st.one_of(
+    st.tuples(st.sampled_from(["scenario", "home", "traveler"]),
+              _mostly(_NAMES, st.lists(_NAMES, max_size=2))),
+    st.tuples(st.just("meet"), _EVENT),
+    *_BODY_DECLARATIONS,
+    _OTHER_LINE,
+))
+_SCENARIO_FILE = _fuzzed_file([
+    "scenario trip", "body rest inertial through 0 0 0 0 velocity 0 0 0",
+    "body k piecewise knots 0 0 0 0 , 3 0 0 5 , 0 0 0 10", "home rest", "traveler k",
+    "meet 0 0 0 0", "meet 0 0 0 10"], _SCENARIO_LINE)
+
+_INDEX = _mostly(st.sampled_from(["1", "2", "3", "4"]), st.sampled_from(["0", "5", "x"]))
+_BAD_EXPR = st.sampled_from(["2^2000", "10^400", "1/0", "(", "x5", "sqrt(", "x1^", "1e3",
+                             "sqrt(0 - 1)"])
+_METRIC_EXPR = _mostly(st.sampled_from(["1", "0 - 1", "x1", "0 - x1^2", "1 + x2/10",
+                                        "sqrt(x1*x1 + 1)", "x4^1 / (x1 - x2)", "0"]), _BAD_EXPR)
+# A space-like diagonal entry: positive wherever the flat chart is probed.
+_SPACE_EXPR = _mostly(st.sampled_from(["1", "2.5", "1 + x2^2/10", "sqrt(x1*x1 + 1)", "x1*x1 + 1"]),
+                      _BAD_EXPR)
+_CHART_LINE = _lines(st.one_of(
+    st.tuples(st.just("chart"), _mostly(_NAMES, st.lists(_NAMES, max_size=2))),
+    st.tuples(st.just("order"), _mostly(st.sampled_from(["1", "3", "9"]),
+                                        st.sampled_from(["0", "-1", "x", "1/2", "10^400"]))),
+    st.tuples(st.just("domain"), _INDEX, _mostly(st.sampled_from(["-inf", "-1", "0"]), _LITERALS),
+              _mostly(st.sampled_from(["inf", "1", "10"]), _LITERALS)),
+    st.tuples(st.just("g"), _INDEX, _INDEX, _mostly(st.just("="), _WORDS), _METRIC_EXPR),
+    st.tuples(st.just("worldline"), _NAMES, _numbers(3)),
+    st.tuples(st.just("meet"), _NAMES, _NAMES, _EVENT),
+    _OTHER_LINE,
+))
+_CHART_FILE = _fuzzed_file(
+    ["chart flat"] + [_SPACE_EXPR.map(lambda e, i=i: "g %d %d = %s" % (i, i, e)) for i in (1, 2, 3)]
+    + ["g 4 4 = 0 - 1", "worldline a 0 0 0", "worldline b 1 0 0", "meet a a 0 0 0 0"],
+    _CHART_LINE)
+
+
+def _never_crashes(tmp_path, capsys, suffix, text):
+    path = _write(tmp_path, "fuzz." + suffix, text)
+    code, _, err = run_cli(_READERS[suffix] + [str(path)], capsys)
+    assert code in (0, 1, 2, 64, 65), (text, err)
+    assert len(err.splitlines()) <= 1 and "Traceback" not in err, (text, err)
+
+
+_FUZZ_SETTINGS = settings(derandomize=True, max_examples=150, deadline=None, database=None,
+                          suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_FUZZ_SETTINGS
+@given(text=_SCENARIO_FILE)
+def test_fuzzed_scenario_files_never_crash(tmp_path, capsys, text):
+    _never_crashes(tmp_path, capsys, "scn", text)
+
+
+@_FUZZ_SETTINGS
+@given(text=_CHART_FILE)
+def test_fuzzed_chart_files_never_crash(tmp_path, capsys, text):
+    _never_crashes(tmp_path, capsys, "chart", text)

@@ -285,6 +285,7 @@ _FLOAT_CHECK_PARAMETERS = {
     "genrel.check_axself_minus": ("observer_chart", "worldline", "sample_times"),
     "genrel.check_axsymt_minus": ("chart", "obs1", "obs2", "t_meet", "rate_fn"),
     "genrel.FloatBox.sample_points": ("self",),
+    "genrel.FloatBox.contains": ("self", "p"),
     "genrel.MetricChart.__init__": ("self", "g", "domain", "order", "name"),
     "accel.check_axcmv": ("s", "o", "t"),
     "accel._numeric_proper_time": ("w", "t0", "t1"),

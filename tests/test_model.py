@@ -3,7 +3,9 @@ from fractions import Fraction as Fr
 import pytest
 
 from axrel.field import ER, sqrt
-from axrel.kinematics import AffineMap, SuperluminalVelocity, coord4, mu, worldview_transform
+from axrel.kinematics import (
+    AffineMap, SuperluminalVelocity, boost, coord4, mu, worldview_transform,
+)
 from axrel.model import (
     Body, ChartDomain, InertialLine, NotAnObserver, ObserverSpec, PhotonLine,
     PiecewiseInertial, SmoothNumeric, StraightLine, Structure, cloud, galilean_structure,
@@ -259,6 +261,40 @@ def test_rotated_galilean_observer_round_trips():
     assert serialize_model(s2) == text
     for oid in ("a", "b"):
         assert s2.charts[oid] == s.charts[oid]
+
+
+def test_capped_observers_round_trip():
+    text = ("structure capped\nfamilies photons inertials\n"
+            "observer rest velocity 0 0 0\n"
+            "observer open velocity 1/2 0 0 domain 4 -inf 10\n"
+            "observer shut velocity 0 0 0 domain 1 -1 1 closed domain 4 0 inf closed\n")
+    s = parse_model(text)
+    assert serialize_model(s) == text
+    s2 = parse_model(serialize_model(s))
+    for oid in ("open", "shut"):
+        assert s2.domain_of(s2.bodies[oid]) == s.domain_of(s.bodies[oid])
+    assert s2.domain_of(s2.bodies["shut"]).contains(coord4(1, 0, 0, 0))
+    assert not s2.domain_of(s2.bodies["open"]).contains(coord4(0, 0, 0, 10))
+
+
+def test_serialize_refuses_a_chart_no_observer_line_builds():
+    # The 3/5 boost scaled by 3/2 is neither Lorentz nor a rotated Galilean
+    # shear; it would print as `observer b galilean 3/5 0 0`.
+    chart = AffineMap([[e * Fr(3, 2) for e in row] for row in boost((Fr(3, 5), 0, 0)).linear])
+    rest = Body("rest", InertialLine(coord4(0, 0, 0, 0), (ER(0),) * 3))
+    b = Body("b", InertialLine(coord4(0, 0, 0, 0), (ER(Fr(3, 5)), ER(0), ER(0))))
+    s = Structure([rest, b], {"rest": boost((0, 0, 0)), "b": chart})
+    with pytest.raises(ValueError, match="cannot serialize chart 'b'"):
+        serialize_model(s)
+
+
+def test_chart_domain_is_empty():
+    lo, hi = ER(5), ER(6)
+    assert ChartDomain(((hi, lo),) + ((None, None),) * 3).is_empty()
+    assert ChartDomain(((lo, lo),) + ((None, None),) * 3).is_empty()
+    assert not ChartDomain(((lo, lo),) + ((None, None),) * 3, closed=True).is_empty()
+    assert not ChartDomain(((lo, hi),) + ((None, None),) * 3).is_empty()
+    assert not ChartDomain().is_empty()
 
 
 def test_galilean_structure_charts_not_lorentz(galilean):

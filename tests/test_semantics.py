@@ -281,6 +281,29 @@ def test_ind_connectives_decide_exactly(minkowski, text, sup):
     assert v.evidence["sup"] == ER(sup)
 
 
+@pytest.mark.parametrize("text, case", [
+    ("IB(o) & t < 1", {"sup": ER(1)}),                 # the rest observer is IB
+    ("Ph(o) & t < 1", {"case": "empty set; instance vacuously true"}),
+])
+def test_ind_body_atoms_decide_exactly(two_observer, text, case):
+    # definable_set asks the evaluator for a body-sort atom: all or nothing.
+    from axrel.syntax import IndInstance
+
+    inst = IndInstance("body-atom", parse(text, {"t": Sort.QUANTITY, "o": Sort.BODY}), "t",
+                       param_values=(("o", "@observer"),))
+    v = check_ind_instance(two_observer, inst, BUDGET)
+    assert v.is_holds and v.method == "certified" and v.evidence == case
+
+
+def test_ind_outside_the_exact_fragment_falls_back_to_sampling(two_observer):
+    from axrel.syntax import IndInstance
+
+    inst = IndInstance("cubic", parse("t*t*t < 1+1", {"t": Sort.QUANTITY}), "t")
+    v = check_ind_instance(two_observer, inst, BUDGET)
+    assert v.method == "sampled"
+    assert v.evidence["note"] == "outside exact fragment: degree 3 sign condition"
+
+
 def test_an_equality_conjunct_pins_the_witness_to_its_roots(minkowski):
     # t*t = 2 pins t to +-sqrt(2): the exists holds at -sqrt(2) and fails
     # exactly once both roots fail, after one sample per root.
@@ -1020,9 +1043,13 @@ def test_expanded_ob_declines_on_a_numeric_worldline():
 
 
 def test_expanded_ob_with_families_fails_only_on_an_empty_domain():
-    s = parse_model("structure e\nobserver rest\nobserver empty domain 2 1 1\n"
+    s = parse_model("structure e\nobserver rest\nobserver empty\n"
                     "observer point domain 2 1 1 closed\nbody walker inertial through "
                     "0 0 0 0 velocity 1/2 0 0\n")
+    # A model file refuses the open box 1 < x2 < 1; a library caller may build it.
+    empty = ChartDomain(((None, None), (ER(1), ER(1)), (None, None), (None, None)))
+    s = Structure(list(s.bodies.values()), s.charts, chart_domains={**s.chart_domains,
+                  "empty": empty}, constants=s.constants)
     assert _expanded_ob(s, "empty").is_fails
     for name in ("rest", "point"):
         assert _expanded_ob(s, name).is_holds

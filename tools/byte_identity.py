@@ -129,8 +129,8 @@ g 2 4 = x1^3 - sqrt(x2*x2 + 1)
 g 3 3 = sqrt(x1) * x4^3
 g 4 4 = 0 - x1^2
 """,
-    # An observer whose domain meets no body, and one whose domain is
-    # empty: the Ob atom and its expansion disagree on both.
+    # An observer whose domain meets no body, where the Ob atom and its
+    # expansion disagree, and an empty domain, which the reader refuses.
     "unseen.model": """structure t
 families none
 observer rest domain 1 5 6
