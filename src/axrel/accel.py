@@ -253,15 +253,19 @@ def twin_paradox(sc: AcceleratedScenario):
     """(tau_home, tau_traveler) between the meeting events; exact for
     piecewise-inertial travelers."""
     for event in (sc.departure, sc.reunion):
-        label = "(%s)" % ", ".join(str(c) for c in event)
-        if not sc.home.worldline.contains(event):
-            raise NoReunion("home twin misses the meeting event %s" % label)
-        if not sc.traveler.worldline.contains(event):
-            raise NoReunion("traveler misses the meeting event %s" % label)
+        _check_meeting(sc, event)
     t0, t1 = sc.departure[3], sc.reunion[3]
     tau_home = proper_time(sc.home.worldline, t0, t1)
     tau_traveler = proper_time(sc.traveler.worldline, t0, t1)
     return tau_home, tau_traveler
+
+
+def _check_meeting(sc: AcceleratedScenario, event: Coord4) -> None:
+    """Refuse a meeting event off the home twin's or the traveler's worldline."""
+    for who, twin in (("home twin", sc.home), ("traveler", sc.traveler)):
+        if not twin.worldline.contains(event):
+            raise NoReunion("%s misses the meeting event (%s)"
+                            % (who, ", ".join(str(c) for c in event)))
 
 
 def rechart_scenario(sc: AcceleratedScenario, w: PoincareMap) -> AcceleratedScenario:
@@ -397,8 +401,9 @@ _SCENARIO_FORMAT = ("scenario line", {
 
 def parse_scenario(text: str) -> AcceleratedScenario:
     """Scenario file: `scenario NAME`, `body ...` lines (model syntax),
-    `home NAME`, `traveler NAME`, and two `meet X1 X2 X3 X4` lines."""
-    name, bodies, meets = "scenario", {}, []
+    `home NAME`, `traveler NAME`, and two `meet X1 X2 X3 X4` lines, each
+    an event on both twins' worldlines."""
+    name, bodies, meets = "scenario", {}, []  # meets: (event, the line's context)
     roles = {}  # home / traveler -> (body id, the line's context)
     for head, args, numbered in declaration_lines(text, _SCENARIO_FORMAT):
         with numbered:
@@ -408,7 +413,9 @@ def parse_scenario(text: str) -> AcceleratedScenario:
                 b = _parse_body(args)
                 bodies[b.id] = b
             elif head == "meet":
-                meets.append(coord4(*[ER(w) for w in args]))
+                if len(meets) == 2:
+                    raise ValueError("scenario takes two meet lines")
+                meets.append((coord4(*[ER(w) for w in args]), numbered))
             else:  # home or traveler
                 roles[head] = (args[0], numbered)
     if len(roles) != 2 or len(meets) != 2:
@@ -420,8 +427,12 @@ def parse_scenario(text: str) -> AcceleratedScenario:
     (home_id, home_line), (trav_id, _) = roles["home"], roles["traveler"]
     extra = tuple(b for bid, b in bodies.items() if bid not in (home_id, trav_id))
     with home_line:  # a home body that is not inertial is refused here
-        return AcceleratedScenario(name, bodies[home_id], bodies[trav_id],
-                                   meets[0], meets[1], extra)
+        sc = AcceleratedScenario(name, bodies[home_id], bodies[trav_id],
+                                 meets[0][0], meets[1][0], extra)
+    for event, numbered in meets:
+        with numbered:
+            _check_meeting(sc, event)
+    return sc
 
 
 def serialize_scenario(sc: AcceleratedScenario) -> str:

@@ -127,8 +127,8 @@ def _domain_escape_point(s: Structure, o: Body, o2: Body, w: AffineMap):
     """A point in o's chart (and domain) whose event o2 cannot coordinatize."""
     dom_o, dom_o2 = s.domain_of(o), s.domain_of(o2)
     w_inv = w.inverse()
-    for axis, (lo, hi) in enumerate(dom_o2.bounds):
-        for bound, outward in ((hi, 1), (lo, -1)):
+    for axis, iv in enumerate(dom_o2.axes):
+        for bound, outward in ((iv.hi, 1), (iv.lo, -1)):
             if bound is None:
                 continue
             for step in (ER(1), ER(Fraction(1, 2)), ER(2)):

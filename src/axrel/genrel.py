@@ -48,7 +48,9 @@ from typing import Callable, Optional, Sequence
 from .certify import _certified_axiom
 from .exprs import compile_float, parse_expression
 from .field import ER
-from .model import DifferentiableChart, SmoothNumeric, Structure, _integer, declaration_lines
+from .model import (
+    DifferentiableChart, SmoothNumeric, Structure, _integer, declaration_lines, read_domain,
+)
 from .numeric import (
     central_difference, one_sided_jump, require_positive_finite, velocity_at,
 )
@@ -659,7 +661,7 @@ def parse_chart_file(text: str) -> ChartSuiteConfig:
 
         chart NAME
         order N
-        domain AXIS LO HI          # literals or -inf / inf, LO < HI
+        domain AXIS LO HI          # as in a model file, without `closed`
         g I J = EXPR               # symmetric; unset entries are 0
         worldline NAME X1 X2 X3    # static observer position (literals)
         meet NAME NAME X1 X2 X3 X4
@@ -676,10 +678,10 @@ def parse_chart_file(text: str) -> ChartSuiteConfig:
             elif head == "order":
                 order = _integer(args[0])
             elif head == "domain":
-                axis = _chart_index(args[0])
-                lo[axis] = -math.inf if args[1] == "-inf" else float(ER(args[1]))
-                hi[axis] = math.inf if args[2] == "inf" else float(ER(args[2]))
-                if not lo[axis] < hi[axis]:
+                axis, iv = read_domain(args)
+                lo[axis] = -math.inf if iv.lo is None else float(iv.lo)
+                hi[axis] = math.inf if iv.hi is None else float(iv.hi)
+                if not lo[axis] < hi[axis]:  # an open box whose float ends meet
                     raise ValueError("domain is empty")
             elif head == "g":
                 if len(args) < 4 or args[2] != "=":
@@ -711,7 +713,7 @@ def parse_chart_file(text: str) -> ChartSuiteConfig:
 
 
 def _chart_index(word: str) -> int:
-    """A 1-based axis or metric index, returned 0-based."""
+    """A 1-based metric index, returned 0-based."""
     if word not in ("1", "2", "3", "4"):
         raise ValueError("index %r must be 1 to 4" % word)
     return int(word) - 1

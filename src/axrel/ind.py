@@ -87,14 +87,13 @@ def _coord_polys(s: Structure, obs: Body, coords, var, env):
 def _domain_set(s: Structure, obs: Body, coord_polys) -> IntervalSet:
     """Where the coordinate polynomials lie in obs's domain box."""
     out = IntervalSet.all()
-    dom = s.domain_of(obs)
-    for x, (lo, hi) in zip(coord_polys, dom.bounds):
-        gaps = [] if lo is None else [Poly.const(lo) - x]
-        if hi is not None:
-            gaps.append(x - Poly.const(hi))
-        for gap in gaps:
+    for x, iv in zip(coord_polys, s.domain_of(obs).axes):
+        gaps = [] if iv.lo is None else [(Poly.const(iv.lo) - x, iv.lo_open)]
+        if iv.hi is not None:
+            gaps.append((x - Poly.const(iv.hi), iv.hi_open))
+        for gap, is_open in gaps:
             cond = poly_less_zero(gap)
-            out = out.intersect(cond.union(poly_eq_zero(gap)) if dom.closed else cond)
+            out = out.intersect(cond if is_open else cond.union(poly_eq_zero(gap)))
     return out
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .field import ER, ExactReal, sqrt
-from .record import Record, set_field
+from .model import Interval
 from .syntax.ast import Add, Mul, OneC, Sub, Var, fold_term
 
 __all__ = [
@@ -232,40 +232,6 @@ def _value_of(term):
 # Interval sets.
 
 
-class Interval(Record):
-    """lo/hi None mean unbounded; *_open marks an excluded finite endpoint."""
-
-    __slots__ = _fields = ("lo", "hi", "lo_open", "hi_open")
-
-    def __init__(self, lo: Optional[ExactReal], hi: Optional[ExactReal],
-                 lo_open: bool = True, hi_open: bool = True):
-        set_field(self, "lo", lo)
-        set_field(self, "hi", hi)
-        set_field(self, "lo_open", lo_open)
-        set_field(self, "hi_open", hi_open)
-
-    def is_empty(self) -> bool:
-        if self.lo is None or self.hi is None:
-            return False
-        c = (self.hi - self.lo).sign()
-        if c < 0:
-            return True
-        if c == 0:
-            return self.lo_open or self.hi_open
-        return False
-
-    def contains(self, x: ExactReal) -> bool:
-        if self.lo is not None:
-            c = (x - self.lo).sign()
-            if c < 0 or (c == 0 and self.lo_open):
-                return False
-        if self.hi is not None:
-            c = (x - self.hi).sign()
-            if c > 0 or (c == 0 and self.hi_open):
-                return False
-        return True
-
-
 class IntervalSet:
     """Finite union of disjoint, sorted intervals."""
 
@@ -293,10 +259,8 @@ class IntervalSet:
         for iv in items:
             pos = 0
             while pos < len(ordered):
-                other = ordered[pos]
-                if iv.lo is None and other.lo is not None:
-                    break
-                if iv.lo is not None and other.lo is not None and (iv.lo - other.lo).sign() < 0:
+                lo = ordered[pos].lo
+                if lo is not None and (iv.lo is None or (iv.lo - lo).sign() < 0):
                     break
                 pos += 1
             ordered.insert(pos, iv)
@@ -316,16 +280,10 @@ class IntervalSet:
     def _touches(a: Interval, b: Interval) -> bool:
         # b.lo is >= a.lo by ordering; they touch unless a ends strictly
         # before b starts (with an actual gap, minding open endpoints).
-        if a.hi is None:
-            return True
-        if b.lo is None:
+        if a.hi is None or b.lo is None:
             return True
         c = (b.lo - a.hi).sign()
-        if c < 0:
-            return True
-        if c > 0:
-            return False
-        return not (a.hi_open and b.lo_open)
+        return c < 0 or (c == 0 and not (a.hi_open and b.lo_open))
 
     @staticmethod
     def _merge(a: Interval, b: Interval) -> Interval:

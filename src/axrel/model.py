@@ -45,7 +45,7 @@ from .record import Record, set_field
 
 __all__ = [
     "InertialLine", "PhotonLine", "PiecewiseInertial", "SmoothNumeric",
-    "Body", "Structure", "DifferentiableChart", "ChartDomain",
+    "Body", "Structure", "DifferentiableChart", "ChartDomain", "Interval",
     "standard_minkowski", "galilean_structure", "NotAnObserver",
     "EventContent", "parse_model", "serialize_model", "load_model",
     "cloud", "unsafe_inertial_line",
@@ -269,39 +269,60 @@ class Body(Record):
         set_field(self, "worldline", worldline)
 
 
-class ChartDomain(Record):
-    """Axis-aligned box; bounds None mean unbounded. closed=True includes
-    the finite endpoints (used to build deliberately non-open domains)."""
+class Interval(Record):
+    """lo/hi None mean unbounded; *_open marks an excluded finite endpoint.
+    One axis of a `ChartDomain`, and a piece of an `intervals.IntervalSet`."""
 
-    __slots__ = _fields = ("bounds", "closed")
+    __slots__ = _fields = ("lo", "hi", "lo_open", "hi_open")
 
-    def __init__(self, bounds: tuple = ((None, None),) * 4, closed: bool = False):
-        set_field(self, "bounds", bounds)  # ((lo, hi), ...) of optional ExactReal
-        set_field(self, "closed", closed)
-
-    def is_full(self) -> bool:
-        return all(lo is None and hi is None for lo, hi in self.bounds)
+    def __init__(self, lo: Optional[ExactReal], hi: Optional[ExactReal],
+                 lo_open: bool = True, hi_open: bool = True):
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+        set_field(self, "lo_open", lo_open)
+        set_field(self, "hi_open", hi_open)
 
     def is_empty(self) -> bool:
-        """Whether no event lies in the box: on some axis hi < lo, or
-        hi = lo on an open box (a closed one holds that face)."""
-        for lo, hi in self.bounds:
-            if lo is not None and hi is not None:
-                c = (hi - lo).sign()
-                if c < 0 or (c == 0 and not self.closed):
-                    return True
-        return False
+        if self.lo is None or self.hi is None:
+            return False
+        c = (self.hi - self.lo).sign()
+        return c < 0 or (c == 0 and (self.lo_open or self.hi_open))
+
+    def contains(self, x: ExactReal) -> bool:
+        if self.lo is not None:
+            c = (x - self.lo).sign()
+            if c < 0 or (c == 0 and self.lo_open):
+                return False
+        if self.hi is not None:
+            c = (x - self.hi).sign()
+            if c > 0 or (c == 0 and self.hi_open):
+                return False
+        return True
+
+
+class ChartDomain(Record):
+    """Axis-aligned box: one `Interval` per axis, each open or closed at its
+    own finite ends.  It lists its bounded axes once; `contains` tests them."""
+
+    __slots__ = ("axes", "_bounded")
+    _fields = ("axes",)
+
+    def __init__(self, axes: tuple = (Interval(None, None),) * 4):
+        set_field(self, "axes", axes)
+        set_field(self, "_bounded", tuple((i, iv) for i, iv in enumerate(axes)
+                                          if iv.lo is not None or iv.hi is not None))
+
+    def is_full(self) -> bool:
+        return not self._bounded
+
+    def is_empty(self) -> bool:
+        """Whether no event lies in the box: some axis holds no value."""
+        return any(iv.is_empty() for iv in self.axes)
 
     def contains(self, x: Coord4) -> bool:
-        for i, (lo, hi) in enumerate(self.bounds):
-            if lo is not None:
-                c = (x[i] - lo).sign()
-                if c < 0 or (c == 0 and not self.closed):
-                    return False
-            if hi is not None:
-                c = (x[i] - hi).sign()
-                if c > 0 or (c == 0 and not self.closed):
-                    return False
+        for i, iv in self._bounded:
+            if not iv.contains(x[i]):
+                return False
         return True
 
 
@@ -606,7 +627,7 @@ def parse_model(text: str) -> Structure:
         [rotate I J COS SIN] [translate C1 C2 C3 C4]
         [domain AXIS LO HI [closed]]          # LO/HI may be `-inf` / `inf`
         # one velocity or galilean, one translate, one domain per axis;
-        # rotate may repeat; the domain box must not be empty
+        # rotate may repeat; see read_domain
     body NAME photon through X1 X2 X3 X4 direction D1 D2 D3
     body NAME inertial through X1 X2 X3 X4 velocity V1 V2 V3
     body NAME piecewise knots X1 X2 X3 X4 , Y1 Y2 Y3 Y4 [, ...]
@@ -703,8 +724,7 @@ def _parse_observer(words) -> ObserverSpec:
     velocity = (ER(0), ER(0), ER(0))
     rotations: list = []
     trans = (ER(0), ER(0), ER(0), ER(0))
-    domain_bounds = [(None, None)] * 4
-    closed = False
+    axes = list(_FULL_DOMAIN.axes)
     galilean = False
     given: set = set()  # single-valued parts already read; `rotate` may repeat
 
@@ -740,19 +760,13 @@ def _parse_observer(words) -> ObserverSpec:
             once("translation")
             trans = tuple(ER(w) for w in args)
         else:  # domain
-            axis = _integer(args[0]) - 1
-            if not 0 <= axis < 4:
-                raise ValueError("domain axis must be 1 to 4")
+            closed = i < len(words) and words[i] == "closed"
+            i += closed
+            axis, interval = read_domain(args, closed)
             once("domain axis %d" % (axis + 1))
-            domain_bounds[axis] = (_domain_bound(args[1], "lower", "-inf"),
-                                   _domain_bound(args[2], "upper", "inf"))
-            if i < len(words) and words[i] == "closed":
-                closed = True
-                i += 1
-    domain = ChartDomain(tuple(domain_bounds), closed)
-    if domain.is_empty():
-        raise ValueError("observer domain is empty")
-    return ObserverSpec(name, velocity, tuple(rotations), trans, domain, galilean)
+            axes[axis] = interval
+    return ObserverSpec(name, velocity, tuple(rotations), trans, ChartDomain(tuple(axes)),
+                        galilean)
 
 
 def _integer(word) -> int:
@@ -762,15 +776,27 @@ def _integer(word) -> int:
         raise ValueError("%r is not an integer" % word) from None
 
 
-def _domain_bound(word, which, unbounded):
-    # A domain bound is a field literal, or `unbounded` (-inf low, inf high).
-    if word == unbounded:
-        return None
-    try:
-        return ER(word)
-    except ExactRealSyntaxError:
-        raise ValueError("domain %s bound must be a field literal or %s, got %r"
-                         % (which, unbounded, word)) from None
+def read_domain(args, closed: bool = False) -> tuple:
+    """(axis, Interval) of the clause `domain AXIS LO HI [closed]` of a
+    model or chart file, with args its three values and the axis 0-based.
+    LO and HI are field literals, or -inf and inf for no bound; `closed`
+    keeps the finite ends of this axis only.  An axis out of range, a bad
+    bound or an axis that holds no value is a ValueError."""
+    axis = _integer(args[0]) - 1
+    if not 0 <= axis < 4:
+        raise ValueError("domain axis must be 1 to 4")
+    ends = []
+    for word, which, unbounded in ((args[1], "lower", "-inf"), (args[2], "upper", "inf")):
+        try:
+            ends.append(None if word == unbounded else ER(word))
+        except ExactRealSyntaxError:
+            raise ValueError("domain %s bound must be a field literal or %s, got %r"
+                             % (which, unbounded, word)) from None
+    lo, hi = ends
+    iv = Interval(lo, hi, lo is None or not closed, hi is None or not closed)
+    if iv.is_empty():
+        raise ValueError("domain is empty")
+    return axis, iv
 
 
 # The vector keyword of each straight body kind.
@@ -841,14 +867,16 @@ def _recover_observer_spec(s: Structure, oid: str, chart: AffineMap) -> str:
     if any(not c.is_zero() for c in tr):
         parts.append("translate %s" % _literals(tr))
     dom = s.domain_of(body)
-    for axis, (lo, hi) in enumerate(dom.bounds):
-        if lo is not None or hi is not None:
-            parts.append("domain %d %s %s%s" % (axis + 1, "-inf" if lo is None else _literals([lo]),
-                                                "inf" if hi is None else _literals([hi]),
-                                                " closed" if dom.closed else ""))
+    for axis, iv in dom._bounded:
+        closed = not (iv.hi_open if iv.lo is None else iv.lo_open)
+        parts.append("domain %d %s %s%s" % (
+            axis + 1, "-inf" if iv.lo is None else _literals([iv.lo]),
+            "inf" if iv.hi is None else _literals([iv.hi]), " closed" if closed else ""))
     line = " ".join(parts)
-    # The residual may be no rotation: then the line builds another chart.
-    if _observer_chart(_parse_observer(line.split()[1:])) != chart:
+    # The residual may be no rotation, or an axis closed at one finite end
+    # only: then the line builds another observer.
+    spec = _parse_observer(line.split()[1:])
+    if _observer_chart(spec) != chart or spec.domain != dom:
         raise ValueError("cannot serialize chart %r: its observer line builds another" % oid)
     return line
 

@@ -488,7 +488,8 @@ def test_malformed_model_line_is_data_error(tmp_path, capsys, line, message):
     ("g 1 1 1", "line 3: metric entry must read 'g I J = EXPR'"),
     ("g 1 5 = 1", "line 3: index '5' must be 1 to 4"),
     ("order x", "line 3: 'x' is not an integer in 'order x'"),
-    ("domain 1 0 zz", "line 3: unknown name 'zz' in 'domain 1 0 zz'"),
+    ("domain 1 0 zz",
+     "line 3: domain upper bound must be a field literal or inf, got 'zz' in 'domain 1 0 zz'"),
     ("worldline a 0 0 q", "line 3: unknown name 'q' in 'worldline a 0 0 q'"),
     ("widget 1", "line 3: unknown chart line 'widget' in 'widget 1'"),
     ("chart a b", "line 3: chart needs one name in 'chart a b'"),
@@ -592,11 +593,12 @@ def test_lines_that_may_repeat_still_do(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("suffix, line, message", [
-    ("model", "observer rest domain 1 6 5", "observer domain is empty"),
-    ("model", "observer rest domain 1 5 5", "observer domain is empty"),
-    ("model", "observer rest domain 4 -inf 10 domain 2 1 0 closed", "observer domain is empty"),
+    ("model", "observer rest domain 1 6 5", "domain is empty"),
+    ("model", "observer rest domain 1 5 5", "domain is empty"),
+    ("model", "observer rest domain 4 -inf 10 domain 2 1 0 closed", "domain is empty"),
     ("chart", "domain 1 5 1", "domain is empty"),
     ("chart", "domain 3 1/2 0.5", "domain is empty"),
+    ("chart", "domain 1 1 1+1/10^30", "domain is empty"),  # not empty, but no float inside
 ])
 def test_empty_domain_is_data_error(tmp_path, capsys, suffix, line, message):
     path = _write(tmp_path, "empty." + suffix, "# an empty box\n%s\n" % line)
@@ -615,12 +617,36 @@ def test_a_closed_point_domain_is_legal(tmp_path, capsys):
     ("home home", "home nobody", 4, "scenario home 'nobody' is not a declared body"),
     ("traveler traveler", "traveler nobody", 5, "scenario traveler 'nobody' is not a declared body"),
     ("home home", "home traveler", 4, "home twin must be inertial"),
+    ("meet 0 0 0 10", "meet 1 0 0 10", 7, "home twin misses the meeting event (1, 0, 0, 10)"),
+    ("meet 0 0 0 10", "meet 0 0 0 5", 7, "traveler misses the meeting event (0, 0, 0, 5)"),
 ])
 def test_scenario_role_error_names_its_line(tmp_path, capsys, old, new, lineno, message):
     path = _write(tmp_path, "roles.scn", SCENARIO.replace(old, new).lstrip("\n"))
     code, out, err = run_cli(["twin", str(path)], capsys)
     assert code == 65 and out == ""
     assert err == "axrel: line %d: %s in %r\n" % (lineno, message, new)
+
+
+def test_a_third_meet_line_is_named(tmp_path, capsys):
+    path = _write(tmp_path, "three.scn", SCENARIO.lstrip("\n") + "meet 0 0 0 10\n")
+    code, out, err = run_cli(["twin", str(path)], capsys)
+    assert (code, out) == (65, "")
+    assert err == "axrel: line 8: scenario takes two meet lines in 'meet 0 0 0 10'\n"
+
+
+@pytest.mark.parametrize("clause, message", [
+    ("domain 5 0 1", "domain axis must be 1 to 4"),
+    ("domain x 0 1", "'x' is not an integer"),
+    ("domain 1 0 zz", "domain upper bound must be a field literal or inf, got 'zz'"),
+    ("domain 1 inf 1", "domain lower bound must be a field literal or -inf, got 'inf'"),
+    ("domain 1 1 0", "domain is empty"),
+    ("domain 1 1/2 0.5", "domain is empty"),
+])
+def test_a_domain_clause_reads_alike_in_model_and_chart_files(tmp_path, capsys, clause, message):
+    for suffix, line in (("model", "observer a " + clause), ("chart", clause)):
+        path = _write(tmp_path, "domain." + suffix, line + "\n")
+        code, out, err = run_cli(_READERS[suffix] + [str(path)], capsys)
+        assert (code, out, err) == (65, "", "axrel: line 1: %s in %r\n" % (message, line))
 
 
 def test_float_overflow_in_a_chart_is_data_error(tmp_path, capsys):
@@ -859,3 +885,68 @@ def test_fuzzed_scenario_files_never_crash(tmp_path, capsys, text):
 @given(text=_CHART_FILE)
 def test_fuzzed_chart_files_never_crash(tmp_path, capsys, text):
     _never_crashes(tmp_path, capsys, "chart", text)
+
+
+# Formula fuzzing: a formula of the grammar (quantifiers, connectives,
+# atoms, terms with powers), mostly a sentence, one time in ten with a
+# token deleted, swapped for a stray one or doubled, parsed and printed
+# back by `axrel parse`, sometimes with free-variable declarations.  It
+# exits 0 or 65 with at most one line on stderr.  The formulas are a few
+# dozen tokens long, so the fuzz does not reach the recursion limit of
+# the parser or the printer.
+_B_VAR = st.sampled_from(["o", "b", "o'"])
+_TERM = st.recursive(
+    st.sampled_from(["x", "y", "t", "q'", "0", "1"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*"]), inner).map(" ".join),
+        st.tuples(inner, st.sampled_from(["1", "2", "3"])).map(lambda p: "(%s)^%s" % p),
+        inner.map("(%s)".__mod__)),
+    max_leaves=6)
+_ATOM = st.one_of(
+    st.tuples(st.sampled_from(["IB", "Ph", "Ob", "IOb"]), _B_VAR).map(lambda p: "%s(%s)" % p),
+    st.tuples(_B_VAR, _B_VAR, _TERM, _TERM, _TERM, _TERM).map(lambda p: "W(%s)" % ", ".join(p)),
+    st.tuples(_TERM, st.sampled_from(["=", "<"]), _TERM).map(" ".join),
+    st.tuples(_B_VAR, _B_VAR).map(" = ".join),
+)
+_BINDINGS = st.lists(st.sampled_from(["o:B", "b:B", "o':B", "x:Q", "y:Q", "t:Q", "q':Q"]),
+                     min_size=1, max_size=3).map(" ".join)
+_FORMULA = st.recursive(_ATOM, lambda inner: st.one_of(
+    inner.map("!%s".__mod__),
+    st.tuples(inner, st.sampled_from(["&", "|", "->", "<->"]), inner).map("(%s %s %s)".__mod__),
+    st.tuples(st.sampled_from(["A", "E"]), _BINDINGS, inner).map("%s %s . %s".__mod__)),
+    max_leaves=5)
+# Nine in ten bind every variable the grammar uses, so most parse.
+_SENTENCE = _mostly(st.tuples(st.sampled_from(["A", "E"]), _FORMULA).map(
+    "%s o:B b:B o':B x:Q y:Q t:Q q':Q . %s".__mod__), _FORMULA)
+_STRAY = st.sampled_from(["(", ")", ".", ":", ",", "A", "E", "W", "B", "Q", "&", "->", "=",
+                          "<", "!", "^", "^ 0", "2", "$", "1.5", "x:B", "o:Q", "IB(", "x y"])
+
+
+def _mutated(parts):
+    text, edit, at, stray = parts
+    tokens = text.split(" ")
+    at %= len(tokens)
+    if edit == "delete":
+        del tokens[at]
+    elif edit == "swap":
+        tokens[at] = stray
+    else:  # double
+        tokens.insert(at, tokens[at])
+    return " ".join(tokens)
+
+
+_FUZZED_FORMULA = _mostly(_SENTENCE, st.tuples(
+    _SENTENCE, st.sampled_from(["delete", "swap", "double"]), st.integers(0, 60), _STRAY,
+).map(_mutated))
+_DECLARATIONS = st.lists(st.sampled_from(["o:B", "b:B", "x:Q", "t:Q", "q':Q", "o:Q", "x:Z"]),
+                         max_size=2)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(formula=_FUZZED_FORMULA, declarations=_DECLARATIONS)
+def test_fuzzed_formulas_never_crash(capsys, formula, declarations):
+    flags = [w for d in declarations for w in ("--declare", d)]
+    code, _, err = run_cli(["parse"] + flags + ["--", formula], capsys)
+    assert code in (0, 65), (formula, declarations, err)
+    assert len(err.splitlines()) <= 1 and "Traceback" not in err, (formula, err)

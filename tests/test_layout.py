@@ -31,6 +31,8 @@
 - Only `kinematics` tests which kind a chart is, but to reject a wrong
   kind of input: every chart answers `apply`, `inverse()`, `compose`
   and `is_exact`.
+- A chart domain is four `model.Interval`s, the one interval type, and
+  model and chart files read their `domain` lines with one reader.
 """
 
 import ast
@@ -413,3 +415,24 @@ def test_derived_values_are_no_arguments():
     assert "field_language" not in IndInstance._fields
     assert "order" not in ChartSuiteConfig._fields
     assert "drift_flagged" not in GeodesicResult._fields
+
+
+def _called_names(module, function):
+    tree = ast.parse((SRC / "axrel" / (module + ".py")).read_text(encoding="utf-8"))
+    body = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    return {node.func.id for node in ast.walk(body)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
+def test_a_chart_domain_is_four_intervals_read_in_one_place():
+    # One interval type holds the open/closed rule, and model and chart
+    # files read `domain AXIS LO HI` through model's one reader.
+    import axrel.intervals
+    import axrel.model
+
+    assert axrel.model.Interval is axrel.intervals.Interval
+    assert axrel.model.ChartDomain._fields == ("axes",)
+    assert axrel.genrel.read_domain is axrel.model.read_domain
+    assert "read_domain" in _called_names("genrel", "parse_chart_file")
+    assert "read_domain" in _called_names("model", "_parse_observer")

@@ -7,7 +7,7 @@ from axrel.kinematics import (
     AffineMap, SuperluminalVelocity, boost, coord4, mu, worldview_transform,
 )
 from axrel.model import (
-    Body, ChartDomain, InertialLine, NotAnObserver, ObserverSpec, PhotonLine,
+    Body, ChartDomain, InertialLine, Interval, NotAnObserver, ObserverSpec, PhotonLine,
     PiecewiseInertial, SmoothNumeric, StraightLine, Structure, cloud, galilean_structure,
     parse_model, serialize_model, standard_minkowski, unsafe_inertial_line,
 )
@@ -77,7 +77,7 @@ def test_event_at_empty(minkowski):
 
 
 def test_event_at_maps_each_event_once_and_agrees_with_holds_w(monkeypatch):
-    capped = ChartDomain(((None, None), (None, None), (None, None), (None, ER(10))))
+    capped = ChartDomain((Interval(None, None),) * 3 + (Interval(None, ER(10)),))
     s = standard_minkowski([
         ObserverSpec("rest"),
         ObserverSpec("capped", velocity=(Fr(3, 5), 0, 0), translation=(1, 0, 0, 2), domain=capped),
@@ -227,11 +227,36 @@ def test_cloud_builds_parallel_lines():
 
 
 def test_chart_domain_membership():
-    dom = ChartDomain(((None, None), (None, None), (None, None), (None, ER(10))))
+    dom = ChartDomain((Interval(None, None),) * 3 + (Interval(None, ER(10)),))
     assert dom.contains(coord4(0, 0, 0, 9))
     assert not dom.contains(coord4(0, 0, 0, 10))  # open by default
-    closed = ChartDomain(dom.bounds, closed=True)
+    closed = ChartDomain(dom.axes[:3] + (Interval(None, ER(10), True, False),))
     assert closed.contains(coord4(0, 0, 0, 10))
+
+
+def test_closed_closes_only_its_own_axis():
+    text = "structure t\nfamilies none\nobserver a domain 1 0 1 closed domain 2 0 1\n"
+    s = parse_model(text)
+    dom = s.domain_of(s.bodies["a"])
+    assert dom.axes[:2] == (Interval(ER(0), ER(1), False, False), Interval(ER(0), ER(1)))
+    assert dom.contains(coord4(1, Fr(1, 2), 0, 0))
+    assert not dom.contains(coord4(Fr(1, 2), 1, 0, 0))
+    # One `closed` comes back, after the first field, and the domain is equal.
+    assert serialize_model(s).splitlines()[-1] == \
+        "observer a velocity 0 0 0 domain 1 0 1 closed domain 2 0 1"
+    s2 = parse_model(serialize_model(s))
+    assert s2.domain_of(s2.bodies["a"]) == dom
+    # An unbounded end stays open under `closed`: the axis reads back equal.
+    half = parse_model("observer h domain 4 0 inf closed\n")
+    assert half.domain_of(half.bodies["h"]).axes[3] == Interval(ER(0), None, False, True)
+
+
+def test_serialize_refuses_an_axis_closed_at_one_finite_end():
+    rest = Body("rest", InertialLine(coord4(0, 0, 0, 0), (ER(0),) * 3))
+    half = ChartDomain((Interval(ER(0), ER(1), False, True),) + (Interval(None, None),) * 3)
+    s = Structure([rest], {"rest": boost((0, 0, 0))}, chart_domains={"rest": half})
+    with pytest.raises(ValueError, match="cannot serialize chart 'rest'"):
+        serialize_model(s)
 
 
 def test_model_file_round_trip(minkowski):
@@ -290,10 +315,12 @@ def test_serialize_refuses_a_chart_no_observer_line_builds():
 
 def test_chart_domain_is_empty():
     lo, hi = ER(5), ER(6)
-    assert ChartDomain(((hi, lo),) + ((None, None),) * 3).is_empty()
-    assert ChartDomain(((lo, lo),) + ((None, None),) * 3).is_empty()
-    assert not ChartDomain(((lo, lo),) + ((None, None),) * 3, closed=True).is_empty()
-    assert not ChartDomain(((lo, hi),) + ((None, None),) * 3).is_empty()
+    rest = (Interval(None, None),) * 3
+    assert ChartDomain((Interval(hi, lo),) + rest).is_empty()
+    assert ChartDomain((Interval(lo, lo),) + rest).is_empty()
+    assert ChartDomain((Interval(lo, lo, False, True),) + rest).is_empty()
+    assert not ChartDomain((Interval(lo, lo, False, False),) + rest).is_empty()
+    assert not ChartDomain((Interval(lo, hi),) + rest).is_empty()
     assert not ChartDomain().is_empty()
 
 

@@ -64,7 +64,7 @@ def test_equal_records_hash_alike_and_dedupe():
 @pytest.mark.parametrize("record, name", [
     (X, "name"), (Add(X, Y), "left"), (Budget(), "seed"),
     (model.InertialLine(kinematics.coord4(0, 0, 0, 0), (ER(0),) * 3), "velocity"),
-    (model.ChartDomain(), "closed"), (accel.ShipConfig(1, 1), "g"),
+    (model.ChartDomain(), "axes"), (accel.ShipConfig(1, 1), "g"),
     (intervals.Interval(None, None), "lo"), (exprs.Num(Fr(1)), "value"), (FloatBox(), "lo"),
     (ast.AxiomGroup("AxPh", ()), "name"),
 ])
@@ -154,7 +154,8 @@ def test_constructor_checks_and_normalisations():
 
 def test_galilean_structure_keeps_every_spec_field():
     spec = model.ObserverSpec("m", velocity=(Fr(1, 2), 0, 0), translation=(1, 0, 0, 0),
-                              domain=model.ChartDomain(((None, ER(3)),) + ((None, None),) * 3))
+                              domain=model.ChartDomain((model.Interval(None, ER(3)),)
+                                                       + (model.Interval(None, None),) * 3))
     s = model.galilean_structure([spec])
     assert s.chart_domains["m"] == spec.domain
     assert s.constants == tuple(ER(c) for c in spec.velocity + spec.translation)

@@ -15,7 +15,7 @@ from axrel.field import ER, ExactReal, sqrt
 from axrel.kinematics import AffineMap, boost, coord4, translation
 from axrel.linalg import identity
 from axrel.model import (
-    Body, ChartDomain, InertialLine, ObserverSpec, PhotonLine, PiecewiseInertial, SmoothNumeric,
+    Body, ChartDomain, InertialLine, Interval, ObserverSpec, PhotonLine, PiecewiseInertial, SmoothNumeric,
     Structure, parse_model, standard_minkowski,
 )
 from axrel.certify import _certify_axsymd, _symd_violation
@@ -191,7 +191,7 @@ def test_broken_axself_counterexample():
 
 
 def test_broken_axev_restricted_domain():
-    dom = ChartDomain(((None, None), (None, None), (None, None), (None, ER(10))))
+    dom = ChartDomain((Interval(None, None),) * 3 + (Interval(None, ER(10)),))
     s = standard_minkowski([
         ObserverSpec("rest"),
         ObserverSpec("capped", domain=dom),
@@ -353,7 +353,8 @@ def _irrational_structure(seed, speed=_irrational_speed):
         rotations = ((1, 2, (1 - a * a) / (1 + a * a), 2 * a / (1 + a * a)),) if k else ()
         translation = tuple(Fr(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4))
         capped = seed % 2 == 1 and k == 0
-        domain = ChartDomain(((None, None),) * 3 + ((None, ER(10)),)) if capped else ChartDomain()
+        domain = ChartDomain((Interval(None, None),) * 3 + (Interval(None, ER(10)),)) \
+            if capped else ChartDomain()
         specs.append(ObserverSpec("m%d" % k, velocity=tuple(velocity), rotations=rotations,
                                   translation=translation, domain=domain))
     return standard_minkowski(specs)
@@ -956,7 +957,8 @@ observer rest
 observer far domain 1 10 11 domain 4 0 1
 observer crossed domain 1 10 11 domain 4 19 23
 observer edge domain 1 10 11 domain 4 22 23
-observer edge_closed domain 1 10 11 domain 4 22 23 closed
+observer edge_closed domain 1 10 11 closed domain 4 22 23 closed
+observer edge_half_closed domain 1 10 11 domain 4 22 23 closed
 observer segment domain 1 34 35 domain 4 0 30
 observer beyond domain 1 59/2 61/2 domain 4 40 50
 body walker inertial through 0 0 0 0 velocity 1/2 0 0
@@ -980,6 +982,7 @@ def _expanded_ob(s, name):
     ("segment", ("hopper", (Fr(69, 2), 0, 0, 11))),  # the second leg of hopper
     ("beyond", None),                            # only hopper's first leg, extended
     ("walker", None),                            # not an observer
+    ("edge_half_closed", None),                  # the corner's x1 face is open
 ])
 def test_expanded_ob_is_decided_exactly_without_families(name, witness):
     s = parse_model(BOXES_MODEL)
@@ -1047,7 +1050,7 @@ def test_expanded_ob_with_families_fails_only_on_an_empty_domain():
                     "observer point domain 2 1 1 closed\nbody walker inertial through "
                     "0 0 0 0 velocity 1/2 0 0\n")
     # A model file refuses the open box 1 < x2 < 1; a library caller may build it.
-    empty = ChartDomain(((None, None), (ER(1), ER(1)), (None, None), (None, None)))
+    empty = ChartDomain((Interval(None, None), Interval(ER(1), ER(1))) + (Interval(None, None),) * 2)
     s = Structure(list(s.bodies.values()), s.charts, chart_domains={**s.chart_domains,
                   "empty": empty}, constants=s.constants)
     assert _expanded_ob(s, "empty").is_fails
@@ -1072,22 +1075,35 @@ def _reference_meets_box(s, o, body):
 
     a, b = at(ER(0)), at(ER(1))
     out = IntervalSet.all()
-    for i, (lo, hi) in enumerate(dom.bounds):
+    for i, iv in enumerate(dom.axes):
         x = Poly({(): a[i], ("t",): b[i] - a[i]})
-        for below, above in ((Poly.const(lo) if lo is not None else None, x),
-                             (x, Poly.const(hi) if hi is not None else None)):
+        for below, above, is_open in ((Poly.const(iv.lo) if iv.lo is not None else None, x,
+                                       iv.lo_open),
+                                      (x, Poly.const(iv.hi) if iv.hi is not None else None,
+                                       iv.hi_open)):
             if below is None or above is None:
                 continue
             cond = poly_less_zero(below - above)
-            if dom.closed:
+            if not is_open:
                 cond = cond.union(poly_eq_zero(below - above))
             out = out.intersect(cond)
     return not out.is_empty()
 
 
+def _box(bounds, closed, flips):
+    """A domain of the (lo, hi) bounds whose axes take the box-wide
+    `closed`, each flipped one time in three by the generator flips."""
+    axes = []
+    for lo, hi in bounds:
+        is_open = closed == (flips.random() < 1 / 3)
+        axes.append(Interval(lo, hi, is_open, is_open))
+    return ChartDomain(tuple(axes))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_expanded_ob_matches_interval_sets_on_seeded_boxes(seed):
     rng = random.Random(seed)
+    flips = random.Random(1000 + seed)  # per-axis closedness; rng draws as before
     outcomes = set()
     for _ in range(12):
         bounds = []
@@ -1101,7 +1117,7 @@ def test_expanded_ob_matches_interval_sets_on_seeded_boxes(seed):
                           rng.choice(((lo, None), (None, hi))))
         spec = ObserverSpec("o", velocity=(rng.choice((0, Fr(3, 5), Fr(-1, 2))), 0, 0),
                             translation=tuple(rng.randint(-2, 2) for _ in range(4)),
-                            domain=ChartDomain(tuple(bounds), rng.random() < 0.5))
+                            domain=_box(bounds, rng.random() < 0.5, flips))
         point = coord4(*(Fr(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(4)))
         velocity = [ER(0)] * 3
         velocity[rng.randrange(3)] = ER(Fr(rng.randint(-3, 3), 4))
@@ -1237,8 +1253,9 @@ def _w_structure(seed):
     rng = random.Random(seed)
     speed = lambda: Fr(rng.randint(-4, 4), rng.randint(5, 9))  # noqa: E731
     hi = [ER(Fr(rng.randint(1, 8), rng.randint(1, 2))) for _ in range(3)]
-    open_box = ChartDomain(((-hi[0], hi[0]), (None, None), (None, None), (None, hi[1])))
-    closed_box = ChartDomain(((None, None),) * 3 + ((-hi[2], hi[2]),), closed=True)
+    open_box = ChartDomain((Interval(-hi[0], hi[0]), Interval(None, None), Interval(None, None),
+                            Interval(None, hi[1])))
+    closed_box = ChartDomain((Interval(None, None),) * 3 + (Interval(-hi[2], hi[2], False, False),))
     base = standard_minkowski([
         ObserverSpec("rest"),
         ObserverSpec("open", velocity=(speed(), 0, 0), translation=(1, 0, 0, Fr(1, 2)),
@@ -1256,7 +1273,7 @@ def _w_structure(seed):
         Body("far", _still(0.5)),
         Body("ship", hyperbolic_worldline(1)),
     ]
-    ship_box = ChartDomain(((None, None),) * 3 + ((None, ER(1)),))
+    ship_box = ChartDomain((Interval(None, None),) * 3 + (Interval(None, ER(1)),))
     return Structure(bodies, {**base.charts, "ship": rindler_observer_chart(1)},
                      chart_domains={**base.chart_domains, "ship": ship_box})
 
@@ -1266,8 +1283,8 @@ def _w_points(s, o, rng):
     events on each exact body.  The Rindler observer sees the reference
     origin at (-1, 0, 0, 0)."""
     out = [coord4(0, 0, 0, 0), coord4(-1, 0, 0, 0)]
-    for axis, (lo, hi) in enumerate(s.domain_of(o).bounds):
-        for bound in (lo, hi):
+    for axis, iv in enumerate(s.domain_of(o).axes):
+        for bound in (iv.lo, iv.hi):
             if bound is not None:
                 for step in (-1, 0, 1):
                     out.append(tuple(bound + step if i == axis else ER(0) for i in range(4)))

@@ -8,8 +8,8 @@ fresh interpreter, once per tree, in a fresh working directory that holds
 the input files below.  The set: the README's command examples; `check`
 and `report`, text and JSON, on the inputs behind `tests/golden/` and on
 every model, chart and scenario below, among them a capped model, a
-model with no observer, a thin chart domain and observers that see no
-body.  For each command the script compares stdout,
+model with no observer, a thin chart domain, observers that see no
+body, bad or half-closed domain lines and bad meet lines.  For each command the script compares stdout,
 stderr, the exit code and every file the command leaves in its working
 directory.  It prints each command that differs, with what differs, and
 exits 1 if any does, else 0.
@@ -138,6 +138,37 @@ observer rest domain 1 5 6
     "empty-domain.model": """structure t
 families none
 observer rest domain 1 6 5
+""",
+    # `closed` after one of two domain fields: it closes x1 only, so the
+    # box no longer holds a's origin or walker, which lie on x2 faces.
+    "half-closed.model": """structure t
+families none
+observer rest
+observer a domain 1 0 1 closed domain 2 0 1
+body walker inertial through 1 1 0 0 velocity 0 0 0
+""",
+    # Chart domain lines the reader refuses: an axis out of range, a bound
+    # that is no literal, an empty axis.
+    "domain-axis.chart": "chart bad\ndomain 5 0 1\n",
+    "domain-bound.chart": "chart bad\ndomain 1 0 zz\n",
+    "domain-empty.chart": "chart bad\ndomain 1 5 1\n",
+    # A third meet line, and a meet event the traveler misses.
+    "third-meet.scn": """scenario roundtrip
+body home inertial through 0 0 0 0 velocity 0 0 0
+body traveler piecewise knots 0 0 0 0 , 3 0 0 5 , 0 0 0 10
+home home
+traveler traveler
+meet 0 0 0 0
+meet 0 0 0 10
+meet 0 0 0 10
+""",
+    "missed-meet.scn": """scenario roundtrip
+body home inertial through 0 0 0 0 velocity 0 0 0
+body traveler piecewise knots 0 0 0 0 , 3 0 0 5 , 0 0 0 10
+home home
+traveler traveler
+meet 0 0 0 0
+meet 0 0 0 5
 """,
 }
 
